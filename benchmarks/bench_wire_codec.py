@@ -1,4 +1,4 @@
-"""Wire-codec benchmark: encode/decode cost, framing size, fan-out sharing.
+"""Wire-codec benchmark: encode/decode cost, framing size, batching.
 
 Measures what the compact codec changed at the wire boundary:
 
@@ -8,9 +8,6 @@ Measures what the compact codec changed at the wire boundary:
   idealized minimum with no framing, so the ratio hovers near 1 on
   string-heavy traffic and drops below it on key/int-heavy control
   traffic);
-* **fan-out** — encodes per 1→N multicast transmission: the frozen blob
-  is computed once and shared by every per-receiver packet (the seed
-  re-snapshotted the payload object graph per hop);
 * **scenario** — canned runs reporting real ``sent_wire_bytes`` against
   the charged ``sent_bytes``, plus engine events batched vs unbatched
   (the same-slot delivery coalescing this change ships with).
@@ -31,11 +28,9 @@ import time
 from typing import Optional
 
 from repro.kernel import codec
-from repro.kernel.events import SendableEvent
 from repro.kernel.message import Message, estimate_size
 from repro.scenarios.library import canned
 from repro.scenarios.runner import run_scenario
-from repro.kernel.packet import Packet
 
 SMOKE_SCENARIOS = ("commuter_handoff",)
 FULL_SCENARIOS = ("commuter_handoff", "flash_crowd_join", "churn_storm",
@@ -89,41 +84,6 @@ def bench_micro(iterations: int) -> dict:
     return {"iterations": iterations, "values": rows}
 
 
-# -- fan-out sharing ---------------------------------------------------------
-
-def bench_fanout(receivers: int) -> dict:
-    encodes = 0
-    original = codec.encode_payload
-
-    def counting(obj):
-        nonlocal encodes
-        encodes += 1
-        return original(obj)
-
-    codec.encode_payload = counting
-    try:
-        message = _stacked_message()
-        packet = Packet(src="fixed-0", dst=tuple(f"m-{i}" for i in
-                                                 range(receivers)),
-                        port="data", event_cls=SendableEvent,
-                        message=message.wire_copy())
-        start = time.perf_counter()
-        fanout = [packet.copy_for(f"m-{i}") for i in range(receivers)]
-        copy_us = (time.perf_counter() - start) / receivers * 1e6
-    finally:
-        codec.encode_payload = original
-    assert all(p.wire_bytes == packet.wire_bytes for p in fanout)
-    return {
-        "receivers": receivers,
-        # one payload encode + one header-stack measurement encode per
-        # transmission, regardless of the fan-out width
-        "encodes_per_transmission": encodes,
-        "copy_for_us": round(copy_us, 3),
-        "wire_bytes": packet.wire_bytes,
-        "size_bytes": packet.size_bytes,
-    }
-
-
 # -- scenarios ---------------------------------------------------------------
 
 def bench_scenarios(names: tuple[str, ...]) -> list[dict]:
@@ -173,8 +133,6 @@ def main(argv: Optional[list[str]] = None) -> dict:
     report: dict = {"mode": "smoke" if args.smoke else "full"}
     print("micro: encode/decode latency and framing", file=sys.stderr)
     report["micro"] = bench_micro(iterations)
-    print("fan-out: encodes per multicast transmission", file=sys.stderr)
-    report["fanout"] = bench_fanout(receivers=64)
     print(f"scenarios: {scenarios}", file=sys.stderr)
     report["scenarios"] = bench_scenarios(scenarios)
 

@@ -53,7 +53,10 @@ legacy charge *in the same traversal* that emits the bytes and returns
 asserted (together with round-trip fidelity) when :data:`PARITY` is on.
 The *encoded* length is tracked separately (``wire_bytes`` counters in
 :mod:`repro.simnet.stats`), which is how the codec's compression is
-measured without perturbing a single timing.
+measured without perturbing a single timing.  Header cells take both
+numbers the same way, once, when a header is pushed
+(:func:`encode_header`); encoding a message then joins the cells' bytes
+and never walks a header again.
 
 Payload types outside the table above (custom classes, dataclasses inside
 payloads) raise :class:`CodecError`; the caller falls back to the legacy
@@ -64,12 +67,12 @@ from __future__ import annotations
 
 import os
 import struct
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 __all__ = [
-    "CodecError", "PARITY", "decode_payload", "encode_payload",
-    "register_wire_key", "resolve_event_class", "set_parity",
-    "wire_key_table",
+    "CodecError", "PARITY", "decode_payload", "encode_header",
+    "encode_payload", "register_wire_key", "resolve_event_class",
+    "set_parity", "wire_key_table",
 ]
 
 
@@ -241,12 +244,28 @@ def _encode(out: bytearray, obj: Any) -> int:
         _append_varint(out, obj.size_bytes)
         return obj.size_bytes
     if kind is Message:
+        # tag ‖ depth ‖ cached cell bytes ‖ payload: every header was
+        # encoded when its cell was made (see ``encode_header``), so a
+        # relay, a retransmission and an N-way fan-out splice the same
+        # bytes in and only the first wire crossing of a cell ever ran
+        # the codec over it.
         out.append(0x0E)
-        headers = obj.headers
-        _append_varint(out, len(headers))
-        charge = 0
-        for header in headers:
-            charge += max(_encode(out, header), 1) + 1  # +1 framing byte
+        top = obj._top
+        if top is None:
+            out.append(0)
+            charge = 0
+        else:
+            if top.wire_stack_len is None:
+                raise CodecError("message carries a header outside the "
+                                 "wire format")
+            _append_varint(out, top.depth)
+            charge = top.stack_bytes
+            cells = []
+            while top is not None:
+                cells.append(top.wire)
+                top = top.below
+            cells.reverse()  # the wire order is bottom → top
+            out += b"".join(cells)
         payload = obj._payload
         if type(payload) is not WirePayload:
             # Route through the copy-family cache so every relay and
@@ -291,6 +310,28 @@ def encode_payload(obj: Any) -> tuple[bytes, int]:
     if PARITY:
         _assert_parity(obj, blob, charge)
     return blob, charge
+
+
+def encode_header(header: Any) -> tuple[Optional[bytes], int]:
+    """One header's wire form and legacy charge, for its stack cell.
+
+    ``(wire, charge)`` from a single traversal, like
+    :func:`encode_payload`, but never raises: a header outside the wire
+    format (a custom class, a dataclass) has no wire form — ``wire`` is
+    ``None`` — and is charged by
+    :func:`~repro.kernel.message.estimate_size`, as every header was
+    before cells carried their bytes.
+    """
+    out = bytearray()
+    try:
+        charge = _encode(out, header)
+    except CodecError:
+        from repro.kernel.message import estimate_size
+        return None, estimate_size(header)
+    wire = bytes(out)
+    if PARITY:
+        _assert_parity(header, wire, charge)
+    return wire, charge
 
 
 # -- decoding -----------------------------------------------------------------
@@ -352,14 +393,19 @@ def _decode(buf: bytes, pos: int) -> tuple[Any, int]:
             result[key] = value
         return result, pos
     if tag == 0x0E:
-        from repro.kernel.message import Message
+        from repro.kernel.message import Message, _HeaderNode
         count, pos = _read_varint(buf, pos)
-        headers = []
+        top = None
         for _ in range(count):
+            start = pos
             header, pos = _decode(buf, pos)
-            headers.append(header)
+            # The bytes just read are the cell's wire form: forwarding
+            # this message re-encodes none of its headers.
+            top = _HeaderNode.off_the_wire(header, top, buf[start:pos])
         payload, pos = _decode(buf, pos)
-        return Message(payload, headers=headers), pos
+        message = Message(payload)
+        message._top = top
+        return message, pos
     if tag == 0x0F:
         from repro.kernel.message import WirePayload
         length, pos = _read_varint(buf, pos)

@@ -22,6 +22,12 @@ Consequences, and the ownership contract every layer relies on:
   cumulative size of the stack below-and-including it at creation, and the
   payload estimate is cached per handle, so reading ``size_bytes`` after a
   push/pop is O(1) instead of a recursive re-walk.
+* The **wire form** is kept the same way: a cell is encoded once, when
+  its header is pushed (or decoded), and keeps those bytes and the
+  cumulative encoded length of the stack below it.  ``wire_bytes`` is
+  therefore O(1) arithmetic too — a packet is measured, never encoded to
+  be measured — and every wire crossing of every handle sharing a cell
+  (fan-out, relay, retransmission) splices the same bytes in.
 * **Headers are frozen at push time.**  A layer that pushes mutable state
   must push a private copy (as the causal layer does with its vector
   clock), and a layer that pops a header must treat its contents as
@@ -51,6 +57,10 @@ from __future__ import annotations
 import copy
 from dataclasses import fields, is_dataclass
 from typing import Any, Iterable, Optional
+
+# The codec imports this module's classes at call time, never at import
+# time, so the dependency runs one way while both modules load.
+from repro.kernel import codec
 
 #: Default serialized size charged for a header with no explicit estimate.
 DEFAULT_HEADER_SIZE = 8
@@ -124,18 +134,6 @@ def estimate_size(obj: Any) -> int:
 _IMMUTABLE_PAYLOAD_TYPES = (bytes, str, int, float, bool, frozenset,
                             type(None), type)
 
-#: Lazily-bound :mod:`repro.kernel.codec` (breaks the import cycle: the
-#: codec module imports Message/WirePayload from here at call time).
-_codec = None
-
-
-def _get_codec():
-    global _codec
-    if _codec is None:
-        from repro.kernel import codec
-        _codec = codec
-    return _codec
-
 
 class WirePayload:
     """A payload frozen into compact wire bytes (see :mod:`.codec`).
@@ -171,7 +169,7 @@ class WirePayload:
         """
         value = self._decoded
         if value is WirePayload._UNSET:
-            value = self._decoded = _get_codec().decode_payload(self.blob)
+            value = self._decoded = codec.decode_payload(self.blob)
         return value
 
     def __eq__(self, other: Any) -> bool:
@@ -218,19 +216,57 @@ def snapshot_payload(obj: Any) -> Any:
 class _HeaderNode:
     """One immutable cell of a persistent header stack.
 
-    ``stack_bytes`` caches the cumulative wire-size charge of this cell and
-    everything below it, which is what makes ``Message.size_bytes`` O(1).
+    A cell owns both sizes of its header, taken from one codec traversal
+    when the header is pushed (or handed over by the decoder, which has
+    the bytes in hand): ``stack_bytes`` is the cumulative accounting
+    charge of this cell and everything below it, ``wire`` the header's
+    encoded form and ``wire_stack_len`` the cumulative encoded length.
+    That makes ``Message.size_bytes`` and ``Message.wire_bytes`` O(1), and
+    lets every wire crossing of every handle sharing the cell — fan-out,
+    relay, retransmission — splice ``wire`` in instead of re-encoding.
+
+    ``wire`` is ``None`` for a header outside the wire format, and
+    ``wire_stack_len`` is ``None`` from that cell upwards: such a stack
+    has no wire form, only its charge.
     """
 
-    __slots__ = ("header", "below", "depth", "stack_bytes")
+    __slots__ = ("header", "below", "depth", "stack_bytes", "wire",
+                 "wire_stack_len")
 
     def __init__(self, header: Any, below: Optional["_HeaderNode"]) -> None:
+        wire, charge = codec.encode_header(header)
+        self._link(header, below, wire, charge)
+
+    @classmethod
+    def off_the_wire(cls, header: Any, below: Optional["_HeaderNode"],
+                     wire: bytes) -> "_HeaderNode":
+        """The cell of a header just decoded from ``wire``: the bytes are
+        kept as the cell's wire form, so a relay forwards them as is."""
+        node = cls.__new__(cls)
+        node._link(header, below, wire, estimate_size(header))
+        return node
+
+    def _link(self, header: Any, below: Optional["_HeaderNode"],
+              wire: Optional[bytes], charge: int) -> None:
         self.header = header
         self.below = below
-        self.depth = 1 if below is None else below.depth + 1
-        charge = max(estimate_size(header), 1) + 1  # +1 framing byte
-        self.stack_bytes = charge if below is None \
-            else below.stack_bytes + charge
+        self.wire = wire
+        charge = max(charge, 1) + 1  # +1 framing byte
+        if below is None:
+            self.depth = 1
+            self.stack_bytes = charge
+            below_len = 0
+        else:
+            self.depth = below.depth + 1
+            self.stack_bytes = below.stack_bytes + charge
+            below_len = below.wire_stack_len
+        self.wire_stack_len = None if wire is None or below_len is None \
+            else below_len + len(wire)
+
+
+def _varint_len(value: int) -> int:
+    """Bytes the codec's LEB128 varint spends on non-negative ``value``."""
+    return ((value.bit_length() or 1) + 6) // 7
 
 
 class Message:
@@ -346,32 +382,31 @@ class Message:
     def wire_bytes(self) -> int:
         """Actual compact-codec length of the whole message — interned
         header keys, varint framing, and the frozen payload blob
-        re-embedded verbatim.
+        re-embedded verbatim — by O(1) arithmetic at any header depth.
 
         ``size_bytes`` stays the accounting source of truth (delay, loss
         and battery models); this is the measurement of what the compact
-        encoding saves.  Only meaningful on a wire copy (frozen payload):
-        unfrozen handles and exotic legacy-snapshot payloads fall back to
-        ``size_bytes``.  Not cached — :class:`~repro.kernel.packet.Packet`
-        computes it once per transmission and fans it out.
+        encoding saves.  Nothing is encoded to take it: a cell is encoded
+        once, ever, when its header is pushed, and carries the cumulative
+        encoded length of the stack below it; the frozen blob knows its
+        own.  Only meaningful on a wire copy (frozen payload): unfrozen
+        handles, exotic legacy-snapshot payloads and stacks holding a
+        header outside the wire format fall back to ``size_bytes``.
         """
         payload = self._payload
         if type(payload) is not WirePayload:
             return self.size_bytes
-        if self._top is None:
-            # Bare message (the common case at the packet boundary: layers
-            # fold their state into the payload dict): pure arithmetic —
-            # message tag + zero header count + blob re-embed framing.
-            blob_len = len(payload.blob)
-            return (3 + blob_len +
-                    ((blob_len.bit_length() or 1) + 6) // 7 +
-                    ((payload.size_bytes.bit_length() or 1) + 6) // 7)
-        codec = _get_codec()
-        try:
-            blob, _ = codec.encode_payload(self)
-        except codec.CodecError:  # exotic header value
-            return self.size_bytes
-        return len(blob)
+        top = self._top
+        if top is None:
+            framing = 3  # message tag + zero header count + blob tag
+        else:
+            headers_len = top.wire_stack_len
+            if headers_len is None:  # exotic header value
+                return self.size_bytes
+            framing = 2 + _varint_len(top.depth) + headers_len
+        blob_len = len(payload.blob)
+        return (framing + blob_len + _varint_len(blob_len) +
+                _varint_len(payload.size_bytes))
 
     # -- copying --------------------------------------------------------------
 
@@ -424,7 +459,6 @@ class Message:
                 # its own wire form, zero re-encode.
                 snap = payload
             else:
-                codec = _get_codec()
                 try:
                     blob, charge = codec.encode_payload(payload)
                     snap = WirePayload(blob, charge)

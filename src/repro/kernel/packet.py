@@ -49,12 +49,18 @@ SRC_FIELD_OVERHEAD = 14
 
 _packet_ids = itertools.count(1)
 
+#: ``logical_src -> `` the per-packet framing charge on top of the message
+#: (address + source-field + packet overhead): a pure function of a
+#: node-id string, so it is estimated once per distinct sender rather than
+#: once per packet.
+_FRAMING_BYTES: dict[str, int] = {}
+
 
 DATA = "data"
 CONTROL = "control"
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One datagram.
 
@@ -95,10 +101,14 @@ class Packet:
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
 
     def __post_init__(self) -> None:
-        if self.logical_src is None:
-            self.logical_src = self.src
-        overhead = (estimate_size(self.logical_src) +
-                    SRC_FIELD_OVERHEAD + PACKET_OVERHEAD_BYTES)
+        logical_src = self.logical_src
+        if logical_src is None:
+            logical_src = self.logical_src = self.src
+        overhead = _FRAMING_BYTES.get(logical_src)
+        if overhead is None:
+            overhead = _FRAMING_BYTES[logical_src] = (
+                estimate_size(logical_src) + SRC_FIELD_OVERHEAD +
+                PACKET_OVERHEAD_BYTES)
         if not self.size_bytes:
             self.size_bytes = self.message.size_bytes + overhead
         if not self.wire_bytes:
@@ -115,8 +125,8 @@ class Packet:
         The message handle is an O(1) copy-on-write duplicate: the receiver
         may push/pop freely without affecting any sibling receiver's view,
         while the header chain and payload remain physically shared.  Both
-        byte sizes are passed through, so a 1→N fan-out encodes (and
-        measures) the message exactly once.
+        byte sizes are passed through (each is O(1) arithmetic over the
+        message's cells in any case — nothing is encoded to measure).
 
         Built without re-running ``__init__``/``__post_init__``: every
         derived field is already known, and this is the per-receiver inner

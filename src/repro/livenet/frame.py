@@ -8,8 +8,11 @@ A frame is::
 
 where ``meta`` and ``body`` are both :mod:`repro.kernel.codec` values —
 ``meta`` a tuple of the packet's addressing and accounting fields, ``body``
-the carried :class:`~repro.kernel.message.Message` (tag ``0x0E``, whose
-frozen payload blob is re-embedded verbatim via tag ``0x0F``).  Decoding
+the carried :class:`~repro.kernel.message.Message` (tag ``0x0E``: the
+bytes each header cell was encoded to when it was pushed — or arrived
+with — spliced in as they are, then the frozen payload blob re-embedded
+verbatim via tag ``0x0F``; framing a packet, a relayed one included,
+encodes no header and no payload again).  Decoding
 rebuilds a :class:`~repro.kernel.packet.Packet` that is
 indistinguishable, to the receiving transport session, from the record the
 simulator would have delivered: same event class (resolved by its unique

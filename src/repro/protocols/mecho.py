@@ -97,6 +97,19 @@ class MechoSession(GroupSession):
                      origin: str) -> None:
         event.message.push_header((_HEADER_TAG, kind, origin))
 
+    def _fan_out(self, event: GroupSendableEvent, kind: str, origin: str,
+                 members, channel) -> None:
+        """One point-to-point copy of ``event`` per member, framed once:
+        the header cell is pushed on one clone and every copy shares it,
+        so the fan-out encodes and charges the framing a single time."""
+        framed = event.clone()
+        framed.source = origin
+        self._push_header(framed, kind, origin)
+        for member in members:
+            wire = framed.clone()
+            wire.dest = member
+            self.send_down(wire, channel=channel)
+
     def _path_changed(self, channel, trusted: bool) -> None:
         """Signal a dissemination-path change upward, flap-damped."""
         if not self._path_damper.observe(trusted,
@@ -205,12 +218,7 @@ class MechoSession(GroupSession):
         else:
             # Wired mode (or a degenerate wireless config with no relay):
             # fan out directly, like the baseline.
-            for member in self.others():
-                wire = event.clone()
-                wire.source = self.local
-                wire.dest = member
-                self._push_header(wire, DIRECT, self.local)
-                self.send_down(wire, channel=channel)
+            self._fan_out(event, DIRECT, self.local, self.others(), channel)
         loopback = event.clone()
         loopback.source = self.local
         loopback.dest = self.local
@@ -244,20 +252,13 @@ class MechoSession(GroupSession):
                             origin: str) -> None:
         """Forward a mobile node's message to the remaining participants."""
         assert self.local is not None
-        channel = event.channel
-        if not self.is_relay:
-            # A stale relay selection can address a non-relay node; deliver
-            # locally anyway (best-effort) but honour the forward request so
-            # the group still converges.
-            pass
-        for member in self.members:
-            if member == origin or member == self.local:
-                continue
-            wire = event.clone()
-            wire.source = origin
-            wire.dest = member
-            self._push_header(wire, RELAYED, origin)
-            self.send_down(wire, channel=channel)
+        # A stale relay selection can address a non-relay node: honour the
+        # forward request anyway (and deliver locally, best-effort) so the
+        # group still converges.
+        self._fan_out(event, RELAYED, origin,
+                      [member for member in self.members
+                       if member != origin and member != self.local],
+                      event.channel)
 
 
 @register_layer

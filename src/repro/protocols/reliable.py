@@ -50,7 +50,7 @@ _SYNC_AFTER_IDLE_TICKS = 8
 _SYNC_MAX_REPEATS = 8
 
 
-@dataclass
+@dataclass(slots=True)
 class _StoredMessage:
     """Snapshot of a delivered message, kept for retransmission.
 

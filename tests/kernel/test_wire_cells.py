@@ -1,0 +1,227 @@
+"""Header cells own their wire form: encoded once, measured by arithmetic.
+
+Three contracts under test:
+
+* **arithmetic equals encoding** — ``Message.wire_bytes`` (O(1) over the
+  cells' cumulative lengths) is the length ``encode_payload`` produces, and
+  ``size_bytes`` is the legacy per-header estimate, over random header
+  stacks, nested messages, relayed (already frozen) payloads and a header
+  outside the wire format;
+* **a fan-out encodes once** — a real Mecho group send through
+  ``DatagramTransportSession`` runs the codec the same number of times
+  for 4 members as for 16, wired sender and wireless-via-relay alike;
+* **the datagram is unchanged** — ``encode_frame`` puts the bytes on the
+  socket that a fresh header-by-header traversal would, whether the cells
+  were pushed locally or came off the wire.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.kernel import Message, codec, estimate_size
+from repro.kernel.codec import CodecError, decode_payload, encode_payload
+from repro.kernel.message import WirePayload
+from repro.kernel.packet import Packet
+from repro.livenet.frame import (FRAME_MAGIC, FRAME_VERSION, decode_frame,
+                                 encode_frame)
+from repro.protocols import ApplicationMessage, MechoLayer
+from tests.kernel.test_codec import header_stacks, wire_values
+from tests.protocols.helpers import build_world, collector_of
+
+
+@dataclass(frozen=True)
+class ExoticHeader:
+    """A header outside the wire format, with an explicit charge."""
+
+    size_bytes: int = 11
+
+
+def legacy_size(payload, headers) -> int:
+    """``size_bytes`` as the recursive-walk era computed it."""
+    return estimate_size(payload) + sum(
+        max(estimate_size(header), 1) + 1 for header in headers)
+
+
+def traversed(message: Message) -> bytes:
+    """Reference wire form of a frozen message: every header re-encoded on
+    its own, bottom → top, as the codec did before cells kept their bytes."""
+    headers = message.headers
+    out = bytearray((0x0E,))
+    codec._append_varint(out, len(headers))
+    for header in headers:
+        out += encode_payload(header)[0]
+    out += encode_payload(message._payload)[0]
+    return bytes(out)
+
+
+# -- arithmetic equals encoding -----------------------------------------------
+
+nested_payloads = st.one_of(
+    wire_values,
+    st.builds(lambda payload, headers: Message(payload, headers=headers),
+              wire_values, header_stacks),
+    st.builds(lambda payload, headers: {
+        "msg": Message(payload, headers=headers), "seqno": 3},
+        wire_values, header_stacks),
+)
+
+
+class TestWireBytesArithmetic:
+    @given(payload=nested_payloads, headers=header_stacks,
+           pops=st.integers(0, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_wire_bytes_is_the_encoded_length(self, payload, headers, pops):
+        message = Message(payload, headers=headers)
+        assert message.size_bytes == legacy_size(payload, headers)
+        assert message.wire_bytes == message.size_bytes  # not frozen yet
+        frozen = message.wire_copy()
+        for _ in range(min(pops, len(headers))):
+            frozen.pop_header()
+            headers = headers[:-1]
+        blob, charge = encode_payload(frozen)
+        assert frozen.wire_bytes == len(blob)
+        assert blob == traversed(frozen)
+        assert frozen.size_bytes == charge == legacy_size(payload, headers)
+
+    @given(payload=wire_values, headers=header_stacks,
+           relay_header=st.tuples(st.just("mecho"), st.just("relayed"),
+                                  st.text(max_size=8)))
+    @settings(max_examples=200, deadline=None)
+    def test_relayed_message_reuses_the_cells_it_arrived_with(
+            self, payload, headers, relay_header):
+        blob, _ = encode_payload(Message(payload, headers=headers).wire_copy())
+        arrived = decode_payload(blob)
+        assert type(arrived._payload) is WirePayload
+        assert arrived.wire_bytes == len(blob)
+        assert arrived.size_bytes == legacy_size(payload, headers)
+        assert encode_payload(arrived)[0] == blob  # forwarded byte for byte
+        if headers:
+            arrived.pop_header()
+        arrived.push_header(relay_header)
+        relayed = arrived.wire_copy()
+        again, _ = encode_payload(relayed)
+        assert relayed.wire_bytes == len(again)
+        assert again == traversed(relayed)
+
+    @given(payload=wire_values, below=header_stacks, above=header_stacks)
+    @settings(max_examples=100, deadline=None)
+    def test_unencodable_header_falls_back_to_the_charge(
+            self, payload, below, above):
+        headers = below + [ExoticHeader()] + above
+        frozen = Message(payload, headers=headers).wire_copy()
+        # The cell is charged by estimate_size, as every header once was ...
+        assert frozen.size_bytes == legacy_size(payload, headers)
+        # ... and the stack has no wire form from that cell upwards.
+        assert frozen.wire_bytes == frozen.size_bytes
+        with pytest.raises(CodecError):
+            encode_payload(frozen)
+        for _ in range(len(above) + 1):
+            frozen.pop_header()
+        assert frozen.wire_bytes == len(encode_payload(frozen)[0])
+
+    def test_exotic_header_cell_keeps_its_explicit_charge(self):
+        wire, charge = codec.encode_header(ExoticHeader(size_bytes=40))
+        assert wire is None and charge == 40
+        wire, charge = codec.encode_header(("rm", "n0", 7, 3))
+        assert wire == encode_payload(("rm", "n0", 7, 3))[0]
+        assert charge == estimate_size(("rm", "n0", 7, 3))
+
+
+# -- a fan-out encodes once ---------------------------------------------------
+
+def mecho_world(members: int):
+    """A relay, a second wired node and ``members - 2`` mobiles on Mecho,
+    background traffic parked far beyond the observed window."""
+    specs = {"fixed-0": "fixed", "fixed-1": "fixed"}
+    for index in range(members - 2):
+        specs[f"mobile-{index:02d}"] = "mobile"
+    members_csv = ",".join(sorted(specs))
+
+    def dissemination_for(node_id: str) -> MechoLayer:
+        mode = "wired" if specs[node_id] == "fixed" else "wireless"
+        return MechoLayer(mode=mode, relay="fixed-0", members=members_csv,
+                          relay_timeout=600.0)
+
+    return build_world(specs, dissemination_factory=dissemination_for,
+                       heartbeat_interval=600.0, nack_interval=600.0)
+
+
+def codec_runs_for_one_send(members: int, sender: str, monkeypatch) -> int:
+    """Codec traversals (payload freezes + header cells) one group send
+    from ``sender`` costs the whole group, through the real transport."""
+    engine, network, channels = mecho_world(members)
+    engine.run_until(1.0)
+    network.reset_stats()
+    runs = 0
+
+    def counting(original):
+        def counted(value):
+            nonlocal runs
+            runs += 1
+            return original(value)
+        return counted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(codec, "encode_payload",
+                      counting(codec.encode_payload))
+        patch.setattr(codec, "encode_header", counting(codec.encode_header))
+        collector_of(channels[sender]).send_text("x" * 400)
+        engine.run_until(2.0)
+    for node_id, channel in channels.items():
+        assert collector_of(channel).payloads() == ["x" * 400], node_id
+    packets = sum(network.stats_of(node_id).sent_total
+                  for node_id in channels)
+    assert packets == members - 1  # N-1 unicast transmissions, no more
+    return runs
+
+
+class TestFanOutEncodesOnce:
+    @pytest.mark.parametrize("sender", ["fixed-1", "mobile-00"])
+    def test_codec_runs_do_not_scale_with_the_group(self, sender,
+                                                    monkeypatch):
+        small = codec_runs_for_one_send(4, sender, monkeypatch)
+        large = codec_runs_for_one_send(16, sender, monkeypatch)
+        assert small == large
+        # One payload freeze plus one run per header cell pushed: the
+        # reliable layer's, Mecho's, and the relay's when it forwards.
+        assert large == (3 if sender == "fixed-1" else 4)
+
+
+# -- the datagram is unchanged ------------------------------------------------
+
+def reference_frame(packet: Packet) -> bytes:
+    """The datagram with the body re-traversed header by header."""
+    meta, _ = encode_payload(
+        (packet.src, packet.logical_src, packet.port,
+         packet.event_cls.__name__, packet.dst, packet.traffic_class,
+         packet.size_bytes, packet.wire_bytes))
+    out = bytearray((FRAME_MAGIC, FRAME_VERSION))
+    codec._append_varint(out, len(meta))
+    return bytes(out) + meta + traversed(packet.message)
+
+
+class TestFrameBytes:
+    @given(payload=wire_values, headers=header_stacks)
+    @settings(max_examples=200, deadline=None)
+    def test_frame_matches_the_traversal_and_round_trips(self, payload,
+                                                         headers):
+        packet = Packet(src="fixed-0", dst="mobile-0", port="data",
+                        event_cls=ApplicationMessage,
+                        message=Message(payload, headers=headers).wire_copy(),
+                        logical_src="mobile-1")
+        frame = encode_frame(packet)  # cells pushed on this node
+        assert frame == reference_frame(packet)
+        arrived = decode_frame(frame)
+        assert arrived.message == packet.message
+        assert arrived.message.headers == headers
+        assert arrived.size_bytes == packet.size_bytes
+        assert arrived.wire_bytes == packet.wire_bytes
+        assert arrived.message.wire_bytes == packet.message.wire_bytes
+        # Cells that came off the wire: forwarding re-sends their bytes.
+        assert encode_frame(arrived) == frame
+        assert decode_frame(encode_frame(arrived)).message == packet.message
