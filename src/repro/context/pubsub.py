@@ -39,6 +39,11 @@ class TopicBus:
     def __init__(self) -> None:
         self._exact: dict[str, list[Subscription]] = defaultdict(list)
         self._prefixes: dict[str, list[Subscription]] = defaultdict(list)
+        #: ``topic -> `` its subscriptions in delivery order, resolved on
+        #: the topic's first publication and dropped whenever the set of
+        #: subscriptions changes — the few topics of a run are published
+        #: thousands of times between changes.
+        self._resolved: dict[str, tuple[Subscription, ...]] = {}
         #: Total publications, for diagnostics.
         self.published_count = 0
 
@@ -53,6 +58,7 @@ class TopicBus:
             self._prefixes[pattern[:-2]].append(subscription)
         else:
             self._exact[pattern].append(subscription)
+        self._resolved.clear()
         return subscription
 
     def _remove(self, subscription: Subscription) -> None:
@@ -62,31 +68,35 @@ class TopicBus:
             else self._exact[pattern]
         if subscription in pool:
             pool.remove(subscription)
+        self._resolved.clear()
+
+    def _subscriptions(self, topic: str) -> tuple[Subscription, ...]:
+        """Subscriptions matching ``topic``: exact ones first, then each
+        prefix wildcard from the shortest prefix to the longest."""
+        resolved = self._resolved.get(topic)
+        if resolved is None:
+            matching = list(self._exact.get(topic, ()))
+            parts = topic.split(".")
+            for cut in range(1, len(parts) + 1):
+                matching += self._prefixes.get(".".join(parts[:cut]), ())
+            resolved = self._resolved[topic] = tuple(matching)
+        return resolved
 
     def publish(self, topic: str, data: Any) -> int:
         """Deliver ``data`` to every matching subscriber.
 
-        Returns the number of subscribers notified.
+        Returns the number of subscribers notified.  A subscription
+        cancelled by an earlier callback of the same publication is
+        skipped (``active`` is re-checked at call time).
         """
         self.published_count += 1
         notified = 0
-        for subscription in list(self._exact.get(topic, ())):
+        for subscription in self._subscriptions(topic):
             if subscription.active:
                 subscription.callback(topic, data)
                 notified += 1
-        parts = topic.split(".")
-        for cut in range(1, len(parts) + 1):
-            prefix = ".".join(parts[:cut])
-            for subscription in list(self._prefixes.get(prefix, ())):
-                if subscription.active:
-                    subscription.callback(topic, data)
-                    notified += 1
         return notified
 
     def subscriber_count(self, topic: str) -> int:
         """How many active subscriptions would see ``topic``."""
-        count = len(self._exact.get(topic, ()))
-        parts = topic.split(".")
-        for cut in range(1, len(parts) + 1):
-            count += len(self._prefixes.get(".".join(parts[:cut]), ()))
-        return count
+        return len(self._subscriptions(topic))

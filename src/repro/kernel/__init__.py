@@ -29,7 +29,7 @@ from repro.kernel.events import (BackoffTimerEvent, ChannelClose,
 from repro.kernel.layer import Layer
 from repro.kernel.message import Message, estimate_size
 from repro.kernel.packet import (CONTROL, DATA, PACKET_OVERHEAD_BYTES,
-                                 SRC_FIELD_OVERHEAD, Packet)
+                                 SRC_FIELD_OVERHEAD, EachOf, Packet)
 from repro.kernel.qos import QoS
 from repro.kernel.registry import (is_registered, register_layer,
                                    registered_layers, resolve_layer,
@@ -52,7 +52,7 @@ __all__ = [
     "EchoEvent", "Event", "PeriodicTimerEvent", "SendableEvent", "TimerEvent",
     "Layer", "Message", "estimate_size", "QoS",
     "CONTROL", "DATA", "PACKET_OVERHEAD_BYTES", "SRC_FIELD_OVERHEAD",
-    "Packet",
+    "EachOf", "Packet",
     "DatagramTransportLayer", "DatagramTransportSession", "Transport",
     "TransportEndpoint",
     "is_registered", "register_layer", "registered_layers", "resolve_layer",

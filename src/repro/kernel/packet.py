@@ -18,11 +18,13 @@ a relay forwards on behalf of a sender.  The field is charged
 identical to the seed-era accounting, which serialized the same information
 as a ``("__net_src__", src)`` header.
 
-Fan-out: a native-multicast transmission is materialized as one
-:class:`Packet` per receiver (:meth:`Packet.copy_for`), but every
-per-receiver packet shares the *same frozen message structure* — the copy
-is an O(1) handle, so a 1→N multicast allocates N small packet records and
-zero message deep-copies.
+Fan-out: a request addressed to several receivers — one native-multicast
+transmission (``tuple`` destination) or a sequence of point-to-point
+transmissions (:class:`EachOf` destination) — reaches the network as *one*
+:class:`Packet` and is materialized there as one packet per receiver
+(:meth:`Packet.copy_for`).  Every per-receiver packet shares the *same
+frozen message structure* — the copy is an O(1) handle, so a 1→N fan-out
+allocates N small packet records and zero message deep-copies.
 
 The paper's Figure 3 counts *messages transmitted by the mobile device,
 including data and control messages*; the ``traffic_class`` tag lets the
@@ -60,14 +62,41 @@ DATA = "data"
 CONTROL = "control"
 
 
+@dataclass(frozen=True, slots=True, repr=False)
+class EachOf:
+    """Destination of a point-to-point fan-out: one packet per member.
+
+    The paper's baseline multicast is *"a sequence of point-to-point
+    messages (one for each participant)"*.  A layer that sends such a
+    sequence addresses **one** event to ``EachOf(members)``: the request
+    crosses the kernel queue and the transport session once, and the
+    network expands it — in member order, each member its own
+    transmission with its own accounting, energy charge and loss draws,
+    exactly as if the sender had issued the unicasts back to back.  (A
+    ``tuple`` destination, by contrast, is *one* native-multicast
+    transmission.)  Layers between the sender and the transport treat it
+    like any other ``dest``: opaque.
+    """
+
+    members: tuple[str, ...]
+
+    def __repr__(self) -> str:
+        shown = ",".join(self.members[:3])
+        if len(self.members) > 3:
+            shown += f",+{len(self.members) - 3}"
+        return f"EachOf({shown})"
+
+
 @dataclass(slots=True)
 class Packet:
     """One datagram.
 
     Attributes:
         src: transmitting node identifier (the NIC the packet left from).
-        dst: destination node identifier, or a tuple of identifiers for a
-            native-multicast transmission.
+        dst: destination node identifier, a tuple of identifiers for a
+            native-multicast transmission, or an :class:`EachOf` for a
+            point-to-point fan-out (the per-receiver packets the network
+            makes of either carry the receiver's identifier).
         port: demultiplexing key — by convention the channel name.
         event_cls: the :class:`SendableEvent` subclass to reconstruct on
             delivery.
@@ -116,7 +145,8 @@ class Packet:
 
     @property
     def is_multicast(self) -> bool:
-        """True when addressed to several receivers in one transmission."""
+        """True when addressed to several receivers in one transmission
+        (native multicast; an :class:`EachOf` is several transmissions)."""
         return isinstance(self.dst, tuple)
 
     def copy_for(self, dst: str) -> "Packet":

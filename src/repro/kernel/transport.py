@@ -28,7 +28,19 @@ Addressing convention carried by ``SendableEvent.dest``:
 
 * ``"node-id"`` — unicast;
 * ``("a", "b", ...)`` — native multicast (one transmission); legality is
-  the backend's business (the simulator restricts it to one segment).
+  the backend's business (the simulator restricts it to one segment);
+* ``EachOf(("a", "b", ...))`` — point-to-point fan-out
+  (:class:`~repro.kernel.packet.EachOf`): one transmission *per member*,
+  in member order, counted, charged and lost-or-delivered exactly like
+  that many unicasts of the same message.
+
+Whatever the form, one event is one ``_send``, one frozen message, one
+:class:`Packet` and one call of the backend's ``transmit``: **a group send
+crosses the kernel queue once; the per-member loop lives in the network**.
+A layer that wants a copy at several peers addresses one event to all of
+them instead of cloning an event per peer, and a layer below it treats
+``dest`` as opaque.  Receivers cannot tell the difference — the packet a
+member's transport session gets carries that member's id as ``dst``.
 
 Wire framing: the outgoing message is frozen with
 :meth:`~repro.kernel.message.Message.wire_copy` (an O(1) copy-on-write
@@ -115,6 +127,10 @@ class Transport(Protocol):
         ...  # pragma: no cover - protocol declaration
 
     def heal_partition(self) -> None:
+        ...  # pragma: no cover - protocol declaration
+
+    def reachable(self, src: str, dst: str) -> bool:
+        """Whether the partition topology lets ``src`` reach ``dst``."""
         ...  # pragma: no cover - protocol declaration
 
     def subscribe_topology(self, listener: Callable[[Any], None]) -> None:
@@ -210,8 +226,9 @@ class DatagramTransportSession(Session):
         if channel is None:  # pragma: no cover - unbound race, defensive
             return
         # The packet owns its message handle (unicast: frozen at _send;
-        # multicast: a per-receiver handle from copy_for), so the event can
-        # adopt it directly — zero message copies on the delivery path.
+        # multicast and fan-out: a per-receiver handle from copy_for), so
+        # the event can adopt it directly — zero message copies on the
+        # delivery path.
         event = packet.event_cls(message=packet.message,
                                  source=packet.logical_src, dest=packet.dst)
         self.send_up(event, channel=channel)

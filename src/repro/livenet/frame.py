@@ -29,6 +29,8 @@ node.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.kernel import codec
 from repro.kernel.codec import CodecError, decode_payload, encode_payload
 from repro.kernel.message import Message
@@ -56,8 +58,24 @@ _META_FIELDS = 8  # src, logical_src, port, event, dst, class, sizes
 resolve_event_class = codec.resolve_event_class
 
 
-def encode_frame(packet: Packet) -> bytes:
+def encode_body(message: Message) -> bytes:
+    """The frame body of ``message`` — what every frame of one request
+    shares (see :func:`encode_frame`).
+
+    Raises:
+        CodecError: if the message contains values outside the wire
+            format.
+    """
+    return encode_payload(message)[0]
+
+
+def encode_frame(packet: Packet, body: Optional[bytes] = None) -> bytes:
     """Serialize ``packet`` into one datagram.
+
+    ``body`` is ``encode_body(packet.message)`` when the caller already
+    holds it: the per-receiver packets of a fan-out share their message,
+    so their frames differ only in the meta's ``dst`` and the body is
+    encoded once per request, not once per datagram.
 
     Raises:
         CodecError: if the frame would exceed :data:`MAX_DATAGRAM_BYTES`
@@ -69,7 +87,7 @@ def encode_frame(packet: Packet) -> bytes:
             packet.event_cls.__name__, packet.dst, packet.traffic_class,
             packet.size_bytes, packet.wire_bytes)
     meta_blob, _ = encode_payload(meta)
-    body_blob, _ = encode_payload(packet.message)
+    body_blob = body if body is not None else encode_body(packet.message)
     out = bytearray((FRAME_MAGIC, FRAME_VERSION))
     codec._append_varint(out, len(meta_blob))
     out += meta_blob

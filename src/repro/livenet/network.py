@@ -29,19 +29,20 @@ from __future__ import annotations
 
 import asyncio
 import random
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 from repro.kernel.codec import CodecError
 from repro.kernel.packet import Packet
 from repro.livenet.clock import WallClock
-from repro.livenet.frame import decode_frame, encode_frame
+from repro.livenet.frame import decode_frame, encode_body, encode_frame
 from repro.livenet.impair import LoopbackImpairments
 from repro.livenet.node import LiveNode
 from repro.simnet.energy import Battery
 from repro.simnet.loss import LossModel
 from repro.simnet.network import (LinkParams, TopologyChange,
-                                  TopologyListener, default_wired,
-                                  default_wireless)
+                                  TopologyListener, charged_receivers,
+                                  default_wired, default_wireless)
 from repro.simnet.node import NodeKind
 from repro.simnet.stats import NodeStats, aggregate
 
@@ -251,6 +252,11 @@ class LiveNetwork:
         self._partitions = None
         self._notify("heal", None)
 
+    def reachable(self, src: str, dst: str) -> bool:
+        """Whether packets from ``src`` can currently reach ``dst``
+        (partition topology only — loss and crash are separate)."""
+        return self._reachable(src, dst)
+
     def _reachable(self, src: str, dst: str) -> bool:
         if self._partitions is None:
             return True
@@ -262,22 +268,16 @@ class LiveNetwork:
     # -- transmission ----------------------------------------------------------
 
     def transmit(self, sender: LiveNode, packet: Packet) -> None:
-        """Send ``packet``: count it, charge energy, frame it, route it."""
-        if not sender.alive:
-            sender.stats.record_dropped()
-            return
-        packet.sent_at = self.engine.now()
-        sender.stats.record_sent(packet)
-        if sender.is_mobile and sender.battery is not None:
-            sender.battery.consume_tx(packet.size_bytes, self.engine.now())
-        if packet.is_multicast:
-            self._check_multicast_legal(sender, packet)
-            for dst in packet.dst:
-                if dst == sender.node_id:
-                    continue
-                self._route_one(sender, packet.copy_for(dst), dst)
-        else:
-            self._route_one(sender, packet, packet.dst)
+        """Send ``packet``: count it, charge energy, frame it, route it.
+
+        The single entry point for a unicast, a native multicast (one
+        transmission, several receivers) and an
+        :class:`~repro.kernel.packet.EachOf` fan-out (one transmission per
+        member, charged in member order) — the simulator's rules, see
+        :meth:`repro.simnet.network.Network.transmit`.
+        """
+        self._route(sender, packet, charged_receivers(
+            self, sender, packet, self.engine.now()))
 
     def _check_multicast_legal(self, sender: LiveNode,
                                packet: Packet) -> None:
@@ -300,31 +300,43 @@ class LiveNetwork:
             f"native multicast from {sender.node_id} to {packet.dst} is not "
             "available on this topology")
 
-    def _route_one(self, sender: LiveNode, packet: Packet,
-                   dst_id: str) -> None:
-        local = self.nodes.get(dst_id)
-        if local is None and dst_id not in self._addresses:
-            self.lost_packets += 1  # departed or unknown destination
-            return
-        if not self._reachable(sender.node_id, dst_id):
-            self.lost_packets += 1
-            return
-        try:
-            frame = encode_frame(packet)
-        except CodecError:
-            self.lost_packets += 1
-            return
-        if local is not None and self.impaired:
-            plan = self.impairments.plan(sender.kind, local.kind,
-                                         packet.size_bytes)
-            if plan is None:
+    def _route(self, sender: LiveNode, packet: Packet, receivers) -> None:
+        """Frame and send one request's datagrams, in ``receivers`` order.
+
+        The routing core shared by all three destination forms.  The
+        frames of a shared request differ only in the ``dst`` of their
+        meta, so its message body is encoded once for all of them.
+        """
+        src_id = sender.node_id
+        body = None
+        for dst_id in receivers:
+            local = self.nodes.get(dst_id)
+            if local is None and dst_id not in self._addresses:
+                self.lost_packets += 1  # departed or unknown destination
+                continue
+            if not self._reachable(src_id, dst_id):
                 self.lost_packets += 1
-                return
-            src_id = sender.node_id
-            self.engine.call_later(
-                plan, lambda: self._send_frame(src_id, dst_id, frame))
-        else:
-            self._send_frame(sender.node_id, dst_id, frame)
+                continue
+            try:
+                if dst_id is packet.dst:  # unicast: framed as it stands
+                    frame = encode_frame(packet)
+                else:
+                    if body is None:
+                        body = encode_body(packet.message)
+                    frame = encode_frame(packet.copy_for(dst_id), body)
+            except CodecError:
+                self.lost_packets += 1
+                continue
+            if local is not None and self.impaired:
+                plan = self.impairments.plan(sender.kind, local.kind,
+                                             packet.size_bytes)
+                if plan is None:
+                    self.lost_packets += 1
+                    continue
+                self.engine.call_later(
+                    plan, partial(self._send_frame, src_id, dst_id, frame))
+            else:
+                self._send_frame(src_id, dst_id, frame)
 
     def _send_frame(self, src_id: str, dst_id: str, frame: bytes) -> None:
         transport = self._transports.get(src_id)

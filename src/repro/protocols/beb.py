@@ -11,9 +11,11 @@ multicast."*
 
 This layer implements exactly that baseline:
 
-* ``dest == GROUP_DEST`` → one unicast per other member, or a single native
-  multicast when ``native=true`` (legal only when the whole group shares a
-  segment);
+* ``dest == GROUP_DEST`` → one unicast per other member (sent as a single
+  event addressed to :class:`~repro.kernel.packet.EachOf` the others: the
+  per-member loop lives in the network, not in this layer), or a single
+  native multicast when ``native=true`` (legal only when the whole group
+  shares a segment);
 * point-to-point events pass through unchanged;
 * every group send is also looped back locally, so upper layers observe the
   sender's own messages like everyone else's (standard group-communication
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from repro.kernel.events import Direction, Event, SendableEvent
 from repro.kernel.layer import Layer
+from repro.kernel.packet import EachOf
 from repro.kernel.registry import register_layer
 from repro.protocols.base import GroupSession
 from repro.protocols.events import GroupSendableEvent, ViewEvent
@@ -52,27 +55,22 @@ class BestEffortMulticastSession(GroupSession):
         event.go()
 
     def _multicast(self, event: GroupSendableEvent) -> None:
-        """Translate a group send into transmissions plus a local loopback.
+        """Translate a group send into one wire event plus a local loopback.
 
-        Every ``clone()`` here is an O(1) copy-on-write handle — the n-1
-        point-to-point wires (and the native-multicast wire) share the
-        message structure; isolation between receivers is the kernel
-        message contract, not a per-clone deep copy.
+        The wire event is addressed to every other member at once — the
+        whole membership as one native-multicast transmission, or
+        ``EachOf(others)`` for the sequence of point-to-point messages —
+        so a group send crosses the kernel queue and the transport once
+        whatever the group's size.
         """
         assert self.local is not None, "beb used before ChannelInit"
         channel = event.channel
         others = self.others()
-        if self.native and others:
+        if others:
             wire = event.clone()
             wire.source = self.local
-            wire.dest = tuple(self.members)
+            wire.dest = tuple(self.members) if self.native else EachOf(others)
             self.send_down(wire, channel=channel)
-        else:
-            for member in others:
-                wire = event.clone()
-                wire.source = self.local
-                wire.dest = member
-                self.send_down(wire, channel=channel)
         loopback = event.clone()
         loopback.source = self.local
         loopback.dest = self.local

@@ -28,6 +28,7 @@ from repro.kernel.damping import FlapDamper
 from repro.kernel.events import (Direction, Event, SendableEvent,
                                  TimerEvent)
 from repro.kernel.layer import Layer
+from repro.kernel.packet import EachOf
 from repro.kernel.registry import register_layer
 from repro.protocols.base import GroupSession
 from repro.protocols.events import (GroupSendableEvent, PathChangedEvent,
@@ -98,17 +99,18 @@ class MechoSession(GroupSession):
         event.message.push_header((_HEADER_TAG, kind, origin))
 
     def _fan_out(self, event: GroupSendableEvent, kind: str, origin: str,
-                 members, channel) -> None:
-        """One point-to-point copy of ``event`` per member, framed once:
-        the header cell is pushed on one clone and every copy shares it,
-        so the fan-out encodes and charges the framing a single time."""
+                 members: tuple[str, ...], channel) -> None:
+        """A point-to-point copy of ``event`` for each of ``members``, sent
+        as one framed event addressed to ``EachOf(members)``: the header
+        cell is pushed (encoded, charged) once and the network makes the
+        per-member packets."""
+        if not members:
+            return
         framed = event.clone()
         framed.source = origin
+        framed.dest = EachOf(members)
         self._push_header(framed, kind, origin)
-        for member in members:
-            wire = framed.clone()
-            wire.dest = member
-            self.send_down(wire, channel=channel)
+        self.send_down(framed, channel=channel)
 
     def _path_changed(self, channel, trusted: bool) -> None:
         """Signal a dissemination-path change upward, flap-damped."""
@@ -256,8 +258,8 @@ class MechoSession(GroupSession):
         # forward request anyway (and deliver locally, best-effort) so the
         # group still converges.
         self._fan_out(event, RELAYED, origin,
-                      [member for member in self.members
-                       if member != origin and member != self.local],
+                      tuple(member for member in self.members
+                            if member != origin and member != self.local),
                       event.channel)
 
 

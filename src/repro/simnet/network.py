@@ -34,6 +34,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 from repro.simnet.energy import Battery
@@ -43,7 +44,7 @@ from repro.simnet.engine import SLOT_WIDTH_S, ScheduledCall, SimEngine
 _INV_SLOT_WIDTH = 1.0 / SLOT_WIDTH_S
 from repro.simnet.loss import LossModel, NoLoss
 from repro.simnet.node import NodeKind, SimNode
-from repro.kernel.packet import Packet
+from repro.kernel.packet import EachOf, Packet
 from repro.simnet.stats import NodeStats, aggregate
 
 
@@ -96,6 +97,51 @@ class TopologyChange:
 
 
 TopologyListener = Callable[[TopologyChange], None]
+
+
+def charge(sender, packet: Packet, now: float, times: int = 1) -> int:
+    """Account ``times`` back-to-back transmissions of ``packet`` to
+    ``sender``; returns how many left the NIC.
+
+    Each transmission is counted and (on a mobile sender) charged to the
+    battery on its own, and only a live sender transmits: a crashed one
+    sends nothing, and a battery that runs out at transmission *k* ends
+    the sequence there.  Whatever did not leave is a drop.
+    """
+    stats = sender.stats
+    battery = sender.battery if sender.is_mobile else None
+    packet.sent_at = now
+    for sent in range(times):
+        if not sender.alive:
+            for _ in range(sent, times):
+                stats.record_dropped()
+            return sent
+        stats.record_sent(packet)
+        if battery is not None:
+            battery.consume_tx(packet.size_bytes, now)
+    return times
+
+
+def charged_receivers(network, sender, packet: Packet, now: float):
+    """Charge ``sender`` for the request ``packet`` is and return the
+    receivers it must now be routed to, in order.
+
+    The one place that knows the three destination forms, shared by both
+    backends (``network`` supplies its own multicast legality rule):
+    a unicast and a native multicast are *one* transmission — for one
+    receiver, or for every member but the sender — while an
+    :class:`~repro.kernel.packet.EachOf` is one transmission *per
+    member*, of which only the first *k* the sender could pay for go out.
+    """
+    dst = packet.dst
+    if isinstance(dst, EachOf):
+        return dst.members[:charge(sender, packet, now, len(dst.members))]
+    if not charge(sender, packet, now):
+        return ()
+    if packet.is_multicast:
+        network._check_multicast_legal(sender, packet)
+        return [member for member in dst if member != sender.node_id]
+    return (dst,)
 
 
 class Network:
@@ -296,42 +342,40 @@ class Network:
         return self._reachable(src, dst)
 
     def _reachable(self, src: str, dst: str) -> bool:
+        reach = self._reach_of(src)
+        return reach is None or dst in reach
+
+    def _reach_of(self, src: str):
+        """The nodes ``src`` can currently reach; ``None`` means everyone
+        (no partition declared)."""
         if self._partitions is None:
-            return True
+            return None
         for group in self._partitions:
             if src in group:
-                return dst in group
-        return False
+                return group
+        return ()
 
     # -- transmission -------------------------------------------------------------
 
     def transmit(self, sender: SimNode, packet: Packet) -> None:
         """Send ``packet`` from ``sender``: count it, charge energy, route it.
 
-        A multicast packet (tuple destination) is *one* transmission —
-        that is the whole point of native multicast — but it is only legal
+        The single entry point for all three destination forms — unicast,
+        native multicast (``tuple``) and point-to-point fan-out
+        (:class:`~repro.kernel.packet.EachOf`); :func:`charged_receivers`
+        has what each costs the sender.  A native multicast is only legal
         within a single segment (see module docstring); violations raise
         ``ValueError`` because they indicate a protocol configuration bug.
-        The per-receiver packets share the transmission's frozen message
-        structurally (:meth:`Packet.copy_for` hands each receiver an O(1)
-        copy-on-write handle), so fan-out cost is per-packet bookkeeping,
-        not per-receiver message copies.
+
+        Every charged receiver then goes through the one routing core
+        (:meth:`_route`).  The per-receiver packets share the request's
+        frozen message structurally (:meth:`Packet.copy_for` hands each
+        receiver an O(1) copy-on-write handle), so fan-out cost is
+        per-packet bookkeeping, not per-receiver message copies.
         """
-        if not sender.alive:
-            sender.stats.record_dropped()
-            return
-        packet.sent_at = self.engine.now()
-        sender.stats.record_sent(packet)
-        if sender.is_mobile and sender.battery is not None:
-            sender.battery.consume_tx(packet.size_bytes, self.engine.now())
-        if packet.is_multicast:
-            self._check_multicast_legal(sender, packet)
-            for dst in packet.dst:
-                if dst == sender.node_id:
-                    continue
-                self._route_one(sender, packet.copy_for(dst), dst)
-        else:
-            self._route_one(sender, packet, packet.dst)
+        now = self.engine.now()
+        self._route(sender, packet,
+                    charged_receivers(self, sender, packet, now), now)
 
     def _check_multicast_legal(self, sender: SimNode, packet: Packet) -> None:
         receivers = [d for d in packet.dst if d != sender.node_id]
@@ -381,45 +425,77 @@ class Network:
             stream = streams[sender_id] = spawn(sender_id)
         return stream
 
-    def _route_one(self, sender: SimNode, packet: Packet, dst_id: str) -> None:
-        dst = self.nodes.get(dst_id)
-        if dst is None:
-            self.lost_packets += 1
-            return
-        if not self._reachable(sender.node_id, dst_id):
-            self.lost_packets += 1
-            return
-        hops = self._hops_between(sender, dst)
-        delay = 0.0
+    def _route(self, sender: SimNode, packet: Packet, receivers,
+               now: float) -> None:
+        """Put one request's packets in flight, in ``receivers`` order.
+
+        The routing core shared by unicast, native multicast and
+        point-to-point fan-out.  What depends only on the request — the
+        sender's partition side and shard, and per destination *kind* the
+        hop count, the sender's loss streams and the delivery instant for
+        this size — is resolved once, in locals that die with the call
+        (nothing re-enters the network before it returns, so there is no
+        cache to invalidate).  What can differ per receiver — existence,
+        reachability, the loss draws, the reserved sequence number and the
+        receiver's own packet record — happens per receiver.
+        """
         sender_id = sender.node_id
-        for link in hops:
-            if self._sender_loss(link.loss, sender_id).is_lost(
-                    packet.size_bytes):
+        size = packet.size_bytes
+        nodes = self.nodes
+        reach = self._reach_of(sender_id)
+        facade = self._facade
+        batched = self.batched
+        reserve_seq = self.engine.reserve_seq
+        src_engine = self.clock_for(sender_id)
+        batcher = None
+        paths: dict = {}
+        for dst_id in receivers:
+            dst = nodes.get(dst_id)
+            if dst is None or (reach is not None and dst_id not in reach):
                 self.lost_packets += 1
-                return
-            delay += link.delay_for(packet.size_bytes)
-        packet.hops = len(hops)
-        when = self.engine.now() + delay
-        dst_engine = self.clock_for(dst_id)
-        if self._facade is not None:
-            src_engine = self.clock_for(sender_id)
-            if dst_engine is not src_engine:
-                # Crossing a shard boundary: the packet's payload is the
-                # frozen WirePayload snapshot the COW path produced, so
-                # handing it to the peer shard is causality-checked
-                # accounting, not a copy.
-                self._facade.cross_post(src_engine, dst_engine, when,
-                                        packet.size_bytes)
-        if not self.batched:
-            dst_engine.call_at(when, lambda: self._deliver(dst, packet))
-            return
-        # Batched path: queue the packet under the exact (when, seq) the
-        # unbatched call_at would have used — reserving the seq keeps
-        # every other callback's sequence number (and therefore the whole
-        # run's history) bit-identical — and keep one flush entry parked
-        # at the queue head's instant on the destination's engine.
-        seq = self.engine.reserve_seq()
-        self._batcher_for(dst_engine).enqueue(when, seq, dst, packet)
+                continue
+            path = paths.get(dst.kind)
+            if path is None:
+                hops = self._hops_between(sender, dst)
+                delay = 0.0
+                for link in hops:
+                    delay += link.delay_for(size)
+                path = paths[dst.kind] = (
+                    [self._sender_loss(link.loss, sender_id).is_lost
+                     for link in hops], len(hops), now + delay)
+            is_lost_on_hop, hop_count, when = path
+            for is_lost in is_lost_on_hop:
+                if is_lost(size):
+                    self.lost_packets += 1
+                    break
+            else:
+                # A unicast packet is its own delivery record; a shared
+                # request hands each receiver a copy-on-write sibling.
+                record = packet if dst_id is packet.dst \
+                    else packet.copy_for(dst_id)
+                record.hops = hop_count
+                dst_engine = src_engine
+                if facade is not None:
+                    dst_engine = facade.engine_for(dst_id)
+                    if dst_engine is not src_engine:
+                        # Crossing a shard boundary: the packet's payload
+                        # is the frozen WirePayload snapshot the COW path
+                        # produced, so handing it to the peer shard is
+                        # causality-checked accounting, not a copy.
+                        facade.cross_post(src_engine, dst_engine, when, size)
+                if not batched:
+                    dst_engine.call_at(when,
+                                       partial(self._deliver, dst, record))
+                    continue
+                # Batched path: queue the packet under the exact (when,
+                # seq) the unbatched call_at would have used — reserving
+                # the seq keeps every other callback's sequence number
+                # (and therefore the whole run's history) bit-identical —
+                # and keep one flush entry parked at the queue head's
+                # instant on the destination's engine.
+                if batcher is None or batcher.engine is not dst_engine:
+                    batcher = self._batcher_for(dst_engine)
+                batcher.enqueue(when, reserve_seq(), dst, record)
 
     def _batcher_for(self, engine: SimEngine) -> "_DeliveryBatcher":
         batcher = self._batchers.get(id(engine))

@@ -1,9 +1,13 @@
 """Optional packet tracing for debugging experiments.
 
-A :class:`PacketTrace` hooks a network and records every transmission in a
-ring buffer; `dump()` renders a compact, time-ordered log.  Tracing is off
-by default — experiments that count hundreds of thousands of packets should
-not pay for it.
+A :class:`PacketTrace` hooks a network and records every transmission
+*request* in a ring buffer; `dump()` renders a compact, time-ordered log.
+One entry is one call of :meth:`Network.transmit`: a unicast, a native
+multicast (``dst`` a tuple), or a point-to-point fan-out (``dst`` an
+:class:`~repro.kernel.packet.EachOf`, which stands for one packet per
+member — packet totals are :class:`~repro.simnet.stats.NodeStats`'
+business, not the trace's).  Tracing is off by default — experiments that
+count hundreds of thousands of packets should not pay for it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from repro.kernel.packet import Packet
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One recorded transmission."""
+    """One recorded transmission request (``dst`` says how many packets)."""
 
     time: float
     src: str
@@ -82,7 +86,7 @@ class PacketTrace:
 
     def count(self, event: Optional[str] = None,
               src: Optional[str] = None) -> int:
-        """Count recorded transmissions matching the given filters."""
+        """Count recorded requests matching the given filters."""
         total = 0
         for entry in self.entries:
             if event is not None and entry.event != event:

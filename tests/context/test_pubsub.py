@@ -72,6 +72,43 @@ class TestWildcards:
         assert bus.subscriber_count("unrelated") == 0
 
 
+class TestResolvedOnce:
+    """A topic's subscribers are resolved on its first publication; the
+    resolution must not outlive a change of the subscription set."""
+
+    def test_order_is_exact_then_prefixes_shortest_first(self):
+        bus = TopicBus()
+        order = []
+        bus.subscribe("a.b.*", lambda t, d: order.append("a.b.*"))
+        bus.subscribe("a.*", lambda t, d: order.append("a.*"))
+        bus.subscribe("a.b.c", lambda t, d: order.append("exact"))
+        for _ in range(2):  # resolved, then served from the resolution
+            assert bus.publish("a.b.c", None) == 3
+        assert order == ["exact", "a.*", "a.b.*"] * 2
+
+    def test_later_subscriber_sees_later_publications(self):
+        bus = TopicBus()
+        received = []
+        bus.publish("context.battery", 1)
+        bus.subscribe("context.*", lambda t, d: received.append(("wild", d)))
+        bus.publish("context.battery", 2)
+        bus.subscribe("context.battery",
+                      lambda t, d: received.append(("exact", d)))
+        bus.publish("context.battery", 3)
+        assert received == [("wild", 2), ("exact", 3), ("wild", 3)]
+        assert bus.subscriber_count("context.battery") == 2
+
+    def test_unsubscribed_wildcard_leaves_the_resolution(self):
+        bus = TopicBus()
+        received = []
+        wild = bus.subscribe("context.*", lambda t, d: received.append(d))
+        bus.publish("context.battery", 1)
+        wild.unsubscribe()
+        assert bus.publish("context.battery", 2) == 0
+        assert bus.subscriber_count("context.battery") == 0
+        assert received == [1]
+
+
 class TestRobustness:
     def test_unsubscribe_during_publish_is_safe(self):
         bus = TopicBus()
