@@ -27,9 +27,17 @@ CONNECTIVITY = "connectivity"
 TOPIC_PREFIX = "context"
 
 
+#: ``attribute -> topic``: a pure function of the attribute name, built
+#: once per distinct attribute rather than once per publication.
+_TOPICS: dict[str, str] = {}
+
+
 def topic_for(attribute: str) -> str:
     """Pub-sub topic carrying updates of ``attribute``."""
-    return f"{TOPIC_PREFIX}.{attribute}"
+    topic = _TOPICS.get(attribute)
+    if topic is None:
+        topic = _TOPICS[attribute] = f"{TOPIC_PREFIX}.{attribute}"
+    return topic
 
 
 @dataclass(frozen=True)

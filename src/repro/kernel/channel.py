@@ -3,7 +3,10 @@
 A channel routes typed events through its session stack.  Route optimization
 follows the paper (§3.1): using the layers' ``accepted_events`` declarations
 the kernel computes, per event type and direction, the exact sequence of
-sessions an event visits — uninterested layers are skipped entirely.
+sessions an event visits — uninterested layers are skipped entirely.  A
+route is resolved the first time a session injects an event type in a
+direction and remembered until the channel closes, so an injection is one
+table probe and a hop is one queue append and one ``handle`` call.
 
 Lifecycle::
 
@@ -31,6 +34,9 @@ from repro.kernel.layer import Layer
 from repro.kernel.qos import QoS
 from repro.kernel.scheduler import Kernel
 from repro.kernel.session import Session
+
+
+_RouteTable = dict[tuple[Optional[Session], type], list[Session]]
 
 
 class ChannelState(enum.Enum):
@@ -86,7 +92,13 @@ class Channel:
         for index, layer in enumerate(qos.layers):
             session = preset_sessions.get(index) or layer.create_session()
             self.sessions.append(session)
-        self._route_cache: dict[tuple[type, Direction, int], list[Session]] = {}
+        #: ``(injecting session, event type) -> route``, one table per
+        #: direction; an endpoint insertion has no session (``None``).
+        #: Empty unless the channel is live — filled on a miss, which
+        #: checks the state, and released at close — so a hit needs no
+        #: state check.
+        self._routes_up: _RouteTable = {}
+        self._routes_down: _RouteTable = {}
         self._live_timers: set[TimerHandle] = set()
         kernel._register_channel(self)
 
@@ -116,6 +128,10 @@ class Channel:
         for session in self.sessions:
             session._unbound(self)
         self.state = ChannelState.CLOSED
+        # A closed channel waits for the cyclic collector (its sessions
+        # and events point back at it); its routes need not wait with it.
+        self._routes_up.clear()
+        self._routes_down.clear()
         self.kernel._unregister_channel(self)
 
     # -- introspection ---------------------------------------------------------
@@ -153,21 +169,37 @@ class Channel:
         """Sessions ``event`` visits, starting at stack index ``start``.
 
         ``start`` is inclusive.  For UP events the route walks indices
-        ``start, start+1, ...``; for DOWN events ``start, start-1, ...``.
+        ``start, start+1, ...``; for DOWN events ``start, start-1, ...``
+        (so a start beyond either end of the stack is an empty route).
+        The only place a route is computed.
         """
-        key = (type(event), direction, start)
-        cached = self._route_cache.get(key)
-        if cached is not None:
-            return cached
         implicit = isinstance(event, ChannelEvent)
-        if direction is Direction.UP:
-            candidates = list(enumerate(self.qos.layers))[start:]
+        layers = self.qos.layers
+        indices = range(start, len(layers)) if direction is Direction.UP \
+            else range(start, -1, -1)
+        return [self.sessions[index] for index in indices
+                if implicit or layers[index].accepts(event)]
+
+    def _resolve_route(self, session: Optional[Session], event: Event,
+                       direction: Direction) -> list[Session]:
+        """First use of ``(session, event type)`` in ``direction``: check
+        that the channel routes and the session is in it, compute the
+        route and remember it."""
+        self._check_live()
+        going_up = direction is Direction.UP
+        if session is None:
+            start = 0 if going_up else len(self.sessions) - 1
         else:
-            candidates = list(enumerate(self.qos.layers))[:start + 1][::-1]
-        route = [self.sessions[index] for index, layer in candidates
-                 if implicit or layer.accepts(event)]
-        self._route_cache[key] = route
+            start = self.index_of(session) + (1 if going_up else -1)
+        route = self._route_for(event, direction, start)
+        routes = self._routes_up if going_up else self._routes_down
+        routes[session, type(event)] = route
         return route
+
+    def _check_live(self) -> None:
+        if self.state not in (ChannelState.STARTED, ChannelState.CLOSING):
+            raise ChannelStateError(
+                f"channel {self.name!r} is {self.state.value}; cannot route")
 
     # -- insertion ----------------------------------------------------------------
 
@@ -177,51 +209,34 @@ class Channel:
         UP events enter below the bottom layer (e.g. a packet arriving from
         the network); DOWN events enter above the top layer.
         """
-        self._check_live()
-        start = 0 if direction is Direction.UP else len(self.sessions) - 1
-        route = self._route_for(event, direction, start)
-        event._bind(self, direction, route, source=None)
-        self._continue(event)
+        self.insert_from(None, event, direction)
 
-    def insert_from(self, session: Session, event: Event,
+    def insert_from(self, session: Optional[Session], event: Event,
                     direction: Direction) -> None:
-        """Insert ``event`` travelling from ``session``'s stack position."""
-        self._check_live()
-        position = self.index_of(session)
-        start = position + 1 if direction is Direction.UP else position - 1
-        if direction is Direction.UP and start >= len(self.sessions):
-            route: list[Session] = []
-        elif direction is Direction.DOWN and start < 0:
-            route = []
-        else:
-            route = self._route_for(event, direction, start)
-        event._bind(self, direction, route, source=session)
-        self._continue(event)
-
-    def _check_live(self) -> None:
-        if self.state not in (ChannelState.STARTED, ChannelState.CLOSING):
-            raise ChannelStateError(
-                f"channel {self.name!r} is {self.state.value}; cannot route")
-
-    # -- dispatch (kernel-internal) ----------------------------------------------
-
-    def _continue(self, event: Event) -> None:
-        """Advance ``event``: enqueue its next hop or handle end-of-route."""
-        if event._index < len(event._route):
+        """Insert ``event`` travelling from ``session``'s stack position
+        (``None``: from the endpoint the direction starts at)."""
+        routes = self._routes_up if direction is Direction.UP \
+            else self._routes_down
+        route = routes.get((session, type(event)))
+        if route is None:
+            route = self._resolve_route(session, event, direction)
+        event.channel = self
+        event.direction = direction
+        event.source_session = session
+        event._route = route
+        event._index = 0
+        event._armed = False
+        if route:
             self.kernel.enqueue(event)
-            return
-        # End of route.
+        else:
+            self._end_of_route(event)
+
+    def _end_of_route(self, event: Event) -> None:
+        """``event`` ran off its route: an echo bounces, a close finalises."""
         if isinstance(event, EchoEvent) and event.direction is not None:
             self.insert(event.wrapped, event.direction.invert())
         elif isinstance(event, ChannelClose):
             self._finalize_close()
-
-    def _dispatch(self, event: Event) -> None:
-        session = event._current_session()
-        if session is None:  # pragma: no cover - defensive
-            return
-        event._armed = True
-        session.handle(event)
 
     # -- timers ---------------------------------------------------------------------
 
@@ -238,13 +253,19 @@ class Channel:
         self._check_live()
         handle = TimerHandle(self)
         handle.event = event
+        route = [session]
 
         def fire() -> None:
             self._live_timers.discard(handle)
             if handle.cancelled or self.state is ChannelState.CLOSED:
                 return
             event.fired_at = self.kernel.clock.now()
-            event._bind(self, Direction.UP, [session], source=None)
+            event.channel = self
+            event.direction = Direction.UP
+            event.source_session = None
+            event._route = route
+            event._index = 0
+            event._armed = False
             self.kernel.enqueue(event)
             if handle.cancelled:
                 # The dispatched handler cancelled its own timer.

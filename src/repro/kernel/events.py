@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.kernel.errors import EventRoutingError
 from repro.kernel.message import Message
@@ -56,31 +56,19 @@ class Event:
             endpoint insertions (network arrivals, channel lifecycle).
     """
 
+    # Routing state.  Class-level defaults describe an event nobody has
+    # inserted yet; the channel sets all six when it binds the event to a
+    # route (``Channel.insert_from``, a timer firing), so ``__init__``
+    # does not write them first.
+    channel: Optional["Channel"] = None
+    direction: Optional[Direction] = None
+    source_session: Optional["Session"] = None
+    _route: Sequence["Session"] = ()
+    _index: int = 0
+    _armed: bool = False  # True while parked at a session, pre-go()
+
     def __init__(self) -> None:
-        self.channel: Optional["Channel"] = None
-        self.direction: Optional[Direction] = None
-        self.source_session: Optional["Session"] = None
-        self._route: list["Session"] = []
-        self._index: int = 0
-        self._armed: bool = False  # True while parked at a session, pre-go()
         self._seq = next(_event_sequence)
-
-    # -- kernel-internal ---------------------------------------------------
-
-    def _bind(self, channel: "Channel", direction: Direction,
-              route: list["Session"],
-              source: Optional["Session"]) -> None:
-        self.channel = channel
-        self.direction = direction
-        self.source_session = source
-        self._route = route
-        self._index = 0
-        self._armed = False
-
-    def _current_session(self) -> Optional["Session"]:
-        if 0 <= self._index < len(self._route):
-            return self._route[self._index]
-        return None
 
     # -- public API --------------------------------------------------------
 
@@ -91,15 +79,25 @@ class Event:
         raises :class:`~repro.kernel.errors.EventRoutingError`.  The call may
         be deferred (e.g. a layer may hold an event and release it from a
         timer handler), which is how blocking layers implement quiescence.
+
+        A hop is one queue append: the event advances its own index and
+        hands itself to :meth:`Kernel.enqueue
+        <repro.kernel.scheduler.Kernel.enqueue>`, whose run loop calls the
+        next session's ``handle``.
         """
-        if self.channel is None:
-            raise EventRoutingError("event was never inserted into a channel")
         if not self._armed:
+            if self.channel is None:
+                raise EventRoutingError(
+                    "event was never inserted into a channel")
             raise EventRoutingError(
                 f"go() called twice (or before delivery) for {self!r}")
         self._armed = False
-        self._index += 1
-        self.channel._continue(self)
+        index = self._index = self._index + 1
+        channel = self.channel
+        if index < len(self._route):
+            channel.kernel.enqueue(self)
+        else:
+            channel._end_of_route(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         direction = self.direction.value if self.direction else "?"

@@ -94,13 +94,19 @@ class Kernel:
 
     def _run(self) -> None:
         self._dispatching = True
+        queue = self._queue
         try:
-            while self._queue:
-                event = self._queue.popleft()
-                channel = event.channel
-                if channel is None:  # pragma: no cover - defensive
+            while queue:
+                event = queue.popleft()
+                if event.channel is None:  # pragma: no cover - defensive
                     continue
-                channel._dispatch(event)
+                route = event._route
+                index = event._index
+                if 0 <= index < len(route):
+                    event._armed = True
+                    # Looked up per dispatch, never cached: a ``handle``
+                    # replaced on the class (a tracer) takes effect here.
+                    route[index].handle(event)
                 self.dispatched_count += 1
                 if isinstance(event, TimerEvent):
                     self.timer_dispatched_count += 1

@@ -58,9 +58,6 @@ class Session:
                 "pass the channel explicitly")
         return self.channels[0]
 
-    def _resolve(self, channel: Optional["Channel"]) -> "Channel":
-        return channel if channel is not None else self.channel
-
     # -- event handling ----------------------------------------------------
 
     def handle(self, event: Event) -> None:
@@ -76,11 +73,11 @@ class Session:
 
     def send_up(self, event: Event, channel: Optional["Channel"] = None) -> None:
         """Inject ``event`` travelling up, starting above this session."""
-        self._resolve(channel).insert_from(self, event, Direction.UP)
+        (channel or self.channel).insert_from(self, event, Direction.UP)
 
     def send_down(self, event: Event, channel: Optional["Channel"] = None) -> None:
         """Inject ``event`` travelling down, starting below this session."""
-        self._resolve(channel).insert_from(self, event, Direction.DOWN)
+        (channel or self.channel).insert_from(self, event, Direction.DOWN)
 
     # -- timers --------------------------------------------------------------
 
@@ -98,7 +95,7 @@ class Session:
         """
         if event is None:
             event = TimerEvent(tag)
-        return self._resolve(channel).set_timer(delay, event, self)
+        return (channel or self.channel).set_timer(delay, event, self)
 
     def set_periodic_timer(self, interval: float,
                            event: Optional[PeriodicTimerEvent] = None,
@@ -107,7 +104,7 @@ class Session:
         """Arm a periodic timer firing every ``interval`` until cancelled."""
         if event is None:
             event = PeriodicTimerEvent(tag, interval)
-        return self._resolve(channel).set_timer(interval, event, self)
+        return (channel or self.channel).set_timer(interval, event, self)
 
     def set_backoff_timer(self, interval: float, tag: Any = None,
                           max_interval: Optional[float] = None,
@@ -124,7 +121,7 @@ class Session:
         """
         event = BackoffTimerEvent(tag, interval, max_interval=max_interval,
                                   factor=factor)
-        return self._resolve(channel).set_timer(interval, event, self)
+        return (channel or self.channel).set_timer(interval, event, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} of {self.layer.name()}>"

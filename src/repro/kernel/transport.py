@@ -231,7 +231,7 @@ class DatagramTransportSession(Session):
         # delivery path.
         event = packet.event_cls(message=packet.message,
                                  source=packet.logical_src, dest=packet.dst)
-        self.send_up(event, channel=channel)
+        channel.insert_from(self, event, Direction.UP)
 
 
 class DatagramTransportLayer(Layer):

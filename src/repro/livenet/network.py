@@ -42,7 +42,7 @@ from repro.simnet.energy import Battery
 from repro.simnet.loss import LossModel
 from repro.simnet.network import (LinkParams, TopologyChange,
                                   TopologyListener, charged_receivers,
-                                  default_wired, default_wireless)
+                                  default_wired, default_wireless, deliver)
 from repro.simnet.node import NodeKind
 from repro.simnet.stats import NodeStats, aggregate
 
@@ -358,15 +358,7 @@ class LiveNetwork:
         if node is None:
             self.lost_packets += 1  # departed while the frame was in flight
             return
-        if not node.alive or not self._reachable(packet.src, node.node_id):
-            self.lost_packets += 1
-            node.stats.record_dropped()
-            return
-        self.delivered_packets += 1
-        node.stats.record_received(packet)
-        if node.is_mobile and node.battery is not None:
-            node.battery.consume_rx(packet.size_bytes, self.engine.now())
-        node._on_packet(packet)
+        deliver(self, node, packet)
 
     # -- reporting -------------------------------------------------------------
 

@@ -87,12 +87,5 @@ class LiveNode:
         """Transmit ``packet`` through the live network."""
         self.network.transmit(self, packet)
 
-    def _on_packet(self, packet: Packet) -> None:
-        receiver = self._ports.get(packet.port)
-        if receiver is None:
-            self.stats.record_dropped()
-            return
-        receiver(packet)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<LiveNode {self.node_id} ({self.kind.value})>"

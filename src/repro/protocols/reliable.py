@@ -252,7 +252,8 @@ class ReliableMulticastSession(GroupSession):
     def _ingest(self, sender: str, seqno: int, snapshot: _StoredMessage,
                 channel) -> None:
         expected = self.delivered.get(sender, 0) + 1
-        if seqno < expected or seqno in self.pending.get(sender, {}):
+        queue = self.pending.get(sender)
+        if seqno < expected or (queue is not None and seqno in queue):
             self.duplicates_dropped += 1
             return
         if seqno > expected:
@@ -328,17 +329,17 @@ class ReliableMulticastSession(GroupSession):
                 wanted.setdefault(sender, []).extend(missing)
         for sender, high in self._advertised.items():
             expected = self.delivered.get(sender, 0) + 1
-            already = set(self.pending.get(sender, {}))
+            queue = self.pending.get(sender)
             missing = [seq for seq in range(expected, high + 1)
-                       if seq not in already]
+                       if queue is None or seq not in queue]
             if missing:
                 wanted.setdefault(sender, []).extend(missing)
         if self.cut is not None:
             for sender, high in self.cut.items():
                 expected = self.delivered.get(sender, 0) + 1
-                already = set(self.pending.get(sender, {}))
+                queue = self.pending.get(sender)
                 missing = [seq for seq in range(expected, high + 1)
-                           if seq not in already]
+                           if queue is None or seq not in queue]
                 if missing:
                     wanted.setdefault(sender, []).extend(missing)
         for sender, seqs in wanted.items():

@@ -106,19 +106,26 @@ def charge(sender, packet: Packet, now: float, times: int = 1) -> int:
     Each transmission is counted and (on a mobile sender) charged to the
     battery on its own, and only a live sender transmits: a crashed one
     sends nothing, and a battery that runs out at transmission *k* ends
-    the sequence there.  Whatever did not leave is a drop.
+    the sequence there.  Whatever did not leave is a drop.  Nothing
+    drains a sender without a battery (or docked on the wire) between
+    transmissions, so all of its are recorded at once.
     """
     stats = sender.stats
     battery = sender.battery if sender.is_mobile else None
     packet.sent_at = now
+    if battery is None:
+        if not sender.alive:
+            stats.record_dropped(times)
+            return 0
+        if times:  # an empty fan-out leaves no zero-count entries
+            stats.record_sent(packet, times)
+        return times
     for sent in range(times):
         if not sender.alive:
-            for _ in range(sent, times):
-                stats.record_dropped()
+            stats.record_dropped(times - sent)
             return sent
         stats.record_sent(packet)
-        if battery is not None:
-            battery.consume_tx(packet.size_bytes, now)
+        battery.consume_tx(packet.size_bytes, now)
     return times
 
 
@@ -142,6 +149,39 @@ def charged_receivers(network, sender, packet: Packet, now: float):
         network._check_multicast_legal(sender, packet)
         return [member for member in dst if member != sender.node_id]
     return (dst,)
+
+
+def deliver(network, node, packet: Packet) -> None:
+    """``packet`` arrives at ``node``'s NIC: drop it or hand it to its port.
+
+    The receive-side twin of :func:`charged_receivers`, shared by both
+    backends.  A packet dies mid-flight because the destination crashed
+    (or its battery ran out) while it was in the air or because a
+    partition was declared under it; either way it is one network-level
+    loss (``lost_packets``) *and* one drop charged to the receiver
+    (``dropped_packets``) — the two failure modes are indistinguishable
+    to every other observer and must count alike.  One that arrives is
+    counted, charged to a mobile receiver's battery and handed to the
+    receiver bound to its port; an unbound port is a receiver-side drop.
+    """
+    stats = node.stats
+    battery = node.battery if node.kind is NodeKind.MOBILE else None
+    # ``not node.alive``, spelled out: this runs once per packet.
+    if node.crashed or (battery is not None and not battery.alive) or (
+            network._partitions is not None
+            and not network._reachable(packet.src, node.node_id)):
+        network.lost_packets += 1
+        stats.record_dropped()
+        return
+    network.delivered_packets += 1
+    stats.record_received(packet)
+    if battery is not None:
+        battery.consume_rx(packet.size_bytes, network.engine.now())
+    receiver = node._ports.get(packet.port)
+    if receiver is None:
+        stats.record_dropped()
+        return
+    receiver(packet)
 
 
 class Network:
@@ -485,7 +525,7 @@ class Network:
                         facade.cross_post(src_engine, dst_engine, when, size)
                 if not batched:
                     dst_engine.call_at(when,
-                                       partial(self._deliver, dst, record))
+                                       partial(deliver, self, dst, record))
                     continue
                 # Batched path: queue the packet under the exact (when,
                 # seq) the unbatched call_at would have used — reserving
@@ -504,16 +544,6 @@ class Network:
                 _DeliveryBatcher(self, engine)
         return batcher
 
-    def _peek_for(self, engine: SimEngine) -> Optional[tuple[float, int]]:
-        """Earliest visible engine entry a drain on ``engine`` must respect.
-
-        Under a facade the barrier merge makes entries on *other* engines
-        at the same instant visible too (see the facade's ``peek_for``).
-        """
-        if self._facade is not None:
-            return self._facade.peek_for(engine)
-        return engine.peek_due()
-
     def _hops_between(self, src: SimNode, dst: SimNode) -> list[LinkParams]:
         if src.is_fixed and dst.is_fixed:
             return [self.wired]
@@ -522,23 +552,6 @@ class Network:
         if src.is_mobile and dst.is_fixed:
             return [self.wireless, self.wired]
         return [self.wireless, self.wireless]  # mobile→AP→mobile
-
-    def _deliver(self, dst: SimNode, packet: Packet) -> None:
-        # Unified mid-flight drop accounting: whether the packet dies
-        # because the destination crashed while it was in the air or
-        # because a partition was declared under it, it is one network-level
-        # loss (``lost_packets``) *and* one drop charged to the receiver
-        # (``dropped_packets``) — the two failure modes are
-        # indistinguishable to every other observer and must count alike.
-        if not dst.alive or not self._reachable(packet.src, dst.node_id):
-            self.lost_packets += 1
-            dst.stats.record_dropped()
-            return
-        self.delivered_packets += 1
-        dst.stats.record_received(packet)
-        if dst.is_mobile and dst.battery is not None:
-            dst.battery.consume_rx(packet.size_bytes, self.engine.now())
-        dst._on_packet(packet)
 
     # -- reporting ---------------------------------------------------------------
 
@@ -616,9 +629,14 @@ class _DeliveryBatcher:
         deadline = engine.run_deadline
         exclusive = engine.deadline_exclusive
         slot_end = (int(flush_when * _INV_SLOT_WIDTH) + 1) * SLOT_WIDTH_S
-        peek = self.network._peek_for
+        network = self.network
+        # Under a sharded facade the barrier merge makes entries on
+        # *other* engines at the same instant visible too (its
+        # ``peek_for``); a plain engine's own peek is all there is.
+        facade = network._facade
+        peek = engine.peek_due if facade is None \
+            else partial(facade.peek_for, engine)
         advance_clock = engine.advance_clock
-        deliver = self.network._deliver
         pop = heapq.heappop
         self._in_flush = True
         try:
@@ -627,12 +645,12 @@ class _DeliveryBatcher:
                 if when >= slot_end or when > deadline or \
                         (exclusive and when >= deadline):
                     break
-                nxt = peek(engine)
+                nxt = peek()
                 if nxt is not None and nxt < (when, seq):
                     break
                 pop(pending)
                 advance_clock(when)
-                deliver(dst, packet)
+                deliver(network, dst, packet)
         finally:
             self._in_flush = False
         if pending:

@@ -113,12 +113,5 @@ class SimNode:
         """Transmit ``packet`` through the simulated network."""
         self.network.transmit(self, packet)
 
-    def _on_packet(self, packet: Packet) -> None:
-        receiver = self._ports.get(packet.port)
-        if receiver is None:
-            self.stats.record_dropped()
-            return
-        receiver(packet)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SimNode {self.node_id} ({self.kind.value})>"

@@ -45,11 +45,13 @@ class NodeStats:
 
     # -- recording (called by the network) -----------------------------------
 
-    def record_sent(self, packet: Packet) -> None:
-        self.sent_packets[packet.traffic_class] += 1
-        self.sent_bytes[packet.traffic_class] += packet.size_bytes
-        self.sent_wire_bytes[packet.traffic_class] += packet.wire_bytes
-        self.sent_by_event[packet.event_cls.__name__] += 1
+    def record_sent(self, packet: Packet, times: int = 1) -> None:
+        """``times`` transmissions of ``packet`` left the NIC."""
+        self.sent_packets[packet.traffic_class] += times
+        self.sent_bytes[packet.traffic_class] += packet.size_bytes * times
+        self.sent_wire_bytes[packet.traffic_class] += \
+            packet.wire_bytes * times
+        self.sent_by_event[packet.event_cls.__name__] += times
 
     def record_received(self, packet: Packet) -> None:
         self.recv_packets[packet.traffic_class] += 1
@@ -57,8 +59,8 @@ class NodeStats:
         self.recv_wire_bytes[packet.traffic_class] += packet.wire_bytes
         self.recv_by_event[packet.event_cls.__name__] += 1
 
-    def record_dropped(self) -> None:
-        self.dropped_packets += 1
+    def record_dropped(self, count: int = 1) -> None:
+        self.dropped_packets += count
 
     # -- reading -----------------------------------------------------------------
 
