@@ -2,11 +2,11 @@
 
 A distributed component executed in each node.  The local instance samples
 its retrievers periodically, publishes the samples on the node-local topic
-bus, and multicasts the snapshot on the group-communication **control
-channel** so every other instance can republish it locally — exactly the
-paper's *"clearly simplified and non-scalable version of the
-publish-subscribe system"* that each instance *"multicasts in the control
-channel the locally collected context information"*.
+bus, and sends the snapshot on the group-communication **control channel**
+to the control coordinator — the one subscriber that reads it, since only
+the coordinator evaluates a policy (§3.3) — which republishes it locally.
+The paper multicasts every snapshot to every member; the ARCHITECTURE
+document records why this deviates.
 
 Implemented as a protocol layer so that it rides whatever stack the control
 channel is composed of (and shares the channel with Core, as the paper
@@ -15,7 +15,7 @@ notes, *"for performance reasons"*).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.context.model import ContextSnapshot
 from repro.context.pubsub import TopicBus
@@ -25,7 +25,7 @@ from repro.kernel.events import Direction, Event, TimerEvent
 from repro.kernel.layer import Layer
 from repro.kernel.registry import register_layer
 from repro.protocols.base import GroupSession
-from repro.protocols.events import GROUP_DEST, ContextMessage, ViewEvent
+from repro.protocols.events import ContextMessage, ViewEvent
 from repro.simnet.node import SimNode
 
 _PUBLISH_TIMER = "cocaditem-publish"
@@ -42,14 +42,14 @@ class CocaditemSession(GroupSession):
         super().__init__(layer)
         self.publish_interval: float = float(
             layer.params.get("publish_interval", 10.0))
-        self.on_change_only: bool = bool(
-            layer.params.get("on_change_only", False))
         self.node: Optional[SimNode] = None
         self.retrievers: list[ContextRetriever] = []
         self.bus: Optional[TopicBus] = None
-        self._last_sent: Optional[dict[str, Any]] = None
         self._channel = None
-        #: Snapshots multicast on the control channel (diagnostics).
+        #: Coordinator the last snapshot was for (this node when it was the
+        #: coordinator itself, ``None`` before the first view).
+        self._addressed: Optional[str] = None
+        #: Snapshots sent to the control coordinator (diagnostics).
         self.snapshots_sent = 0
 
     def attach(self, node: SimNode, bus: TopicBus,
@@ -70,14 +70,17 @@ class CocaditemSession(GroupSession):
         self._channel = event.channel
         self.set_periodic_timer(self.publish_interval, tag=_PUBLISH_TIMER,
                                 channel=event.channel)
-        # Seed the bus (and, once a view exists, the group) immediately.
+        # Seed the bus (and, once a view exists, the coordinator) at once.
         self.set_timer(0.0, tag=_PUBLISH_TIMER, channel=event.channel)
 
     def on_view(self, event) -> None:
-        # Membership changed (join, exclusion, merge): disseminate right
-        # away so the control plane learns the newcomers' context within a
-        # round-trip instead of a full publish interval.
-        if self._channel is not None:
+        # A new coordinator (failover) holds none of this node's context,
+        # and a node admitted from outside the group may be unknown to the
+        # coordinator: send right away instead of a full interval later.
+        # A view that only excludes others changes nothing here.
+        if self._channel is not None and (
+                event.view.coordinator != self._addressed or
+                self.local in event.joiners):
             self.set_timer(0.0, tag=_PUBLISH_TIMER, channel=self._channel)
 
     def publish_now(self) -> None:
@@ -115,13 +118,14 @@ class CocaditemSession(GroupSession):
                       for retriever in self.retrievers}
         snapshot = ContextSnapshot(self.node.node_id, now, attributes)
         self._republish(snapshot)
-        if self.on_change_only and self._last_sent == attributes:
-            return
-        self._last_sent = dict(attributes)
         if self.view is None:
             return  # control group not formed yet; local bus still fed
+        # Best effort: a lost snapshot is repaired by the next tick.
+        self._addressed = coordinator = self.view.coordinator
+        if coordinator == self.local:
+            return
         message = self.control_message(ContextMessage, snapshot.to_payload(),
-                                       dest=GROUP_DEST, source=self.local)
+                                       dest=coordinator, source=self.local)
         self.snapshots_sent += 1
         self.send_down(message, channel=channel)
 
@@ -135,8 +139,7 @@ class CocaditemSession(GroupSession):
 class CocaditemLayer(Layer):
     """Context capture and dissemination over the control channel.
 
-    Parameters: ``publish_interval`` (seconds between snapshots),
-    ``on_change_only`` (suppress unchanged snapshots).
+    Parameters: ``publish_interval`` (seconds between snapshots).
     """
 
     layer_name = "cocaditem"

@@ -19,10 +19,6 @@ BATTERY = "battery"
 LINK_QUALITY = "link_quality"
 BANDWIDTH = "bandwidth"
 MEMORY = "memory"
-#: Which segment the node's access link is on plus the network's topology
-#: epoch — changes whenever the topology mutates (handoff, churn, loss
-#: swap, partition), so change-driven publishers re-disseminate.
-CONNECTIVITY = "connectivity"
 
 TOPIC_PREFIX = "context"
 

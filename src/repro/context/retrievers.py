@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional, Protocol
 
-from repro.context.model import (BANDWIDTH, BATTERY, CONNECTIVITY,
-                                 DEVICE_TYPE, LINK_QUALITY, MEMORY)
+from repro.context.model import (BANDWIDTH, BATTERY, DEVICE_TYPE,
+                                 LINK_QUALITY, MEMORY)
 from repro.simnet.loss import BernoulliLoss, GilbertElliottLoss
 from repro.simnet.node import SimNode
 
@@ -91,22 +91,6 @@ class MemoryRetriever:
         return self.mobile_mib if node.is_mobile else self.fixed_mib
 
 
-class ConnectivityRetriever:
-    """Access-link segment plus the network's topology mutation epoch.
-
-    The epoch makes *any* runtime topology change (a peer's handoff, churn,
-    a loss-model swap, a partition) visible as a changed attribute — the
-    hook that keeps ``on_change_only`` publishers honest about connectivity
-    events that no other attribute reflects.
-    """
-
-    attribute = CONNECTIVITY
-
-    def sample(self, node: SimNode) -> dict:
-        segment = "wireless" if node.is_mobile else "wired"
-        return {"segment": segment, "epoch": node.network.topology_epoch}
-
-
 class CallableRetriever:
     """Adapter turning any function into a retriever (tests, extensions)."""
 
@@ -122,4 +106,4 @@ class CallableRetriever:
 def default_retrievers() -> list[ContextRetriever]:
     """The retriever set deployed on every Morpheus node by default."""
     return [DeviceTypeRetriever(), BatteryRetriever(), LinkQualityRetriever(),
-            BandwidthRetriever(), MemoryRetriever(), ConnectivityRetriever()]
+            BandwidthRetriever(), MemoryRetriever()]

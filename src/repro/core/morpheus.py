@@ -54,7 +54,7 @@ class MorpheusNode:
         room: chat room name.
         publish_interval / evaluate_interval / heartbeat_interval /
         nack_interval: component periods, in virtual seconds.
-        retrievers: context retriever set (defaults to the standard six).
+        retrievers: context retriever set (defaults to the standard five).
         joining: build the node as a mid-run joiner — its control channel
             solicits admission from ``group_members`` (which must list the
             running group plus this node) and its data channel boots as a

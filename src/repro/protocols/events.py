@@ -152,7 +152,7 @@ class ParityMessage(GroupSendableEvent):
 
 
 class ContextMessage(GroupSendableEvent):
-    """Cocaditem: context snapshots multicast on the control channel."""
+    """Cocaditem: a context snapshot sent to the control coordinator."""
 
     traffic_class = "control"
 

@@ -10,21 +10,46 @@ from repro.simnet import Network, SimEngine
 FAST = dict(publish_interval=1.0, evaluate_interval=1.0,
             heartbeat_interval=2.0)
 
+#: A data-channel flush that never completes.  A mobile suspects the relay
+#: fixed-0 and announces a flush that excludes it.  fixed-0 does not
+#: suspect itself: it joins that flush, acks itself and re-drives it as the
+#: lowest unsuspected member (``_flush_coordinator``), and the other mobile
+#: sends its flush and cut acks to fixed-0 too, so the announcer never
+#: collects a quorum and every membership stays in ``AWAIT_CUT``.  The loss
+#: draws reach it without any change to the stack (seed 47 at 25 % loss
+#: wedges the same way); the fix belongs to the membership protocol.
+FLUSH_WEDGE = ("data-channel flush wedge: the excluded relay re-drives "
+               "the flush that excludes it and absorbs the acks")
+
+_FLUSH_PHASES = {"AWAIT_STATUS", "AWAIT_CUT", "REACHING_CUT",
+                 "AWAIT_INSTALL"}
+
+
+def _lossy_hybrid(loss: float, seed: int):
+    import random
+    from repro.simnet import BernoulliLoss, LinkParams
+    engine = SimEngine()
+    wireless = LinkParams(latency_s=0.002, bandwidth_bps=11e6,
+                          loss=BernoulliLoss(loss, random.Random(seed)))
+    network = Network(engine, seed=seed, wireless=wireless)
+    network.add_fixed_node("fixed-0")
+    network.add_mobile_node("mobile-0")
+    network.add_mobile_node("mobile-1")
+    return engine, build_morpheus_group(network, **FAST)
+
+
+def _data_phases(nodes) -> set[str]:
+    return {morpheus.local_module.data_channel.session_named(
+        "membership").phase.name for morpheus in nodes.values()}
+
 
 class TestAdaptationUnderLoss:
-    @pytest.mark.parametrize("seed", [1, 5])
+    @pytest.mark.parametrize("seed", [1, pytest.param(5, marks=(
+        pytest.mark.xfail(strict=True, raises=AssertionError,
+                          reason=FLUSH_WEDGE)))])
     def test_reconfiguration_completes_despite_wireless_loss(self, seed):
         """Every Core message can be lost; retries must converge anyway."""
-        import random
-        from repro.simnet import BernoulliLoss, LinkParams
-        engine = SimEngine()
-        wireless = LinkParams(latency_s=0.002, bandwidth_bps=11e6,
-                              loss=BernoulliLoss(0.15, random.Random(seed)))
-        network = Network(engine, seed=seed, wireless=wireless)
-        network.add_fixed_node("fixed-0")
-        network.add_mobile_node("mobile-0")
-        network.add_mobile_node("mobile-1")
-        nodes = build_morpheus_group(network, **FAST)
+        engine, nodes = _lossy_hybrid(0.15, seed)
         engine.run_until(60.0)
         for node_id, morpheus in nodes.items():
             assert "mecho" in morpheus.current_stack(), node_id
@@ -32,7 +57,21 @@ class TestAdaptationUnderLoss:
         nodes["mobile-0"].send("through-loss")
         engine.run_until(90.0)
         for morpheus in nodes.values():
-            assert "through-loss" in morpheus.chat.texts()
+            assert "through-loss" in morpheus.chat.texts(), \
+                _data_phases(nodes)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason=FLUSH_WEDGE)
+    def test_no_data_channel_flush_is_left_open_under_heavy_loss(self):
+        """Every data-channel membership is out of its flush at 60 s."""
+        open_flushes = []
+        for seed in range(1, 101):
+            engine, nodes = _lossy_hybrid(0.35, seed)
+            engine.run_until(60.0)
+            phases = _data_phases(nodes) & _FLUSH_PHASES
+            if phases:
+                open_flushes.append((seed, sorted(phases)))
+        assert not open_flushes, open_flushes
 
 
 class TestRepeatedAdaptation:
