@@ -116,9 +116,9 @@ def mecho_data_template(members: Sequence[str], *, mode: str, relay: str,
     specs += _suite_specs(members, heartbeat_interval, nack_interval, view_id,
                           group=group)
     # Relay probe shorter than the failure detector's suspicion timeout
-    # (6 × heartbeat interval): the relay must be declared dead — and the
-    # fall-back to direct fan-out engaged — before the detector starts
-    # suspecting peers whose beacons died with the relay.
+    # (6 × heartbeat interval): a mobile stops sending through a silent
+    # relay well before the detector decides whether the relay is dead,
+    # so the group's traffic does not wait on that verdict.
     specs.append(LayerSpec("mecho", {"members": csv, "mode": mode,
                                      "relay": relay,
                                      "relay_timeout": 3.0 * heartbeat_interval}))

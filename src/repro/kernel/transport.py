@@ -34,23 +34,18 @@ Addressing convention carried by ``SendableEvent.dest``:
   in member order, counted, charged and lost-or-delivered exactly like
   that many unicasts of the same message.
 
-Whatever the form, one event is one ``_send``, one frozen message, one
-:class:`Packet` and one call of the backend's ``transmit``: **a group send
-crosses the kernel queue once; the per-member loop lives in the network**.
-A layer that wants a copy at several peers addresses one event to all of
-them instead of cloning an event per peer, and a layer below it treats
-``dest`` as opaque.  Receivers cannot tell the difference — the packet a
-member's transport session gets carries that member's id as ``dst``.
-
-Wire framing: the outgoing message is frozen with
-:meth:`~repro.kernel.message.Message.wire_copy` (an O(1) copy-on-write
-handle with mutable payloads snapshotted once per transmission), and the
-logical sender travels in the packet's first-class ``logical_src`` field
-(see :mod:`repro.kernel.packet` for the byte-accounting contract).
+Whatever the form, one event is one frozen message
+(:meth:`~repro.kernel.message.Message.wire_copy`), one :class:`Packet` and
+one call of the backend's ``transmit``: **a group send crosses the kernel
+queue once; the per-member loop lives in the network**.  Layers treat
+``dest`` as opaque, and the packet a member's transport session gets
+carries that member's id as ``dst``.  The logical sender travels in the
+packet's ``logical_src`` field (see :mod:`repro.kernel.packet`).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Any, Callable, Iterable, Optional, Protocol
 
 from repro.kernel.channel import Channel
@@ -58,7 +53,8 @@ from repro.kernel.clock import Clock
 from repro.kernel.events import (ChannelClose, ChannelInit, Direction, Event,
                                  SendableEvent)
 from repro.kernel.layer import Layer
-from repro.kernel.packet import Packet
+from repro.kernel.message import Message
+from repro.kernel.packet import EachOf, Packet
 from repro.kernel.scheduler import Kernel
 from repro.kernel.session import Session
 
@@ -90,14 +86,10 @@ class TransportEndpoint(Protocol):
 
 
 class Transport(Protocol):
-    """Network-side surface shared by the simulated and live backends.
-
-    This is the contract :class:`repro.simnet.network.Network` already
-    satisfies and :class:`repro.livenet.network.LiveNetwork` mirrors; the
-    scenario runner, the Morpheus facade, and the context retrievers are
-    written against it (duck-typed — the protocol documents the seam, it
-    is not enforced at run time).
-    """
+    """Network-side surface shared by the simulated and live backends
+    (:class:`repro.simnet.network.Network`,
+    :class:`repro.livenet.network.LiveNetwork`); duck-typed — it documents
+    the seam, nothing enforces it at run time."""
 
     engine: Clock
     topology_epoch: int
@@ -145,16 +137,15 @@ class DatagramTransportSession(Session):
 
     Plays the role of Appia's UDP transport: DOWN-travelling
     :class:`SendableEvent` instances become packets handed to the
-    endpoint; packets the endpoint delivers are reconstructed into
-    correctly-typed events and injected upwards.
-
-    One transport *session* is shared by every channel of a node (the
-    paper's control channel and data channels all reach the same NIC),
-    using the kernel's session-sharing mechanism: the session label
-    ``"transport"`` in XML descriptions binds each new channel to the
-    node's existing session.
-
-    Session state: the owning endpoint plus the channels bound through it.
+    endpoint, and delivered packets become correctly-typed events
+    injected upwards.  Every channel of a node shares the one session
+    (the ``"transport"`` session label), so it also holds the node's
+    **supervision service**, where any packet is evidence of life:
+    ``heard[peer]`` is when a packet from ``peer`` (its logical sender or
+    the relay that forwarded it) last arrived, on any port, and
+    ``sent[peer]`` when this node last sent ``peer`` a packet.  Each
+    channel's failure detector registers under its port
+    (:meth:`supervise`) and offers ``others()`` and ``beacon(peer)``.
     """
 
     def __init__(self, layer: Layer,
@@ -162,10 +153,11 @@ class DatagramTransportSession(Session):
         super().__init__(layer)
         self.node = node
         self._channel_by_port: dict[str, Channel] = {}
-
-    def attach_node(self, node: TransportEndpoint) -> None:
-        """Late-bind the owning endpoint (used when built programmatically)."""
-        self.node = node
+        self.heard: dict[str, float] = {}
+        self.sent: dict[str, float] = {}
+        self._detectors: dict[str, Any] = {}
+        self._spoke: defaultdict[str, dict[str, float]] = defaultdict(dict)
+        self._beacon_cls: Optional[type] = None
 
     # -- event handling ------------------------------------------------------
 
@@ -177,17 +169,19 @@ class DatagramTransportSession(Session):
             self._on_close(event)
             event.go()
         elif isinstance(event, SendableEvent) and event.direction is Direction.DOWN:
-            self._send(event)
+            if event.dest is None:
+                raise ValueError(f"outgoing {event!r} has no destination")
+            self._transmit(event, event.channel.name)
         else:
             event.go()
 
     def _on_init(self, event: Event) -> None:
         channel = event.channel
-        assert channel is not None
         if self.node is None:
             raise RuntimeError(
                 f"{type(self).__name__} has no node attached; build the "
-                "session through the node facade (or call attach_node)")
+                "session through the node facade")
+        self._now = self.node.kernel.clock.now
         port = channel.name
         self._channel_by_port[port] = channel
         channel.local_address = self.node.node_id
@@ -195,40 +189,85 @@ class DatagramTransportSession(Session):
 
     def _on_close(self, event: Event) -> None:
         channel = event.channel
-        assert channel is not None
         port = channel.name
         if self._channel_by_port.get(port) is channel:
             del self._channel_by_port[port]
-            if self.node is not None:
-                self.node.unbind_port(port)
+            self._detectors.pop(port, None)
+            self._spoke.pop(port, None)
+            self.node.unbind_port(port)
+
+    # -- supervision ----------------------------------------------------------
+
+    def supervise(self, port: str, detector: Any, beacon_cls: type) -> None:
+        """Register ``port``'s failure detector and the beacon class."""
+        self._detectors[port] = detector
+        self._beacon_cls = beacon_cls
+
+    def beat(self, since: float) -> None:
+        """Beacon the watched peers not in two-way contact since ``since``.
+
+        A peer is skipped when this node sent it a packet and heard from
+        it on every port that watches it (a peer that dropped this node
+        from a channel's view falls silent on that port).  The beacon
+        lists those ports; peers with the same list share one
+        point-to-point fan-out, straight to the endpoint.
+        """
+        watching: dict[str, list[str]] = {}
+        for port, detector in self._detectors.items():
+            for peer in detector.others():
+                watching.setdefault(peer, []).append(port)
+        groups: dict[tuple[str, ...], list[str]] = {}
+        for peer, ports in watching.items():
+            if self.sent.get(peer, since) <= since or any(
+                    self._spoke[port].get(peer, since) <= since
+                    for port in ports):
+                groups.setdefault(tuple(ports), []).append(peer)
+        for ports, peers in groups.items():
+            beacon = self._beacon_cls(message=Message(payload=ports),
+                                      dest=EachOf(tuple(peers)))
+            self._transmit(beacon, ports[0])
 
     # -- outbound ---------------------------------------------------------------
 
-    def _send(self, event: SendableEvent) -> None:
-        assert self.node is not None and event.channel is not None
-        if event.dest is None:
-            raise ValueError(f"outgoing {event!r} has no destination")
+    def _transmit(self, event: SendableEvent, port: str) -> None:
+        node = self.node
         # The logical source may differ from the transmitting node when a
         # relay forwards on behalf of a sender; it rides the packet field,
         # not the header stack.
-        source = event.source if event.source is not None else self.node.node_id
-        packet = Packet(src=self.node.node_id, dst=event.dest,
-                        port=event.channel.name, event_cls=type(event),
-                        message=event.message.wire_copy(),
-                        logical_src=source,
-                        traffic_class=event.traffic_class)
-        self.node.send(packet)
+        local = node.node_id
+        source = event.source if event.source is not None else local
+        dest = event.dest
+        now = self._now()
+        for member in (dest,) if isinstance(dest, str) else \
+                dest.members if isinstance(dest, EachOf) else dest:
+            self.sent[member] = now
+        node.send(Packet(src=local, dst=dest, port=port,
+                         event_cls=type(event),
+                         message=event.message.wire_copy(),
+                         logical_src=source,
+                         traffic_class=event.traffic_class))
 
     # -- inbound ----------------------------------------------------------------
 
     def _incoming(self, packet: Packet) -> None:
+        # Evidence of the logical sender, and of the relay that forwarded
+        # it (if any): it transmitted this packet.
+        source, hop = packet.logical_src, packet.src
+        now = self.heard[source] = self.heard[hop] = self._now()
+        if packet.event_cls is self._beacon_cls:
+            for port in packet.message.payload:
+                detector = self._detectors.get(port)
+                if detector is not None:
+                    self._spoke[port][source] = now
+                    detector.beacon(source)
+            return
+        spoke = self._spoke[packet.port]
+        spoke[source] = spoke[hop] = now
         channel = self._channel_by_port.get(packet.port)
         if channel is None:  # pragma: no cover - unbound race, defensive
             return
-        # The packet owns its message handle (unicast: frozen at _send;
-        # multicast and fan-out: a per-receiver handle from copy_for), so
-        # the event can adopt it directly — zero message copies on the
-        # delivery path.
+        # The packet owns its message handle (frozen at _transmit, or a
+        # per-receiver copy_for handle): the event adopts it, no copy.
         event = packet.event_cls(message=packet.message,
                                  source=packet.logical_src, dest=packet.dst)
         channel.insert_from(self, event, Direction.UP)

@@ -1,15 +1,16 @@
-"""Heartbeat failure detector.
+"""Heartbeat failure detector: one channel's share of the node service.
 
-Each member periodically multicasts a liveness beacon through the
-dissemination layer below (so in Mecho mode a mobile node's heartbeat is a
-single transmission to the relay).  A member not heard from within
-``suspect_timeout`` is reported to the membership layer above with a
-:class:`~repro.protocols.events.SuspectEvent`; hearing from it again emits
-:class:`~repro.protocols.events.UnsuspectEvent`.
-
-This is an eventually-perfect-style detector under the simulator's fair
-links: no live member is suspected forever (its heartbeats keep arriving)
-and a crashed member is eventually suspected by everyone.
+Supervision is a node service on the transport session every channel of
+a node shares (:class:`~repro.kernel.transport.DatagramTransportSession`):
+any packet is evidence of life of its logical sender, and beacons go
+straight to the transport, only to peers not in two-way contact with the
+node.  Each channel keeps a :class:`HeartbeatSession` for its own view: a
+member without evidence for ``suspect_timeout`` is reported to membership
+above with a :class:`~repro.protocols.events.SuspectEvent`; a beacon that
+lists this channel emits :class:`~repro.protocols.events.UnsuspectEvent`
+for a suspected member and :class:`~repro.protocols.events.StrangerEvent`
+for a live node outside the view.  Under the simulator's fair links no
+live member is suspected forever and a crashed one eventually is.
 """
 
 from __future__ import annotations
@@ -19,139 +20,126 @@ from repro.kernel.events import Event, TimerEvent
 from repro.kernel.layer import Layer
 from repro.kernel.registry import register_layer
 from repro.protocols.base import GroupSession
-from repro.protocols.events import (GROUP_DEST, HeartbeatMessage,
-                                    PathChangedEvent, StrangerEvent,
-                                    SuspectEvent, UnsuspectEvent, ViewEvent)
+from repro.protocols.events import (HeartbeatMessage, PathChangedEvent,
+                                    StrangerEvent, SuspectEvent,
+                                    UnsuspectEvent, ViewEvent)
 
 _BEAT_TIMER = "hb-beat"
 
 
 class HeartbeatSession(GroupSession):
-    """Liveness bookkeeping per group member."""
+    """Suspicion bookkeeping of one channel's view."""
 
     def __init__(self, layer: Layer) -> None:
         super().__init__(layer)
         self.interval: float = float(layer.params.get("interval", 5.0))
-        # Margin of 6 missed beacons: heartbeats are best-effort, so on a
-        # lossy wireless link (p ≈ 0.15-0.3 per hop) a 3-beacon margin
-        # yields false suspicion — and hence wrongful exclusion — with
-        # near-certainty over a long run.  Six consecutive losses at
-        # p = 0.3 is ~0.07 % per window.
+        # Margin of 6 missed beacons: on a lossy wireless link (p ≈
+        # 0.15-0.3 per hop) a 3-beacon margin yields false suspicion — and
+        # hence wrongful exclusion — with near-certainty over a long run.
+        # Six consecutive losses at p = 0.3 is ~0.07 % per window.
         self.suspect_timeout: float = float(
             layer.params.get("suspect_timeout", 6.0 * self.interval))
-        # Path-change resets are rationed: a genuinely dying relay causes
-        # one or two path changes, but a relay *flapping* under bursty
-        # loss causes one per oscillation — and every reset pushes all
+        # Path-change resets are rationed: a relay *flapping* under bursty
+        # loss causes one per oscillation, and every reset pushes all
         # observation windows back to zero, so a member that went silent
-        # during the flapping is never suspected (suspicion starvation).
-        # Budgeting the resets bounds the starvation window to roughly
-        # (limit + 1) timeouts.
+        # meanwhile would never be suspected (suspicion starvation).  The
+        # budget bounds starvation to roughly (limit + 1) timeouts.
         self.path_reset_budget = WindowBudget(
             limit=int(layer.params.get("path_reset_limit", 3)),
             window=float(layer.params.get("path_reset_window",
                                           self.suspect_timeout)),
             cooldown=float(layer.params.get("path_reset_cooldown",
                                             self.suspect_timeout)))
-        self.last_heard: dict[str, float] = {}
+        #: Start of each member's observation window (view installation or
+        #: path reset); silence runs from the later of this and the node
+        #: service's last evidence of the member.
+        self.floor: dict[str, float] = {}
         self.suspected: set[str] = set()
-        self._timer_armed = False
+        self._service = None
+        self._channel = None
+        self._ticked = 0.0
 
     def on_channel_init(self, event: Event) -> None:
-        if not self._timer_armed:
-            # Rearm-on-fire one-shot (factor 1.0): same cadence as the old
-            # periodic timer, expressed through the backoff primitive so
-            # the beat is a self-rescheduling one-shot like every other
-            # timer loop in the suite.
-            self.set_backoff_timer(self.interval, tag=_BEAT_TIMER,
-                                   factor=1.0, channel=event.channel)
-            self._timer_armed = True
+        channel = self._channel = event.channel
+        self._service = channel.sessions[0]
+        self._service.supervise(channel.name, self, HeartbeatMessage)
+        self._ticked = self._now()
+        # Rearm-on-fire one-shot (factor 1.0): a constant-period loop.
+        self.set_backoff_timer(self.interval, tag=_BEAT_TIMER, factor=1.0,
+                               channel=channel)
 
     def on_view(self, event: ViewEvent) -> None:
-        now = self._now(event.channel)
-        self.last_heard = {member: now for member in event.view.members}
+        now = self._now()
+        self.floor = {member: now for member in event.view.members}
         self.suspected &= set(event.view.members)
 
     def on_event(self, event: Event) -> None:
         if isinstance(event, TimerEvent):
-            if event.tag == _BEAT_TIMER:
-                self._beat(event.channel)
-            return
-        if isinstance(event, HeartbeatMessage):
-            self._heard(event)
+            if event.tag == _BEAT_TIMER and self.local is not None:
+                # "Inside the interval" is since this channel's last tick.
+                self._service.beat(self._ticked)
+                self._ticked = self._now()
+                self._check_expiry()
             return
         if isinstance(event, PathChangedEvent):
             # The dissemination path changed: restart the observation
-            # window for everyone not already declared suspect — but only
-            # within budget, so a flapping path cannot starve suspicion
-            # by resetting the windows forever.
-            now = self._now(event.channel)
+            # window of everyone not already suspected, within budget.
+            now = self._now()
             if self.path_reset_budget.admit(now):
                 for member in self.others():
                     if member not in self.suspected:
-                        self.last_heard[member] = now
+                        self.floor[member] = now
             return
         event.go()
 
-    # -- internals ----------------------------------------------------------
-
-    def _now(self, channel) -> float:
-        return channel.kernel.now()
-
-    def _beat(self, channel) -> None:
-        if self.local is None:
-            return
-        beacon = self.control_message(HeartbeatMessage, {"from": self.local},
-                                      dest=GROUP_DEST, source=self.local)
-        self.send_down(beacon, channel=channel)
-        self._check_expiry(channel)
-
-    def _heard(self, event: HeartbeatMessage) -> None:
-        member = self.payload_of(event)["from"]
-        if self.view is not None and not self.view.includes(member) and \
-                member != self.local:
-            # A live node outside the agreed view: a recovered member the
-            # group already excluded, the far side of a healed partition,
-            # or a joiner booting up.  Membership above decides its fate.
-            self.send_up(StrangerEvent(member), channel=event.channel)
-            return
-        self.last_heard[member] = self._now(event.channel)
-        if member in self.suspected:
+    def beacon(self, member: str) -> None:
+        """A beacon from ``member`` listed this channel's port: its view
+        of this channel includes this node."""
+        channel = self._channel
+        if self.view is not None and not self.view.includes(member):
+            # A recovered member the group already excluded, the far side
+            # of a healed partition, or a joiner booting up: membership
+            # above decides its fate.
+            self.send_up(StrangerEvent(member), channel=channel)
+        elif member in self.suspected:
             self.suspected.discard(member)
             # Both directions: membership above reacts, and the
             # dissemination layer below may resume relaying through it.
-            self.send_up(UnsuspectEvent(member), channel=event.channel)
-            self.send_down(UnsuspectEvent(member), channel=event.channel)
+            self.send_up(UnsuspectEvent(member), channel=channel)
+            self.send_down(UnsuspectEvent(member), channel=channel)
 
-    def _check_expiry(self, channel) -> None:
+    def _now(self) -> float:
+        return self._channel.kernel.now()
+
+    def _check_expiry(self) -> None:
         """Suspect at most one member per tick — the longest-silent one.
 
-        Staging matters: when a Mecho relay dies, *everyone's* beacons die
-        with it and all timers expire together.  Suspecting the whole group
-        in one sweep would splinter it; suspecting the single most-silent
-        member first lets the dissemination layer's
-        :class:`PathChangedEvent` reset the remaining timers before the
-        next tick (a genuinely crashed second member simply gets suspected
-        one tick later).
+        When a Mecho relay dies everything relayed dies with it; suspecting
+        the single most-silent member first lets the dissemination layer's
+        :class:`PathChangedEvent` reset the other windows before the next
+        tick (a second crashed member is simply suspected a tick later).
         """
-        now = self._now(channel)
+        now = self._now()
+        heard = self._service.heard
         expired: list[tuple[float, str]] = []
         for member in self.others():
             if member in self.suspected:
                 continue
-            heard = self.last_heard.get(member)
-            if heard is None:
-                self.last_heard[member] = now
+            floor = self.floor.get(member)
+            if floor is None:
+                self.floor[member] = now
                 continue
-            if now - heard > self.suspect_timeout:
-                expired.append((heard, member))
+            last = max(floor, heard.get(member, floor))
+            if now - last > self.suspect_timeout:
+                expired.append((last, member))
         if not expired:
             return
         __, member = min(expired)
         self.suspected.add(member)
         # Both directions: membership (view change) above and the
         # dissemination layer (relay fallback) below.
-        self.send_up(SuspectEvent(member), channel=channel)
-        self.send_down(SuspectEvent(member), channel=channel)
+        self.send_up(SuspectEvent(member), channel=self._channel)
+        self.send_down(SuspectEvent(member), channel=self._channel)
 
 
 @register_layer
@@ -166,8 +154,6 @@ class HeartbeatLayer(Layer):
     """
 
     layer_name = "heartbeat"
-    accepted_events = (HeartbeatMessage, PathChangedEvent, TimerEvent,
-                       ViewEvent)
-    provided_events = (HeartbeatMessage, SuspectEvent, UnsuspectEvent,
-                       StrangerEvent)
+    accepted_events = (PathChangedEvent, TimerEvent, ViewEvent)
+    provided_events = (SuspectEvent, UnsuspectEvent, StrangerEvent)
     session_class = HeartbeatSession

@@ -55,20 +55,16 @@ class MechoSession(GroupSession):
             raise ValueError(f"invalid mecho mode {mode!r}")
         self.mode: str = mode
         self.relay: Optional[str] = layer.params.get("relay") or None
-        #: Members the failure detector currently suspects.  When the relay
-        #: itself is suspected, wireless nodes fall back to direct fan-out —
-        #: otherwise the group (including the view change that would repair
-        #: it) would be silenced by the dead relay.
+        #: Members the failure detector suspects, and the relay while the
+        #: relay probe finds it silent.  A wireless node whose relay is in
+        #: here falls back to direct fan-out, or a dead relay would silence
+        #: the view change that repairs it.
         self.suspected: set[str] = set()
-        #: Relay liveness probe.  The generic heartbeat detector above
-        #: cannot identify the critical-path node — right up to its death
-        #: the relay is the *freshest*-heard member, because everyone's
-        #: traffic arrives through it.  The layer that owns the relay
-        #: dependency therefore monitors it directly: every frame
-        #: transmitted by the relay refreshes this timestamp, and
-        #: ``relay_timeout`` of relay silence triggers the fall-back (and
-        #: an upward suspicion) before the heartbeat detector starts
-        #: suspecting innocent peers whose beacons died with the relay.
+        #: Relay probe, on a shorter fuse than the failure detector above:
+        #: ``relay_timeout`` without evidence of the relay in the node
+        #: service (the transport session's ``heard``) engages the
+        #: fall-back until the relay is heard again.  Routing only: whether
+        #: the relay is alive is the detector's verdict.
         self.relay_timeout: float = float(
             layer.params.get("relay_timeout", 4.0))
         # A relay oscillating between trusted and suspected under bursty
@@ -83,16 +79,11 @@ class MechoSession(GroupSession):
                                           8.0 * self.relay_timeout)),
             cooldown=float(layer.params.get("path_flap_cooldown",
                                             8.0 * self.relay_timeout)))
-        self._relay_heard = 0.0
-        self._probe_handle = None
+        self._heard: dict[str, float] = {}
         #: Foreign-framed packets dropped (generation skew diagnostics).
         self.foreign_dropped = 0
 
     # -- helpers ---------------------------------------------------------------
-
-    @property
-    def is_relay(self) -> bool:
-        return self.local is not None and self.local == self.relay
 
     def _push_header(self, event: SendableEvent, kind: str,
                      origin: str) -> None:
@@ -100,10 +91,9 @@ class MechoSession(GroupSession):
 
     def _fan_out(self, event: GroupSendableEvent, kind: str, origin: str,
                  members: tuple[str, ...], channel) -> None:
-        """A point-to-point copy of ``event`` for each of ``members``, sent
-        as one framed event addressed to ``EachOf(members)``: the header
-        cell is pushed (encoded, charged) once and the network makes the
-        per-member packets."""
+        """A point-to-point copy of ``event`` for each of ``members``: one
+        framed event addressed to ``EachOf(members)``, header pushed once,
+        the network makes the per-member packets."""
         if not members:
             return
         framed = event.clone()
@@ -121,42 +111,25 @@ class MechoSession(GroupSession):
     # -- event handling ----------------------------------------------------------
 
     def on_channel_init(self, event: Event) -> None:
+        self._heard = event.channel.sessions[0].heard
         if self.mode == MODE_WIRELESS and self.relay and \
                 self.relay != self.local:
-            self._relay_heard = event.channel.kernel.clock.now()
-            self._arm_probe(event.channel)
-
-    def _arm_probe(self, channel, delay: Optional[float] = None) -> None:
-        """Schedule the silence check as a one-shot at the deadline.
-
-        The seed revision ticked every ``relay_timeout/4`` for the
-        channel's lifetime; scheduling straight at ``_relay_heard +
-        relay_timeout`` (and re-arming at the *remaining* silence when
-        relayed traffic moved the deadline) costs ~1 timer event per
-        timeout window instead of 4, and stops entirely once the relay is
-        suspected — the check re-arms when an ``UnsuspectEvent`` clears
-        the relay.
-        """
-        if self._probe_handle is not None:
-            self._probe_handle.cancel()
-        self._probe_handle = self.set_timer(
-            delay if delay is not None else self.relay_timeout,
-            tag=_RELAY_PROBE_TIMER, channel=channel)
+            self.set_timer(self.relay_timeout, tag=_RELAY_PROBE_TIMER,
+                           channel=event.channel)
 
     def _probe_relay(self, channel) -> None:
-        self._probe_handle = None
-        if self.relay is None or self.relay in self.suspected or \
-                self.mode != MODE_WIRELESS or self.relay == self.local:
-            return  # dormant until the relay is (re-)trusted
-        now = channel.kernel.clock.now()
-        silence = now - self._relay_heard
-        if silence > self.relay_timeout:
-            self.suspected.add(self.relay)
-            self._path_changed(channel, trusted=False)
-            self.send_up(SuspectEvent(self.relay), channel=channel)
-            return  # fall-back engaged; no further checks needed
-        # Relayed traffic moved the deadline: sleep out the remainder.
-        self._arm_probe(channel, self.relay_timeout - silence + 1e-9)
+        """One-shot at the silence deadline: one timer event per deadline."""
+        # Never heard since the probe was armed: silent all along.
+        silence = channel.kernel.clock.now() - \
+            self._heard.get(self.relay, float("-inf"))
+        silent = silence > self.relay_timeout
+        if silent != (self.relay in self.suspected):
+            (self.suspected.add if silent else self.suspected.discard)(
+                self.relay)
+            self._path_changed(channel, trusted=not silent)
+        self.set_timer(self.relay_timeout if silent else
+                       self.relay_timeout - silence + 1e-9,
+                       tag=_RELAY_PROBE_TIMER, channel=channel)
 
     def on_event(self, event: Event) -> None:
         if isinstance(event, TimerEvent):
@@ -168,18 +141,14 @@ class MechoSession(GroupSession):
             self.suspected.add(event.member)
             if newly and self.mode == MODE_WIRELESS and \
                     event.member == self.relay:
-                # Falling back to direct fan-out.  Everything — including
-                # everyone's heartbeats — was routed through the dead
-                # relay, so the detector above must restart its window or
-                # it would wrongly suspect every other member next.
+                # Falling back to direct fan-out: the detector above
+                # restarts its windows, since the relayed traffic died.
                 self._path_changed(event.channel, trusted=False)
             return  # travelling down; the stack ends below us
         if isinstance(event, UnsuspectEvent):
             if event.member in self.suspected and \
                     self.mode == MODE_WIRELESS and event.member == self.relay:
-                self._relay_heard = event.channel.kernel.clock.now()
                 self._path_changed(event.channel, trusted=True)
-                self._arm_probe(event.channel)  # relay trusted again
             self.suspected.discard(event.member)
             return
         if not isinstance(event, GroupSendableEvent):
@@ -229,7 +198,6 @@ class MechoSession(GroupSession):
     # -- incoming --------------------------------------------------------------------
 
     def _incoming(self, event: GroupSendableEvent) -> None:
-        channel = event.channel
         if event.message.header_depth == 0:
             self.foreign_dropped += 1  # headerless frame: not from mecho
             return
@@ -242,9 +210,6 @@ class MechoSession(GroupSession):
             self.foreign_dropped += 1
             return
         _tag, kind, origin = header
-        if kind == RELAYED or origin == self.relay:
-            # Proof of relay liveness: it transmitted this frame.
-            self._relay_heard = channel.kernel.clock.now()
         if kind == FORWARD_REQUEST:
             self._relay_on_behalf_of(event, origin)
         event.source = origin
@@ -278,5 +243,5 @@ class MechoLayer(Layer):
     layer_name = "mecho"
     accepted_events = (SendableEvent, ViewEvent, SuspectEvent,
                        UnsuspectEvent, TimerEvent)
-    provided_events = (GroupSendableEvent, PathChangedEvent, SuspectEvent)
+    provided_events = (GroupSendableEvent, PathChangedEvent)
     session_class = MechoSession

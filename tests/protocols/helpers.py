@@ -82,17 +82,21 @@ def build_group_stack(network: Network, node_id: str,
                       nack_interval: float = 0.1,
                       ordering: Sequence[str] = (),
                       channel_name: str = "data",
-                      join: bool = False):
+                      join: bool = False,
+                      transport: Optional[SimTransportSession] = None):
     """Compose the full suite on one node; returns the channel.
 
     ``ordering`` may contain ``"causal"`` and/or ``"total"``.  With
     ``join=True`` the node solicits admission from ``members`` instead of
-    self-installing a bootstrap view.
+    self-installing a bootstrap view.  Channels of one node that should
+    share a NIC (and its supervision service) pass the same ``transport``
+    session; by default each channel gets its own.
     """
     node = network.node(node_id)
     members_csv = ",".join(sorted(members))
     transport_layer = SimTransportLayer()
-    transport_session = SimTransportSession(transport_layer, node=node)
+    transport_session = transport or \
+        SimTransportSession(transport_layer, node=node)
     if dissemination is None:
         dissemination = BestEffortMulticastLayer(members=members_csv)
     layers: list[Layer] = [

@@ -125,16 +125,18 @@ class TestMechoVersusBaseline:
         assert mecho_count == sends
         assert beb_count == sends * (total_nodes - 1)
 
-    def test_heartbeats_also_ride_the_relay(self):
-        """Control traffic benefits too: one heartbeat transmission each."""
+    def test_beacons_leave_the_relay_path(self):
+        """Liveness beacons are point-to-point facts about a peer: a
+        mobile sends its own to each peer, and the relay forwards none."""
         engine, network, channels = build_hybrid(num_mobile=3,
                                                  heartbeat_interval=0.5)
         engine.run_until(0.5)
         network.reset_stats()
         engine.run_until(5.5)  # ~10 heartbeat periods, no data
-        hb_sent = network.stats_of("mobile-0").sent_by_event[
-            "HeartbeatMessage"]
-        assert 8 <= hb_sent <= 12  # ~1 per period, not n-1 per period
+        beats = {node_id: network.stats_of(node_id).sent_by_event[
+            "HeartbeatMessage"] for node_id in channels}
+        # One per peer per period from everyone, mobiles included.
+        assert beats == dict.fromkeys(channels, 30), beats
 
 
 class TestInvariants:
