@@ -51,7 +51,7 @@ from typing import Any, Callable, Iterable, Optional, Protocol
 from repro.kernel.channel import Channel
 from repro.kernel.clock import Clock
 from repro.kernel.events import (ChannelClose, ChannelInit, Direction, Event,
-                                 SendableEvent)
+                                 SendableEvent, TimerEvent)
 from repro.kernel.layer import Layer
 from repro.kernel.message import Message
 from repro.kernel.packet import EachOf, Packet
@@ -59,6 +59,8 @@ from repro.kernel.scheduler import Kernel
 from repro.kernel.session import Session
 
 PacketReceiver = Callable[[Packet], None]
+
+_BEAT_TIMER = "supervision-beat"
 
 
 class TransportEndpoint(Protocol):
@@ -132,20 +134,24 @@ class Transport(Protocol):
         ...  # pragma: no cover - protocol declaration
 
 
+class HeartbeatMessage(SendableEvent):
+    """Liveness beacon listing the sender's ports that watch the receiver."""
+
+    traffic_class = "control"
+
+
 class DatagramTransportSession(Session):
     """Bottom-of-stack session bridging Appia channels to an endpoint.
 
     Plays the role of Appia's UDP transport: DOWN-travelling
-    :class:`SendableEvent` instances become packets handed to the
-    endpoint, and delivered packets become correctly-typed events
-    injected upwards.  Every channel of a node shares the one session
-    (the ``"transport"`` session label), so it also holds the node's
-    **supervision service**, where any packet is evidence of life:
-    ``heard[peer]`` is when a packet from ``peer`` (its logical sender or
-    the relay that forwarded it) last arrived, on any port, and
-    ``sent[peer]`` when this node last sent ``peer`` a packet.  Each
-    channel's failure detector registers under its port
-    (:meth:`supervise`) and offers ``others()`` and ``beacon(peer)``.
+    :class:`SendableEvent` instances become packets, delivered packets
+    become correctly-typed events injected upwards.  Every channel of a
+    node shares the one session (the ``"transport"`` session label), so it
+    is also the node's **supervision service**: any packet, on any port,
+    is evidence of life of its logical sender and of the relay that
+    forwarded it.  Each channel's failure detector finds the service with
+    :meth:`of`, registers under its port (:meth:`supervise`) and offers
+    ``interval``, ``others()`` and ``beacon(peer)``.
     """
 
     def __init__(self, layer: Layer,
@@ -153,11 +159,12 @@ class DatagramTransportSession(Session):
         super().__init__(layer)
         self.node = node
         self._channel_by_port: dict[str, Channel] = {}
-        self.heard: dict[str, float] = {}
-        self.sent: dict[str, float] = {}
+        self._heard: dict[str, float] = {}
+        self._sent: dict[str, float] = {}
         self._detectors: dict[str, Any] = {}
         self._spoke: defaultdict[str, dict[str, float]] = defaultdict(dict)
-        self._beacon_cls: Optional[type] = None
+        self._beat_port: Optional[str] = None
+        self._beaten_at = float("-inf")
 
     # -- event handling ------------------------------------------------------
 
@@ -172,6 +179,8 @@ class DatagramTransportSession(Session):
             if event.dest is None:
                 raise ValueError(f"outgoing {event!r} has no destination")
             self._transmit(event, event.channel.name)
+        elif isinstance(event, TimerEvent):
+            self._beat()
         else:
             event.go()
 
@@ -195,52 +204,68 @@ class DatagramTransportSession(Session):
             self._detectors.pop(port, None)
             self._spoke.pop(port, None)
             self.node.unbind_port(port)
+            if self._beat_port == port:  # the beat moves to an open channel
+                self._arm_beat(next(iter(self._detectors), None))
 
     # -- supervision ----------------------------------------------------------
 
-    def supervise(self, port: str, detector: Any, beacon_cls: type) -> None:
-        """Register ``port``'s failure detector and the beacon class."""
+    @classmethod
+    def of(cls, channel: Channel) -> "DatagramTransportSession":
+        """The supervision service of the node ``channel`` runs on."""
+        return next(s for s in channel.sessions if isinstance(s, cls))
+
+    def supervise(self, port: str, detector: Any) -> None:
+        """Register ``port``'s failure detector; the first one starts the
+        node's beat, every ``detector.interval``."""
         self._detectors[port] = detector
-        self._beacon_cls = beacon_cls
+        if self._beat_port is None:
+            self._arm_beat(port)
 
-    def beat(self, since: float) -> None:
-        """Beacon the watched peers not in two-way contact since ``since``.
+    def _arm_beat(self, port: Optional[str]) -> None:
+        self._beat_port = port
+        if port is not None:
+            self.set_periodic_timer(self._detectors[port].interval,
+                                    tag=_BEAT_TIMER,
+                                    channel=self._channel_by_port[port])
 
-        A peer is skipped when this node sent it a packet and heard from
-        it on every port that watches it (a peer that dropped this node
-        from a channel's view falls silent on that port).  The beacon
-        lists those ports; peers with the same list share one
-        point-to-point fan-out, straight to the endpoint.
-        """
+    def last_heard(self, peer: str) -> float:
+        """When a packet from ``peer`` last arrived (``-inf``: never)."""
+        return self._heard.get(peer, float("-inf"))
+
+    def _beat(self) -> None:
+        """Beacon the watched peers not in two-way contact since the last
+        beat: sent a packet, and heard from on every port watching them (a
+        peer that dropped this node from a channel's view falls silent on
+        that port).  The beacon lists those ports; peers with the same
+        list share one point-to-point fan-out, straight to the endpoint."""
+        since, self._beaten_at = self._beaten_at, self._now()
         watching: dict[str, list[str]] = {}
         for port, detector in self._detectors.items():
             for peer in detector.others():
                 watching.setdefault(peer, []).append(port)
         groups: dict[tuple[str, ...], list[str]] = {}
         for peer, ports in watching.items():
-            if self.sent.get(peer, since) <= since or any(
+            if self._sent.get(peer, since) <= since or any(
                     self._spoke[port].get(peer, since) <= since
                     for port in ports):
                 groups.setdefault(tuple(ports), []).append(peer)
         for ports, peers in groups.items():
-            beacon = self._beacon_cls(message=Message(payload=ports),
+            beacon = HeartbeatMessage(message=Message(payload=ports),
                                       dest=EachOf(tuple(peers)))
             self._transmit(beacon, ports[0])
 
     # -- outbound ---------------------------------------------------------------
 
     def _transmit(self, event: SendableEvent, port: str) -> None:
-        node = self.node
         # The logical source may differ from the transmitting node when a
         # relay forwards on behalf of a sender; it rides the packet field,
         # not the header stack.
+        node, dest, now = self.node, event.dest, self._now()
         local = node.node_id
         source = event.source if event.source is not None else local
-        dest = event.dest
-        now = self._now()
         for member in (dest,) if isinstance(dest, str) else \
                 dest.members if isinstance(dest, EachOf) else dest:
-            self.sent[member] = now
+            self._sent[member] = now
         node.send(Packet(src=local, dst=dest, port=port,
                          event_cls=type(event),
                          message=event.message.wire_copy(),
@@ -250,11 +275,9 @@ class DatagramTransportSession(Session):
     # -- inbound ----------------------------------------------------------------
 
     def _incoming(self, packet: Packet) -> None:
-        # Evidence of the logical sender, and of the relay that forwarded
-        # it (if any): it transmitted this packet.
         source, hop = packet.logical_src, packet.src
-        now = self.heard[source] = self.heard[hop] = self._now()
-        if packet.event_cls is self._beacon_cls:
+        now = self._heard[source] = self._now()
+        if packet.event_cls is HeartbeatMessage:
             for port in packet.message.payload:
                 detector = self._detectors.get(port)
                 if detector is not None:
@@ -262,7 +285,9 @@ class DatagramTransportSession(Session):
                     detector.beacon(source)
             return
         spoke = self._spoke[packet.port]
-        spoke[source] = spoke[hop] = now
+        spoke[source] = now
+        if hop != source:  # relayed: evidence of the relay too
+            self._heard[hop] = spoke[hop] = now
         channel = self._channel_by_port.get(packet.port)
         if channel is None:  # pragma: no cover - unbound race, defensive
             return

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.kernel.events import Event, SendableEvent
+from repro.kernel.transport import HeartbeatMessage  # noqa: F401  (re-export)
 
 #: Destination sentinel meaning "every member of the current view".
 GROUP_DEST = "__group__"
@@ -98,12 +99,6 @@ class ApplicationMessage(SequencedEvent):
 
 class OrderMessage(SequencedEvent):
     """Total-order layer: sequencer-assigned global order announcements."""
-
-    traffic_class = "control"
-
-
-class HeartbeatMessage(GroupSendableEvent):
-    """Failure-detector liveness beacons."""
 
     traffic_class = "control"
 

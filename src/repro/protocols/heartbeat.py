@@ -1,16 +1,10 @@
 """Heartbeat failure detector: one channel's share of the node service.
 
-Supervision is a node service on the transport session every channel of
-a node shares (:class:`~repro.kernel.transport.DatagramTransportSession`):
-any packet is evidence of life of its logical sender, and beacons go
-straight to the transport, only to peers not in two-way contact with the
-node.  Each channel keeps a :class:`HeartbeatSession` for its own view: a
-member without evidence for ``suspect_timeout`` is reported to membership
-above with a :class:`~repro.protocols.events.SuspectEvent`; a beacon that
-lists this channel emits :class:`~repro.protocols.events.UnsuspectEvent`
-for a suspected member and :class:`~repro.protocols.events.StrangerEvent`
-for a live node outside the view.  Under the simulator's fair links no
-live member is suspected forever and a crashed one eventually is.
+The node's evidence of life and its beacons live on the session every
+channel shares, :class:`~repro.kernel.transport.DatagramTransportSession`.
+Each channel's :class:`HeartbeatSession` suspects a member without
+evidence for ``suspect_timeout``; a beacon listing the channel unsuspects
+a suspected member and reports a live node outside the view a stranger.
 """
 
 from __future__ import annotations
@@ -19,12 +13,12 @@ from repro.kernel.damping import WindowBudget
 from repro.kernel.events import Event, TimerEvent
 from repro.kernel.layer import Layer
 from repro.kernel.registry import register_layer
+from repro.kernel.transport import DatagramTransportSession
 from repro.protocols.base import GroupSession
-from repro.protocols.events import (HeartbeatMessage, PathChangedEvent,
-                                    StrangerEvent, SuspectEvent,
-                                    UnsuspectEvent, ViewEvent)
+from repro.protocols.events import (PathChangedEvent, StrangerEvent,
+                                    SuspectEvent, UnsuspectEvent, ViewEvent)
 
-_BEAT_TIMER = "hb-beat"
+_EXPIRY_TIMER = "hb-expiry"
 
 
 class HeartbeatSession(GroupSession):
@@ -55,17 +49,13 @@ class HeartbeatSession(GroupSession):
         #: service's last evidence of the member.
         self.floor: dict[str, float] = {}
         self.suspected: set[str] = set()
-        self._service = None
-        self._channel = None
-        self._ticked = 0.0
+        self._service = self._channel = None
 
     def on_channel_init(self, event: Event) -> None:
         channel = self._channel = event.channel
-        self._service = channel.sessions[0]
-        self._service.supervise(channel.name, self, HeartbeatMessage)
-        self._ticked = self._now()
-        # Rearm-on-fire one-shot (factor 1.0): a constant-period loop.
-        self.set_backoff_timer(self.interval, tag=_BEAT_TIMER, factor=1.0,
+        self._service = DatagramTransportSession.of(channel)
+        self._service.supervise(channel.name, self)
+        self.set_backoff_timer(self.interval, tag=_EXPIRY_TIMER, factor=1.0,
                                channel=channel)
 
     def on_view(self, event: ViewEvent) -> None:
@@ -75,10 +65,7 @@ class HeartbeatSession(GroupSession):
 
     def on_event(self, event: Event) -> None:
         if isinstance(event, TimerEvent):
-            if event.tag == _BEAT_TIMER and self.local is not None:
-                # "Inside the interval" is since this channel's last tick.
-                self._service.beat(self._ticked)
-                self._ticked = self._now()
+            if event.tag == _EXPIRY_TIMER and self.local is not None:
                 self._check_expiry()
             return
         if isinstance(event, PathChangedEvent):
@@ -97,14 +84,12 @@ class HeartbeatSession(GroupSession):
         of this channel includes this node."""
         channel = self._channel
         if self.view is not None and not self.view.includes(member):
-            # A recovered member the group already excluded, the far side
-            # of a healed partition, or a joiner booting up: membership
-            # above decides its fate.
+            # An excluded member back up, a healed partition or a booting
+            # joiner: membership above decides its fate.
             self.send_up(StrangerEvent(member), channel=channel)
         elif member in self.suspected:
             self.suspected.discard(member)
-            # Both directions: membership above reacts, and the
-            # dissemination layer below may resume relaying through it.
+            # Up to membership, down to the relay choice.
             self.send_up(UnsuspectEvent(member), channel=channel)
             self.send_down(UnsuspectEvent(member), channel=channel)
 
@@ -120,7 +105,7 @@ class HeartbeatSession(GroupSession):
         tick (a second crashed member is simply suspected a tick later).
         """
         now = self._now()
-        heard = self._service.heard
+        last_heard = self._service.last_heard
         expired: list[tuple[float, str]] = []
         for member in self.others():
             if member in self.suspected:
@@ -129,15 +114,14 @@ class HeartbeatSession(GroupSession):
             if floor is None:
                 self.floor[member] = now
                 continue
-            last = max(floor, heard.get(member, floor))
+            last = max(floor, last_heard(member))
             if now - last > self.suspect_timeout:
                 expired.append((last, member))
         if not expired:
             return
         __, member = min(expired)
         self.suspected.add(member)
-        # Both directions: membership (view change) above and the
-        # dissemination layer (relay fallback) below.
+        # Up to membership (view change), down to the relay choice.
         self.send_up(SuspectEvent(member), channel=self._channel)
         self.send_down(SuspectEvent(member), channel=self._channel)
 

@@ -30,6 +30,7 @@ from repro.kernel.events import (Direction, Event, SendableEvent,
 from repro.kernel.layer import Layer
 from repro.kernel.packet import EachOf
 from repro.kernel.registry import register_layer
+from repro.kernel.transport import DatagramTransportSession
 from repro.protocols.base import GroupSession
 from repro.protocols.events import (GroupSendableEvent, PathChangedEvent,
                                     SuspectEvent, UnsuspectEvent, ViewEvent)
@@ -55,16 +56,14 @@ class MechoSession(GroupSession):
             raise ValueError(f"invalid mecho mode {mode!r}")
         self.mode: str = mode
         self.relay: Optional[str] = layer.params.get("relay") or None
-        #: Members the failure detector suspects, and the relay while the
-        #: relay probe finds it silent.  A wireless node whose relay is in
-        #: here falls back to direct fan-out, or a dead relay would silence
-        #: the view change that repairs it.
+        #: Members the failure detector suspects.
         self.suspected: set[str] = set()
-        #: Relay probe, on a shorter fuse than the failure detector above:
-        #: ``relay_timeout`` without evidence of the relay in the node
-        #: service (the transport session's ``heard``) engages the
-        #: fall-back until the relay is heard again.  Routing only: whether
-        #: the relay is alive is the detector's verdict.
+        #: Relay probe, on a shorter fuse than the detector: the relay is
+        #: silent after ``relay_timeout`` without evidence of it in the node
+        #: service, until heard again.  A wireless node fans out directly
+        #: while its relay is silent or suspected (a dead relay would
+        #: silence the view change that repairs it); routing only.
+        self.relay_silent = False
         self.relay_timeout: float = float(
             layer.params.get("relay_timeout", 4.0))
         # A relay oscillating between trusted and suspected under bursty
@@ -79,7 +78,7 @@ class MechoSession(GroupSession):
                                           8.0 * self.relay_timeout)),
             cooldown=float(layer.params.get("path_flap_cooldown",
                                             8.0 * self.relay_timeout)))
-        self._heard: dict[str, float] = {}
+        self._service: Optional[DatagramTransportSession] = None
         #: Foreign-framed packets dropped (generation skew diagnostics).
         self.foreign_dropped = 0
 
@@ -102,16 +101,23 @@ class MechoSession(GroupSession):
         self._push_header(framed, kind, origin)
         self.send_down(framed, channel=channel)
 
-    def _path_changed(self, channel, trusted: bool) -> None:
-        """Signal a dissemination-path change upward, flap-damped."""
-        if not self._path_damper.observe(trusted,
-                                         channel.kernel.clock.now()):
+    def _relay_trusted(self) -> bool:
+        return not self.relay_silent and self.relay not in self.suspected
+
+    def _trust_changed(self, channel, was: bool) -> None:
+        """Signal a flip of a wireless node's trust in its relay upward,
+        flap-damped: falling back to direct fan-out, the detector above
+        restarts its windows, since the relayed traffic died."""
+        trusted = self._relay_trusted()
+        if self.mode == MODE_WIRELESS and trusted != was and \
+                not self._path_damper.observe(trusted,
+                                              channel.kernel.clock.now()):
             self.send_up(PathChangedEvent(), channel=channel)
 
     # -- event handling ----------------------------------------------------------
 
     def on_channel_init(self, event: Event) -> None:
-        self._heard = event.channel.sessions[0].heard
+        self._service = DatagramTransportSession.of(event.channel)
         if self.mode == MODE_WIRELESS and self.relay and \
                 self.relay != self.local:
             self.set_timer(self.relay_timeout, tag=_RELAY_PROBE_TIMER,
@@ -121,13 +127,11 @@ class MechoSession(GroupSession):
         """One-shot at the silence deadline: one timer event per deadline."""
         # Never heard since the probe was armed: silent all along.
         silence = channel.kernel.clock.now() - \
-            self._heard.get(self.relay, float("-inf"))
-        silent = silence > self.relay_timeout
-        if silent != (self.relay in self.suspected):
-            (self.suspected.add if silent else self.suspected.discard)(
-                self.relay)
-            self._path_changed(channel, trusted=not silent)
-        self.set_timer(self.relay_timeout if silent else
+            self._service.last_heard(self.relay)
+        was = self._relay_trusted()
+        self.relay_silent = silence > self.relay_timeout
+        self._trust_changed(channel, was)
+        self.set_timer(self.relay_timeout if self.relay_silent else
                        self.relay_timeout - silence + 1e-9,
                        tag=_RELAY_PROBE_TIMER, channel=channel)
 
@@ -136,21 +140,12 @@ class MechoSession(GroupSession):
             if event.tag == _RELAY_PROBE_TIMER:
                 self._probe_relay(event.channel)
             return
-        if isinstance(event, SuspectEvent):
-            newly = event.member not in self.suspected
-            self.suspected.add(event.member)
-            if newly and self.mode == MODE_WIRELESS and \
-                    event.member == self.relay:
-                # Falling back to direct fan-out: the detector above
-                # restarts its windows, since the relayed traffic died.
-                self._path_changed(event.channel, trusted=False)
+        if isinstance(event, (SuspectEvent, UnsuspectEvent)):
+            was = self._relay_trusted()
+            (self.suspected.add if isinstance(event, SuspectEvent)
+             else self.suspected.discard)(event.member)
+            self._trust_changed(event.channel, was)
             return  # travelling down; the stack ends below us
-        if isinstance(event, UnsuspectEvent):
-            if event.member in self.suspected and \
-                    self.mode == MODE_WIRELESS and event.member == self.relay:
-                self._path_changed(event.channel, trusted=True)
-            self.suspected.discard(event.member)
-            return
         if not isinstance(event, GroupSendableEvent):
             event.go()
             return
@@ -179,7 +174,7 @@ class MechoSession(GroupSession):
             self.send_down(wire, channel=channel)
             return
         if self.mode == MODE_WIRELESS and self.relay and \
-                self.relay != self.local and self.relay not in self.suspected:
+                self.relay != self.local and self._relay_trusted():
             # The whole point: ONE transmission, addressed to the relay.
             wire = event.clone()
             wire.source = self.local

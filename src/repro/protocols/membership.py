@@ -298,8 +298,7 @@ class MembershipSession(GroupSession):
             self._on_suspect(event)
             return
         if isinstance(event, UnsuspectEvent):
-            self.suspected.discard(event.member)
-            event.go()
+            self._on_unsuspect(event)
             return
         if isinstance(event, StrangerEvent):
             self._on_stranger(event)
@@ -530,6 +529,18 @@ class MembershipSession(GroupSession):
             # that flush forever.  Restart towards a target derived from
             # current suspicions (surviving members simply re-join the
             # revised flush).
+            self._start_flush(hold=self._target_hold, channel=event.channel)
+
+    def _on_unsuspect(self, event: UnsuspectEvent) -> None:
+        self.suspected.discard(event.member)
+        event.go()
+        # Heard before any other member acknowledged the flush excluding
+        # it: re-target the flush rather than pay another to re-admit it.
+        if self._target_view is not None and not self._install_announced \
+                and not set(self._acks) - {self.local} \
+                and event.member not in self._deliberate_excludes \
+                and self._flush_coordinator() == self.local \
+                and self._next_view().members != self._target_view.members:
             self._start_flush(hold=self._target_hold, channel=event.channel)
 
     def _on_stranger(self, event: StrangerEvent) -> None:

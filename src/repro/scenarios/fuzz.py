@@ -404,13 +404,6 @@ def check_view_agreement(runner: ScenarioRunner,
     network = runner.network
     survivors = {node_id for node_id, node in network.nodes.items()
                  if node.alive}
-    # A battery that ran out within ten heartbeat intervals of the horizon
-    # is news the group cannot have agreed on yet: in or out, both pass.
-    scenario = runner.scenario
-    fresh = scenario.duration_s - 10 * scenario.heartbeat_interval
-    dying = {node_id for node_id, node in network.nodes.items()
-             if node_id not in survivors and node.battery is not None
-             and (node.battery.depleted_at or 0.0) > fresh}
     never_joined = {
         node_id for node_id, node in runner.morpheus.items()
         if node.control_channel.session_named("membership").view is None}
@@ -433,8 +426,6 @@ def check_view_agreement(runner: ScenarioRunner,
                         m for m in established
                         if m in cellmates or m == node_id)
             view = result.control_views.get(node_id)
-            if view is not None:
-                view = tuple(m for m in view if m not in dying)
             if view != expected_here:
                 violations.append(
                     f"view-agreement: {node_id} ended with control view "

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.kernel import Direction
-from repro.protocols import LeaveRequestEvent, TriggerViewChangeEvent
+from repro.protocols import (LeaveRequestEvent, SuspectEvent,
+                             TriggerViewChangeEvent, UnsuspectEvent)
 from tests.protocols.helpers import build_world, collector_of, membership_of
 
 
@@ -122,3 +123,34 @@ class TestViewIdentifiers:
                              Direction.DOWN)
         engine.run_until(10.0)
         assert collector_of(channels["a"]).view.members == ("a", "b")
+
+
+class TestWithdrawnExclusion:
+    """A member heard again before any other member acknowledged the flush
+    that excludes it stays in the view: one flush, not an exclusion and a
+    re-admission."""
+
+    def suspect_then_unsuspect(self, gap):
+        engine, network, channels = build_world(
+            {"a": "fixed", "b": "fixed", "c": "fixed"})
+        engine.run_until(1.0)
+        heartbeat = channels["a"].session_named("heartbeat")
+        heartbeat.send_up(SuspectEvent("c"), channel=channels["a"])
+        engine.call_at(1.0 + gap, lambda: heartbeat.send_up(
+            UnsuspectEvent("c"), channel=channels["a"]))
+        engine.run_until(10.0)
+        return channels
+
+    def test_heard_before_any_ack_keeps_the_member(self):
+        channels = self.suspect_then_unsuspect(gap=0.0)
+        log = membership_of(channels["a"]).install_log
+        assert all("c" in members for _, _, members, _ in log), log
+        for channel in channels.values():
+            assert collector_of(channel).view.members == ("a", "b", "c")
+
+    def test_heard_after_an_ack_is_excluded_and_readmitted(self):
+        channels = self.suspect_then_unsuspect(gap=0.5)
+        log = membership_of(channels["a"]).install_log
+        assert any(members == ("a", "b") for _, _, members, _ in log), log
+        for channel in channels.values():
+            assert collector_of(channel).view.members == ("a", "b", "c")

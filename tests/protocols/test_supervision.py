@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.kernel import QoS
 from repro.protocols import (BestEffortMulticastLayer, HeartbeatLayer,
-                             MechoLayer)
+                             MechoLayer, SuspectEvent, UnsuspectEvent)
 from repro.simnet import Network, SimEngine, SimTransportLayer, \
     SimTransportSession
 from tests.protocols.helpers import (CollectorLayer, build_group_stack,
@@ -136,6 +136,39 @@ class TestBeats:
         # channels (a beacon per channel would read ~40).
         assert 16 <= beats <= 24
 
+    def test_node_beats_once_per_interval_whatever_the_channel_phases(self):
+        """A channel opened half an interval after the first one adds no
+        beat of its own; the beat stops when the node's last channel
+        closes."""
+        engine = SimEngine()
+        network = Network(engine, seed=3)
+        members = ("a", "b", "c")
+        for node_id in members:
+            network.add_fixed_node(node_id)
+        transports = {node_id: shared_transport(network, node_id)
+                      for node_id in members}
+        channels = {
+            node_id: [detector_stack(network, node_id, members, "ctrl",
+                                     transports[node_id], interval=1.0)]
+            for node_id in members}
+        engine.run_until(0.6)
+        for node_id in members:
+            channels[node_id].append(detector_stack(
+                network, node_id, members, "data", transports[node_id],
+                interval=1.0))
+        engine.run_until(1.5)
+        network.reset_stats()
+        engine.run_until(11.5)
+        beats = network.stats_of("a").sent_by_event["HeartbeatMessage"]
+        assert beats == 20, beats  # ten beats, one beacon to b and to c
+        for channel in channels["a"]:
+            channel.close()
+        engine.run_until(13.5)
+        network.reset_stats()
+        engine.run_until(20.0)
+        assert network.stats_of("a").sent_by_event["HeartbeatMessage"] == 0
+        assert transports["a"]._beat_port is None
+
     def test_two_way_traffic_replaces_beacons(self):
         engine, network, channels = two_channel_world(interval=1.0)
         engine.run_until(0.5)
@@ -218,8 +251,9 @@ class TestStrangers:
             assert members_of(channels[node_id]["data"]) == everyone, node_id
 
 
-def hybrid_detectors(interval=1.0, relay_timeout=3.0):
-    """One fixed relay and two mobiles on a quiet Mecho data channel."""
+def hybrid_detectors(interval=1.0, relay_timeout=3.0, with_ctrl=False):
+    """One fixed relay and two mobiles on a quiet Mecho data channel (and,
+    ``with_ctrl``, a plain ``ctrl`` detector channel on the same NICs)."""
     engine = SimEngine()
     network = Network(engine, seed=3)
     network.add_fixed_node("relay")
@@ -229,13 +263,24 @@ def hybrid_detectors(interval=1.0, relay_timeout=3.0):
     channels = {}
     for node_id in members:
         mode = "wired" if node_id == "relay" else "wireless"
+        transport = shared_transport(network, node_id)
         channels[node_id] = detector_stack(
-            network, node_id, members, "data",
-            shared_transport(network, node_id), interval=interval,
+            network, node_id, members, "data", transport, interval=interval,
             dissemination=MechoLayer(mode=mode, relay="relay",
                                      members=",".join(members),
                                      relay_timeout=relay_timeout))
+        if with_ctrl:
+            detector_stack(network, node_id, members, "ctrl", transport,
+                           interval=interval)
     return engine, network, channels
+
+
+def group_send_transmissions(network, engine, channel, text):
+    """Data packets one group send from ``channel`` costs its node."""
+    network.reset_stats()
+    collector_of(channel).send_text(text)
+    engine.run_until(engine.now() + 1.0)
+    return network.stats_of(channel.local_address).sent_data
 
 
 class TestRelayProbe:
@@ -245,18 +290,22 @@ class TestRelayProbe:
         watched = []
         for tick in range(1, 31):
             engine.call_at(tick * 1.0, lambda: watched.append(
-                set(mecho.suspected)))
+                mecho.relay_silent or bool(mecho.suspected)))
         engine.run_until(30.5)  # 10 x relay_timeout, no app traffic
         assert not any(watched), watched
+        assert group_send_transmissions(network, engine, channels["m0"],
+                                        "via-relay") == 1
 
     def test_relay_crash_falls_back_within_relay_timeout(self):
         engine, network, channels = hybrid_detectors()
         engine.run_until(5.0)
         network.crash_node("relay")
         engine.run_until(5.0 + 3.0 + 0.01)
-        assert "relay" in channels["m0"].session_named("mecho").suspected
+        assert channels["m0"].session_named("mecho").relay_silent
         # The probe, not the detector (6 s), engaged the fall-back.
         assert "relay" not in suspected(channels["m0"])
+        assert group_send_transmissions(network, engine, channels["m0"],
+                                        "direct") == 2
 
     def test_relay_heard_again_is_used_again(self):
         """The probe's fall-back is a routing decision: a relay that comes
@@ -267,12 +316,29 @@ class TestRelayProbe:
         network.crash_node("relay")
         engine.run_until(8.5)
         mecho = channels["m0"].session_named("mecho")
-        assert "relay" in mecho.suspected
+        assert mecho.relay_silent
         network.recover_node("relay")
         engine.run_until(15.0)
-        assert "relay" not in mecho.suspected
+        assert not mecho.relay_silent
         assert "relay" not in suspected(channels["m0"])
-        network.reset_stats()
-        collector_of(channels["m0"]).send_text("via-relay-again")
-        engine.run_until(16.0)
-        assert network.stats_of("m0").sent_data == 1
+        assert group_send_transmissions(network, engine, channels["m0"],
+                                        "via-relay-again") == 1
+
+    def test_probe_never_clears_the_detectors_suspicion(self):
+        """A relay the detector suspects stays bypassed while it keeps
+        talking on another channel: fresh evidence of it ends the probe's
+        silence, and only an UnsuspectEvent ends the suspicion."""
+        engine, network, channels = hybrid_detectors(with_ctrl=True)
+        engine.run_until(2.0)
+        data = channels["m0"]
+        data.session_named("heartbeat").send_down(SuspectEvent("relay"),
+                                                  channel=data)
+        engine.run_until(2.0 + 10 * 3.0)
+        assert not data.session_named("mecho").relay_silent
+        assert group_send_transmissions(network, engine, data,
+                                        "still-direct") == 2
+        data.session_named("heartbeat").send_down(UnsuspectEvent("relay"),
+                                                  channel=data)
+        engine.run_until(engine.now() + 0.1)
+        assert group_send_transmissions(network, engine, data,
+                                        "via-relay") == 1
