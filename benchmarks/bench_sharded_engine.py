@@ -1,12 +1,12 @@
-"""Sharded-engine benchmark: scale past the single-engine ceiling.
+"""Segmented-run benchmark: scale past the single-engine ceiling.
 
-Measures the four quantities the per-segment event-loop work targets:
+Measures the three quantities the per-segment event-loop work targets:
 
 * **flat vs segmented** — the same node population as one flat membership
   group on one engine versus disjoint segments with per-segment engines.
   Group traffic is quadratic in group size, so segmenting a segmentable
-  world is a near-linear algorithmic win at equal population — the
-  cross-segment-light case the shard plan exists for.
+  world is a near-linear algorithmic win at equal population — the case
+  segmented runs exist for.
 * **worker scaling** — a >=1,000-node segmented churn sweep run through
   ``run_segments_parallel`` at 1/2/4 worker processes.  Results are
   byte-identical at every worker count (the determinism gate); only the
@@ -14,16 +14,9 @@ Measures the four quantities the per-segment event-loop work targets:
   ``cpu_count`` is recorded next to the measured speedup, because on a
   single-core host the speedup is necessarily ~1x while the aggregate
   simulation throughput is unchanged.
-* **lookahead crossover** — the in-process facade run with progressively
-  smaller conservative lookahead bounds.  Cross-shard chatter is what
-  forces a finite lookahead; each lookahead chunk costs a window
-  synchronization per shard, so shrinking the bound grows the sync
-  overhead until it eats the parallel win.  The sweep records the
-  measured slowdown versus the sequential engine — the crossover is the
-  lookahead below which sharding cannot pay for itself.
-* **parity** — sequential engine, sharded facade (shard counts 1/2/4)
-  and per-segment worker processes must agree on the composition
-  projection (every node-scoped observable).  Asserted, not sampled.
+* **parity** — the composition on one sequential engine and the
+  per-segment worker processes must agree on the composition projection
+  (every node-scoped observable).  Asserted, not sampled.
 
 Usage::
 
@@ -46,8 +39,6 @@ from repro.scenarios.runner import run_scenario
 from repro.scenarios.sharded import (ShardedScenarioRunner,
                                      merge_solo_results, projection,
                                      run_segments_parallel)
-from repro.simnet.engine import SimEngine
-from repro.simnet.shard import ShardPlan, ShardedSimEngine
 
 SEED = 0
 
@@ -110,73 +101,19 @@ def bench_worker_scaling(total: int, group_size: int,
     return rows
 
 
-# -- lookahead crossover: where sync overhead eats the win --------------------
-
-def bench_lookahead_crossover(segment_count: int, group_size: int,
-                              lookaheads) -> dict:
-    segments = build_churn_segments(segment_count * group_size,
-                                    group_size=group_size)
-    groups = tuple(frozenset(spec.node_id for spec in segment.nodes)
-                   for segment in segments)
-    _, sequential_wall = _wall(
-        lambda: ShardedScenarioRunner(segments, seed=SEED,
-                                      engine_factory=SimEngine).run())
-    rows = []
-    for lookahead in lookaheads:
-        if lookahead is None:  # disjoint plan: no links, infinite bound
-            plan = ShardPlan(groups)
-        else:
-            # A synthetic cross link per adjacent group pair at the
-            # given latency: models the chatter that bounds lookahead.
-            links = [(index, index + 1, lookahead)
-                     for index in range(len(groups) - 1)]
-            plan = ShardPlan(groups, links=links)
-        engine_holder = {}
-
-        def build():
-            engine = ShardedSimEngine(plan=plan)
-            engine_holder["engine"] = engine
-            return engine
-
-        _, wall = _wall(
-            lambda: ShardedScenarioRunner(segments, seed=SEED,
-                                          engine_factory=build).run())
-        engine = engine_holder["engine"]
-        rows.append({
-            "lookahead_s": lookahead if lookahead is not None else "inf",
-            "wall_s": round(wall, 3),
-            "windows": engine.windows,
-            "barriers": engine.barriers,
-            "slowdown_vs_sequential": round(wall / sequential_wall, 2),
-        })
-    return {
-        "nodes": segment_count * group_size,
-        "segments": segment_count,
-        "sequential_wall_s": round(sequential_wall, 3),
-        "sweep": rows,
-    }
-
-
 # -- parity gate --------------------------------------------------------------
 
 def check_parity(segment_count: int, group_size: int) -> dict:
     segments = build_churn_segments(segment_count * group_size,
                                     group_size=group_size)
-    sequential = ShardedScenarioRunner(segments, seed=SEED,
-                                       engine_factory=SimEngine).run()
+    sequential = ShardedScenarioRunner(segments, seed=SEED).run()
     expected = projection(sequential)
-    for shards in (1, 2, 4):
-        sharded = ShardedScenarioRunner(segments, seed=SEED,
-                                        shards=shards).run()
-        assert projection(sharded) == expected, \
-            f"sharded facade (shards={shards}) diverged from sequential"
     solo = run_segments_parallel(segments, seed=SEED, workers=2)
     assert merge_solo_results(solo) == expected, \
         "worker processes diverged from sequential"
     return {
         "nodes": segment_count * group_size,
-        "modes": ["sequential", "facade-1", "facade-2", "facade-4",
-                  "workers-2"],
+        "modes": ["sequential", "workers-2"],
         "identical": True,
         "delivered": sequential.delivered_packets,
     }
@@ -194,15 +131,11 @@ def main(argv=None) -> None:
         flat_total, flat_group = 40, 10
         scale_total, scale_group = 200, 10
         worker_counts = (1, 2)
-        crossover_segments, crossover_group = 3, 10
-        lookaheads = (None, 0.25)
         parity_segments, parity_group = 3, 10
     else:
         flat_total, flat_group = 100, 50
         scale_total, scale_group = 1000, 50
         worker_counts = (1, 2, 4)
-        crossover_segments, crossover_group = 6, 20
-        lookaheads = (None, 0.5, 0.05, 0.01)
         parity_segments, parity_group = 3, 20
 
     mode = "smoke" if args.smoke else "full"
@@ -214,29 +147,22 @@ def main(argv=None) -> None:
             "worker speedup is bounded by physical cores: on a "
             "single-core host it stays ~1x while per-worker results stay "
             "byte-identical; flat_vs_segmented is the core-independent "
-            "algorithmic win (group traffic is quadratic in group size); "
-            "lookahead_crossover charges the conservative-sync cost that "
-            "cross-shard chatter would impose."),
+            "algorithmic win (group traffic is quadratic in group size)."),
     }
 
-    print(f"[1/4] parity gate ({parity_segments}x{parity_group} nodes)...",
+    print(f"[1/3] parity gate ({parity_segments}x{parity_group} nodes)...",
           flush=True)
     report["parity"] = check_parity(parity_segments, parity_group)
 
-    print(f"[2/4] flat vs segmented ({flat_total} nodes)...", flush=True)
+    print(f"[2/3] flat vs segmented ({flat_total} nodes)...", flush=True)
     report["flat_vs_segmented"] = bench_flat_vs_segmented(flat_total,
                                                           flat_group)
 
-    print(f"[3/4] worker scaling ({scale_total} nodes, "
+    print(f"[3/3] worker scaling ({scale_total} nodes, "
           f"workers {worker_counts})...", flush=True)
     report["worker_scaling"] = bench_worker_scaling(scale_total,
                                                     scale_group,
                                                     worker_counts)
-
-    print(f"[4/4] lookahead crossover "
-          f"({crossover_segments}x{crossover_group} nodes)...", flush=True)
-    report["lookahead_crossover"] = bench_lookahead_crossover(
-        crossover_segments, crossover_group, lookaheads)
 
     text = json.dumps(report, indent=1, sort_keys=True)
     print(text)

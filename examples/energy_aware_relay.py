@@ -5,9 +5,8 @@ The paper (§1, citing Wieselthier et al.) argues that *"when all
 participants execute in mobile devices, one can use information about the
 available battery at each device to increase the lifetime of the
 network"*.  Here four PDAs with heterogeneous batteries chat continuously;
-:class:`ThresholdBatteryRotationPolicy` keeps moving the Mecho relay to the
-fullest battery, and the run is compared against pinning the relay
-statically.
+the ``battery_rotation`` rule keeps moving the Mecho relay to the fullest
+battery, and the run is compared against pinning the relay statically.
 
 Run with: ``python examples/energy_aware_relay.py``
 """

@@ -7,16 +7,18 @@ preferable to detect and recover (using retransmissions) while for larger
 error rates it is preferable to mask the errors"*.
 
 A mobile sender chats through a wireless link whose loss rate degrades
-mid-run (interference) and later recovers.  :class:`LossAdaptivePolicy`
-watches the ``link_quality`` attribute Cocaditem disseminates and swaps the
-data stack between the ARQ configuration and the FEC configuration.
+mid-run (interference) and later recovers.  A one-rule policy, the
+``loss_adaptive`` rule, watches the ``link_quality`` attribute Cocaditem
+disseminates and swaps the data stack between the ARQ configuration and
+the FEC configuration.
 
 Run with: ``python examples/error_adaptive_fec.py``
 """
 
 import random
 
-from repro.core import LossAdaptivePolicy, build_morpheus_group
+from repro.core import build_morpheus_group, engine_from_spec
+from repro.kernel.xml_config import PolicySpec, RuleSpec
 from repro.simnet import BernoulliLoss, LinkParams, Network, SimEngine
 
 
@@ -29,8 +31,10 @@ def main() -> None:
     for index in range(3):
         network.add_fixed_node(f"fixed-{index}")
 
-    policy = LossAdaptivePolicy(threshold=0.08, k=8, m=2,
-                                stack_options={"heartbeat_interval": 5.0})
+    policy = engine_from_spec(
+        PolicySpec("error_recovery", (RuleSpec(
+            "loss_adaptive", {"threshold": 0.08, "k": 8, "m": 2}),)),
+        stack_options={"heartbeat_interval": 5.0})
     nodes = build_morpheus_group(network, policy=policy,
                                  publish_interval=2.0, evaluate_interval=2.0)
     sender = nodes["mobile-0"]

@@ -10,13 +10,11 @@ from repro.core.core_layer import CoreLayer, CoreSession
 from repro.core.local_module import LocalModule
 from repro.core.morpheus import (MorpheusNode, PlainNode,
                                  build_morpheus_group, build_plain_group)
-from repro.core.policy import (CompositePolicy, ContextDirectory,
-                               HybridMechoPolicy, LossAdaptivePolicy, Policy,
-                               ReconfigurationPlan, StaticPolicy,
-                               ThresholdBatteryRotationPolicy,
-                               best_battery_relay, lowest_id_relay)
+from repro.core.policy import (ContextDirectory, Policy, ReconfigurationPlan,
+                               StaticPolicy, best_battery_relay,
+                               lowest_id_relay)
 from repro.core.rules import (AdaptationGovernor, GovernorConfig,
-                              PolicyEngine, PolicyRule, Rule, RuleContext,
+                              PolicyEngine, Rule, RuleContext, build_rule,
                               compose_with_defaults, engine_from_spec,
                               load_policy, register_rule, rule_names)
 from repro.core.templates import (APP_LABEL, COCADITEM_LABEL, CORE_LABEL,
@@ -28,10 +26,11 @@ from repro.core.templates import (APP_LABEL, COCADITEM_LABEL, CORE_LABEL,
 __all__ = [
     "CoreLayer", "CoreSession", "LocalModule",
     "MorpheusNode", "PlainNode", "build_morpheus_group", "build_plain_group",
-    "CompositePolicy", "ContextDirectory", "HybridMechoPolicy",
-    "LossAdaptivePolicy", "Policy", "ReconfigurationPlan", "StaticPolicy",
-    "ThresholdBatteryRotationPolicy", "best_battery_relay",
-    "lowest_id_relay",
+    "ContextDirectory", "Policy", "ReconfigurationPlan", "StaticPolicy",
+    "best_battery_relay", "lowest_id_relay",
+    "AdaptationGovernor", "GovernorConfig", "PolicyEngine", "Rule",
+    "RuleContext", "build_rule", "compose_with_defaults",
+    "engine_from_spec", "load_policy", "register_rule", "rule_names",
     "APP_LABEL", "COCADITEM_LABEL", "CORE_LABEL", "TRANSPORT_LABEL",
     "VIEWSYNC_LABEL", "control_template", "fec_data_template",
     "mecho_data_template", "patch_for_view", "plain_data_template",

@@ -25,7 +25,8 @@ from repro.context.pubsub import TopicBus
 from repro.context.retrievers import ContextRetriever
 from repro.core.core_layer import CoreSession
 from repro.core.local_module import LocalModule
-from repro.core.policy import ContextDirectory, HybridMechoPolicy, Policy
+from repro.core.policy import ContextDirectory, Policy
+from repro.core.rules import HybridMechoRule, PolicyEngine
 from repro.core.templates import (APP_LABEL, TRANSPORT_LABEL,
                                   control_template, plain_data_template)
 from repro.kernel.channel import Channel, ChannelState
@@ -45,8 +46,8 @@ class MorpheusNode:
         node_id: this device's identifier.
         group_members: bootstrap membership of both the control and the
             data group (the paper's prototype uses the same set).
-        policy: reconfiguration policy; defaults to the paper's
-            :class:`HybridMechoPolicy`.
+        policy: reconfiguration policy; defaults to an engine running the
+            paper's ``hybrid_mecho`` rule.
         data_template: initial data-channel configuration; defaults to the
             plain (non-adaptive) stack, which Core then adapts.
         ordering: optional ordering layers for the data stack
@@ -128,8 +129,8 @@ class MorpheusNode:
         self.cocaditem = cocaditem
         core = self.control_channel.session_named("core")
         assert isinstance(core, CoreSession)
-        self.policy = policy if policy is not None else HybridMechoPolicy(
-            stack_options=stack_options)
+        self.policy = policy if policy is not None else PolicyEngine(
+            (HybridMechoRule(stack_options=stack_options),))
         # A joiner's initial data channel is a singleton group: the Core
         # coordinator redeploys everyone (joiner included) with the grown
         # membership once the control channel admits it.

@@ -5,117 +5,28 @@ information in order to select the more adequate configuration"*, applying
 **global** optimization policies — the paper's argument for keeping
 adaptation logic out of the protocols themselves (§2).
 
-Since the declarative rewrite the real machinery lives in
-:mod:`repro.core.rules`: policies are ordered rule lists evaluated by a
-:class:`~repro.core.rules.engine.PolicyEngine`, with hysteresis state
-owned by the engine per group and an optional
+The machinery lives in :mod:`repro.core.rules`: a policy is an ordered
+rule list evaluated by a :class:`~repro.core.rules.engine.PolicyEngine`,
+with hysteresis state owned by the engine per group and an optional
 :class:`~repro.core.rules.governor.AdaptationGovernor` rate-limiting
-reconfiguration.  The classes below are the legacy names, kept as thin
-shims: each is a one-rule (or adapter) engine producing bit-identical
-plans to its hand-written predecessor, ungoverned by default.
+reconfiguration.  The paper's policies are the registered rules
+``hybrid_mecho``, ``battery_rotation`` and ``loss_adaptive``; this module
+keeps the plan vocabulary and :class:`StaticPolicy`, the one policy that
+is not a rule list.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from repro.core.rules.builtin import (BatteryRotationRule, HybridMechoRule,
-                                      LossAdaptiveRule)
-from repro.core.rules.engine import PolicyEngine, PolicyRule
-from repro.core.rules.governor import AdaptationGovernor
 from repro.core.rules.plan import (ContextDirectory, Policy,
                                    ReconfigurationPlan, best_battery_relay,
                                    lowest_id_relay)
 
 __all__ = [
     "ContextDirectory", "ReconfigurationPlan", "Policy",
-    "lowest_id_relay", "best_battery_relay",
-    "HybridMechoPolicy", "ThresholdBatteryRotationPolicy",
-    "LossAdaptivePolicy", "CompositePolicy", "StaticPolicy",
+    "lowest_id_relay", "best_battery_relay", "StaticPolicy",
 ]
-
-
-class HybridMechoPolicy(PolicyEngine):
-    """The paper's demonstration policy (§3.4, §4) — engine shim.
-
-    *Hybrid* membership (fixed + mobile devices) → deploy Mecho: wired mode
-    on fixed nodes, wireless mode with a selected fixed relay on mobile
-    nodes.  *Homogeneous* membership → deploy the plain configuration.
-
-    Args:
-        relay_selector: picks the relay among fixed members (defaults to the
-            deterministic lowest id; pass :func:`best_battery_relay` or the
-            string ``"best_battery"`` for the energy-aware variant).
-        stack_options: keyword arguments forwarded to the template builders
-            (ordering, heartbeat/nack intervals, app layer).
-        governor: optional adaptation governor (ungoverned by default, so
-            plans match the pre-engine policy bit for bit).
-    """
-
-    def __init__(self, relay_selector: Union[str, Callable] = lowest_id_relay,
-                 stack_options: Optional[dict] = None,
-                 governor: Optional[AdaptationGovernor] = None) -> None:
-        super().__init__(
-            (HybridMechoRule(relay_selector=relay_selector,
-                             stack_options=stack_options),),
-            governor=governor)
-
-
-class ThresholdBatteryRotationPolicy(PolicyEngine):
-    """Energy-aware extension: rotate the relay to the fullest battery.
-
-    For all-mobile groups (ad hoc scenario) this keeps the relay burden —
-    and hence battery drain — balanced, extending the time until the first
-    device dies (the network-lifetime metric of [20]).  A new plan is only
-    produced when the current relay's battery trails the best candidate by
-    more than ``hysteresis`` (avoiding reconfiguration thrash).  The
-    relay memory is engine-owned and per-group — the former per-instance
-    ``_current_relay`` attribute leaked across group reuse.
-    """
-
-    def __init__(self, hysteresis: float = 0.08,
-                 stack_options: Optional[dict] = None,
-                 governor: Optional[AdaptationGovernor] = None) -> None:
-        super().__init__(
-            (BatteryRotationRule(hysteresis=hysteresis,
-                                 stack_options=stack_options),),
-            governor=governor)
-
-
-class LossAdaptivePolicy(PolicyEngine):
-    """Error-recovery adaptation (§2): ARQ at low loss, FEC at high loss.
-
-    *"For small error rates it is preferable to detect and recover (using
-    retransmissions) while for larger error rates it is preferable to mask
-    the errors (using forward error recovery techniques)."*  The decision
-    attribute is the disseminated ``link_quality`` (loss probability) of the
-    worst member link; hysteresis prevents flapping around the threshold.
-    The FEC on/off memory is engine-owned and per-group — the former
-    per-instance ``_fec_active`` attribute leaked across group reuse.
-    """
-
-    def __init__(self, threshold: float = 0.08, hysteresis: float = 0.02,
-                 k: int = 8, m: int = 2,
-                 stack_options: Optional[dict] = None,
-                 governor: Optional[AdaptationGovernor] = None) -> None:
-        super().__init__(
-            (LossAdaptiveRule(threshold=threshold, hysteresis=hysteresis,
-                              k=k, m=m, stack_options=stack_options),),
-            governor=governor)
-
-
-class CompositePolicy(PolicyEngine):
-    """First-match combination of policies (global policy layering).
-
-    Each sub-policy rides the engine as an adapter rule; evaluation order
-    is argument order and the first plan wins, exactly as before.
-    """
-
-    def __init__(self, *policies: Policy,
-                 governor: Optional[AdaptationGovernor] = None) -> None:
-        self.policies = policies
-        super().__init__(tuple(PolicyRule(policy) for policy in policies),
-                         governor=governor)
 
 
 class StaticPolicy:

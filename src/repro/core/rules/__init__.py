@@ -14,7 +14,7 @@ from repro.core.rules.builtin import (BatteryRotationRule, HybridMechoRule,
 from repro.core.rules.config import (DEFAULT_RULE_SPECS,
                                      compose_with_defaults, engine_from_spec,
                                      governor_from_params, load_policy)
-from repro.core.rules.engine import PolicyEngine, PolicyRule
+from repro.core.rules.engine import PolicyEngine
 from repro.core.rules.governor import (AdaptationGovernor, GovernorConfig,
                                        GovernorState)
 from repro.core.rules.plan import (RELAY_SELECTORS, ContextDirectory, Policy,
@@ -27,7 +27,7 @@ __all__ = [
     "BatteryRotationRule", "HybridMechoRule", "LossAdaptiveRule", "PlainRule",
     "DEFAULT_RULE_SPECS", "compose_with_defaults", "engine_from_spec",
     "governor_from_params", "load_policy",
-    "PolicyEngine", "PolicyRule",
+    "PolicyEngine",
     "AdaptationGovernor", "GovernorConfig", "GovernorState",
     "ContextDirectory", "Policy", "ReconfigurationPlan", "RELAY_SELECTORS",
     "best_battery_relay", "lowest_id_relay",

@@ -1,11 +1,11 @@
 """Built-in adaptation rules: the paper's policies as declarative data.
 
-Each rule reproduces one legacy policy class decision-for-decision (the
-legacy names in :mod:`repro.core.policy` are now shims over these).  The
-important structural change: hysteresis memory and the current relay
-choice live in ``ctx.state`` — engine-owned, per-group — instead of on
-the rule instance, so reusing one rule (or one engine) across groups can
-no longer leak decisions between them.
+Each rule is one of the paper's policies; a scenario's ``policy`` name
+maps to one of them (``hybrid`` → ``hybrid_mecho``, ``rotating`` →
+``battery_rotation``, ``loss_adaptive`` → ``loss_adaptive``).  Hysteresis
+memory and the current relay choice live in ``ctx.state`` — engine-owned,
+per-group — not on the rule instance, so reusing one rule (or one engine)
+across groups cannot leak decisions between them.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The policy engine: ordered rules, per-group state, governed output.
 
-A :class:`PolicyEngine` is itself a valid legacy ``Policy`` — its
-``decide`` accepts the classic ``(directory, members)`` call — but the
+A :class:`PolicyEngine` satisfies the ``Policy`` protocol — its
+``decide`` accepts the plain ``(directory, members)`` call — but the
 core layer passes two extra keywords when available: ``now`` (simulated
 time, for governor windows) and ``group`` (so one engine instance can
 serve many groups without decisions bleeding between them).  Rules are
@@ -10,9 +10,8 @@ whether acting on that plan is admissible right now.
 
 Decision state discipline: every rule gets a private per-(group, rule)
 dict through :class:`~repro.core.rules.base.RuleContext`, created lazily
-and owned here.  This is the fix for the legacy policies' per-instance
-``_current_relay``/``_fec_active`` attributes, which leaked hysteresis
-across group reuse.
+and owned here, so reusing one rule (or one engine) across groups
+cannot leak hysteresis between them.
 """
 
 from __future__ import annotations
@@ -97,19 +96,3 @@ class PolicyEngine:
             return None
         return plan
 
-
-class PolicyRule:
-    """Adapter: wrap a legacy ``Policy`` object as a rule.
-
-    Lets hand-written policies ride inside an engine (and powers the
-    ``CompositePolicy`` shim).  The wrapped policy keeps its own state
-    conventions — the adapter adds nothing.
-    """
-
-    rule_name = "policy_adapter"
-
-    def __init__(self, policy: Policy) -> None:
-        self.policy = policy
-
-    def evaluate(self, ctx: RuleContext) -> Optional[ReconfigurationPlan]:
-        return self.policy.decide(ctx.directory, ctx.members)

@@ -1,10 +1,8 @@
 """Context directory, reconfiguration plans and relay selectors.
 
 The data model every policy — rule-based or hand-written — works with.
-Historically these lived in :mod:`repro.core.policy`; they moved here so
-the rule engine and the legacy policy shims can share them without a
-circular import.  :mod:`repro.core.policy` re-exports everything for
-backwards compatibility.
+It lives here, below the rules, so the rule engine can use it without a
+circular import; :mod:`repro.core.policy` re-exports it.
 """
 
 from __future__ import annotations

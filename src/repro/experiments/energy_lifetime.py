@@ -7,7 +7,7 @@ network."*  This experiment realizes that claim with the Morpheus stack:
 * **plain** — every node multicasts as ``n−1`` point-to-point sends;
 * **static relay** — Mecho with a fixed relay (deterministic lowest id),
   concentrating the forwarding burden on one battery;
-* **rotating relay** — :class:`ThresholdBatteryRotationPolicy`: Cocaditem
+* **rotating relay** — the ``battery_rotation`` rule: Cocaditem
   disseminates battery levels and Core re-selects the relay as batteries
   drain.
 
@@ -26,10 +26,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.morpheus import build_morpheus_group
-from repro.core.policy import (ReconfigurationPlan, StaticPolicy,
-                               ThresholdBatteryRotationPolicy)
+from repro.core.policy import ReconfigurationPlan, StaticPolicy
+from repro.core.rules import engine_from_spec
 from repro.core.templates import mecho_data_template
 from repro.experiments.report import format_table
+from repro.kernel.xml_config import PolicySpec, RuleSpec
 from repro.simnet.energy import Battery
 from repro.simnet.engine import SimEngine
 from repro.simnet.network import Network
@@ -59,7 +60,7 @@ def _build(strategy: str, num_nodes: int, capacity_mj: float, seed: int):
             capacity_mj=capacity_mj * fraction))
     stack_options = {"heartbeat_interval": 10.0}
     if strategy == "plain":
-        policy = None  # HybridMechoPolicy sees a homogeneous group: plain
+        policy = None  # hybrid_mecho sees a homogeneous group: plain
     elif strategy == "static":
         relay = member_ids[0]
         plan = ReconfigurationPlan(name=f"static:relay={relay}")
@@ -69,8 +70,10 @@ def _build(strategy: str, num_nodes: int, capacity_mj: float, seed: int):
                 member_ids, mode=mode, relay=relay, **stack_options)
         policy = StaticPolicy(plan)
     else:
-        policy = ThresholdBatteryRotationPolicy(
-            hysteresis=0.05, stack_options=stack_options)
+        policy = engine_from_spec(
+            PolicySpec("rotating", (RuleSpec("battery_rotation",
+                                             {"hysteresis": 0.05}),)),
+            stack_options=stack_options)
     nodes = build_morpheus_group(
         network, policy=policy, publish_interval=5.0, evaluate_interval=5.0,
         heartbeat_interval=10.0)

@@ -116,8 +116,7 @@ def build_churn_segments(total_nodes: int, group_size: int = 50,
                          messages: int = 40) -> list:
     """Segment a ``total_nodes`` population into disjoint churn-storm
     groups of ``group_size`` members each (id-relabelled copies of the
-    canned scenario), the cross-segment-light topology the sharded
-    engine targets."""
+    canned scenario), the disjoint topology segmented runs target."""
     from repro.scenarios.sharded import relabel_scenario
     count = max(1, total_nodes // group_size)
     template = canned("churn_storm", members=group_size,

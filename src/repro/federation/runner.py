@@ -99,12 +99,11 @@ class FederationRunner(ScenarioRunner):
 
     def __init__(self, scenario: Scenario, seed: int = 0,
                  engine_factory=SimEngine,
-                 invariants: Sequence[InvariantCheck] = (),
-                 batched: bool = True) -> None:
+                 invariants: Sequence[InvariantCheck] = ()) -> None:
         merged = tuple(invariants) + tuple(
             check for check in FED_ALWAYS_ON if check not in invariants)
         super().__init__(scenario, seed=seed, engine_factory=engine_factory,
-                         invariants=merged, batched=batched)
+                         invariants=merged)
         #: Cell → roster bookkeeping for the whole run.
         self.cells = CellDirectory()
         params = dict(scenario.governor)

@@ -4,8 +4,7 @@ At the wire boundary (:meth:`~repro.kernel.message.Message.wire_copy`, used
 by the transport on every send) a payload is frozen into a compact byte
 string instead of the object-graph snapshot the pre-codec path rebuilt per
 transmission.  The encoding is the seam the ROADMAP's real-transport
-backend needs (a socket needs real framing) and what a sharded engine
-would ship across shards.
+backend needs (a socket needs real framing).
 
 Wire format — one tagged value, recursively::
 

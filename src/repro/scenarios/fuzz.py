@@ -29,9 +29,6 @@ The invariants (installed through the
   (:class:`~repro.simnet.engine.HeapSimEngine`) and the two
   :class:`~repro.scenarios.runner.ScenarioResult` records must compare
   equal (the timer wheel batches expiry, it must never reorder it).
-  Flat scenarios on the same sample are also replayed on the sharded
-  facade (:class:`~repro.simnet.shard.ShardedSimEngine`, two shards) —
-  single-group sharded runs must be byte-identical to sequential ones.
 
 Everything is deterministic: one ``(seed, index, mix)`` triple fully
 determines the generated scenario *and* its run seed, so a fuzz failure
@@ -53,7 +50,6 @@ from repro.scenarios.scenario import (ChatBurst, Crash, Handoff, Heal, Leave,
                                       ScenarioEvent, SetLoss, SplitCell,
                                       bernoulli, gilbert_elliott)
 from repro.simnet.engine import HeapSimEngine
-from repro.simnet.shard import ShardedSimEngine
 
 #: Concrete event types of the grammar, by class name (serialization).
 EVENT_TYPES = {cls.__name__: cls for cls in
@@ -571,21 +567,6 @@ def fuzz_oracle(scenario: Scenario, run_seed: int,
         if heap != result:
             return ["engine-parity: wheel and heap engines diverged on "
                     "the same scenario"]
-        if scenario.cells == 0:
-            # Flat scenarios must be byte-identical on the sharded
-            # facade: one shard group shares the control engine's
-            # sequence stream, so even engine_events must agree.
-            # (Federated runs own their engines per cell — skip.)
-            try:
-                sharded = run_scenario(
-                    scenario, seed=run_seed,
-                    engine_factory=lambda: ShardedSimEngine(shards=2))
-            except InvariantViolation:
-                return ["sharded-parity: sharded facade diverged from "
-                        "the sequential engine"]
-            if sharded != result:
-                return ["sharded-parity: sharded facade diverged from "
-                        "the sequential engine"]
     return []
 
 

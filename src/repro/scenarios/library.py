@@ -78,7 +78,7 @@ def degrading_channel_fec(*, messages: int = 200, degrade_at: float = 25.0,
                           duration_s: float = 90.0) -> Scenario:
     """Interference degrades the cell across the ARQ→FEC crossover.
 
-    Runs the :class:`~repro.core.policy.LossAdaptivePolicy`: the swapped
+    Runs the ``loss_adaptive`` policy (the rule of that name): the swapped
     loss model moves the disseminated ``link_quality`` attribute over the
     threshold, FEC deploys, and the clearing channel brings ARQ back.
     """
@@ -171,8 +171,7 @@ def energy_rotation(*, messages: int = 100, duration_s: float = 75.0,
                     joiner_battery: float = 330.0) -> Scenario:
     """An all-mobile ad hoc cell on battery power, rotating the relay.
 
-    Runs the ``rotating`` policy
-    (:class:`~repro.core.policy.ThresholdBatteryRotationPolicy`): relaying
+    Runs the ``rotating`` policy (the ``battery_rotation`` rule): relaying
     costs the most energy, so the current relay's disseminated ``battery``
     attribute sinks fastest; once it trails the fullest device by the
     hysteresis gap the coordinator hands the relay role over — the

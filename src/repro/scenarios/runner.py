@@ -34,14 +34,13 @@ from repro.core.morpheus import MorpheusNode
 from repro.kernel.group import scoped_name
 from repro.simnet.energy import Battery
 from repro.core.rules import (PolicyEngine, build_rule, governor_from_params)
-from repro.core.policy import (HybridMechoPolicy, LossAdaptivePolicy, Policy,
-                               ThresholdBatteryRotationPolicy)
 from repro.simnet.engine import SimEngine
 from repro.simnet.loss import BernoulliLoss, GilbertElliottLoss, LossModel, NoLoss
 from repro.simnet.network import LinkParams, Network, TopologyChange
 from repro.simnet.node import NodeKind
-from repro.scenarios.scenario import (ChatBurst, Crash, Handoff, Heal, Leave,
-                                      LinkSpec, Partition, Recover, Scenario,
+from repro.scenarios.scenario import (POLICY_RULES, ChatBurst, Crash,
+                                      Handoff, Heal, Leave, LinkSpec,
+                                      Partition, Recover, Scenario,
                                       ScenarioEvent, SetLoss)
 
 
@@ -53,7 +52,7 @@ def build_loss_model(spec: LinkSpec, rng: random.Random,
     :mod:`repro.simnet.loss`): the simulated network spawns one stream per
     sending node, keyed only by seed/segment/sender — deliberately *not*
     by scenario name — so a node's loss draws are identical whether its
-    segment runs solo, combined in one engine, or on a shard.
+    segment runs solo or combined with other segments in one engine.
     """
     params = spec.as_dict()
     if spec.model == "bernoulli":
@@ -169,17 +168,12 @@ class ScenarioRunner:
 
     def __init__(self, scenario: Scenario, seed: int = 0,
                  engine_factory=SimEngine,
-                 invariants: Sequence[InvariantCheck] = (),
-                 batched: bool = True) -> None:
+                 invariants: Sequence[InvariantCheck] = ()) -> None:
         scenario.validate()
         self.scenario = scenario
         self.seed = seed
         self.engine_factory = engine_factory
         self.invariants = tuple(invariants)
-        #: Same-slot delivery batching; ``False`` is the one-engine-event-
-        #: per-delivery escape hatch the batching parity tests compare
-        #: against (histories must be byte-identical either way).
-        self.batched = batched
         self.engine = None
         self.network: Optional[Network] = None
         self.morpheus: dict[str, MorpheusNode] = {}
@@ -205,8 +199,7 @@ class ScenarioRunner:
                               loss=loss)
         return LinkParams(latency_s=0.002, bandwidth_bps=11e6, loss=loss)
 
-    def _make_policy(self, group: str = "") -> Policy:
-        options = dict(self.scenario.policy_options)
+    def _make_policy(self, group: str = "") -> PolicyEngine:
         stack_options = {
             "heartbeat_interval": self.scenario.heartbeat_interval,
             "nack_interval": self.scenario.nack_interval,
@@ -217,21 +210,20 @@ class ScenarioRunner:
             # keys the suite epoch by the cell's scoped data-group id.
             stack_options["group"] = scoped_name("data", group)
             stack_options["app_params"] = self._app_params()
-        if self.scenario.rules:
-            # Declarative rule set (the policy-fuzz path): resolve every
-            # rule against the registry and govern the engine when the
-            # scenario drew governor parameters.
-            rules = tuple(build_rule(name, dict(params), stack_options)
-                          for name, params in self.scenario.rules)
-            return PolicyEngine(
-                rules,
-                governor=governor_from_params(dict(self.scenario.governor)))
-        if self.scenario.policy == "loss_adaptive":
-            return LossAdaptivePolicy(stack_options=stack_options, **options)
-        if self.scenario.policy == "rotating":
-            return ThresholdBatteryRotationPolicy(
-                stack_options=stack_options, **options)
-        return HybridMechoPolicy(stack_options=stack_options, **options)
+        # A declarative rule set (the policy-fuzz path) runs as drawn,
+        # governed by the scenario's governor parameters; otherwise the
+        # named policy is one rule, tuned by the policy options, and
+        # ungoverned (a federated scenario spends its governor parameters
+        # on cell reshapes).  Either way every rule resolves against the
+        # registry.
+        scenario = self.scenario
+        rules = scenario.rules or (
+            (POLICY_RULES[scenario.policy], scenario.policy_options),)
+        governor = governor_from_params(dict(scenario.governor)) \
+            if scenario.rules else None
+        return PolicyEngine(tuple(build_rule(name, dict(params), stack_options)
+                                  for name, params in rules),
+                            governor=governor)
 
     def _build_network(self):
         """Backend hook: construct the run's network on ``self.engine``.
@@ -245,8 +237,7 @@ class ScenarioRunner:
         return Network(
             self.engine, seed=self.seed,
             wired=self._link(scenario.wired, "wired"),
-            wireless=self._link(scenario.wireless, "wireless"),
-            batched=self.batched)
+            wireless=self._link(scenario.wireless, "wireless"))
 
     def _add_node(self, spec) -> None:
         assert self.network is not None
@@ -449,7 +440,7 @@ class ScenarioRunner:
 def run_scenario(scenario: Scenario, seed: int = 0,
                  engine_factory=SimEngine,
                  invariants: Sequence[InvariantCheck] = (),
-                 batched: bool = True, backend: str = "sim",
+                 backend: str = "sim",
                  **live_options) -> ScenarioResult:
     """One-call convenience: build a runner and execute the scenario.
 
@@ -471,7 +462,6 @@ def run_scenario(scenario: Scenario, seed: int = 0,
         from repro.federation.runner import FederationRunner
         return FederationRunner(scenario, seed=seed,
                                 engine_factory=engine_factory,
-                                invariants=invariants,
-                                batched=batched).run()
+                                invariants=invariants).run()
     return ScenarioRunner(scenario, seed=seed, engine_factory=engine_factory,
-                          invariants=invariants, batched=batched).run()
+                          invariants=invariants).run()

@@ -24,7 +24,10 @@ from typing import Optional
 VALID_KINDS = ("fixed", "mobile")
 VALID_SEGMENTS = ("wired", "wireless")
 VALID_LOSS_MODELS = ("none", "bernoulli", "gilbert_elliott")
-VALID_POLICIES = ("hybrid", "loss_adaptive", "rotating")
+#: Each named policy is one registered rule (see :mod:`repro.core.rules`).
+POLICY_RULES = {"hybrid": "hybrid_mecho", "loss_adaptive": "loss_adaptive",
+                "rotating": "battery_rotation"}
+VALID_POLICIES = tuple(POLICY_RULES)
 VALID_ORDERINGS = ("causal", "total")
 
 

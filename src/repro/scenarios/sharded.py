@@ -1,32 +1,26 @@
-"""Multi-segment scenario composition over the sharded engine.
+"""Multi-segment scenario composition: one engine, or worker processes.
 
 A *segment* is an ordinary :class:`~repro.scenarios.scenario.Scenario`
 whose node population is disjoint from every other segment's — its own
 membership group, its own workload, its own churn schedule.  This module
-composes N segments into one simulated world three interchangeable ways:
+composes N segments into one simulated world two interchangeable ways:
 
-* **sequential** — every segment on one plain ``SimEngine``
-  (:class:`ShardedScenarioRunner` with ``engine_factory=SimEngine``);
-* **sharded in-process** — the same runner over a
-  :class:`~repro.simnet.shard.ShardedSimEngine` facade with one shard
-  group per segment (conservative windows between control barriers);
+* **sequential** — every segment on one engine
+  (:class:`ShardedScenarioRunner`);
 * **worker processes** — :func:`run_segments_parallel` runs each segment
-  solo in a forked worker, the lookahead-infinity specialization of the
-  conservative discipline (disjoint segments never exchange packets, so
-  no null messages are needed at all), and merges the picklable results.
+  solo in a forked worker (disjoint segments never exchange packets, so
+  they need no synchronization at all) and merges the picklable results.
 
-The determinism contract across all three is *per-segment projection
+The determinism contract across both is *per-segment projection
 equality* (:func:`projection` / :func:`merge_solo_results`): every
 node-scoped field — delivered texts, NIC counters, control views,
 deployed configs, stack history — plus the order-independent global
 counters must be identical.  Full ``ScenarioResult`` equality is not the
 contract here because same-instant callbacks of *different* segments
-have no defined mutual order (they share no state); the single-group
-case, where total order is defined, is held to byte-identical equality
-by the sharded parity tests.
+have no defined mutual order (they share no state).
 
-What makes segment runs composition-invariant (same behavior solo,
-combined-sequential, or sharded):
+What makes segment runs composition-invariant (same behavior solo or
+combined on one engine):
 
 * per-sender loss streams (:mod:`repro.simnet.loss`), seeded by
   ``seed:segment-kind:sender`` — never by scenario name or draw
@@ -45,9 +39,9 @@ from typing import Callable, Optional, Sequence
 
 from repro.scenarios.runner import (InvariantCheck, ScenarioResult,
                                     ScenarioRunner, run_scenario)
-from repro.scenarios.scenario import (Crash, Handoff, Leave, Recover,
-                                      Scenario)
-from repro.simnet.shard import ShardPlan, ShardedSimEngine
+from repro.scenarios.scenario import (Crash, Handoff, Leave, LinkSpec,
+                                      Recover, Scenario)
+from repro.simnet.engine import SimEngine
 
 #: Event types a segment may carry.  Network-global events (loss swaps,
 #: partitions, heals, cell reshapes) act on shared state and would couple
@@ -90,6 +84,12 @@ def _check_segments(segments: Sequence[Scenario]) -> None:
             raise ValueError(
                 f"segment {segment.name!r} is federated; run federation "
                 "inside one segment is not supported yet")
+        if segment.wired != LinkSpec() or segment.wireless != LinkSpec():
+            # Link models belong to the one network a composed world
+            # shares; a segment's own would be silently ignored there.
+            raise ValueError(
+                f"segment {segment.name!r} declares its own link models, "
+                "which are network-global")
         ids = {spec.node_id for spec in segment.nodes}
         overlap = seen & ids
         if overlap:
@@ -109,18 +109,14 @@ class ShardedScenarioRunner(ScenarioRunner):
     Each segment boots its own membership group; the network is
     partitioned along segment lines (defense in depth — a stray
     cross-segment packet becomes a loud loss instead of silent
-    coupling).  With the default ``engine_factory`` the composed world
-    runs on a :class:`ShardedSimEngine` whose plan maps one shard group
-    per segment; passing ``SimEngine`` instead runs the identical
-    composition on one sequential engine — the differential baseline the
-    parity gate compares against.
+    coupling).  The composed world runs on the one engine
+    ``engine_factory`` builds — the differential baseline the worker
+    processes of :func:`run_segments_parallel` are compared against.
     """
 
     def __init__(self, segments: Sequence[Scenario], seed: int = 0,
-                 engine_factory: Optional[Callable[[], object]] = None,
-                 shards: int = 1,
+                 engine_factory: Callable[[], SimEngine] = SimEngine,
                  invariants: Sequence[InvariantCheck] = (),
-                 batched: bool = True,
                  name: str = "sharded") -> None:
         _check_segments(segments)
         self.segments = tuple(segments)
@@ -132,11 +128,8 @@ class ShardedScenarioRunner(ScenarioRunner):
             duration_s=max(segment.duration_s for segment in self.segments),
             nodes=tuple(spec for segment in self.segments
                         for spec in segment.nodes))
-        if engine_factory is None:
-            plan = ShardPlan(self._segment_nodes, shard_count=shards)
-            engine_factory = lambda: ShardedSimEngine(plan=plan)  # noqa: E731
         super().__init__(combined, seed=seed, engine_factory=engine_factory,
-                         invariants=invariants, batched=batched)
+                         invariants=invariants)
 
     # -- segment scoping ----------------------------------------------------
 
@@ -247,9 +240,9 @@ def run_segments_parallel(segments: Sequence[Scenario], seed: int = 0,
                           workers: int = 1) -> list[ScenarioResult]:
     """Run each segment solo, fanned out over ``workers`` processes.
 
-    Disjoint segments have infinite lookahead — the conservative
-    discipline degenerates to "no synchronization at all", so each
-    worker runs a plain :class:`ScenarioRunner` at full speed and ships
+    Disjoint segments never exchange packets, so they need no
+    synchronization at all: each worker runs a plain
+    :class:`ScenarioRunner` at full speed and ships
     back its :class:`ScenarioResult` (plain tuples and dicts — nothing
     live crosses the process boundary).  Results come back in segment
     order regardless of completion order.

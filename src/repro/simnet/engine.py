@@ -25,10 +25,10 @@ fire in time order, and nothing in the engine (or in any protocol built on
 it) reads the wall clock or unseeded randomness.
 
 :class:`HeapSimEngine` is the seed-era single-binary-heap scheduler, kept
-as the reference implementation: the timer-wheel benchmark runs whole
-scenarios on both engines and asserts bit-identical results
-(``benchmarks/bench_timer_wheel.py``), and the engine test suite drives
-random schedules through both and compares firing orders.
+as the reference oracle: the batching parity tests run whole scenarios on
+both engines and assert equal results, the engine test suite drives random
+schedules through both and compares firing orders, and the scenario fuzzer
+replays a sample of its runs on the heap.
 """
 
 from __future__ import annotations
@@ -133,12 +133,6 @@ class SimEngine:
         #: External batchers (the network's same-slot delivery drain) must
         #: not advance work past it — see :attr:`run_deadline`.
         self._deadline = math.inf
-        #: When True, :attr:`run_deadline` is an *exclusive* bound: work at
-        #: exactly the deadline instant must not run.  Set by
-        #: :meth:`run_window` — a sharded engine's conservative window ends
-        #: strictly before its bound so the facade can merge-fire the
-        #: boundary instant across shards in global ``(when, seq)`` order.
-        self.deadline_exclusive = False
 
     # -- Clock protocol -----------------------------------------------------
 
@@ -162,10 +156,11 @@ class SimEngine:
         """Consume and return the next scheduling sequence number.
 
         The delivery batcher reserves a seq per queued packet at routing
-        time — exactly where the unbatched path's ``call_later`` would have
-        consumed it — so the seq stream every *other* callback observes is
-        bit-identical with batching on or off, and the reserved ``(when,
-        seq)`` pair totally orders the queued packet against engine entries.
+        time — exactly where scheduling the packet as its own entry would
+        have consumed it — so the seq stream every *other* callback
+        observes is that of a one-entry-per-packet schedule, and the
+        reserved ``(when, seq)`` pair totally orders the queued packet
+        against engine entries.
         """
         return next(self._seq)
 
@@ -315,8 +310,7 @@ class SimEngine:
         """Discard the head entry that :meth:`_advance` just arranged.
 
         Engine-structure-specific (batch vs single heap); having it as a
-        primitive lets :meth:`run_window` and the sharded facade's
-        merge-fire loop stay structure-agnostic.
+        primitive lets :meth:`step` serve both engines.
         """
         heapq.heappop(self._batch)
 
@@ -351,33 +345,6 @@ class SimEngine:
         finally:
             self._deadline = math.inf
         self._now = max(self._now, deadline)
-        return fired
-
-    def run_window(self, bound: float) -> int:
-        """Run every callback due *strictly before* ``bound``.
-
-        The conservative-sync primitive: a shard granted the window
-        ``[now, bound)`` by the facade's lookahead discipline may fire
-        everything below the bound, but entries at exactly ``bound`` belong
-        to the barrier instant and are merge-fired across shards in global
-        ``(when, seq)`` order by the facade.  Unlike :meth:`run_until` this
-        does **not** advance the clock to the bound — the facade commits
-        time only once every shard has crossed the barrier.
-        """
-        fired = 0
-        self._deadline = bound
-        self.deadline_exclusive = True
-        try:
-            while True:
-                entry = self._advance()
-                if entry is None or entry.when >= bound:
-                    break
-                self._pop_head()
-                self._fire(entry)
-                fired += 1
-        finally:
-            self._deadline = math.inf
-            self.deadline_exclusive = False
         return fired
 
     def run_until_idle(self, max_events: int = 50_000_000) -> int:
@@ -416,11 +383,6 @@ class HeapSimEngine(SimEngine):
         self._init_clock_state()
         self._heap: list[ScheduledCall] = []
         self.overflow_scheduled = 0  # structurally always zero on a heap
-
-    def call_at(self, when: float,
-                callback: Callable[[], None]) -> ScheduledCall:
-        """Schedule ``callback`` at absolute virtual time ``when``."""
-        return self.schedule_at_seq(when, next(self._seq), callback)
 
     def schedule_at_seq(self, when: float, seq: int,
                         callback: Callable[[], None]) -> ScheduledCall:
@@ -462,14 +424,6 @@ class HeapSimEngine(SimEngine):
 
     def _pop_head(self) -> None:
         heapq.heappop(self._heap)
-
-    def step(self) -> bool:
-        entry = self._advance()
-        if entry is None:
-            return False
-        self._pop_head()
-        self._fire(entry)
-        return True
 
     def run_until(self, deadline: float) -> int:
         fired = 0

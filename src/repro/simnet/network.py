@@ -34,7 +34,6 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Iterable, Optional
 
 from repro.simnet.energy import Battery
@@ -203,8 +202,7 @@ class Network:
                  wired: Optional[LinkParams] = None,
                  wireless: Optional[LinkParams] = None,
                  native_multicast_wired: bool = False,
-                 wireless_broadcast: bool = False,
-                 batched: bool = True) -> None:
+                 wireless_broadcast: bool = False) -> None:
         self.engine = engine
         self.rng = random.Random(seed)
         self.wired = wired if wired is not None else default_wired()
@@ -222,26 +220,16 @@ class Network:
         #: Bumped on every runtime topology mutation.
         self.topology_epoch = 0
         self._topology_listeners: list[TopologyListener] = []
-        #: Same-slot delivery batching (see :class:`_DeliveryBatcher`).
-        #: ``batched=False`` is the differential escape hatch: one engine
-        #: event per delivery, the pre-batching behaviour, histories
-        #: asserted byte-identical by the parity tests.
-        self.batched = batched
-        #: One delivery batcher per destination engine.  A plain engine
-        #: run has exactly one; under a :class:`ShardedSimEngine` facade
-        #: each shard drains its own deliveries on its own timeline.
-        self._batchers: dict[int, _DeliveryBatcher] = {}
+        #: Every in-flight packet waits here for its delivery instant
+        #: (see :class:`_DeliveryBatcher`).
+        self._batcher = _DeliveryBatcher(self, engine)
         #: Per-sender loss streams, resolved lazily from a segment's loss
         #: model via its ``spawn`` hook (see :mod:`repro.simnet.loss`):
         #: ``{model: {sender_id: stream}}``.  Per-sender streams make a
         #: node's loss draws independent of how *other* nodes' traffic
-        #: interleaves — the property that lets disjoint shard groups (and
-        #: worker-process runs) reproduce the combined run's histories.
+        #: interleaves — the property that lets disjoint segments run in
+        #: worker processes reproduce the combined run's histories.
         self._loss_streams: dict[LossModel, dict[str, LossModel]] = {}
-        #: Set when :attr:`engine` is a sharded facade (duck-typed on the
-        #: per-node engine resolver) — routing then resolves clocks per
-        #: node and crosses shard bounds through the facade's mailbox.
-        self._facade = engine if hasattr(engine, "engine_for") else None
 
     # -- topology -----------------------------------------------------------
 
@@ -437,17 +425,6 @@ class Network:
             "station; enable native_multicast_wired/wireless_broadcast for "
             "single-segment groups)")
 
-    def clock_for(self, node_id: str) -> SimEngine:
-        """The engine that owns ``node_id``'s timers and deliveries.
-
-        On a plain engine this is the engine itself; under a sharded
-        facade it is the shard hosting the node, so every node's kernel
-        timers and inbound packets live on its own shard's timeline.
-        """
-        if self._facade is not None:
-            return self._facade.engine_for(node_id)
-        return self.engine
-
     def _sender_loss(self, model: LossModel, sender_id: str) -> LossModel:
         """Resolve ``sender_id``'s private draw stream of ``model``.
 
@@ -471,7 +448,7 @@ class Network:
 
         The routing core shared by unicast, native multicast and
         point-to-point fan-out.  What depends only on the request — the
-        sender's partition side and shard, and per destination *kind* the
+        sender's partition side, and per destination *kind* the
         hop count, the sender's loss streams and the delivery instant for
         this size — is resolved once, in locals that die with the call
         (nothing re-enters the network before it returns, so there is no
@@ -483,11 +460,8 @@ class Network:
         size = packet.size_bytes
         nodes = self.nodes
         reach = self._reach_of(sender_id)
-        facade = self._facade
-        batched = self.batched
         reserve_seq = self.engine.reserve_seq
-        src_engine = self.clock_for(sender_id)
-        batcher = None
+        enqueue = self._batcher.enqueue
         paths: dict = {}
         for dst_id in receivers:
             dst = nodes.get(dst_id)
@@ -514,35 +488,11 @@ class Network:
                 record = packet if dst_id is packet.dst \
                     else packet.copy_for(dst_id)
                 record.hops = hop_count
-                dst_engine = src_engine
-                if facade is not None:
-                    dst_engine = facade.engine_for(dst_id)
-                    if dst_engine is not src_engine:
-                        # Crossing a shard boundary: the packet's payload
-                        # is the frozen WirePayload snapshot the COW path
-                        # produced, so handing it to the peer shard is
-                        # causality-checked accounting, not a copy.
-                        facade.cross_post(src_engine, dst_engine, when, size)
-                if not batched:
-                    dst_engine.call_at(when,
-                                       partial(deliver, self, dst, record))
-                    continue
-                # Batched path: queue the packet under the exact (when,
-                # seq) the unbatched call_at would have used — reserving
-                # the seq keeps every other callback's sequence number
-                # (and therefore the whole run's history) bit-identical —
-                # and keep one flush entry parked at the queue head's
-                # instant on the destination's engine.
-                if batcher is None or batcher.engine is not dst_engine:
-                    batcher = self._batcher_for(dst_engine)
-                batcher.enqueue(when, reserve_seq(), dst, record)
-
-    def _batcher_for(self, engine: SimEngine) -> "_DeliveryBatcher":
-        batcher = self._batchers.get(id(engine))
-        if batcher is None:
-            batcher = self._batchers[id(engine)] = \
-                _DeliveryBatcher(self, engine)
-        return batcher
+                # Queue the packet under the (when, seq) a call_at of its
+                # own would have taken: reserving the seq here keeps every
+                # other callback's sequence number, and so the run's
+                # history, that of a one-entry-per-packet schedule.
+                enqueue(when, reserve_seq(), dst, record)
 
     def _hops_between(self, src: SimNode, dst: SimNode) -> list[LinkParams]:
         if src.is_fixed and dst.is_fixed:
@@ -576,20 +526,19 @@ class Network:
 
 
 class _DeliveryBatcher:
-    """Same-slot delivery batching for one destination engine.
+    """Same-slot delivery batching: the network's one delivery path.
 
     One engine event drains a whole wheel slot of queued deliveries: the
     flush entry sits at the queue head's reserved ``(when, seq)``, so the
-    engine fires it exactly where the unbatched per-packet callback would
-    have fired.  The drain then keeps delivering queued packets as long as
-    (a) the next one is due before this flush's slot ends — beyond that,
-    wheel entries the peek cannot see could be owed first — (b) no visible
-    engine entry outranks it, and (c) it does not cross the active
-    ``run_until`` deadline (a *strictly-exclusive* bound during a shard's
-    conservative window, so barrier-instant deliveries wait for the
-    facade's merge).  Each delivery advances the virtual clock to its
-    exact instant, so observers cannot tell batching from the per-event
-    path (the differential tests assert byte-identical histories).
+    engine fires it exactly where a per-packet callback would have fired.
+    The drain then keeps delivering queued packets as long as (a) the next
+    one is due before this flush's slot ends — beyond that, wheel entries
+    the peek cannot see could be owed first — (b) no visible engine entry
+    outranks it, and (c) it does not cross the active ``run_until``
+    deadline (inclusive, like ``run_until`` itself).  Each delivery
+    advances the virtual clock to its exact instant, so observers cannot
+    tell batching from one engine entry per packet (the parity tests swap
+    in such a per-packet batcher and assert identical histories).
     """
 
     __slots__ = ("network", "engine", "pending", "_flush_call",
@@ -599,7 +548,7 @@ class _DeliveryBatcher:
         self.network = network
         self.engine = engine
         #: In-flight packets awaiting delivery, ordered by ``(when, seq)``
-        #: — the exact instant/rank an unbatched ``call_at`` would have
+        #: — the exact instant/rank a per-packet ``call_at`` would have
         #: fired them at (the seq is reserved from the engine's counter).
         self.pending: list[tuple[float, int, SimNode, Packet]] = []
         self._flush_call: Optional[ScheduledCall] = None
@@ -627,23 +576,16 @@ class _DeliveryBatcher:
         engine = self.engine
         pending = self.pending
         deadline = engine.run_deadline
-        exclusive = engine.deadline_exclusive
         slot_end = (int(flush_when * _INV_SLOT_WIDTH) + 1) * SLOT_WIDTH_S
         network = self.network
-        # Under a sharded facade the barrier merge makes entries on
-        # *other* engines at the same instant visible too (its
-        # ``peek_for``); a plain engine's own peek is all there is.
-        facade = network._facade
-        peek = engine.peek_due if facade is None \
-            else partial(facade.peek_for, engine)
+        peek = engine.peek_due
         advance_clock = engine.advance_clock
         pop = heapq.heappop
         self._in_flush = True
         try:
             while pending:
                 when, seq, dst, packet = pending[0]
-                if when >= slot_end or when > deadline or \
-                        (exclusive and when >= deadline):
+                if when >= slot_end or when > deadline:
                     break
                 nxt = peek()
                 if nxt is not None and nxt < (when, seq):

@@ -50,10 +50,7 @@ class SimNode:
         self.node_id = node_id
         self.kind = kind
         self.network = network
-        # Clocked by the engine that owns this node: the single run engine
-        # on a plain network, the node's shard engine under a sharded
-        # facade — so a shard's timers never leave its own timeline.
-        self.kernel = Kernel(clock=network.clock_for(node_id), name=node_id)
+        self.kernel = Kernel(clock=network.engine, name=node_id)
         self.stats = NodeStats(node_id)
         self.battery = battery
         self.crashed = False

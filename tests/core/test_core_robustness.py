@@ -84,8 +84,9 @@ class TestRepeatedAdaptation:
         network.add_mobile_node("mobile-0")
         for index in range(2):
             network.add_fixed_node(f"fixed-{index}")
-        from repro.core import LossAdaptivePolicy
-        policy = LossAdaptivePolicy(threshold=0.08)
+        from repro.core import PolicyEngine, build_rule
+        policy = PolicyEngine((build_rule("loss_adaptive",
+                                          {"threshold": 0.08}),))
         nodes = build_morpheus_group(network, policy=policy, **FAST)
         sender = nodes["mobile-0"]
         expected = []

@@ -1,4 +1,8 @@
-"""Reconfiguration policies: context in, plans out."""
+"""Reconfiguration policies: context in, plans out.
+
+Each of the paper's policies is one registered rule run by a
+:class:`PolicyEngine`; :func:`engine` builds that one-rule engine by name.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +10,24 @@ import pytest
 
 from repro.context import (BATTERY, DEVICE_TYPE, LINK_QUALITY, ContextSample,
                            TopicBus)
-from repro.core import (CompositePolicy, ContextDirectory, HybridMechoPolicy,
-                        LossAdaptivePolicy, ReconfigurationPlan, StaticPolicy,
-                        ThresholdBatteryRotationPolicy, best_battery_relay,
+from repro.core import (ContextDirectory, PolicyEngine, ReconfigurationPlan,
+                        StaticPolicy, best_battery_relay, build_rule,
                         lowest_id_relay)
+
+
+def engine(*rules, **params) -> PolicyEngine:
+    """A first-match engine over the named rules (``params`` go to a
+    single rule)."""
+    return PolicyEngine(tuple(build_rule(name, params) for name in rules))
+
+
+class _ForcedRule:
+    """Test rule: always prescribes the plan named ``forced``."""
+
+    rule_name = "forced"
+
+    def evaluate(self, ctx):
+        return ReconfigurationPlan(name="forced")
 
 
 def directory_with(samples: dict[tuple[str, str], object]) -> ContextDirectory:
@@ -32,14 +50,14 @@ def hybrid_directory():
     })
 
 
-class TestHybridMechoPolicy:
+class TestHybridMechoRule:
     def test_undecidable_without_full_coverage(self):
         directory = directory_with({("a", DEVICE_TYPE): "fixed"})
-        policy = HybridMechoPolicy()
+        policy = engine("hybrid_mecho")
         assert policy.decide(directory, ["a", "b"]) is None
 
     def test_hybrid_produces_mecho_plan(self):
-        policy = HybridMechoPolicy()
+        policy = engine("hybrid_mecho")
         plan = policy.decide(hybrid_directory(), ["f0", "f1", "m0"])
         assert plan.name == "hybrid:relay=f0"
         modes = {node: next(s for s in plan.templates[node].specs
@@ -50,13 +68,13 @@ class TestHybridMechoPolicy:
     def test_homogeneous_produces_plain_plan(self):
         directory = directory_with({
             ("a", DEVICE_TYPE): "fixed", ("b", DEVICE_TYPE): "fixed"})
-        plan = HybridMechoPolicy().decide(directory, ["a", "b"])
+        plan = engine("hybrid_mecho").decide(directory, ["a", "b"])
         assert plan.name == "plain"
         assert all("beb" in [s.name for s in template.specs]
                    for template in plan.templates.values())
 
     def test_battery_aware_relay_selection(self):
-        policy = HybridMechoPolicy(relay_selector=best_battery_relay)
+        policy = engine("hybrid_mecho", relay_selector=best_battery_relay)
         plan = policy.decide(hybrid_directory(), ["f0", "f1", "m0"])
         assert plan.name == "hybrid:relay=f0"  # f0 has the fullest battery
 
@@ -74,12 +92,12 @@ class TestRotationPolicy:
     def test_relay_moves_to_fullest_battery(self):
         directory = directory_with({
             ("a", BATTERY): 0.2, ("b", BATTERY): 0.9, ("c", BATTERY): 0.5})
-        policy = ThresholdBatteryRotationPolicy(hysteresis=0.05)
+        policy = engine("battery_rotation", hysteresis=0.05)
         plan = policy.decide(directory, ["a", "b", "c"])
         assert plan.name == "rotating:relay=b"
 
     def test_hysteresis_prevents_thrash(self):
-        policy = ThresholdBatteryRotationPolicy(hysteresis=0.2)
+        policy = engine("battery_rotation", hysteresis=0.2)
         first = policy.decide(directory_with({
             ("a", BATTERY): 0.9, ("b", BATTERY): 0.8}), ["a", "b"])
         assert first.name == "rotating:relay=a"
@@ -94,28 +112,29 @@ class TestRotationPolicy:
 
     def test_waits_for_battery_coverage(self):
         directory = directory_with({("a", BATTERY): 0.5})
-        policy = ThresholdBatteryRotationPolicy()
+        policy = engine("battery_rotation")
         assert policy.decide(directory, ["a", "b"]) is None
 
 
-class TestLossAdaptivePolicy:
+class TestLossAdaptiveRule:
     def test_low_loss_prescribes_arq(self):
         directory = directory_with({
             ("a", LINK_QUALITY): 0.01, ("b", LINK_QUALITY): 0.0})
-        plan = LossAdaptivePolicy(threshold=0.08).decide(directory, ["a", "b"])
+        plan = engine("loss_adaptive", threshold=0.08) \
+            .decide(directory, ["a", "b"])
         assert plan.name == "plain"
 
     def test_high_loss_prescribes_fec(self):
         directory = directory_with({
             ("a", LINK_QUALITY): 0.2, ("b", LINK_QUALITY): 0.0})
-        plan = LossAdaptivePolicy(threshold=0.08, k=4, m=2) \
+        plan = engine("loss_adaptive", threshold=0.08, k=4, m=2) \
             .decide(directory, ["a", "b"])
         assert plan.name == "fec(k=4,m=2)"
         for template in plan.templates.values():
             assert "fec" in [s.name for s in template.specs]
 
     def test_hysteresis_band(self):
-        policy = LossAdaptivePolicy(threshold=0.10, hysteresis=0.03)
+        policy = engine("loss_adaptive", threshold=0.10, hysteresis=0.03)
         in_band = directory_with({("a", LINK_QUALITY): 0.11})
         # From ARQ: entering needs >= 0.13 → stays plain at 0.11.
         assert policy.decide(in_band, ["a"]).name == "plain"
@@ -127,15 +146,13 @@ class TestLossAdaptivePolicy:
 
 class TestComposition:
     def test_composite_first_match_wins(self):
-        static = StaticPolicy(ReconfigurationPlan(name="forced"))
-        composite = CompositePolicy(HybridMechoPolicy(), static)
+        composite = PolicyEngine((build_rule("hybrid_mecho"), _ForcedRule()))
         empty = directory_with({})
-        # Hybrid policy abstains (no coverage) → falls through to static.
+        # Hybrid rule abstains (no coverage) → falls through to forced.
         assert composite.decide(empty, ["a"]).name == "forced"
 
     def test_composite_returns_none_when_all_abstain(self):
-        composite = CompositePolicy(HybridMechoPolicy(),
-                                    ThresholdBatteryRotationPolicy())
+        composite = engine("hybrid_mecho", "battery_rotation")
         assert composite.decide(directory_with({}), ["a"]) is None
 
     def test_static_policy_always_prescribes(self):

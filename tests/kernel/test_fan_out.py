@@ -21,6 +21,7 @@ Contracts under test:
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import pytest
@@ -39,6 +40,7 @@ from tests.kernel.test_wire_cells import mecho_world
 from tests.livenet.helpers import offline_live_network
 from tests.protocols.helpers import build_world, collector_of
 from tests.protocols.test_frag import frag_of, frag_world
+from tests.simnet.unbatched import unbatched
 
 PORT = "p"
 
@@ -73,7 +75,7 @@ class World:
     seed: int
     partition: object
     crashed: frozenset
-    batched: bool
+    per_packet: bool
     requests: tuple
 
 
@@ -97,7 +99,7 @@ def worlds(draw) -> World:
         partition=draw(st.none() | st.tuples(st.frozensets(a_node),
                                              st.frozensets(a_node))),
         crashed=draw(st.frozensets(a_node, max_size=2)),
-        batched=draw(st.booleans()),
+        per_packet=draw(st.booleans()),
         requests=tuple(draw(st.lists(sends, min_size=1, max_size=4))))
 
 
@@ -119,11 +121,13 @@ def link(latency_s: float, bandwidth_bps: float, model) -> LinkParams:
 def run_world(world: World, expanded: bool) -> dict:
     """Everything observable after the world's requests went out."""
     engine = SimEngine()
-    network = Network(
-        engine, seed=world.seed, batched=world.batched,
-        wired=link(0.0005, 100e6, loss(world.wired_loss, world, "wired")),
-        wireless=link(0.002, 11e6,
-                      loss(world.wireless_loss, world, "wireless")))
+    with unbatched() if world.per_packet else nullcontext():
+        network = Network(
+            engine, seed=world.seed,
+            wired=link(0.0005, 100e6,
+                       loss(world.wired_loss, world, "wired")),
+            wireless=link(0.002, 11e6,
+                          loss(world.wireless_loss, world, "wireless")))
     received = []
     for node_id, kind in world.kinds.items():
         node = network.add_node(node_id, kind)
@@ -140,8 +144,7 @@ def run_world(world: World, expanded: bool) -> dict:
                  request(sender, members, size, traffic_class), expanded)
     in_flight = sorted(
         (when, seq, dst.node_id, packet.dst, packet.hops)
-        for batcher in network._batchers.values()
-        for when, seq, dst, packet in batcher.pending)
+        for when, seq, dst, packet in network._batcher.pending)
     lost_at_send = network.lost_packets
     engine.run_until(5.0)
     return {

@@ -3,8 +3,9 @@
 * **batched vs unbatched** — coalescing same-slot deliveries into one
   engine event must not change a single observable: every
   :class:`ScenarioResult` field except ``engine_events`` (the batching
-  exists to shrink that one) compares equal across the full canned suite
-  and a fuzzed scenario.
+  exists to shrink that one) compares equal, across the full canned suite
+  and a fuzzed scenario, to a run whose network schedules one engine
+  entry per packet (:func:`tests.simnet.unbatched.unbatched`).
 * **wheel vs heap under batching** — the reference heap engine and the
   timer wheel must agree on the *complete* result, ``engine_events``
   included: the flush drain makes its continue/stop decisions from a
@@ -26,6 +27,7 @@ from repro.scenarios.fuzz import generate_scenario, run_seed_for
 from repro.scenarios.library import canned
 from repro.scenarios.runner import run_scenario
 from repro.simnet.engine import HeapSimEngine
+from tests.simnet.unbatched import unbatched
 
 CANNED = ["commuter_handoff", "flash_crowd_join", "degrading_channel_fec",
           "churn_storm", "partition_heal", "energy_rotation"]
@@ -38,25 +40,26 @@ def _without_engine_events(result):
 class TestBatchedUnbatchedParity:
     @pytest.mark.parametrize("name", CANNED)
     def test_canned_histories_identical(self, name):
-        batched = run_scenario(canned(name), batched=True)
-        plain = run_scenario(canned(name), batched=False)
+        batched = run_scenario(canned(name))
+        with unbatched():
+            plain = run_scenario(canned(name))
         assert batched.engine_events < plain.engine_events
         assert _without_engine_events(batched) == _without_engine_events(plain)
 
     def test_fuzzed_scenario_histories_identical(self):
         scenario = generate_scenario(7, 3, mix="partition")
         seed = run_seed_for(7, 3)
-        batched = run_scenario(scenario, seed=seed, batched=True)
-        plain = run_scenario(scenario, seed=seed, batched=False)
+        batched = run_scenario(scenario, seed=seed)
+        with unbatched():
+            plain = run_scenario(scenario, seed=seed)
         assert _without_engine_events(batched) == _without_engine_events(plain)
 
 
 class TestWheelHeapParityUnderBatching:
     @pytest.mark.parametrize("name", CANNED)
     def test_engines_agree_on_everything(self, name):
-        wheel = run_scenario(canned(name), batched=True)
-        heap = run_scenario(canned(name), batched=True,
-                            engine_factory=HeapSimEngine)
+        wheel = run_scenario(canned(name))
+        heap = run_scenario(canned(name), engine_factory=HeapSimEngine)
         assert wheel == heap  # engine_events included
 
 

@@ -10,9 +10,33 @@ from __future__ import annotations
 
 import pytest
 
-from repro.scenarios import (CANNED, canned, churn_storm, commuter_handoff,
-                             degrading_channel_fec, flash_crowd_join,
-                             partition_heal, run_scenario)
+from repro.scenarios import (CANNED, ScenarioRunner, canned, churn_storm,
+                             commuter_handoff, degrading_channel_fec,
+                             flash_crowd_join, partition_heal, run_scenario)
+
+
+DEPARTED_KERNELS_TICK = (
+    "departed-kernel timer leak: a crashed or departed node's kernel keeps "
+    "firing its timers (fixed-1 of churn_storm: 4.0 per second after it "
+    "leaves); ROADMAP.md item 1")
+
+
+def _quiet_timer_load(departed_too: bool) -> float:
+    """Kernel timer dispatches per live node-second in 30 quiet seconds
+    after a 10-member churn storm.  ``departed_too`` counts the kernels of
+    crashed and departed nodes as well (the divisor stays the live ones)."""
+    scenario = churn_storm(members=10)
+    runner = ScenarioRunner(scenario, seed=0)
+    runner.run()
+    nodes = [morpheus.node for morpheus in runner.morpheus.values()]
+    kernels = [node.kernel for node in nodes if departed_too or node.alive]
+    live = sum(1 for node in nodes if node.alive)
+    before = sum(kernel.timer_dispatched_count for kernel in kernels)
+    quiet_s = 30.0
+    runner.engine.run_until(scenario.duration_s + quiet_s)
+    dispatches = sum(kernel.timer_dispatched_count
+                     for kernel in kernels) - before
+    return dispatches / quiet_s / live
 
 
 @pytest.mark.tier1
@@ -85,6 +109,28 @@ class TestChurnStorm:
         survivors = result.control_views["fixed-0"]
         assert "fixed-1" not in survivors   # left gracefully
         assert "mobile-2" not in survivors  # crashed, never recovered
+
+    def test_settled_group_costs_only_background_timers(self):
+        # After the storm a quiet view runs heartbeat expiry (two
+        # channels), the node's supervision beat, the context publish and
+        # evaluate beats and the Mecho relay probe: about 4.35 kernel
+        # timer dispatches per live node-second here.  The gap scan and
+        # the frag/fec sweeps are armed on demand and stop on an empty
+        # table; one that stays armed adds up to four per channel.
+        per_node_s = _quiet_timer_load(departed_too=False)
+        assert per_node_s <= 4.5, (
+            f"{per_node_s:.2f} timer dispatches per node-second in a quiet "
+            "view: a GC sweep is ticking while its table is empty?")
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason=DEPARTED_KERNELS_TICK)
+    def test_departed_nodes_cost_no_timers(self):
+        # The same ceiling over every node's kernel, crashed and departed
+        # ones included, still divided by the live nodes: 5.39 here.
+        per_node_s = _quiet_timer_load(departed_too=True)
+        assert per_node_s <= 4.5, (
+            f"{per_node_s:.2f} timer dispatches per live node-second in a "
+            "quiet view, departed kernels included")
 
 
 class TestDegradingChannel:

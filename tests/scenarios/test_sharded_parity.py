@@ -1,56 +1,33 @@
-"""The sharded determinism gate: sharded runs must equal sequential runs.
+"""The composition determinism gate: worker runs must equal sequential.
 
-Two tiers, matching the two composition shapes:
-
-* **single group** — the facade hosts the whole scenario in one shard
-  group sharing one sequence stream with the control engine, so the
-  contract is *full byte-identical* ``ScenarioResult`` equality
-  (``engine_events`` included) against the plain sequential engine, for
-  every canned scenario, over both wheel and reference-heap sub-engines.
-* **multi group** — disjoint segments composed by
-  :class:`ShardedScenarioRunner`.  Same-instant callbacks of different
-  segments share no state and have no defined mutual order, so the
-  contract is per-segment :func:`projection` equality across all
-  execution modes: one sequential engine, the sharded facade at shard
-  counts 1/2/4, and solo per-segment worker processes.
+Disjoint segments composed by :class:`ShardedScenarioRunner` on one
+engine, against the same segments run solo in worker processes.
+Same-instant callbacks of different segments share no state and have no
+defined mutual order, so the contract is per-segment :func:`projection`
+equality across both execution modes.  A composition of one segment must
+equal that segment's plain :func:`run_scenario` outright, and composing
+must not depend on how the network batches deliveries.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
 from repro.scenarios.library import canned, churn_storm
 from repro.scenarios.runner import run_scenario
-from repro.scenarios.scenario import SetLoss, bernoulli
+from repro.scenarios.scenario import LinkSpec, SetLoss
 from repro.scenarios.sharded import (ShardedScenarioRunner,
                                      check_segment_isolation,
                                      merge_solo_results, projection,
                                      relabel_scenario, run_segments_parallel)
-from repro.simnet.engine import HeapSimEngine, SimEngine
-from repro.simnet.shard import ShardedSimEngine
+from repro.simnet.engine import HeapSimEngine
+from tests.simnet.unbatched import unbatched
 
-CANNED = ["commuter_handoff", "flash_crowd_join", "degrading_channel_fec",
-          "churn_storm", "partition_heal", "energy_rotation"]
-
-
-def _facade(engine_cls, shards):
-    return lambda: ShardedSimEngine(shards=shards, engine_factory=engine_cls)
-
-
-class TestSingleGroupParity:
-    @pytest.mark.parametrize("name", CANNED)
-    def test_facade_is_byte_identical_to_sequential(self, name):
-        sequential = run_scenario(canned(name))
-        sharded = run_scenario(canned(name),
-                               engine_factory=_facade(SimEngine, 2))
-        assert sequential == sharded  # engine_events included
-
-    @pytest.mark.parametrize("name", ["churn_storm", "partition_heal"])
-    def test_facade_over_heap_oracle_agrees_too(self, name):
-        sequential = run_scenario(canned(name))
-        sharded = run_scenario(canned(name),
-                               engine_factory=_facade(HeapSimEngine, 4))
-        assert sequential == sharded
+#: Canned scenarios that carry only segment-scoped events.
+SEGMENTABLE = ["commuter_handoff", "flash_crowd_join", "churn_storm",
+               "energy_rotation"]
 
 
 def _segments(count=3, members=5, messages=10):
@@ -64,33 +41,20 @@ def _segments(count=3, members=5, messages=10):
 class TestMultiGroupComposition:
     def test_every_execution_mode_agrees(self):
         segments = _segments()
-        sequential = ShardedScenarioRunner(
-            segments, seed=5, engine_factory=SimEngine).run()
-        expected = projection(sequential)
-        for shards in (1, 2, 4):
-            sharded = ShardedScenarioRunner(segments, seed=5,
-                                            shards=shards).run()
-            assert projection(sharded) == expected
+        expected = projection(ShardedScenarioRunner(segments, seed=5).run())
         solo = run_segments_parallel(segments, seed=5, workers=2)
         assert merge_solo_results(solo) == expected
 
-    def test_heap_sub_engines_agree(self):
-        from repro.simnet.shard import ShardPlan
+    def test_heap_engine_agrees(self):
         segments = _segments(count=2)
-        sequential = ShardedScenarioRunner(
-            segments, seed=9, engine_factory=SimEngine).run()
-        plan = ShardPlan(tuple(
-            frozenset(spec.node_id for spec in segment.nodes)
-            for segment in segments))
+        sequential = ShardedScenarioRunner(segments, seed=9).run()
         heap = ShardedScenarioRunner(
-            segments, seed=9,
-            engine_factory=lambda: ShardedSimEngine(
-                plan=plan, engine_factory=HeapSimEngine)).run()
+            segments, seed=9, engine_factory=HeapSimEngine).run()
         assert projection(heap) == projection(sequential)
 
     def test_segment_isolation_invariant_holds(self):
         segments = _segments(count=2)
-        runner = ShardedScenarioRunner(segments, seed=1, shards=2)
+        runner = ShardedScenarioRunner(segments, seed=1)
         result = runner.run()
         assert check_segment_isolation(runner, result) == []
         # Every segment delivered its own chat stream.
@@ -102,13 +66,40 @@ class TestMultiGroupComposition:
 
     def test_deliveries_actually_happened(self):
         segments = _segments(count=2)
-        result = ShardedScenarioRunner(segments, seed=2, shards=2).run()
+        result = ShardedScenarioRunner(segments, seed=2).run()
         assert result.delivered_packets > 0
         # Both segments' survivors got the full chat stream.
         for prefix in ("s0-", "s1-"):
             receivers = [texts for node_id, texts in result.texts.items()
                          if node_id.startswith(prefix) and texts]
             assert receivers, f"no deliveries in segment {prefix}"
+
+
+class TestOneSegmentComposition:
+    @staticmethod
+    def _on_default_links(scenario):
+        # Link models are network-global, so a segment must leave them at
+        # the defaults (``_check_segments`` rejects one that does not).
+        return dataclasses.replace(scenario, wired=LinkSpec(),
+                                   wireless=LinkSpec())
+
+    @pytest.mark.parametrize("name", SEGMENTABLE)
+    def test_equals_the_plain_run(self, name):
+        segment = self._on_default_links(canned(name))
+        composed = ShardedScenarioRunner([segment], seed=3).run()
+        assert composed.delivered_packets > 0
+        assert projection(composed) == projection(
+            run_scenario(segment, seed=3))
+
+
+def test_composition_is_independent_of_delivery_batching():
+    segments = _segments(count=2)
+    batched = ShardedScenarioRunner(segments, seed=4).run()
+    with unbatched():
+        plain = ShardedScenarioRunner(segments, seed=4).run()
+    assert batched.engine_events < plain.engine_events
+    assert dataclasses.replace(batched, engine_events=0) == \
+        dataclasses.replace(plain, engine_events=0)
 
 
 class TestCompositionValidation:
@@ -123,6 +114,14 @@ class TestCompositionValidation:
         same = relabel_scenario(template, prefix="s0-")
         with pytest.raises(ValueError, match="share node ids"):
             ShardedScenarioRunner([same, same], seed=0)
+
+    def test_segment_link_models_rejected(self):
+        segment = canned("commuter_handoff")
+        assert segment.wireless != LinkSpec()
+        with pytest.raises(ValueError, match="link models"):
+            ShardedScenarioRunner([segment], seed=0)
+        with pytest.raises(ValueError, match="link models"):
+            run_segments_parallel([segment], seed=0)
 
     def test_relabel_prefixes_everything(self):
         template = churn_storm(members=5, messages=5, duration_s=55.0)

@@ -6,7 +6,7 @@ The batching contract has two halves:
   ``peek_due`` / ``advance_clock``) let a client pre-assign sequence
   numbers and later drain work at those exact ``(when, seq)`` positions —
   the sequence stream is bit-identical to scheduling one event per
-  delivery;
+  delivery (the per-packet reference of :mod:`tests.simnet.unbatched`);
 * the **network** uses them to coalesce every pending delivery of the
   current timer-wheel slot into one engine event, draining in exact
   ``(when, seq)`` order so observable histories cannot change (the
@@ -19,6 +19,7 @@ import pytest
 
 from repro.simnet import SimEngine
 from repro.simnet.engine import SLOT_WIDTH_S, HeapSimEngine
+from tests.simnet.unbatched import unbatched
 
 
 class TestEnginePrimitives:
@@ -43,8 +44,18 @@ class TestEnginePrimitives:
         with pytest.raises(ValueError):
             engine.schedule_at_seq(1.0, engine.reserve_seq(), lambda: None)
 
-    def test_peek_due_exposes_the_current_batch_head(self):
-        engine = SimEngine()
+    @pytest.mark.parametrize("factory", [SimEngine, HeapSimEngine])
+    def test_schedule_at_seq_consumes_no_sequence_number(self, factory):
+        engine = factory()
+        reserved = engine.reserve_seq()
+        placed = engine.schedule_at_seq(1.0, reserved, lambda: None)
+        following = engine.call_at(1.0, lambda: None)
+        assert placed.seq == reserved
+        assert following.seq == reserved + 1
+
+    @pytest.mark.parametrize("factory", [SimEngine, HeapSimEngine])
+    def test_peek_due_exposes_the_current_batch_head(self, factory):
+        engine = factory()
         seen = []
 
         def probe():
@@ -56,8 +67,9 @@ class TestEnginePrimitives:
         # While probe runs, the same-slot successor is visible as the head.
         assert seen == [(handle.when, handle.seq)]
 
-    def test_peek_due_skips_cancelled_heads(self):
-        engine = SimEngine()
+    @pytest.mark.parametrize("factory", [SimEngine, HeapSimEngine])
+    def test_peek_due_skips_cancelled_heads(self, factory):
+        engine = factory()
         seen = []
         engine.call_later(0.0, lambda: seen.append(engine.peek_due()))
         engine.call_later(SLOT_WIDTH_S / 4, lambda: None).cancel()
@@ -74,16 +86,18 @@ class TestEnginePrimitives:
         engine.run_until_idle()
         assert seen == [None]
 
-    def test_advance_clock_moves_now_monotonically(self):
-        engine = SimEngine()
+    @pytest.mark.parametrize("factory", [SimEngine, HeapSimEngine])
+    def test_advance_clock_moves_now_monotonically(self, factory):
+        engine = factory()
         engine.advance_clock(1.5)
         assert engine.now() == 1.5
         engine.advance_clock(1.0)  # never backwards
         assert engine.now() == 1.5
 
-    def test_run_deadline_visible_only_inside_run_until(self):
+    @pytest.mark.parametrize("factory", [SimEngine, HeapSimEngine])
+    def test_run_deadline_visible_only_inside_run_until(self, factory):
         import math
-        engine = SimEngine()
+        engine = factory()
         assert engine.run_deadline == math.inf
         seen = []
         engine.call_later(1.0, lambda: seen.append(engine.run_deadline))
@@ -93,13 +107,13 @@ class TestEnginePrimitives:
 
 
 class TestNetworkCoalescing:
-    def _payloads(self, batched, sends=20):
+    def _payloads(self, sends=20):
         from tests.simnet.test_transport import build_node_stack
 
         from repro.simnet import Network
 
         engine = SimEngine()
-        network = Network(engine, batched=batched)
+        network = Network(engine)
         network.add_fixed_node("f0")
         network.add_fixed_node("f1")
         sender = build_node_stack(network, "f0").sessions[1]
@@ -111,12 +125,14 @@ class TestNetworkCoalescing:
         return payloads, engine.fired_count
 
     def test_batched_delivers_everything_with_fewer_events(self):
-        got_batched, events_batched = self._payloads(batched=True)
-        got_plain, events_plain = self._payloads(batched=False)
+        got_batched, events_batched = self._payloads()
+        with unbatched():
+            got_plain, events_plain = self._payloads()
         assert len(got_batched) == len(got_plain) == 20
         assert events_batched < events_plain
 
     def test_delivery_payloads_identical_either_way(self):
-        got_batched, _ = self._payloads(batched=True)
-        got_plain, _ = self._payloads(batched=False)
+        got_batched, _ = self._payloads()
+        with unbatched():
+            got_plain, _ = self._payloads()
         assert got_batched == got_plain

@@ -2,10 +2,8 @@
 
 ``reachable`` answers one question: can packets from ``src`` currently
 reach ``dst``, considering partition topology only (loss and crash state
-are separate axes).  The sharded layer leans on it twice — shard plans
-derive groups from partition components, and the context layer filters
-topology news through it — so the contract gets pinned here, on both
-backends: it is part of the ``Transport`` seam ``core/morpheus.py`` is
+are separate axes).  The context layer filters topology news through
+it, so the contract gets pinned here, on both backends: it is part of the ``Transport`` seam ``core/morpheus.py`` is
 written against, and the live network once lacked it.
 """
 

@@ -20,7 +20,6 @@ from repro.experiments.figure3 import (Figure3Config, format_figure3,
                                        run_figure3, run_scenario)
 from repro.experiments.gossip_scale import format_sweep as format_gossip
 from repro.experiments.gossip_scale import run_scale
-from repro.experiments.kernel_micro import run_all as run_kernel_micro
 from repro.experiments.reconfiguration import run_reconfiguration
 from repro.experiments.report import format_table
 from repro.experiments.scenario_suite import format_suite, run_suite
@@ -86,14 +85,6 @@ class TestAblationHarnesses:
         assert control_fraction(baseline) < control_fraction(adaptive) < 1.0
         table = format_breakdown(adaptive, baseline)
         assert "ApplicationMessage" in table
-
-    def test_kernel_micro_harness(self):
-        results = run_kernel_micro()
-        by_name = {r.name: r for r in results}
-        assert any("routing throughput" in name for name in by_name)
-        optimization = next(r for r in results
-                            if "dispatches/event" in r.name)
-        assert optimization.value == 1.0
 
 
 class TestScenarioSuiteHarness:
