@@ -45,7 +45,7 @@ from repro.protocols.events import (GROUP_DEST, ApplicationMessage,
                                     ViewEvent)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChatDelivery:
     """One message as seen by a chat user.
 
@@ -90,7 +90,11 @@ class ChatSession(GroupSession):
         self._seq = 0
         #: (source, text) of everything delivered — dedup set for repair
         #: paths (normal deliveries append unconditionally, as before).
-        self._keys: set[tuple[str, str]] = set()
+        #: A second copy of ``history``, so it is built on the first
+        #: lookup (see :meth:`_known`) and maintained from then on: a
+        #: federated group builds it at its first delivery, the flat
+        #: stack only if a repair path ever runs.
+        self._keys: Optional[set[tuple[str, str]]] = None
         #: (origin_cell, sender, n) of federated injections already seen.
         self._fed_seen: set[tuple[str, str, int]] = set()
         #: Highest n delivered per (origin_cell, sender) stream.  A
@@ -161,7 +165,7 @@ class ChatSession(GroupSession):
         sequence numbering, so per-stream FIFO holds across cell churn.
         """
         self.history = list(state["history"])
-        self._keys = {(d.source, d.text) for d in self.history}
+        self._keys = None
         self._seq = state["seq"]
         self.sent_count = state["sent"]
         self._fed_seen = set(state["fed_seen"])
@@ -260,9 +264,17 @@ class ChatSession(GroupSession):
             return self.channels[0].kernel.clock.now()
         return 0.0
 
+    def _known(self) -> set[tuple[str, str]]:
+        """The ``(source, text)`` dedup set, built from ``history`` on
+        first use."""
+        if self._keys is None:
+            self._keys = {(d.source, d.text) for d in self.history}
+        return self._keys
+
     def _append(self, delivery: ChatDelivery) -> None:
         self.history.append(delivery)
-        self._keys.add((delivery.source, delivery.text))
+        if self._keys is not None:
+            self._keys.add((delivery.source, delivery.text))
         if self.on_message is not None:
             self.on_message(delivery)
 
@@ -279,7 +291,7 @@ class ChatSession(GroupSession):
             if n <= self._fed_high.get(stream, -1):
                 return  # stale injection from a superseded gateway
             source = payload.get("src", event.source)
-            if (source, payload["text"]) in self._keys:
+            if (source, payload["text"]) in self._known():
                 self._fed_high[stream] = n
                 return
             self._fed_high[stream] = n
@@ -288,7 +300,7 @@ class ChatSession(GroupSession):
                 room=payload.get("room", self.room), time=self._now(),
                 marker="fed", n=n, fed_cell=cell))
             return
-        if self.fed_seq and (event.source, payload["text"]) in self._keys:
+        if self.fed_seq and (event.source, payload["text"]) in self._known():
             # Scoped (federated) group: a repair path — admission
             # backlog, anti-entropy — may have replayed this message
             # moments before the group's own delivery lands.  The flat
@@ -362,9 +374,10 @@ class ChatSession(GroupSession):
         """Append repair entries not yet delivered; returns the fresh ones."""
         fresh: list[list] = []
         now = self._now()
+        known = self._known()
         for entry in entries:
             source, text, room = entry[0], entry[1], entry[2]
-            if (source, text) in self._keys:
+            if (source, text) in known:
                 continue
             fresh.append([source, text, room])
             self._append(ChatDelivery(source=source, text=text, room=room,

@@ -4,9 +4,9 @@ The paper's footnote 1: *"even in the adaptive version there is a small
 increase in the traffic due to the need of exchanging more control
 information."*  This harness breaks the measured mobile node's transmission
 count down by the event type that generated each packet — heartbeats,
-context snapshots, Core coordination, membership flushes, NACKs and the
-chat data itself — for both the adaptive and the non-adaptive configuration
-of a Figure 3 scenario.
+context snapshots, Core coordination, membership flushes, NACKs, stability
+reports and the chat data itself — for both the adaptive and the
+non-adaptive configuration of a Figure 3 scenario.
 
 Run with: ``python -m repro.experiments.control_overhead``
 """
@@ -22,7 +22,7 @@ from repro.experiments.report import format_table
 
 EVENT_ROWS = ("ApplicationMessage", "HeartbeatMessage", "ContextMessage",
               "CoreMessage", "MembershipMessage", "NackMessage",
-              "RetransmissionMessage")
+              "RetransmissionMessage", "StabilityMessage")
 
 
 def run_breakdown(num_nodes: int = 6, messages: int = 2000,

@@ -49,22 +49,68 @@ class ChannelState(enum.Enum):
 
 
 class TimerHandle:
-    """Cancellation handle for a timer armed through a channel."""
+    """Cancellation handle for a timer armed through a channel.
 
-    def __init__(self, channel: "Channel") -> None:
+    The clock holds the handle's bound :meth:`_fire` while the timer is
+    pending, and the handle drops its clock entry when it fires or is
+    cancelled, so the two form no cycle: a fired one-shot that nobody
+    holds is freed by reference counting, not left for the cyclic
+    collector.
+    """
+
+    __slots__ = ("_channel", "_clock_handle", "_route", "cancelled", "event",
+                 "__weakref__")
+
+    def __init__(self, channel: "Channel", event: TimerEvent,
+                 session: Session) -> None:
         self._channel = channel
         self._clock_handle: Any = None
+        self._route = [session]
         self.cancelled = False
         #: The armed timer event (introspection: a backoff timer's current
         #: ``interval``/``attempt`` live on the event between fires).
-        self.event: Optional[TimerEvent] = None
+        self.event = event
 
     def cancel(self) -> None:
         """Cancel the timer; periodic timers stop re-arming."""
         self.cancelled = True
         if self._clock_handle is not None:
             self._clock_handle.cancel()
+            self._clock_handle = None
         self._channel._live_timers.discard(self)
+
+    def _arm(self, delay: float) -> None:
+        channel = self._channel
+        self._clock_handle = channel.kernel.clock.call_later(delay,
+                                                             self._fire)
+        channel._live_timers.add(self)
+
+    def _fire(self) -> None:
+        channel = self._channel
+        self._clock_handle = None
+        channel._live_timers.discard(self)
+        if self.cancelled or channel.state is ChannelState.CLOSED:
+            return
+        event = self.event
+        event.fired_at = channel.kernel.clock.now()
+        event.channel = channel
+        event.direction = Direction.UP
+        event.source_session = None
+        event._route = self._route
+        event._index = 0
+        event._armed = False
+        channel.kernel.enqueue(event)
+        if self.cancelled:
+            # The dispatched handler cancelled its own timer.
+            return
+        if isinstance(event, PeriodicTimerEvent):
+            rearm_after: Optional[float] = event.interval
+        elif isinstance(event, BackoffTimerEvent):
+            rearm_after = event.advance()
+        else:
+            rearm_after = None
+        if rearm_after is not None:
+            self._arm(rearm_after)
 
 
 class Channel:
@@ -123,13 +169,14 @@ class Channel:
         self.insert(ChannelClose(), Direction.DOWN)
 
     def _finalize_close(self) -> None:
-        for handle in list(self._live_timers):
-            handle.cancel()
+        self.cancel_timers()
         for session in self.sessions:
             session._unbound(self)
         self.state = ChannelState.CLOSED
-        # A closed channel waits for the cyclic collector (its sessions
-        # and events point back at it); its routes need not wait with it.
+        # Release the stack: a session that still holds one of this
+        # channel's timer handles would otherwise form a cycle with it,
+        # and wait for the cyclic collector with every session it reaches.
+        self.sessions = []
         self._routes_up.clear()
         self._routes_down.clear()
         self.kernel._unregister_channel(self)
@@ -251,39 +298,14 @@ class Channel:
         backoff loop costs one scheduler event per attempt.
         """
         self._check_live()
-        handle = TimerHandle(self)
-        handle.event = event
-        route = [session]
-
-        def fire() -> None:
-            self._live_timers.discard(handle)
-            if handle.cancelled or self.state is ChannelState.CLOSED:
-                return
-            event.fired_at = self.kernel.clock.now()
-            event.channel = self
-            event.direction = Direction.UP
-            event.source_session = None
-            event._route = route
-            event._index = 0
-            event._armed = False
-            self.kernel.enqueue(event)
-            if handle.cancelled:
-                # The dispatched handler cancelled its own timer.
-                return
-            if isinstance(event, PeriodicTimerEvent):
-                rearm_after: Optional[float] = event.interval
-            elif isinstance(event, BackoffTimerEvent):
-                rearm_after = event.advance()
-            else:
-                rearm_after = None
-            if rearm_after is not None:
-                handle._clock_handle = self.kernel.clock.call_later(
-                    rearm_after, fire)
-                self._live_timers.add(handle)
-
-        handle._clock_handle = self.kernel.clock.call_later(delay, fire)
-        self._live_timers.add(handle)
+        handle = TimerHandle(self, event, session)
+        handle._arm(delay)
         return handle
+
+    def cancel_timers(self) -> None:
+        """Cancel every live timer armed through this channel."""
+        for handle in list(self._live_timers):
+            handle.cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Channel {self.name} ({self.state.value}) "

@@ -73,6 +73,11 @@ class Kernel:
         """Channels currently registered with this kernel."""
         return tuple(self._channels)
 
+    def cancel_timers(self) -> None:
+        """Cancel the live timers of every channel (the node departed)."""
+        for channel in self._channels:
+            channel.cancel_timers()
+
     def find_channel(self, name: str) -> Optional["Channel"]:
         """Return the registered channel called ``name``, if any."""
         for channel in self._channels:

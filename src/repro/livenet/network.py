@@ -221,6 +221,7 @@ class LiveNetwork:
     def remove_node(self, node_id: str) -> None:
         node = self.nodes.pop(node_id)
         node.crashed = True
+        node.kernel.cancel_timers()
         self.departed[node_id] = node
         self._notify("remove", node_id)
 

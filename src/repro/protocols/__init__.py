@@ -27,8 +27,8 @@ from repro.protocols.events import (GROUP_DEST, ApplicationMessage,
                                     MembershipMessage, NackMessage,
                                     OrderMessage, ParityMessage,
                                     QuiescentEvent, RetransmissionMessage,
-                                    SequencedEvent, StrangerEvent,
-                                    SuspectEvent, SyncMessage,
+                                    SequencedEvent, StabilityMessage,
+                                    StrangerEvent, SuspectEvent, SyncMessage,
                                     TriggerViewChangeEvent, UnsuspectEvent,
                                     View, ViewEvent)
 from repro.protocols.fec import FecLayer, FecSession
@@ -53,7 +53,8 @@ __all__ = [
     "FlushStatusEvent", "GossipMessage", "GroupSendableEvent",
     "HeartbeatMessage", "LeaveRequestEvent", "MembershipMessage",
     "NackMessage", "OrderMessage", "ParityMessage", "QuiescentEvent",
-    "RetransmissionMessage", "SequencedEvent", "StrangerEvent",
+    "RetransmissionMessage", "SequencedEvent", "StabilityMessage",
+    "StrangerEvent",
     "SuspectEvent", "SyncMessage", "TriggerViewChangeEvent",
     "UnsuspectEvent", "View", "ViewEvent",
     "FecLayer", "FecSession",

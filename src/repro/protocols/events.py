@@ -134,6 +134,19 @@ class SyncMessage(GroupSendableEvent):
     traffic_class = "control"
 
 
+class StabilityMessage(GroupSendableEvent):
+    """Reliable layer: one step of the store's stability round.
+
+    A member's *report* (``{"from", "delivered", "epoch"}``) goes to the
+    view coordinator; the coordinator's *stable* vector (``{"stable",
+    "epoch"}``) goes to every other member.  A message at or below
+    ``stable[sender]`` was delivered by the whole view, so no member can
+    ever NACK it and every store may drop it.
+    """
+
+    traffic_class = "control"
+
+
 class GossipMessage(GroupSendableEvent):
     """Epidemic dissemination rounds (wraps an application payload)."""
 

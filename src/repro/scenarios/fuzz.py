@@ -400,9 +400,14 @@ def check_view_agreement(runner: ScenarioRunner,
     network = runner.network
     survivors = {node_id for node_id, node in network.nodes.items()
                  if node.alive}
-    never_joined = {
-        node_id for node_id, node in runner.morpheus.items()
-        if node.control_channel.session_named("membership").view is None}
+    never_joined = set()
+    for node_id, node in runner.morpheus.items():
+        # A shut-down instance (a member of a retired cell that was
+        # crashed at the reshape) has released its stack: it had joined,
+        # and it is no survivor.
+        membership = node.control_channel.session_named("membership")
+        if membership is not None and membership.view is None:
+            never_joined.add(node_id)
     # Federated runs scope views per cell: a node's control group is its
     # cell, so the expectation intersects the component's established
     # survivors with the node's cellmates.  Flat runs (no cell

@@ -307,13 +307,14 @@ class Network:
     def remove_node(self, node_id: str) -> None:
         """Permanently remove a node (graceful departure or decommission).
 
-        The node stops sending and receiving; packets in flight towards it
-        are lost.  Its traffic counters remain queryable through
+        The node stops sending and receiving, and its timers stop;
+        packets in flight towards it are lost.  Its traffic counters remain queryable through
         :meth:`stats_of` / :meth:`total_stats` so experiment accounting
         still covers its lifetime.
         """
         node = self.nodes.pop(node_id)
         node.crashed = True
+        node.kernel.cancel_timers()
         self.departed[node_id] = node
         self._notify("remove", node_id)
 

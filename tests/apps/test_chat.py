@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core import build_morpheus_group, build_plain_group
@@ -76,6 +78,39 @@ class TestRooms:
             engine.run_until(1.0 + index)
         times = [d.time for d in nodes["b"].chat.history]
         assert times == sorted(times)
+
+
+class TestHistory:
+    def test_flat_group_keeps_one_copy(self, plain_pair):
+        engine, network, nodes = plain_pair
+        engine.run_until(0.5)
+        nodes["a"].send("hello")
+        engine.run_until(2.0)
+        chat = nodes["b"].chat
+        assert chat.texts() == ["hello"]
+        assert chat._keys is None  # no dedup set beside the history
+        assert not hasattr(chat.history[0], "__dict__")
+
+    def test_repair_dedups_against_history(self, plain_pair):
+        engine, network, nodes = plain_pair
+        engine.run_until(0.5)
+        nodes["a"].send("hello")
+        engine.run_until(2.0)
+        chat = nodes["b"].chat
+        fresh = chat._absorb_entries([["a", "hello", "lobby"],
+                                      ["c", "missed", "lobby"]], "backlog")
+        assert fresh == [["c", "missed", "lobby"]]
+        assert chat.texts() == ["hello", "missed"]
+        assert chat._keys == {("a", "hello"), ("c", "missed")}
+
+    def test_history_pickles(self, plain_pair):
+        # Segmented runs ship histories across processes.
+        engine, network, nodes = plain_pair
+        engine.run_until(0.5)
+        nodes["a"].send("hello")
+        engine.run_until(2.0)
+        history = nodes["b"].chat.history
+        assert pickle.loads(pickle.dumps(history)) == history
 
 
 class TestLeave:

@@ -30,9 +30,11 @@ class TestLifecycle:
 
     def test_close_delivers_channel_close_top_down_then_finalizes(self, kernel):
         channel = build_channel(kernel, [RecorderLayer(), RecorderLayer()])
+        sessions = list(channel.sessions)
         channel.close()
         assert channel.state is ChannelState.CLOSED
-        for session in channel.sessions:
+        assert channel.sessions == []  # the closed channel releases its stack
+        for session in sessions:
             assert session.closes == 1
             assert channel not in session.channels
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.kernel import (BackoffTimerEvent, Event, Kernel, Layer,
@@ -193,6 +196,46 @@ class TestBackoff:
         with pytest.raises(ValueError):
             # A zero cap would rearm at the same instant forever.
             BackoffTimerEvent("bad", interval=1.0, max_interval=0.0)
+
+
+class _CountingSession(Session):
+    """Counts its timer fires without keeping the events."""
+
+    def __init__(self, layer: Layer) -> None:
+        super().__init__(layer)
+        self.fires = 0
+
+    def handle(self, event: Event) -> None:
+        if isinstance(event, TimerEvent):
+            self.fires += 1
+            return
+        event.go()
+
+
+class _CountingLayer(Layer):
+    accepted_events = (TimerEvent,)
+    session_class = _CountingSession
+
+
+class TestReferenceCounting:
+    def test_fired_timer_and_closed_stack_need_no_collector(self, kernel,
+                                                            clock):
+        gc.disable()
+        try:
+            channel = build_channel(kernel, [_CountingLayer(),
+                                             _CountingLayer()])
+            session = channel.sessions[1]
+            fired = weakref.ref(session.set_timer(1.0, tag="once"))
+            clock.advance(2.0)
+            assert session.fires == 1
+            assert fired() is None, "a fired one-shot is in a cycle"
+            closed = weakref.ref(session)
+            channel.close()
+            del session
+            # The closed channel is still referenced; its stack is not.
+            assert closed() is None, "a closed channel pins its sessions"
+        finally:
+            gc.enable()
 
 
 class TestManualClock:

@@ -31,6 +31,7 @@ from repro.livenet import LiveNetwork, WallClock
 from repro.livenet.conformance import (CONFORMANCE_CASES, run_conformance,
                                        write_divergence_trace)
 from repro.protocols.events import ApplicationMessage
+from tests.kernel.helpers import RecorderLayer, build_channel
 
 pytestmark = pytest.mark.live
 
@@ -68,6 +69,21 @@ class TestTransportSmoke:
         assert packet.src == "alpha"
         assert packet.event_cls is ApplicationMessage
         assert packet.message.payload == {"text": "over the wire"}
+
+
+    def test_removed_node_stops_its_timers(self):
+        async def scenario():
+            net = LiveNetwork(WallClock(time_scale=100.0), seed=7,
+                              impaired=False)
+            await net.open_endpoint("alpha")
+            node = net.add_fixed_node("alpha")
+            channel = build_channel(node.kernel, [RecorderLayer()])
+            beat = channel.sessions[0].set_periodic_timer(1.0, tag="beat")
+            net.remove_node("alpha")
+            await net.close()
+            return beat
+
+        assert asyncio.run(scenario()).cancelled
 
 
 # -- scenario conformance -----------------------------------------------------

@@ -15,10 +15,10 @@ from repro.scenarios import (CANNED, ScenarioRunner, canned, churn_storm,
                              flash_crowd_join, partition_heal, run_scenario)
 
 
-DEPARTED_KERNELS_TICK = (
-    "departed-kernel timer leak: a crashed or departed node's kernel keeps "
-    "firing its timers (fixed-1 of churn_storm: 4.0 per second after it "
-    "leaves); ROADMAP.md item 1")
+CRASHED_KERNELS_TICK = (
+    "a crashed kernel keeps firing its timers (mobile-2 of churn_storm, "
+    "never recovered: 4.88 here): a crash pauses the node, and its state "
+    "must survive recover_node")
 
 
 def _quiet_timer_load(departed_too: bool) -> float:
@@ -122,11 +122,20 @@ class TestChurnStorm:
             f"{per_node_s:.2f} timer dispatches per node-second in a quiet "
             "view: a GC sweep is ticking while its table is empty?")
 
+    def test_departed_node_stops_its_timers(self):
+        scenario = churn_storm(members=10)
+        runner = ScenarioRunner(scenario, seed=0)
+        runner.run()
+        kernel = runner.network.departed["fixed-1"].kernel
+        before = kernel.timer_dispatched_count
+        runner.engine.run_until(scenario.duration_s + 30.0)
+        assert kernel.timer_dispatched_count == before
+
     @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason=DEPARTED_KERNELS_TICK)
+                       reason=CRASHED_KERNELS_TICK)
     def test_departed_nodes_cost_no_timers(self):
         # The same ceiling over every node's kernel, crashed and departed
-        # ones included, still divided by the live nodes: 5.39 here.
+        # ones included, still divided by the live nodes: 4.88 here.
         per_node_s = _quiet_timer_load(departed_too=True)
         assert per_node_s <= 4.5, (
             f"{per_node_s:.2f} timer dispatches per live node-second in a "

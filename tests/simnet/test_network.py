@@ -10,6 +10,7 @@ from repro.kernel import Message, SendableEvent
 from repro.simnet import (Battery, BernoulliLoss, LinkParams, Network,
                           NodeKind, NoLoss, Packet, SimEngine,
                           TopologyChange)
+from tests.kernel.helpers import RecorderLayer, build_channel
 
 
 def make_packet(src: str, dst, payload=b"x" * 100, port="data",
@@ -305,6 +306,16 @@ class TestRuntimeTopologyMutation:
         assert hybrid.lost_packets == 1
         with pytest.raises(ValueError):
             hybrid.add_fixed_node("mobile-0")  # the id stays burned
+
+    def test_removed_node_stops_its_timers(self, hybrid, engine):
+        kernel = hybrid.node("mobile-0").kernel
+        channel = build_channel(kernel, [RecorderLayer()])
+        channel.sessions[0].set_periodic_timer(1.0, tag="beat")
+        engine.run_until(2.5)
+        fired = kernel.timer_dispatched_count
+        hybrid.remove_node("mobile-0")
+        engine.run_until(10.0)
+        assert fired == 2 and kernel.timer_dispatched_count == fired
 
     def test_loss_model_swap_is_live(self, engine):
         network = Network(engine)
