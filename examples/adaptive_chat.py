@@ -37,7 +37,7 @@ from repro.simnet import Network, SimEngine
 
 def main() -> None:
     engine = SimEngine()
-    network = Network(engine, seed=23)
+    network = Network(engine)
     network.add_fixed_node("fixed-0")
     mobiles = [f"mobile-{index}" for index in range(5)]
     for node_id in mobiles:
@@ -119,7 +119,7 @@ def _live_worker(node_id: str, time_scale: float) -> None:
 
     async def run() -> dict:
         clock = WallClock(time_scale=time_scale)
-        net = LiveNetwork(clock, seed=23, impaired=False)
+        net = LiveNetwork(clock, impaired=False)
         host, port = await net.open_endpoint(node_id)
         print(json.dumps({"node": node_id, "host": host, "port": port}),
               flush=True)

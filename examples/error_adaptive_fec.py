@@ -26,7 +26,7 @@ def main() -> None:
     engine = SimEngine()
     loss = BernoulliLoss(0.0, random.Random(11))
     wireless = LinkParams(latency_s=0.002, bandwidth_bps=11e6, loss=loss)
-    network = Network(engine, seed=11, wireless=wireless)
+    network = Network(engine, wireless=wireless)
     network.add_mobile_node("mobile-0")
     for index in range(3):
         network.add_fixed_node(f"fixed-{index}")

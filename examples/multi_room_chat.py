@@ -20,8 +20,8 @@ from repro.kernel import QoS
 from repro.protocols import (BestEffortMulticastLayer, CausalOrderLayer,
                              HeartbeatLayer, MembershipLayer,
                              ReliableMulticastLayer, ViewSyncLayer)
-from repro.simnet import (Network, SimEngine, SimTransportLayer,
-                          SimTransportSession)
+from repro.simnet import (DatagramTransportSession, Network, SimEngine,
+                          SimTransportLayer)
 
 MEMBERS = ("alice", "bob", "carol")
 ROOMS = ("news", "sports")
@@ -32,7 +32,7 @@ def build_node(network, node_id):
     node = network.node(node_id)
     members_csv = ",".join(MEMBERS)
     transport_layer = SimTransportLayer()
-    transport_session = SimTransportSession(transport_layer, node=node)
+    transport_session = DatagramTransportSession(transport_layer, node=node)
     causal_layer = CausalOrderLayer()
     causal_session = causal_layer.create_session()
     rooms = {}
@@ -56,7 +56,7 @@ def build_node(network, node_id):
 
 def main() -> None:
     engine = SimEngine()
-    network = Network(engine, seed=3)
+    network = Network(engine)
     for node_id in MEMBERS:
         network.add_fixed_node(node_id)
     users = {node_id: build_node(network, node_id) for node_id in MEMBERS}

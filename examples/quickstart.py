@@ -16,7 +16,7 @@ from repro.simnet import Network, SimEngine
 def main() -> None:
     # 1. A simulated hybrid network: a wired host plus two PDAs.
     engine = SimEngine()
-    network = Network(engine, seed=7)
+    network = Network(engine)
     network.add_fixed_node("fixed-0")
     network.add_mobile_node("mobile-0")
     network.add_mobile_node("mobile-1")

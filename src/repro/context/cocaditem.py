@@ -26,7 +26,7 @@ from repro.kernel.layer import Layer
 from repro.kernel.registry import register_layer
 from repro.protocols.base import GroupSession
 from repro.protocols.events import ContextMessage, ViewEvent
-from repro.simnet.node import SimNode
+from repro.simnet.node import Node
 
 _PUBLISH_TIMER = "cocaditem-publish"
 
@@ -42,7 +42,7 @@ class CocaditemSession(GroupSession):
         super().__init__(layer)
         self.publish_interval: float = float(
             layer.params.get("publish_interval", 10.0))
-        self.node: Optional[SimNode] = None
+        self.node: Optional[Node] = None
         self.retrievers: list[ContextRetriever] = []
         self.bus: Optional[TopicBus] = None
         self._channel = None
@@ -52,7 +52,7 @@ class CocaditemSession(GroupSession):
         #: Snapshots sent to the control coordinator (diagnostics).
         self.snapshots_sent = 0
 
-    def attach(self, node: SimNode, bus: TopicBus,
+    def attach(self, node: Node, bus: TopicBus,
                retrievers: Optional[list[ContextRetriever]] = None) -> None:
         """Wire the session to its device, bus and retriever set."""
         self.node = node

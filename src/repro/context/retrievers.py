@@ -15,7 +15,7 @@ from typing import Any, Callable, Optional, Protocol
 from repro.context.model import (BANDWIDTH, BATTERY, DEVICE_TYPE,
                                  LINK_QUALITY, MEMORY)
 from repro.simnet.loss import BernoulliLoss, GilbertElliottLoss
-from repro.simnet.node import SimNode
+from repro.simnet.node import Node
 
 
 class ContextRetriever(Protocol):
@@ -23,7 +23,7 @@ class ContextRetriever(Protocol):
 
     attribute: str
 
-    def sample(self, node: SimNode) -> Any:  # pragma: no cover - protocol
+    def sample(self, node: Node) -> Any:  # pragma: no cover - protocol
         ...
 
 
@@ -33,7 +33,7 @@ class DeviceTypeRetriever:
 
     attribute = DEVICE_TYPE
 
-    def sample(self, node: SimNode) -> str:
+    def sample(self, node: Node) -> str:
         return node.kind.value
 
 
@@ -42,7 +42,7 @@ class BatteryRetriever:
 
     attribute = BATTERY
 
-    def sample(self, node: SimNode) -> float:
+    def sample(self, node: Node) -> float:
         if node.battery is None:
             return 1.0
         return round(node.battery.fraction, 6)
@@ -58,7 +58,7 @@ class LinkQualityRetriever:
 
     attribute = LINK_QUALITY
 
-    def sample(self, node: SimNode) -> float:
+    def sample(self, node: Node) -> float:
         link = node.network.wireless if node.is_mobile else node.network.wired
         loss = link.loss
         if isinstance(loss, BernoulliLoss):
@@ -73,7 +73,7 @@ class BandwidthRetriever:
 
     attribute = BANDWIDTH
 
-    def sample(self, node: SimNode) -> float:
+    def sample(self, node: Node) -> float:
         link = node.network.wireless if node.is_mobile else node.network.wired
         return link.bandwidth_bps
 
@@ -87,7 +87,7 @@ class MemoryRetriever:
         self.fixed_mib = fixed_mib
         self.mobile_mib = mobile_mib
 
-    def sample(self, node: SimNode) -> int:
+    def sample(self, node: Node) -> int:
         return self.mobile_mib if node.is_mobile else self.fixed_mib
 
 
@@ -95,11 +95,11 @@ class CallableRetriever:
     """Adapter turning any function into a retriever (tests, extensions)."""
 
     def __init__(self, attribute: str,
-                 fn: Callable[[SimNode], Any]) -> None:
+                 fn: Callable[[Node], Any]) -> None:
         self.attribute = attribute
         self._fn = fn
 
-    def sample(self, node: SimNode) -> Any:
+    def sample(self, node: Node) -> Any:
         return self._fn(node)
 
 

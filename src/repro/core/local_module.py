@@ -31,7 +31,7 @@ from repro.kernel.events import Direction
 from repro.kernel.session import Session
 from repro.kernel.xml_config import ChannelTemplate
 from repro.protocols.events import TriggerViewChangeEvent, View
-from repro.simnet.node import SimNode
+from repro.simnet.node import Node
 
 DoneCallback = Callable[[int], None]
 
@@ -39,7 +39,7 @@ DoneCallback = Callable[[int], None]
 class LocalModule:
     """Deploys data-channel configurations on one node."""
 
-    def __init__(self, node: SimNode, channel_name: str = "data",
+    def __init__(self, node: Node, channel_name: str = "data",
                  session_bindings: Optional[dict[str, Session]] = None,
                  trigger_retry_interval: float = 1.0) -> None:
         self.node = node

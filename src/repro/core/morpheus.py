@@ -32,10 +32,11 @@ from repro.core.templates import (APP_LABEL, TRANSPORT_LABEL,
 from repro.kernel.channel import Channel, ChannelState
 from repro.kernel.events import Direction
 from repro.kernel.group import scoped_name
+from repro.kernel.transport import DatagramTransportSession
 from repro.kernel.xml_config import ChannelTemplate
 from repro.protocols.events import LeaveRequestEvent
-from repro.simnet.network import Network
-from repro.simnet.transport import SimTransportLayer, SimTransportSession
+from repro.simnet.network import NetworkBase
+from repro.simnet.transport import SimTransportLayer
 
 
 class MorpheusNode:
@@ -71,7 +72,7 @@ class MorpheusNode:
             (federation: ``fed_seq``, ``backlog_n``, ``reconcile``).
     """
 
-    def __init__(self, network: Network, node_id: str,
+    def __init__(self, network: NetworkBase, node_id: str,
                  group_members: Sequence[str], *,
                  policy: Optional[Policy] = None,
                  data_template: Optional[ChannelTemplate] = None,
@@ -105,8 +106,8 @@ class MorpheusNode:
         self._stack_options = stack_options
 
         transport_layer = SimTransportLayer()
-        transport_session = SimTransportSession(transport_layer,
-                                                node=self.node)
+        transport_session = DatagramTransportSession(transport_layer,
+                                                     node=self.node)
         self.bindings = {TRANSPORT_LABEL: transport_session}
         self.local_module = LocalModule(self.node, scoped_name("data", group),
                                         self.bindings)
@@ -190,7 +191,7 @@ class MorpheusNode:
 
         The membership layers run their leave flushes; the caller is
         expected to remove the node from the network once they complete
-        (see :meth:`~repro.simnet.network.Network.remove_node`).
+        (see :meth:`~repro.simnet.network.NetworkBase.remove_node`).
         """
         if self.local_module.data_channel is not None:
             self.local_module.data_channel.insert(LeaveRequestEvent(),
@@ -230,7 +231,7 @@ class MorpheusNode:
 class PlainNode:
     """The non-adaptive baseline: same app + suite, no Morpheus components."""
 
-    def __init__(self, network: Network, node_id: str,
+    def __init__(self, network: NetworkBase, node_id: str,
                  group_members: Sequence[str], *,
                  ordering: Sequence[str] = (),
                  room: str = "lobby",
@@ -241,8 +242,8 @@ class PlainNode:
         self.node = network.node(node_id)
         self.members = tuple(sorted(group_members))
         transport_layer = SimTransportLayer()
-        transport_session = SimTransportSession(transport_layer,
-                                                node=self.node)
+        transport_session = DatagramTransportSession(transport_layer,
+                                                     node=self.node)
         self.bindings = {TRANSPORT_LABEL: transport_session}
         template = plain_data_template(
             self.members, ordering=ordering, app_params={"room": room},
@@ -267,14 +268,16 @@ class PlainNode:
         self.chat.send(text)
 
 
-def build_morpheus_group(network: Network, **options) -> dict[str, MorpheusNode]:
+def build_morpheus_group(network: NetworkBase,
+                         **options) -> dict[str, MorpheusNode]:
     """One :class:`MorpheusNode` per node already present in ``network``."""
     members = network.node_ids()
     return {node_id: MorpheusNode(network, node_id, members, **options)
             for node_id in members}
 
 
-def build_plain_group(network: Network, **options) -> dict[str, PlainNode]:
+def build_plain_group(network: NetworkBase,
+                      **options) -> dict[str, PlainNode]:
     """One :class:`PlainNode` per node already present in ``network``."""
     members = network.node_ids()
     return {node_id: PlainNode(network, node_id, members, **options)

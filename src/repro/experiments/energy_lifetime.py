@@ -49,9 +49,9 @@ class LifetimeResult:
     relay_switches: int
 
 
-def _build(strategy: str, num_nodes: int, capacity_mj: float, seed: int):
+def _build(strategy: str, num_nodes: int, capacity_mj: float):
     engine = SimEngine()
-    network = Network(engine, seed=seed)
+    network = Network(engine)
     member_ids = [f"m{index}" for index in range(num_nodes)]
     for index, node_id in enumerate(member_ids):
         # Heterogeneous reserves: the lowest-id device is the weakest.
@@ -84,7 +84,7 @@ def run_lifetime(strategy: str, *, num_nodes: int = 4, rate: float = 4.0,
                  capacity_mj: float = 4000.0, horizon_s: float = 2000.0,
                  seed: int = 31) -> LifetimeResult:
     """Run one strategy until the first battery dies (or the horizon)."""
-    engine, network, nodes = _build(strategy, num_nodes, capacity_mj, seed)
+    engine, network, nodes = _build(strategy, num_nodes, capacity_mj)
     member_ids = network.node_ids()
 
     # Everyone chats, round-robin, at an aggregate ``rate`` msg/s.

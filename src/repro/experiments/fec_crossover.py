@@ -55,7 +55,7 @@ def run_recovery(loss: float, strategy: str, *, num_nodes: int = 4,
     engine = SimEngine()
     wireless = LinkParams(latency_s=0.002, bandwidth_bps=11e6,
                           loss=BernoulliLoss(loss, random.Random(seed)))
-    network = Network(engine, seed=seed, wireless=wireless)
+    network = Network(engine, wireless=wireless)
     member_ids = ["m0"] + [f"r{index}" for index in range(num_nodes - 1)]
     network.add_mobile_node("m0")
     for node_id in member_ids[1:]:

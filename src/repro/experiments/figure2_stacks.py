@@ -27,7 +27,7 @@ def deploy_stacks(num_mobile: int = 2, seed: int = 17,
     Returns ``{node_id: {"kind", "before", "after", "mecho_mode"}}``.
     """
     engine = SimEngine()
-    network = Network(engine, seed=seed)
+    network = Network(engine)
     network.add_fixed_node("fixed-0")
     for index in range(num_mobile):
         network.add_mobile_node(f"mobile-{index}")

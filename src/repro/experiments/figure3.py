@@ -77,10 +77,10 @@ class ScenarioResult:
     sent_by_event: dict = field(default_factory=dict)
 
 
-def _build_network(num_nodes: int, seed: int) -> tuple[SimEngine, Network]:
+def _build_network(num_nodes: int) -> tuple[SimEngine, Network]:
     """1 fixed host + (n-1) mobile devices, as in the paper's hybrid runs."""
     engine = SimEngine()
-    network = Network(engine, seed=seed)
+    network = Network(engine)
     network.add_fixed_node("fixed-0")
     for index in range(num_nodes - 1):
         network.add_mobile_node(f"mobile-{index}")
@@ -91,7 +91,7 @@ def run_scenario(num_nodes: int, optimized: bool,
                  config: Optional[Figure3Config] = None) -> ScenarioResult:
     """Run one Figure 3 cell and return the mobile node's counters."""
     config = config or Figure3Config()
-    engine, network = _build_network(num_nodes, config.seed)
+    engine, network = _build_network(num_nodes)
     if optimized:
         nodes = build_morpheus_group(
             network,

@@ -47,7 +47,7 @@ def run_scale(num_nodes: int, strategy: str, *, messages: int = 30,
               rounds: Optional[int] = None, seed: int = 13) -> ScaleResult:
     """One cell: a fixed-host group of ``num_nodes``, one origin sender."""
     engine = SimEngine()
-    network = Network(engine, seed=seed)
+    network = Network(engine)
     member_ids = [f"n{index:03d}" for index in range(num_nodes)]
     for node_id in member_ids:
         network.add_fixed_node(node_id)

@@ -12,12 +12,13 @@ from typing import Optional, Sequence
 from repro.apps.workload import ProbeAppLayer, ProbeSession
 from repro.kernel.layer import Layer
 from repro.kernel.qos import QoS
+from repro.kernel.transport import DatagramTransportSession
 from repro.protocols.beb import BestEffortMulticastLayer
 from repro.protocols.fec import FecLayer
 from repro.protocols.gossip import GossipLayer
 from repro.protocols.reliable import ReliableMulticastLayer
 from repro.simnet.network import Network
-from repro.simnet.transport import SimTransportLayer, SimTransportSession
+from repro.simnet.transport import SimTransportLayer
 
 
 def build_ministack(network: Network, node_id: str,
@@ -30,7 +31,7 @@ def build_ministack(network: Network, node_id: str,
     """
     node = network.node(node_id)
     transport_layer = SimTransportLayer()
-    transport_session = SimTransportSession(transport_layer, node=node)
+    transport_session = DatagramTransportSession(transport_layer, node=node)
     layers: list[Layer] = [transport_layer, *middle_layers, ProbeAppLayer()]
     qos = QoS(f"mini-{node_id}", layers)
     channel = qos.create_channel(channel_name, node.kernel,

@@ -51,7 +51,7 @@ def run_reconfiguration(num_nodes: int, *, rate: float = 10.0,
     switch, whose cost we isolate.
     """
     engine = SimEngine()
-    network = Network(engine, seed=seed)
+    network = Network(engine)
     network.add_fixed_node("fixed-0")
     for index in range(num_nodes - 1):
         network.add_mobile_node(f"mobile-{index}")

@@ -35,11 +35,12 @@ from repro.kernel.channel import Channel, ChannelState
 from repro.kernel.events import Direction, Event
 from repro.kernel.layer import Layer
 from repro.kernel.registry import register_layer
+from repro.kernel.transport import DatagramTransportSession
 from repro.kernel.xml_config import ChannelTemplate, LayerSpec
 from repro.protocols.base import GroupSession
 from repro.protocols.events import GROUP_DEST, FederationMessage
 from repro.simnet.network import Network
-from repro.simnet.transport import SimTransportLayer, SimTransportSession
+from repro.simnet.transport import SimTransportLayer
 
 ROUTER_LABEL = "fed_router"
 
@@ -191,7 +192,7 @@ class FederationRouter:
         node = network.node(node_id)
         self.node_id = node_id
         transport_layer = SimTransportLayer()
-        transport = SimTransportSession(transport_layer, node=node)
+        transport = DatagramTransportSession(transport_layer, node=node)
         template = bridge_template(gateways, seed=seed, fanout=fanout,
                                    rounds=rounds,
                                    digest_interval=digest_interval,

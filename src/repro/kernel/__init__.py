@@ -37,7 +37,7 @@ from repro.kernel.registry import (is_registered, register_layer,
 from repro.kernel.scheduler import Kernel
 from repro.kernel.session import Session
 from repro.kernel.transport import (DatagramTransportLayer,
-                                    DatagramTransportSession, Transport,
+                                    DatagramTransportSession,
                                     TransportEndpoint)
 from repro.kernel.xml_config import (ChannelTemplate, LayerSpec, coerce_scalar,
                                      dump_config, parse_config)
@@ -53,7 +53,7 @@ __all__ = [
     "Layer", "Message", "estimate_size", "QoS",
     "CONTROL", "DATA", "PACKET_OVERHEAD_BYTES", "SRC_FIELD_OVERHEAD",
     "EachOf", "Packet",
-    "DatagramTransportLayer", "DatagramTransportSession", "Transport",
+    "DatagramTransportLayer", "DatagramTransportSession",
     "TransportEndpoint",
     "is_registered", "register_layer", "registered_layers", "resolve_layer",
     "unregister_layer",

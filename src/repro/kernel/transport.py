@@ -13,16 +13,11 @@ backend-specific:
 * :mod:`repro.livenet` serializes packets into real UDP datagrams on an
   asyncio event loop (the deployable backend).
 
-Two structural protocols pin the seam down:
-
-* :class:`TransportEndpoint` — the node-side surface the transport session
-  drives (``node_id``, ``kernel``, port binding, ``send``).  Satisfied by
-  :class:`repro.simnet.node.SimNode` and :class:`repro.livenet.node.LiveNode`.
-* :class:`Transport` — the network-side surface the scenario and Morpheus
-  layers drive (node registry, topology mutation, counters, a shared
-  :class:`~repro.kernel.clock.Clock` as ``engine``).  Satisfied by
-  :class:`repro.simnet.network.Network` and
-  :class:`repro.livenet.network.LiveNetwork`.
+:class:`TransportEndpoint` pins the seam down: the node-side surface the
+transport session drives (``node_id``, ``kernel``, port binding, ``send``),
+satisfied by :class:`repro.simnet.node.Node` on either backend.  The
+network-side surface the scenario and Morpheus layers drive is one class,
+:class:`repro.simnet.network.NetworkBase`, which both backends subclass.
 
 Addressing convention carried by ``SendableEvent.dest``:
 
@@ -46,10 +41,9 @@ packet's ``logical_src`` field (see :mod:`repro.kernel.packet`).
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Iterable, Optional, Protocol
+from typing import Any, Callable, Optional, Protocol
 
 from repro.kernel.channel import Channel
-from repro.kernel.clock import Clock
 from repro.kernel.events import (ChannelClose, ChannelInit, Direction, Event,
                                  SendableEvent, TimerEvent)
 from repro.kernel.layer import Layer
@@ -84,53 +78,6 @@ class TransportEndpoint(Protocol):
 
     def send(self, packet: Packet) -> None:
         """Transmit ``packet`` through the backend network."""
-        ...  # pragma: no cover - protocol declaration
-
-
-class Transport(Protocol):
-    """Network-side surface shared by the simulated and live backends
-    (:class:`repro.simnet.network.Network`,
-    :class:`repro.livenet.network.LiveNetwork`); duck-typed — it documents
-    the seam, nothing enforces it at run time."""
-
-    engine: Clock
-    topology_epoch: int
-    lost_packets: int
-    delivered_packets: int
-
-    def node(self, node_id: str) -> TransportEndpoint:
-        ...  # pragma: no cover - protocol declaration
-
-    def add_node(self, node_id: str, kind: Any,
-                 battery: Any = None) -> TransportEndpoint:
-        ...  # pragma: no cover - protocol declaration
-
-    def remove_node(self, node_id: str) -> None:
-        ...  # pragma: no cover - protocol declaration
-
-    def move_node(self, node_id: str, kind: Any) -> TransportEndpoint:
-        ...  # pragma: no cover - protocol declaration
-
-    def crash_node(self, node_id: str) -> None:
-        ...  # pragma: no cover - protocol declaration
-
-    def recover_node(self, node_id: str) -> None:
-        ...  # pragma: no cover - protocol declaration
-
-    def partition(self, *groups: Iterable[str]) -> None:
-        ...  # pragma: no cover - protocol declaration
-
-    def heal_partition(self) -> None:
-        ...  # pragma: no cover - protocol declaration
-
-    def reachable(self, src: str, dst: str) -> bool:
-        """Whether the partition topology lets ``src`` reach ``dst``."""
-        ...  # pragma: no cover - protocol declaration
-
-    def subscribe_topology(self, listener: Callable[[Any], None]) -> None:
-        ...  # pragma: no cover - protocol declaration
-
-    def unsubscribe_topology(self, listener: Callable[[Any], None]) -> None:
         ...  # pragma: no cover - protocol declaration
 
 

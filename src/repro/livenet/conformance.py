@@ -2,8 +2,8 @@
 
 A conformance case replays one canned scenario twice — once on the
 deterministic simulator, once over real UDP loopback sockets with the
-impairment shim — and diffs the protocol-level outcomes that must be
-timing-independent:
+simulator's link model applied to every frame — and diffs the
+protocol-level outcomes that must be timing-independent:
 
 * **delivery histories** (chat texts, in delivery order) of *stable*
   nodes — members present from t=0 that never crash, leave, or sit on the

@@ -13,13 +13,16 @@ through the same code paths on both backends, which is what makes the
 sim-vs-live diff meaningful.
 
 Determinism caveat, by design: the *schedule* (joins, crashes,
-partitions, bursts) lands at the same virtual instants as in simulation
-and the impairment shim draws from the same seeded loss models, but
-socket latency and OS scheduling jitter make packet interleavings
-slightly different run to run.  The conformance suite therefore compares
-the protocol-level outcomes that must be timing-independent — delivery
-histories of continuously-live members, view-membership sequences, final
-deployments — against the simulated oracle, not raw event traces.
+partitions, bursts) lands at the same virtual instants as in simulation,
+and the network's link model is the simulator's own
+(:class:`~repro.simnet.network.NetworkBase`), so each sender draws its
+losses from the same seeded per-sender stream; but socket latency and OS
+scheduling jitter make packet interleavings — and so which of a sender's
+packets meets which draw — slightly different run to run.  The
+conformance suite therefore compares the protocol-level outcomes that
+must be timing-independent — delivery histories of continuously-live
+members, view-membership sequences, final deployments — against the
+simulated oracle, not raw event traces.
 """
 
 from __future__ import annotations
@@ -44,14 +47,14 @@ class LiveScenarioRunner(ScenarioRunner):
 
     Args:
         scenario: the declarative run description.
-        seed: run seed — same derivation as the simulator, so the
-            impairment shim's loss models replay the simulator's seeds.
+        seed: run seed — same derivation as the simulator, so the link
+            model's loss streams replay the simulator's seeds.
         invariants: checks run after completion (same contract as the
             simulated runner).
         time_scale: virtual seconds per real second (see
             :class:`WallClock`).
-        impaired: route local frames through the loopback impairment shim
-            (loss/delay); disable for raw-socket runs.
+        impaired: charge local frames the link model's loss and delay;
+            disable for raw-socket runs.
     """
 
     def __init__(self, scenario: Scenario, seed: int = 0,
@@ -68,7 +71,7 @@ class LiveScenarioRunner(ScenarioRunner):
     def _build_network(self):
         scenario = self.scenario
         return LiveNetwork(
-            self.engine, seed=self.seed,
+            self.engine,
             wired=self._link(scenario.wired, "wired"),
             wireless=self._link(scenario.wireless, "wireless"),
             impaired=self.impaired)

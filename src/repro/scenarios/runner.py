@@ -230,12 +230,12 @@ class ScenarioRunner:
 
         The live runner (:class:`repro.livenet.runner.LiveScenarioRunner`)
         overrides this (and :meth:`run`) — everything else in the runner
-        is written against the shared Transport surface and runs on
-        either backend unchanged.
+        is written against :class:`~repro.simnet.network.NetworkBase`
+        and runs on either backend unchanged.
         """
         scenario = self.scenario
         return Network(
-            self.engine, seed=self.seed,
+            self.engine,
             wired=self._link(scenario.wired, "wired"),
             wireless=self._link(scenario.wireless, "wireless"))
 
@@ -446,7 +446,7 @@ def run_scenario(scenario: Scenario, seed: int = 0,
 
     ``backend`` selects the transport: ``"sim"`` (default) runs on the
     deterministic simulator; ``"live"`` replays the same scenario over
-    real asyncio UDP sockets with the loopback impairment shim
+    real asyncio UDP sockets with the simulator's link model applied
     (``**live_options`` — e.g. ``time_scale`` — reach
     :class:`repro.livenet.runner.LiveScenarioRunner`).
     """

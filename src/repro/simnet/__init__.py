@@ -11,23 +11,25 @@ from repro.simnet.energy import Battery, EnergyParams
 from repro.simnet.engine import HeapSimEngine, ScheduledCall, SimEngine
 from repro.simnet.loss import (BernoulliLoss, GilbertElliottLoss, LossModel,
                                NoLoss)
-from repro.simnet.network import (LinkParams, Network, TopologyChange,
-                                  default_wired, default_wireless)
-from repro.simnet.node import NodeKind, SimNode
+from repro.simnet.network import (LinkParams, Network, NetworkBase,
+                                  TopologyChange, default_wired,
+                                  default_wireless)
+from repro.simnet.node import Node, NodeKind
 from repro.kernel.packet import (CONTROL, DATA, PACKET_OVERHEAD_BYTES, Packet)
+from repro.kernel.transport import DatagramTransportSession
 from repro.simnet.stats import NodeStats, aggregate
 from repro.simnet.trace import PacketTrace, TraceEntry
-from repro.simnet.transport import SimTransportLayer, SimTransportSession
+from repro.simnet.transport import SimTransportLayer
 
 __all__ = [
     "Battery", "EnergyParams",
     "HeapSimEngine", "ScheduledCall", "SimEngine",
     "BernoulliLoss", "GilbertElliottLoss", "LossModel", "NoLoss",
-    "LinkParams", "Network", "TopologyChange", "default_wired",
+    "LinkParams", "Network", "NetworkBase", "TopologyChange", "default_wired",
     "default_wireless",
-    "NodeKind", "SimNode",
+    "Node", "NodeKind",
     "CONTROL", "DATA", "PACKET_OVERHEAD_BYTES", "Packet",
     "NodeStats", "aggregate",
     "PacketTrace", "TraceEntry",
-    "SimTransportLayer", "SimTransportSession",
+    "DatagramTransportSession", "SimTransportLayer",
 ]

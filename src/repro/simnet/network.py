@@ -1,4 +1,4 @@
-"""The simulated network: a wired LAN bridged to an 802.11-style cell.
+"""The network model: a wired LAN bridged to an 802.11-style cell.
 
 Topology model (matching the paper's hybrid scenario, Figure 2(b)):
 
@@ -19,32 +19,38 @@ Failure injection: nodes can be crashed and the network can be partitioned
 into isolated groups, which the failure-detector and membership tests use.
 
 Runtime topology mutation: the topology is *not* fixed for a run's
-lifetime.  Nodes can hand off between segments (:meth:`Network.move_node`),
-join after t=0 (:meth:`Network.add_node` mid-run), depart permanently
-(:meth:`Network.remove_node`), and either segment's loss model can be
-swapped live (:meth:`Network.set_wireless_loss` /
-:meth:`Network.set_wired_loss`).  Every mutation bumps
-``Network.topology_epoch`` and notifies subscribed topology listeners with
-a :class:`TopologyChange` — the hook the context layer uses for
+lifetime.  Nodes can hand off between segments
+(:meth:`NetworkBase.move_node`), join after t=0
+(:meth:`NetworkBase.add_node` mid-run), depart permanently
+(:meth:`NetworkBase.remove_node`), and either segment's loss model can be
+swapped live (:meth:`NetworkBase.set_wireless_loss` /
+:meth:`NetworkBase.set_wired_loss`).  Every mutation bumps
+``topology_epoch`` and notifies subscribed topology listeners with a
+:class:`TopologyChange` — the hook the context layer uses for
 event-driven (rather than purely periodic) adaptation.
+
+All of that is :class:`NetworkBase`, written once for both backends; a
+backend adds only its wire.  :class:`Network` is the simulator's: packets
+wait for their delivery instant on the engine's virtual timeline.
+:class:`repro.livenet.network.LiveNetwork` is the live one: packets are
+framed onto real UDP sockets.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from repro.simnet.energy import Battery
 from repro.simnet.engine import SLOT_WIDTH_S, ScheduledCall, SimEngine
+from repro.simnet.loss import LossModel, NoLoss
+from repro.simnet.node import Node, NodeKind
+from repro.kernel.packet import EachOf, Packet
+from repro.simnet.stats import NodeStats, aggregate
 
 #: Reciprocal of the engine slot width (multiply beats divide on hot paths).
 _INV_SLOT_WIDTH = 1.0 / SLOT_WIDTH_S
-from repro.simnet.loss import LossModel, NoLoss
-from repro.simnet.node import NodeKind, SimNode
-from repro.kernel.packet import EachOf, Packet
-from repro.simnet.stats import NodeStats, aggregate
 
 
 @dataclass
@@ -82,7 +88,7 @@ class TopologyChange:
         node_id: the affected node, or ``None`` for network-wide changes
             (loss swaps, partitions).
         detail: human-readable specifics (target segment, loss model, …).
-        epoch: value of :attr:`Network.topology_epoch` after the change.
+        epoch: value of :attr:`NetworkBase.topology_epoch` after the change.
     """
 
     kind: str
@@ -168,7 +174,7 @@ def deliver(network, node, packet: Packet) -> None:
     # ``not node.alive``, spelled out: this runs once per packet.
     if node.crashed or (battery is not None and not battery.alive) or (
             network._partitions is not None
-            and not network._reachable(packet.src, node.node_id)):
+            and not network.reachable(packet.src, node.node_id)):
         network.lost_packets += 1
         stats.record_dropped()
         return
@@ -183,13 +189,21 @@ def deliver(network, node, packet: Packet) -> None:
     receiver(packet)
 
 
-class Network:
-    """Simulated hybrid network shared by every node of a run.
+class NetworkBase:
+    """The hybrid topology both backends share: everything but the wire.
+
+    The node registry, runtime topology mutation and its listeners,
+    failure injection, partitions, multicast legality, the link model
+    (hops, per-hop delay and per-sender loss draws) and reporting live
+    here, once.  A backend subclasses this and adds only how a routed
+    packet travels — :meth:`_route` — and whatever that needs: the
+    simulator (:class:`Network`) queues packets on its virtual timeline,
+    the live backend (:class:`repro.livenet.network.LiveNetwork`) frames
+    them onto UDP sockets.
 
     Args:
-        engine: the simulation engine (shared virtual clock).
-        seed: seed for the network's private random source (loss draws made
-            through models that take this RNG, jitter if enabled).
+        engine: the shared clock (a :class:`SimEngine` or a
+            :class:`~repro.livenet.clock.WallClock`).
         wired: link parameters of the LAN segment.
         wireless: link parameters of one wireless hop.
         native_multicast_wired: whether fixed nodes may use IP-multicast on
@@ -198,20 +212,19 @@ class Network:
             broadcast (ad hoc mode).
     """
 
-    def __init__(self, engine: SimEngine, seed: int = 0,
+    def __init__(self, engine,
                  wired: Optional[LinkParams] = None,
                  wireless: Optional[LinkParams] = None,
                  native_multicast_wired: bool = False,
                  wireless_broadcast: bool = False) -> None:
         self.engine = engine
-        self.rng = random.Random(seed)
         self.wired = wired if wired is not None else default_wired()
         self.wireless = wireless if wireless is not None else default_wireless()
         self.native_multicast_wired = native_multicast_wired
         self.wireless_broadcast = wireless_broadcast
-        self.nodes: dict[str, SimNode] = {}
+        self.nodes: dict[str, Node] = {}
         #: Nodes that left for good (stats retained for reporting).
-        self.departed: dict[str, SimNode] = {}
+        self.departed: dict[str, Node] = {}
         self._partitions: Optional[list[set[str]]] = None
         #: Packets lost to link loss models, partitions, or dead receivers.
         self.lost_packets = 0
@@ -220,21 +233,19 @@ class Network:
         #: Bumped on every runtime topology mutation.
         self.topology_epoch = 0
         self._topology_listeners: list[TopologyListener] = []
-        #: Every in-flight packet waits here for its delivery instant
-        #: (see :class:`_DeliveryBatcher`).
-        self._batcher = _DeliveryBatcher(self, engine)
         #: Per-sender loss streams, resolved lazily from a segment's loss
         #: model via its ``spawn`` hook (see :mod:`repro.simnet.loss`):
         #: ``{model: {sender_id: stream}}``.  Per-sender streams make a
         #: node's loss draws independent of how *other* nodes' traffic
         #: interleaves — the property that lets disjoint segments run in
-        #: worker processes reproduce the combined run's histories.
+        #: worker processes reproduce the combined run's histories, and a
+        #: live replay draw the simulator's losses.
         self._loss_streams: dict[LossModel, dict[str, LossModel]] = {}
 
     # -- topology -----------------------------------------------------------
 
     def add_node(self, node_id: str, kind: NodeKind,
-                 battery: Optional[Battery] = None) -> SimNode:
+                 battery: Optional[Battery] = None) -> Node:
         """Create and register a node.
 
         Mobile nodes get a default battery when none is supplied, so energy
@@ -244,21 +255,21 @@ class Network:
             raise ValueError(f"duplicate node id {node_id!r}")
         if kind is NodeKind.MOBILE and battery is None:
             battery = Battery()
-        node = SimNode(node_id, kind, self, battery=battery)
+        node = Node(node_id, kind, self, battery=battery)
         self.nodes[node_id] = node
         self._notify("join", node_id, f"as {kind.value}")
         return node
 
-    def add_fixed_node(self, node_id: str) -> SimNode:
+    def add_fixed_node(self, node_id: str) -> Node:
         """Shorthand for a wired infrastructure host."""
         return self.add_node(node_id, NodeKind.FIXED)
 
     def add_mobile_node(self, node_id: str,
-                        battery: Optional[Battery] = None) -> SimNode:
+                        battery: Optional[Battery] = None) -> Node:
         """Shorthand for a battery-powered wireless device."""
         return self.add_node(node_id, NodeKind.MOBILE, battery=battery)
 
-    def node(self, node_id: str) -> SimNode:
+    def node(self, node_id: str) -> Node:
         """Look up a node by id."""
         return self.nodes[node_id]
 
@@ -284,7 +295,7 @@ class Network:
         for listener in list(self._topology_listeners):
             listener(change)
 
-    def move_node(self, node_id: str, kind: NodeKind) -> SimNode:
+    def move_node(self, node_id: str, kind: NodeKind) -> Node:
         """Hand a node off to the other segment (FIXED ↔ MOBILE).
 
         Models a device leaving the office LAN for the wireless cell (or
@@ -368,9 +379,6 @@ class Network:
     def reachable(self, src: str, dst: str) -> bool:
         """Whether packets from ``src`` can currently reach ``dst``
         (partition topology only — loss and crash are separate)."""
-        return self._reachable(src, dst)
-
-    def _reachable(self, src: str, dst: str) -> bool:
         reach = self._reach_of(src)
         return reach is None or dst in reach
 
@@ -386,7 +394,7 @@ class Network:
 
     # -- transmission -------------------------------------------------------------
 
-    def transmit(self, sender: SimNode, packet: Packet) -> None:
+    def transmit(self, sender: Node, packet: Packet) -> None:
         """Send ``packet`` from ``sender``: count it, charge energy, route it.
 
         The single entry point for all three destination forms — unicast,
@@ -396,8 +404,8 @@ class Network:
         within a single segment (see module docstring); violations raise
         ``ValueError`` because they indicate a protocol configuration bug.
 
-        Every charged receiver then goes through the one routing core
-        (:meth:`_route`).  The per-receiver packets share the request's
+        Every charged receiver then goes through the backend's one
+        routing core, ``_route``.  The per-receiver packets share the request's
         frozen message structurally (:meth:`Packet.copy_for` hands each
         receiver an O(1) copy-on-write handle), so fan-out cost is
         per-packet bookkeeping, not per-receiver message copies.
@@ -406,7 +414,7 @@ class Network:
         self._route(sender, packet,
                     charged_receivers(self, sender, packet, now), now)
 
-    def _check_multicast_legal(self, sender: SimNode, packet: Packet) -> None:
+    def _check_multicast_legal(self, sender: Node, packet: Packet) -> None:
         receivers = [d for d in packet.dst if d != sender.node_id]
         if not receivers:
             raise ValueError(
@@ -443,7 +451,69 @@ class Network:
             stream = streams[sender_id] = spawn(sender_id)
         return stream
 
-    def _route(self, sender: SimNode, packet: Packet, receivers,
+    def _hop_plan(self, sender: Node, dst_kind: NodeKind,
+                  size: int) -> tuple[list, int, float]:
+        """The link model from ``sender`` to a ``dst_kind`` node for
+        ``size`` bytes: ``(is_lost_on_hop, hop_count, delay)`` — the draw
+        of the sender's own loss stream per hop, in hop order (a packet is
+        lost at the first hop that draws a loss), and the summed delay."""
+        hops = self._hops_between(sender.kind, dst_kind)
+        delay = 0.0
+        for link in hops:
+            delay += link.delay_for(size)
+        sender_id = sender.node_id
+        return ([self._sender_loss(link.loss, sender_id).is_lost
+                 for link in hops], len(hops), delay)
+
+    def _hops_between(self, src: NodeKind,
+                      dst: NodeKind) -> list[LinkParams]:
+        if src is NodeKind.FIXED:
+            if dst is NodeKind.FIXED:
+                return [self.wired]
+            return [self.wired, self.wireless]
+        if dst is NodeKind.FIXED:
+            return [self.wireless, self.wired]
+        return [self.wireless, self.wireless]  # mobile→AP→mobile
+
+    # -- reporting ---------------------------------------------------------------
+
+    def stats_of(self, node_id: str) -> NodeStats:
+        """Traffic counters of one node (departed nodes included)."""
+        node = self.nodes.get(node_id)
+        if node is None:
+            node = self.departed[node_id]
+        return node.stats
+
+    def total_stats(self) -> dict:
+        """Aggregated counters across all nodes, departed ones included."""
+        everyone = list(self.nodes.values()) + list(self.departed.values())
+        return aggregate([node.stats for node in everyone])
+
+    def reset_stats(self) -> None:
+        """Zero all node counters (between experiment phases)."""
+        for node in list(self.nodes.values()) + list(self.departed.values()):
+            node.stats.reset()
+        self.lost_packets = 0
+        self.delivered_packets = 0
+
+
+class Network(NetworkBase):
+    """Simulated hybrid network shared by every node of a run: a
+    :class:`NetworkBase` whose routed packets wait in one
+    :class:`_DeliveryBatcher` for their instant on the engine's timeline."""
+
+    def __init__(self, engine: SimEngine,
+                 wired: Optional[LinkParams] = None,
+                 wireless: Optional[LinkParams] = None,
+                 native_multicast_wired: bool = False,
+                 wireless_broadcast: bool = False) -> None:
+        super().__init__(engine, wired, wireless, native_multicast_wired,
+                         wireless_broadcast)
+        #: Every in-flight packet waits here for its delivery instant
+        #: (see :class:`_DeliveryBatcher`).
+        self._batcher = _DeliveryBatcher(self, engine)
+
+    def _route(self, sender: Node, packet: Packet, receivers,
                now: float) -> None:
         """Put one request's packets in flight, in ``receivers`` order.
 
@@ -471,13 +541,10 @@ class Network:
                 continue
             path = paths.get(dst.kind)
             if path is None:
-                hops = self._hops_between(sender, dst)
-                delay = 0.0
-                for link in hops:
-                    delay += link.delay_for(size)
-                path = paths[dst.kind] = (
-                    [self._sender_loss(link.loss, sender_id).is_lost
-                     for link in hops], len(hops), now + delay)
+                is_lost_on_hop, hop_count, delay = self._hop_plan(
+                    sender, dst.kind, size)
+                path = paths[dst.kind] = (is_lost_on_hop, hop_count,
+                                          now + delay)
             is_lost_on_hop, hop_count, when = path
             for is_lost in is_lost_on_hop:
                 if is_lost(size):
@@ -494,36 +561,6 @@ class Network:
                 # other callback's sequence number, and so the run's
                 # history, that of a one-entry-per-packet schedule.
                 enqueue(when, reserve_seq(), dst, record)
-
-    def _hops_between(self, src: SimNode, dst: SimNode) -> list[LinkParams]:
-        if src.is_fixed and dst.is_fixed:
-            return [self.wired]
-        if src.is_fixed and dst.is_mobile:
-            return [self.wired, self.wireless]
-        if src.is_mobile and dst.is_fixed:
-            return [self.wireless, self.wired]
-        return [self.wireless, self.wireless]  # mobile→AP→mobile
-
-    # -- reporting ---------------------------------------------------------------
-
-    def stats_of(self, node_id: str) -> NodeStats:
-        """Traffic counters of one node (departed nodes included)."""
-        node = self.nodes.get(node_id)
-        if node is None:
-            node = self.departed[node_id]
-        return node.stats
-
-    def total_stats(self) -> dict:
-        """Aggregated counters across all nodes, departed ones included."""
-        everyone = list(self.nodes.values()) + list(self.departed.values())
-        return aggregate([node.stats for node in everyone])
-
-    def reset_stats(self) -> None:
-        """Zero all node counters (between experiment phases)."""
-        for node in list(self.nodes.values()) + list(self.departed.values()):
-            node.stats.reset()
-        self.lost_packets = 0
-        self.delivered_packets = 0
 
 
 class _DeliveryBatcher:
@@ -551,12 +588,12 @@ class _DeliveryBatcher:
         #: In-flight packets awaiting delivery, ordered by ``(when, seq)``
         #: — the exact instant/rank a per-packet ``call_at`` would have
         #: fired them at (the seq is reserved from the engine's counter).
-        self.pending: list[tuple[float, int, SimNode, Packet]] = []
+        self.pending: list[tuple[float, int, Node, Packet]] = []
         self._flush_call: Optional[ScheduledCall] = None
         self._flush_key: Optional[tuple[float, int]] = None
         self._in_flush = False
 
-    def enqueue(self, when: float, seq: int, dst: SimNode,
+    def enqueue(self, when: float, seq: int, dst: Node,
                 packet: Packet) -> None:
         heapq.heappush(self.pending, (when, seq, dst, packet))
         if not self._in_flush and \

@@ -1,27 +1,27 @@
-"""Simulated devices: fixed hosts and mobile (battery-powered) devices.
+"""Devices: fixed hosts and mobile (battery-powered) devices.
 
 The paper's testbed had *"fixed participants executed in PCs running either
 Windows or Linux [and] mobile participants executed in HP iPaq 5550 PDAs
-using a 802.11b wireless network"*.  A :class:`SimNode` models either kind:
-it owns a protocol :class:`~repro.kernel.scheduler.Kernel` (clocked by the
-shared simulation engine), a set of bound ports for packet demultiplexing,
-per-NIC traffic counters, and — for mobile nodes — a battery.
+using a 802.11b wireless network"*.  A :class:`Node` models either kind on
+either backend: it owns a protocol :class:`~repro.kernel.scheduler.Kernel`
+(clocked by the network's shared clock), a set of bound ports for packet
+demultiplexing, per-NIC traffic counters, and — for mobile nodes — a
+battery.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.kernel.scheduler import Kernel
-from repro.simnet.energy import Battery
 from repro.kernel.packet import Packet
+from repro.kernel.scheduler import Kernel
+from repro.kernel.transport import PacketReceiver
+from repro.simnet.energy import Battery
 from repro.simnet.stats import NodeStats
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.simnet.network import Network
-
-PacketReceiver = Callable[[Packet], None]
+    from repro.simnet.network import NetworkBase
 
 
 class NodeKind(enum.Enum):
@@ -31,21 +31,21 @@ class NodeKind(enum.Enum):
     MOBILE = "mobile"
 
 
-class SimNode:
+class Node:
     """One device of the distributed system.
 
-    Created through :meth:`repro.simnet.network.Network.add_node`; not
+    Created through :meth:`repro.simnet.network.NetworkBase.add_node`; not
     intended to be constructed directly.
 
     Attributes:
         node_id: unique identifier (also the address used by transports).
         kind: :class:`NodeKind` — fixed infrastructure host or mobile device.
-        kernel: the node's protocol kernel, clocked by the simulation engine.
+        kernel: the node's protocol kernel, clocked by the network's clock.
         stats: NIC traffic counters.
         battery: energy reserve for mobile nodes; ``None`` for fixed hosts.
     """
 
-    def __init__(self, node_id: str, kind: NodeKind, network: "Network",
+    def __init__(self, node_id: str, kind: NodeKind, network: "NetworkBase",
                  battery: Optional[Battery] = None) -> None:
         self.node_id = node_id
         self.kind = kind
@@ -73,7 +73,7 @@ class SimNode:
 
         Battery state only gates liveness for mobile nodes: a device that
         handed off to the wired segment (see
-        :meth:`~repro.simnet.network.Network.move_node`) is mains-powered,
+        :meth:`~repro.simnet.network.NetworkBase.move_node`) is mains-powered,
         so a drained battery does not stop it.
         """
         if self.crashed:
@@ -107,8 +107,8 @@ class SimNode:
     # -- I/O (network-internal entry points) -------------------------------------
 
     def send(self, packet: Packet) -> None:
-        """Transmit ``packet`` through the simulated network."""
+        """Transmit ``packet`` through the node's network."""
         self.network.transmit(self, packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SimNode {self.node_id} ({self.kind.value})>"
+        return f"<Node {self.node_id} ({self.kind.value})>"

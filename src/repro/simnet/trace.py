@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.simnet.network import Network
-from repro.simnet.node import SimNode
+from repro.simnet.node import Node
 from repro.kernel.packet import Packet
 
 
@@ -58,7 +58,7 @@ class PacketTrace:
         if self._installed:
             return self
 
-        def traced_transmit(sender: SimNode, packet: Packet) -> None:
+        def traced_transmit(sender: Node, packet: Packet) -> None:
             self.entries.append(TraceEntry(
                 time=self.network.engine.now(), src=sender.node_id,
                 dst=packet.dst, port=packet.port,

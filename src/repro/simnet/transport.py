@@ -6,21 +6,14 @@ module contributes only the registered layer descriptor.  Its historical
 XML name ``"sim_transport"`` is kept for every checked-in template and
 recorded stack history — the descriptor itself is stateless and shared by
 the live backend too, because the transport *session* is preset through
-the ``"transport"`` binding label and carries the actual endpoint
-(a :class:`~repro.simnet.node.SimNode` here, a
-:class:`~repro.livenet.node.LiveNode` under :mod:`repro.livenet`).
+the ``"transport"`` binding label and carries the actual endpoint (a
+:class:`~repro.simnet.node.Node` of either backend's network).
 """
 
 from __future__ import annotations
 
 from repro.kernel.registry import register_layer
-from repro.kernel.transport import (DatagramTransportLayer,
-                                    DatagramTransportSession)
-
-#: Alias kept for the public simnet API: the session class is the generic
-#: kernel one (it drives any :class:`~repro.kernel.transport
-#: .TransportEndpoint`, simulated or live).
-SimTransportSession = DatagramTransportSession
+from repro.kernel.transport import DatagramTransportLayer
 
 
 @register_layer
@@ -28,4 +21,3 @@ class SimTransportLayer(DatagramTransportLayer):
     """Registered transport descriptor (XML name ``"sim_transport"``)."""
 
     layer_name = "sim_transport"
-    session_class = SimTransportSession

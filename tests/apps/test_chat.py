@@ -13,7 +13,7 @@ from repro.simnet import Network, SimEngine
 @pytest.fixture
 def plain_pair():
     engine = SimEngine()
-    network = Network(engine, seed=6)
+    network = Network(engine)
     network.add_fixed_node("a")
     network.add_fixed_node("b")
     nodes = build_plain_group(network)
@@ -61,7 +61,7 @@ class TestCallbacks:
 class TestRooms:
     def test_room_name_carried_in_deliveries(self):
         engine = SimEngine()
-        network = Network(engine, seed=6)
+        network = Network(engine)
         network.add_fixed_node("a")
         network.add_fixed_node("b")
         nodes = build_plain_group(network, room="ops")

@@ -15,7 +15,7 @@ from repro.simnet import Network, SimEngine
 @pytest.fixture
 def probes():
     engine = SimEngine()
-    network = Network(engine, seed=8)
+    network = Network(engine)
     members = ["a", "b"]
     for node_id in members:
         network.add_fixed_node(node_id)

@@ -21,7 +21,7 @@ from repro.simnet.trace import PacketTrace
 @pytest.fixture
 def hybrid():
     engine = SimEngine()
-    network = Network(engine, seed=4)
+    network = Network(engine)
     network.add_fixed_node("fixed-0")
     network.add_mobile_node("mobile-0",
                             battery=Battery(capacity_mj=1000.0))
@@ -87,7 +87,7 @@ class TestSnapshot:
 
 def _fixed_group(*node_ids, **options):
     engine = SimEngine()
-    network = Network(engine, seed=4)
+    network = Network(engine)
     for node_id in node_ids:
         network.add_fixed_node(node_id)
     return engine, network, build_morpheus_group(network, **options)
@@ -125,7 +125,7 @@ def _views(engine, morpheus):
 class TestDistributedDissemination:
     def test_coordinator_learns_every_nodes_context(self):
         engine = SimEngine()
-        network = Network(engine, seed=4)
+        network = Network(engine)
         network.add_fixed_node("fixed-0")
         network.add_mobile_node("mobile-0")
         network.add_mobile_node("mobile-1")
@@ -225,7 +225,7 @@ class TestDistributedDissemination:
         if how != "joined":
             members.append("fixed-3")
         engine = SimEngine()
-        network = Network(engine, seed=4)
+        network = Network(engine)
         nodes = {}
         for node_id in members:
             network.add_fixed_node(node_id)
@@ -264,7 +264,7 @@ class TestDistributedDissemination:
 
     def test_lost_snapshots_are_repaired_by_the_next_tick(self):
         engine = SimEngine()
-        network = Network(engine, seed=4, wireless=default_wireless(
+        network = Network(engine, wireless=default_wireless(
             BernoulliLoss(0.3, random.Random(7))))
         network.add_fixed_node("fixed-0")
         network.add_mobile_node("mobile-0")
@@ -291,7 +291,7 @@ class TestDistributedDissemination:
 
     def test_battery_updates_propagate(self):
         engine = SimEngine()
-        network = Network(engine, seed=4)
+        network = Network(engine)
         network.add_fixed_node("fixed-0")
         network.add_mobile_node("mobile-0",
                                 battery=Battery(capacity_mj=500.0))

@@ -16,9 +16,9 @@ FAST = dict(publish_interval=1.0, evaluate_interval=1.0,
             heartbeat_interval=2.0)
 
 
-def hybrid_network(num_mobile: int = 2, seed: int = 9):
+def hybrid_network(num_mobile: int = 2):
     engine = SimEngine()
-    network = Network(engine, seed=seed)
+    network = Network(engine)
     network.add_fixed_node("fixed-0")
     for index in range(num_mobile):
         network.add_mobile_node(f"mobile-{index}")
@@ -59,7 +59,7 @@ class TestAutomaticAdaptation:
 
     def test_homogeneous_group_stays_plain(self):
         engine = SimEngine()
-        network = Network(engine, seed=9)
+        network = Network(engine)
         for index in range(3):
             network.add_fixed_node(f"fixed-{index}")
         nodes = build_morpheus_group(network, **FAST)
@@ -167,7 +167,7 @@ class TestAdaptationPayoff:
         adaptive_data = network.stats_of("mobile-0").sent_data
 
         engine2 = SimEngine()
-        network2 = Network(engine2, seed=9)
+        network2 = Network(engine2)
         network2.add_fixed_node("fixed-0")
         for index in range(num_mobile):
             network2.add_mobile_node(f"mobile-{index}")

@@ -31,7 +31,7 @@ def _lossy_hybrid(loss: float, seed: int):
     engine = SimEngine()
     wireless = LinkParams(latency_s=0.002, bandwidth_bps=11e6,
                           loss=BernoulliLoss(loss, random.Random(seed)))
-    network = Network(engine, seed=seed, wireless=wireless)
+    network = Network(engine, wireless=wireless)
     network.add_fixed_node("fixed-0")
     network.add_mobile_node("mobile-0")
     network.add_mobile_node("mobile-1")
@@ -79,7 +79,7 @@ class TestRepeatedAdaptation:
         from repro.simnet import BernoulliLoss, LinkParams
         engine = SimEngine()
         loss = BernoulliLoss(0.0, random.Random(2))
-        network = Network(engine, seed=2, wireless=LinkParams(
+        network = Network(engine, wireless=LinkParams(
             latency_s=0.002, bandwidth_bps=11e6, loss=loss))
         network.add_mobile_node("mobile-0")
         for index in range(2):
@@ -108,7 +108,7 @@ class TestRepeatedAdaptation:
 
     def test_deploy_count_matches_completed_reconfigs(self):
         engine = SimEngine()
-        network = Network(engine, seed=3)
+        network = Network(engine)
         network.add_fixed_node("fixed-0")
         network.add_mobile_node("mobile-0")
         nodes = build_morpheus_group(network, **FAST)
@@ -123,7 +123,7 @@ class TestRepeatedAdaptation:
 class TestFacade:
     def test_morpheus_node_surface(self):
         engine = SimEngine()
-        network = Network(engine, seed=4)
+        network = Network(engine)
         network.add_fixed_node("fixed-0")
         network.add_mobile_node("mobile-0")
         nodes = build_morpheus_group(network, **FAST)
@@ -136,7 +136,7 @@ class TestFacade:
 
     def test_shared_transport_session_across_channels(self):
         engine = SimEngine()
-        network = Network(engine, seed=4)
+        network = Network(engine)
         network.add_fixed_node("fixed-0")
         network.add_fixed_node("fixed-1")
         nodes = build_morpheus_group(network, **FAST)
@@ -147,7 +147,7 @@ class TestFacade:
 
     def test_app_session_survives_adaptation(self):
         engine = SimEngine()
-        network = Network(engine, seed=4)
+        network = Network(engine)
         network.add_fixed_node("fixed-0")
         network.add_mobile_node("mobile-0")
         nodes = build_morpheus_group(network, **FAST)

@@ -6,8 +6,8 @@ import pytest
 
 from repro.core import LocalModule, plain_data_template, mecho_data_template
 from repro.core.templates import TRANSPORT_LABEL
-from repro.simnet import (Network, SimEngine, SimTransportLayer,
-                          SimTransportSession)
+from repro.simnet import (DatagramTransportSession, Network, SimEngine,
+                          SimTransportLayer)
 
 MEMBERS = ("n0", "n1")
 
@@ -15,7 +15,7 @@ MEMBERS = ("n0", "n1")
 def build_module(network, node_id):
     node = network.node(node_id)
     transport_layer = SimTransportLayer()
-    transport_session = SimTransportSession(transport_layer, node=node)
+    transport_session = DatagramTransportSession(transport_layer, node=node)
     bindings = {TRANSPORT_LABEL: transport_session}
     return LocalModule(node, "data", bindings)
 
@@ -23,7 +23,7 @@ def build_module(network, node_id):
 @pytest.fixture
 def world():
     engine = SimEngine()
-    network = Network(engine, seed=2)
+    network = Network(engine)
     for node_id in MEMBERS:
         network.add_fixed_node(node_id)
     modules = {node_id: build_module(network, node_id)

@@ -123,7 +123,7 @@ def run_world(world: World, expanded: bool) -> dict:
     engine = SimEngine()
     with unbatched() if world.per_packet else nullcontext():
         network = Network(
-            engine, seed=world.seed,
+            engine,
             wired=link(0.0005, 100e6,
                        loss(world.wired_loss, world, "wired")),
             wireless=link(0.002, 11e6,
@@ -174,7 +174,7 @@ class TestExpansionIsTheUnicastSequence:
         outcomes = []
         for expanded in (False, True):
             engine = SimEngine()
-            network = Network(engine, seed=1)
+            network = Network(engine)
             # Charge for ``survives`` transmissions less a sliver: the
             # last one that starts is the one that empties the battery.
             sender = network.add_mobile_node(
@@ -310,7 +310,7 @@ def live_world(impaired: bool):
     wireless = LinkParams(latency_s=0.002, bandwidth_bps=11e6,
                           loss=BernoulliLoss(0.3, random.Random(5)))
     network, source, sent = offline_live_network(
-        kinds, seed=5, wireless=wireless, impaired=impaired)
+        kinds, wireless=wireless, impaired=impaired)
     network.partition(set(kinds) - {"mobile-3"}, {"mobile-3"})
     return network, source, sent
 

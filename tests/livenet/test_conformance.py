@@ -2,7 +2,7 @@
 
 Every canned scenario in :data:`CONFORMANCE_CASES` replays twice — once on
 the deterministic simulated network, once over real UDP loopback sockets
-with the seeded impairment shim — and the delivery histories, view
+with the simulator's seeded link model — and the delivery histories, view
 sequences, final control views, and deployed configurations of every
 stable node must match exactly.
 
@@ -43,7 +43,7 @@ class TestTransportSmoke:
         """Two endpoints on loopback, one unimpaired datagram across."""
         async def scenario():
             clock = WallClock(time_scale=100.0)
-            net = LiveNetwork(clock, seed=7, impaired=False)
+            net = LiveNetwork(clock, impaired=False)
             await net.open_endpoint("alpha")
             await net.open_endpoint("beta")
             alpha = net.add_fixed_node("alpha")
@@ -73,7 +73,7 @@ class TestTransportSmoke:
 
     def test_removed_node_stops_its_timers(self):
         async def scenario():
-            net = LiveNetwork(WallClock(time_scale=100.0), seed=7,
+            net = LiveNetwork(WallClock(time_scale=100.0),
                               impaired=False)
             await net.open_endpoint("alpha")
             node = net.add_fixed_node("alpha")

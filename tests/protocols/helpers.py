@@ -13,8 +13,8 @@ from repro.protocols import (GROUP_DEST, ApplicationMessage,
                              MembershipLayer, QuiescentEvent,
                              ReliableMulticastLayer, SuspectEvent,
                              TotalOrderLayer, View, ViewEvent, ViewSyncLayer)
-from repro.simnet import (BernoulliLoss, LinkParams, Network, SimEngine,
-                          SimTransportLayer, SimTransportSession)
+from repro.simnet import (BernoulliLoss, DatagramTransportSession,
+                          LinkParams, Network, SimEngine, SimTransportLayer)
 
 
 class CollectorSession(Session):
@@ -83,7 +83,7 @@ def build_group_stack(network: Network, node_id: str,
                       ordering: Sequence[str] = (),
                       channel_name: str = "data",
                       join: bool = False,
-                      transport: Optional[SimTransportSession] = None):
+                      transport: Optional[DatagramTransportSession] = None):
     """Compose the full suite on one node; returns the channel.
 
     ``ordering`` may contain ``"causal"`` and/or ``"total"``.  With
@@ -96,7 +96,7 @@ def build_group_stack(network: Network, node_id: str,
     members_csv = ",".join(sorted(members))
     transport_layer = SimTransportLayer()
     transport_session = transport or \
-        SimTransportSession(transport_layer, node=node)
+        DatagramTransportSession(transport_layer, node=node)
     if dissemination is None:
         dissemination = BestEffortMulticastLayer(members=members_csv)
     layers: list[Layer] = [
@@ -144,7 +144,7 @@ def build_world(member_specs: dict[str, str], seed: int = 3,
         if wireless_loss else None
     wireless = LinkParams(latency_s=0.002, bandwidth_bps=11e6,
                           loss=loss) if loss else None
-    network = Network(engine, seed=seed, wireless=wireless)
+    network = Network(engine, wireless=wireless)
     for node_id, kind in member_specs.items():
         if kind == "fixed":
             network.add_fixed_node(node_id)

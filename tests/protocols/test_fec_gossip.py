@@ -17,7 +17,7 @@ def loss_world(member_ids, loss=0.0, seed=5, mobile=()):
     engine = SimEngine()
     wireless = LinkParams(latency_s=0.002, bandwidth_bps=11e6,
                           loss=BernoulliLoss(loss, random.Random(seed)))
-    network = Network(engine, seed=seed, wireless=wireless)
+    network = Network(engine, wireless=wireless)
     for node_id in member_ids:
         if node_id in mobile:
             network.add_mobile_node(node_id)

@@ -11,7 +11,7 @@ from repro.simnet import Network, SimEngine
 
 def frag_world(mtu=256, members=("a", "b")):
     engine = SimEngine()
-    network = Network(engine, seed=9)
+    network = Network(engine)
     for node_id in members:
         network.add_fixed_node(node_id)
     members_csv = ",".join(members)

@@ -12,8 +12,8 @@ from repro.kernel import QoS
 from repro.protocols import (BestEffortMulticastLayer, HeartbeatLayer,
                              MechoLayer)
 from repro.protocols.events import PathChangedEvent
-from repro.simnet import (Network, SimEngine, SimTransportLayer,
-                          SimTransportSession)
+from repro.simnet import (DatagramTransportSession, Network, SimEngine,
+                          SimTransportLayer)
 from tests.protocols.helpers import CollectorLayer
 
 
@@ -22,7 +22,7 @@ def build_fd_stack(network, node_id, members, interval=0.5,
     node = network.node(node_id)
     members_csv = ",".join(sorted(members))
     transport_layer = SimTransportLayer()
-    transport_session = SimTransportSession(transport_layer, node=node)
+    transport_session = DatagramTransportSession(transport_layer, node=node)
     if dissemination is None:
         dissemination = BestEffortMulticastLayer(members=members_csv)
     qos = QoS(f"fd-{node_id}", [
@@ -39,7 +39,7 @@ def build_fd_stack(network, node_id, members, interval=0.5,
 def build_fd_world(members=("a", "b", "c"), interval=0.5,
                    dissemination_factory=None):
     engine = SimEngine()
-    network = Network(engine, seed=3)
+    network = Network(engine)
     for node_id in members:
         network.add_fixed_node(node_id)
     channels = {}

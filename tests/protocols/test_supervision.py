@@ -14,14 +14,15 @@ from __future__ import annotations
 from repro.kernel import QoS
 from repro.protocols import (BestEffortMulticastLayer, HeartbeatLayer,
                              MechoLayer, SuspectEvent, UnsuspectEvent)
-from repro.simnet import Network, SimEngine, SimTransportLayer, \
-    SimTransportSession
+from repro.simnet import (DatagramTransportSession, Network, SimEngine,
+                          SimTransportLayer)
 from tests.protocols.helpers import (CollectorLayer, build_group_stack,
                                      collector_of)
 
 
 def shared_transport(network, node_id):
-    return SimTransportSession(SimTransportLayer(), node=network.node(node_id))
+    return DatagramTransportSession(SimTransportLayer(),
+                                    node=network.node(node_id))
 
 
 def detector_stack(network, node_id, members, name, transport,
@@ -44,7 +45,7 @@ def detector_stack(network, node_id, members, name, transport,
 def two_channel_world(members=("a", "b", "c"), interval=0.5):
     """``ctrl`` and ``data`` detector channels on every node, one NIC."""
     engine = SimEngine()
-    network = Network(engine, seed=3)
+    network = Network(engine)
     for node_id in members:
         network.add_fixed_node(node_id)
     channels = {}
@@ -104,7 +105,7 @@ class TestEvidence:
         peer; its messages still reach that peer through the relay, so
         the peer keeps trusting it."""
         engine = SimEngine()
-        network = Network(engine, seed=3)
+        network = Network(engine)
         network.add_fixed_node("relay")
         network.add_mobile_node("m0")
         network.add_mobile_node("m1")
@@ -141,7 +142,7 @@ class TestBeats:
         beat of its own; the beat stops when the node's last channel
         closes."""
         engine = SimEngine()
-        network = Network(engine, seed=3)
+        network = Network(engine)
         members = ("a", "b", "c")
         for node_id in members:
             network.add_fixed_node(node_id)
@@ -195,7 +196,7 @@ class TestBeats:
 def suite_world(members, interval=0.5):
     """Full-suite ``ctrl`` and ``data`` channels sharing each node's NIC."""
     engine = SimEngine()
-    network = Network(engine, seed=3)
+    network = Network(engine)
     for node_id in members:
         network.add_fixed_node(node_id)
     transports = {node_id: shared_transport(network, node_id)
@@ -255,7 +256,7 @@ def hybrid_detectors(interval=1.0, relay_timeout=3.0, with_ctrl=False):
     """One fixed relay and two mobiles on a quiet Mecho data channel (and,
     ``with_ctrl``, a plain ``ctrl`` detector channel on the same NICs)."""
     engine = SimEngine()
-    network = Network(engine, seed=3)
+    network = Network(engine)
     network.add_fixed_node("relay")
     network.add_mobile_node("m0")
     network.add_mobile_node("m1")

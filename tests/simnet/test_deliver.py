@@ -42,7 +42,7 @@ RX_COST = Battery().params.rx_per_packet_mj
 
 def reference_deliver(network, node, packet: Packet) -> None:
     """``Network._deliver`` then ``SimNode._on_packet``, as they were."""
-    if not node.alive or not network._reachable(packet.src, node.node_id):
+    if not node.alive or not network.reachable(packet.src, node.node_id):
         network.lost_packets += 1
         node.stats.record_dropped()
         return

@@ -28,7 +28,7 @@ def engine():
 @pytest.fixture
 def hybrid(engine):
     """1 fixed + 2 mobile nodes, no loss."""
-    network = Network(engine, seed=7)
+    network = Network(engine)
     network.add_fixed_node("fixed-0")
     network.add_mobile_node("mobile-0")
     network.add_mobile_node("mobile-1")

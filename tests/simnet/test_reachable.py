@@ -3,8 +3,9 @@
 ``reachable`` answers one question: can packets from ``src`` currently
 reach ``dst``, considering partition topology only (loss and crash state
 are separate axes).  The context layer filters topology news through
-it, so the contract gets pinned here, on both backends: it is part of the ``Transport`` seam ``core/morpheus.py`` is
-written against, and the live network once lacked it.
+it, so the contract gets pinned here, on both backends: it is part of
+the ``NetworkBase`` surface ``core/morpheus.py`` is written against, and
+the live network once lacked it.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ class TestRemovedNodes(OnSimulator):
     def test_removed_node_id_still_answers_by_group_membership(self):
         # Partition groups are id sets, not node references: a departed
         # node's id keeps answering by its (former) component.  Liveness
-        # is a separate check — delivery tests it via SimNode.alive.
+        # is a separate check — delivery tests it via Node.alive.
         network = self.network("f0", "f1")
         network.partition({"f0", "f1"})
         network.remove_node("f1")

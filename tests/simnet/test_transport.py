@@ -6,8 +6,8 @@ import pytest
 
 from repro.kernel import (Direction, Layer, Message, QoS, SendableEvent,
                           Session)
-from repro.simnet import (Network, SimEngine, SimTransportLayer,
-                          SimTransportSession)
+from repro.simnet import (DatagramTransportSession, Network, SimEngine,
+                          SimTransportLayer)
 
 
 class AppData(SendableEvent):
@@ -44,7 +44,7 @@ def build_node_stack(network, node_id, channel_name="data"):
     """One app layer over a transport session attached to the node."""
     node = network.node(node_id)
     transport_layer = SimTransportLayer()
-    transport_session = SimTransportSession(transport_layer, node=node)
+    transport_session = DatagramTransportSession(transport_layer, node=node)
     qos = QoS("stack", [transport_layer, _AppLayer()])
     channel = qos.create_channel(channel_name, node.kernel,
                                  preset_sessions={0: transport_session})
@@ -126,7 +126,7 @@ class TestChannelBinding:
         engine, network = world
         node = network.node("f0")
         transport_layer = SimTransportLayer()
-        shared = SimTransportSession(transport_layer, node=node)
+        shared = DatagramTransportSession(transport_layer, node=node)
         for name in ("data", "ctrl"):
             qos = QoS(name, [transport_layer, _AppLayer()])
             qos.create_channel(name, node.kernel,
