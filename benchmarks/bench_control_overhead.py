@@ -17,7 +17,7 @@ MESSAGES = 800
 
 def test_breakdown(benchmark):
     adaptive, baseline = benchmark.pedantic(
-        lambda: run_breakdown(num_nodes=6, messages=MESSAGES, seed=42),
+        lambda: run_breakdown(num_nodes=6, messages=MESSAGES),
         rounds=1, iterations=1)
     # Data dominates the adaptive mobile's traffic...
     assert control_fraction(adaptive) < 0.35

@@ -11,7 +11,7 @@ import pytest
 
 from repro.experiments.energy_lifetime import run_lifetime
 
-PARAMS = dict(num_nodes=4, capacity_mj=2500.0, horizon_s=800.0, seed=31)
+PARAMS = dict(num_nodes=4, capacity_mj=2500.0, horizon_s=800.0)
 
 
 @pytest.mark.parametrize("strategy", ("plain", "static", "rotating"))

@@ -12,12 +12,12 @@ from repro.experiments.figure2_stacks import deploy_stacks, verify
 
 def test_figure2_deploy_and_verify(benchmark):
     captured = benchmark.pedantic(
-        lambda: deploy_stacks(num_mobile=2, seed=17), rounds=1, iterations=1)
+        lambda: deploy_stacks(num_mobile=2), rounds=1, iterations=1)
     assert verify(captured) == []
 
 
 def test_figure2_homogeneous_before_adaptation():
-    captured = deploy_stacks(num_mobile=2, seed=17)
+    captured = deploy_stacks(num_mobile=2)
     for info in captured.values():
         assert info["before"] == [
             "sim_transport", "beb", "reliable", "heartbeat", "membership",
@@ -25,7 +25,7 @@ def test_figure2_homogeneous_before_adaptation():
 
 
 def test_figure2_hybrid_after_adaptation():
-    captured = deploy_stacks(num_mobile=2, seed=17)
+    captured = deploy_stacks(num_mobile=2)
     for info in captured.values():
         assert info["after"] == [
             "sim_transport", "mecho", "reliable", "heartbeat", "membership",

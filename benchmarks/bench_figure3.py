@@ -18,7 +18,7 @@ import pytest
 from repro.experiments.figure3 import Figure3Config, run_scenario
 
 MESSAGES = 800
-CONFIG = Figure3Config(messages=MESSAGES, warmup=30.0, drain=15.0, seed=42)
+CONFIG = Figure3Config(messages=MESSAGES, warmup=30.0, drain=15.0)
 
 NODE_COUNTS = (2, 3, 6, 9)
 

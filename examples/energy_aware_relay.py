@@ -15,7 +15,7 @@ from repro.experiments.energy_lifetime import run_lifetime
 
 
 def main() -> None:
-    params = dict(num_nodes=4, capacity_mj=2500.0, horizon_s=900.0, seed=31)
+    params = dict(num_nodes=4, capacity_mj=2500.0, horizon_s=900.0)
     print("four mobile devices, weakest battery on m0, continuous chat\n")
     results = {}
     for strategy in ("static", "plain", "rotating"):

@@ -25,10 +25,11 @@ EVENT_ROWS = ("ApplicationMessage", "HeartbeatMessage", "ContextMessage",
               "RetransmissionMessage", "StabilityMessage")
 
 
-def run_breakdown(num_nodes: int = 6, messages: int = 2000,
-                  seed: int = 42) -> tuple[ScenarioResult, ScenarioResult]:
+def run_breakdown(
+        num_nodes: int = 6,
+        messages: int = 2000) -> tuple[ScenarioResult, ScenarioResult]:
     """The Figure 3 cell at ``num_nodes``, both configurations."""
-    config = Figure3Config(messages=messages, seed=seed)
+    config = Figure3Config(messages=messages)
     adaptive = run_scenario(num_nodes, optimized=True, config=config)
     baseline = run_scenario(num_nodes, optimized=False, config=config)
     return adaptive, baseline
@@ -58,9 +59,8 @@ def main(argv: Optional[list[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--nodes", type=int, default=6)
     parser.add_argument("--messages", type=int, default=2000)
-    parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args(argv)
-    adaptive, baseline = run_breakdown(args.nodes, args.messages, args.seed)
+    adaptive, baseline = run_breakdown(args.nodes, args.messages)
     print(format_breakdown(adaptive, baseline))
     print(f"\nadaptive control fraction:     "
           f"{control_fraction(adaptive):.3%}")

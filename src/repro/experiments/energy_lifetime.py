@@ -81,8 +81,8 @@ def _build(strategy: str, num_nodes: int, capacity_mj: float):
 
 
 def run_lifetime(strategy: str, *, num_nodes: int = 4, rate: float = 4.0,
-                 capacity_mj: float = 4000.0, horizon_s: float = 2000.0,
-                 seed: int = 31) -> LifetimeResult:
+                 capacity_mj: float = 4000.0,
+                 horizon_s: float = 2000.0) -> LifetimeResult:
     """Run one strategy until the first battery dies (or the horizon)."""
     engine, network, nodes = _build(strategy, num_nodes, capacity_mj)
     member_ids = network.node_ids()
@@ -138,10 +138,9 @@ def main(argv: Optional[list[str]] = None) -> None:
     parser.add_argument("--nodes", type=int, default=4)
     parser.add_argument("--capacity", type=float, default=4000.0)
     parser.add_argument("--horizon", type=float, default=2000.0)
-    parser.add_argument("--seed", type=int, default=31)
     args = parser.parse_args(argv)
     results = run_all(num_nodes=args.nodes, capacity_mj=args.capacity,
-                      horizon_s=args.horizon, seed=args.seed)
+                      horizon_s=args.horizon)
     print(format_results(results))
 
 

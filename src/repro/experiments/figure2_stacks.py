@@ -20,7 +20,7 @@ from repro.simnet.engine import SimEngine
 from repro.simnet.network import Network
 
 
-def deploy_stacks(num_mobile: int = 2, seed: int = 17,
+def deploy_stacks(num_mobile: int = 2,
                   settle_s: float = 20.0) -> dict[str, dict]:
     """Run the hybrid scenario; capture each node's stack before and after.
 
@@ -82,9 +82,8 @@ def verify(captured: dict[str, dict]) -> list[str]:
 def main(argv: Optional[list[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--mobiles", type=int, default=2)
-    parser.add_argument("--seed", type=int, default=17)
     args = parser.parse_args(argv)
-    captured = deploy_stacks(num_mobile=args.mobiles, seed=args.seed)
+    captured = deploy_stacks(num_mobile=args.mobiles)
     print(render(captured))
     errors = verify(captured)
     if errors:

@@ -53,7 +53,6 @@ class Figure3Config:
     node_counts: tuple[int, ...] = PAPER_NODE_COUNTS
     messages: int = PAPER_MESSAGES
     rate: float = PAPER_RATE
-    seed: int = 42
     #: Settling time before the workload starts (adaptation window).
     warmup: float = 30.0
     #: Drain time after the last send.
@@ -175,11 +174,9 @@ def main(argv: Optional[list[str]] = None) -> None:
                         default=list(PAPER_NODE_COUNTS),
                         help="scenario sizes (paper: 2 3 6 9)")
     parser.add_argument("--rate", type=float, default=PAPER_RATE)
-    parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args(argv)
     config = Figure3Config(node_counts=tuple(args.nodes),
-                           messages=args.messages, rate=args.rate,
-                           seed=args.seed)
+                           messages=args.messages, rate=args.rate)
     points = run_figure3(config)
     print(format_figure3(points, config.messages))
     for point in points:

@@ -42,8 +42,8 @@ class ReconfigResult:
     messages_lost: int
 
 
-def run_reconfiguration(num_nodes: int, *, rate: float = 10.0,
-                        seed: int = 21) -> ReconfigResult:
+def run_reconfiguration(num_nodes: int, *,
+                        rate: float = 10.0) -> ReconfigResult:
     """Run the paper's hybrid scenario and measure its one adaptation.
 
     The group starts on the plain stack with a paced chat stream running;
@@ -118,9 +118,8 @@ def main(argv: Optional[list[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="*",
                         default=list(PAPER_GROUP_SIZES))
-    parser.add_argument("--seed", type=int, default=21)
     args = parser.parse_args(argv)
-    print(format_sweep(run_sweep(tuple(args.sizes), seed=args.seed)))
+    print(format_sweep(run_sweep(tuple(args.sizes))))
 
 
 if __name__ == "__main__":

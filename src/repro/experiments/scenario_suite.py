@@ -106,75 +106,6 @@ def format_churn_sweep(rows: list[dict]) -> str:
                           "reconfigs", "sent", "delivered"], table_rows))
 
 
-#: Total node counts of the sharded scale sweep — the population a single
-#: engine cannot reach in reasonable wall-clock (ROADMAP direction 1).
-SHARDED_SWEEP_SIZES = (200, 600, 1200)
-
-
-def build_churn_segments(total_nodes: int, group_size: int = 50,
-                         duration_s: float = 55.0,
-                         messages: int = 40) -> list:
-    """Segment a ``total_nodes`` population into disjoint churn-storm
-    groups of ``group_size`` members each (id-relabelled copies of the
-    canned scenario), the disjoint topology segmented runs target."""
-    from repro.scenarios.sharded import relabel_scenario
-    count = max(1, total_nodes // group_size)
-    template = canned("churn_storm", members=group_size,
-                      duration_s=duration_s, messages=messages)
-    return [relabel_scenario(template, prefix=f"g{index}-",
-                             name=f"churn{index}")
-            for index in range(count)]
-
-
-def run_sharded_sweep(sizes: Iterable[int] = SHARDED_SWEEP_SIZES,
-                      group_size: int = 50, workers: int = 1,
-                      seed: int = 0) -> list[dict]:
-    """Scale the churn storm past the single-engine ceiling.
-
-    Each total size is composed of disjoint ``group_size``-member
-    segments run through :func:`repro.scenarios.sharded.
-    run_segments_parallel` — per-segment event loops with infinite
-    lookahead, fanned over ``workers`` processes.  Results are identical
-    for any worker count (the sharded determinism gate); only the
-    wall-clock changes.
-    """
-    from repro.scenarios.sharded import run_segments_parallel
-    rows = []
-    for total in sizes:
-        segments = build_churn_segments(total, group_size=group_size)
-        start = time.perf_counter()
-        results = run_segments_parallel(segments, seed=seed,
-                                        workers=workers)
-        wall = time.perf_counter() - start
-        events = sum(result.engine_events for result in results)
-        rows.append({
-            "nodes": len(segments) * group_size,
-            "segments": len(segments),
-            "workers": workers,
-            "wall_s": round(wall, 3),
-            "engine_events": events,
-            "events_per_sec": round(events / wall, 1),
-            "reconfigurations": sum(result.reconfiguration_count()
-                                    for result in results),
-            "delivered": sum(result.delivered_packets
-                             for result in results),
-            "lost": sum(result.lost_packets for result in results),
-        })
-    return rows
-
-
-def format_sharded_sweep(rows: list[dict]) -> str:
-    table_rows = [[row["nodes"], row["segments"], row["workers"],
-                   f"{row['wall_s']:.2f}", row["engine_events"],
-                   f"{row['events_per_sec']:,.0f}",
-                   row["reconfigurations"], row["delivered"]]
-                  for row in rows]
-    return ("Sharded churn sweep — disjoint segments, per-segment engines\n"
-            + format_table(["nodes", "segments", "workers", "wall s",
-                            "events", "events/s", "reconfigs", "delivered"],
-                           table_rows))
-
-
 def main(argv: Optional[list[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scenarios", nargs="*", default=sorted(CANNED),
@@ -186,24 +117,7 @@ def main(argv: Optional[list[str]] = None) -> None:
                         metavar="N",
                         help="also sweep churn_storm over these group "
                              f"sizes (no sizes = {SWEEP_SIZES})")
-    parser.add_argument("--sharded-sweep", type=int, nargs="*", default=None,
-                        metavar="N",
-                        help="also sweep segmented churn over these total "
-                             f"node counts (no sizes = "
-                             f"{SHARDED_SWEEP_SIZES})")
-    parser.add_argument("--group-size", type=int, default=50,
-                        help="members per segment in the sharded sweep")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for the sharded sweep")
     args = parser.parse_args(argv)
-    if args.sharded_sweep is not None:
-        # The sharded sweep is the headline; skip the (slow) flat suite
-        # unless scenarios were explicitly requested alongside it.
-        sizes = tuple(args.sharded_sweep) or SHARDED_SWEEP_SIZES
-        print(format_sharded_sweep(run_sharded_sweep(
-            sizes, group_size=args.group_size, workers=args.workers,
-            seed=args.seed)))
-        return
     results = run_suite(args.scenarios, seed=args.seed)
     print(format_suite(results))
     if args.trace:

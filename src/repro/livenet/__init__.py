@@ -27,12 +27,12 @@ from repro.livenet.frame import (FRAME_MAGIC, FRAME_VERSION,
                                  MAX_DATAGRAM_BYTES, decode_frame,
                                  encode_frame, resolve_event_class)
 from repro.livenet.network import LiveNetwork
-from repro.livenet.runner import LiveScenarioRunner, run_scenario_live
+from repro.livenet.runner import LiveScenarioRunner
 
 __all__ = [
     "WallClock",
     "FRAME_MAGIC", "FRAME_VERSION", "MAX_DATAGRAM_BYTES",
     "decode_frame", "encode_frame", "resolve_event_class",
     "LiveNetwork",
-    "LiveScenarioRunner", "run_scenario_live",
+    "LiveScenarioRunner",
 ]

@@ -99,11 +99,3 @@ class LiveScenarioRunner(ScenarioRunner):
         finally:
             await self.network.close()
 
-
-def run_scenario_live(scenario: Scenario, seed: int = 0,
-                      invariants: Sequence[InvariantCheck] = (),
-                      time_scale: float = DEFAULT_TIME_SCALE,
-                      impaired: bool = True) -> ScenarioResult:
-    """One-call convenience: replay ``scenario`` over live sockets."""
-    return LiveScenarioRunner(scenario, seed=seed, invariants=invariants,
-                              time_scale=time_scale, impaired=impaired).run()

@@ -49,10 +49,10 @@ def build_loss_model(spec: LinkSpec, rng: random.Random,
     """Instantiate the loss model a :class:`LinkSpec` describes.
 
     ``seed_base`` enables per-sender draw streams (see
-    :mod:`repro.simnet.loss`): the simulated network spawns one stream per
-    sending node, keyed only by seed/segment/sender — deliberately *not*
-    by scenario name — so a node's loss draws are identical whether its
-    segment runs solo or combined with other segments in one engine.
+    :mod:`repro.simnet.loss`): the network spawns one stream per sending
+    node, keyed by seed/segment/sender, so a sender's draws do not depend
+    on how other senders' traffic interleaves — on the simulator or on
+    live sockets.
     """
     params = spec.as_dict()
     if spec.model == "bernoulli":
@@ -117,7 +117,7 @@ class ScenarioResult:
     engine_events: int = 0
     #: Kernel timer-event dispatches summed over all nodes — the share of
     #: ``engine_events`` attributable to timer ticks (probe retries,
-    #: heartbeats, NACK rounds).  The timer-wheel benchmark tracks this.
+    #: heartbeats, NACK rounds).
     timer_events: int = 0
     topology_epoch: int = 0
 
@@ -152,11 +152,11 @@ class ScenarioRunner:
 
     Args:
         scenario: the declarative run description (validated on entry).
-        seed: run seed — feeds the network RNG and every loss model built
-            for the run, each through a stable per-purpose derivation.
+        seed: run seed — feeds every loss model built for the run,
+            each through a stable per-purpose derivation.
         engine_factory: constructor of the discrete-event engine; defaults
-            to :class:`~repro.simnet.engine.SimEngine`.  The timer-wheel
-            benchmark passes the reference heap scheduler here to prove
+            to :class:`~repro.simnet.engine.SimEngine`.  The wheel/heap
+            parity tests pass the reference heap scheduler here to prove
             the two engines drive bit-identical runs.
         invariants: checks run after every completed run, while the
             network and Morpheus nodes are still inspectable.  Each is
@@ -439,25 +439,11 @@ class ScenarioRunner:
 
 def run_scenario(scenario: Scenario, seed: int = 0,
                  engine_factory=SimEngine,
-                 invariants: Sequence[InvariantCheck] = (),
-                 backend: str = "sim",
-                 **live_options) -> ScenarioResult:
-    """One-call convenience: build a runner and execute the scenario.
-
-    ``backend`` selects the transport: ``"sim"`` (default) runs on the
-    deterministic simulator; ``"live"`` replays the same scenario over
-    real asyncio UDP sockets with the simulator's link model applied
-    (``**live_options`` — e.g. ``time_scale`` — reach
-    :class:`repro.livenet.runner.LiveScenarioRunner`).
+                 invariants: Sequence[InvariantCheck] = ()) -> ScenarioResult:
+    """One-call convenience: build a simulated runner and execute the
+    scenario (federated scenarios get the federation runner).  Live runs
+    build :class:`repro.livenet.runner.LiveScenarioRunner` directly.
     """
-    if backend == "live":
-        from repro.livenet.runner import LiveScenarioRunner
-        return LiveScenarioRunner(scenario, seed=seed,
-                                  invariants=invariants,
-                                  **live_options).run()
-    if backend != "sim":
-        raise ValueError(f"unknown backend {backend!r}; "
-                         "expected 'sim' or 'live'")
     if scenario.cells > 0:
         from repro.federation.runner import FederationRunner
         return FederationRunner(scenario, seed=seed,

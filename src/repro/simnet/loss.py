@@ -45,9 +45,8 @@ class BernoulliLoss:
         seed_base: optional string base for :meth:`spawn` — when set, each
             sender gets a private stream seeded ``f"{seed_base}:{label}"``,
             making one node's draws independent of how everyone else's
-            traffic interleaves (the property composed and worker-process
-            segment runs need).  Without it, :meth:`spawn` keeps the legacy single
-            shared stream.
+            traffic interleaves.  Without it, :meth:`spawn` keeps the
+            single shared stream.
     """
 
     def __init__(self, probability: float, rng: random.Random,

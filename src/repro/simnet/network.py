@@ -237,9 +237,8 @@ class NetworkBase:
         #: model via its ``spawn`` hook (see :mod:`repro.simnet.loss`):
         #: ``{model: {sender_id: stream}}``.  Per-sender streams make a
         #: node's loss draws independent of how *other* nodes' traffic
-        #: interleaves — the property that lets disjoint segments run in
-        #: worker processes reproduce the combined run's histories, and a
-        #: live replay draw the simulator's losses.
+        #: interleaves — the property that lets a live replay draw the
+        #: simulator's losses.
         self._loss_streams: dict[LossModel, dict[str, LossModel]] = {}
 
     # -- topology -----------------------------------------------------------

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.core import build_morpheus_group, build_plain_group
+from repro.core import build_plain_group
 from repro.simnet import Network, SimEngine
 
 
@@ -104,7 +104,7 @@ class TestHistory:
         assert chat._keys == {("a", "hello"), ("c", "missed")}
 
     def test_history_pickles(self, plain_pair):
-        # Segmented runs ship histories across processes.
+        # The history is plain data: it survives a process boundary.
         engine, network, nodes = plain_pair
         engine.run_until(0.5)
         nodes["a"].send("hello")

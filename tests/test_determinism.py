@@ -9,9 +9,14 @@ used for debugging such runs.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.core import build_morpheus_group
-from repro.scenarios import canned, commuter_handoff, run_scenario
+from repro.scenarios import (ChatBurst, NodeSpec, Partition, Scenario,
+                             canned, commuter_handoff, run_scenario)
 from repro.simnet import Network, PacketTrace, SimEngine
+from repro.simnet.engine import HeapSimEngine
+from tests.simnet.unbatched import unbatched
 
 
 def run_full_scenario() -> dict:
@@ -80,6 +85,65 @@ class TestScenarioDeterminism:
         second = run_scenario(canned("churn_storm", messages=60,
                                      duration_s=60.0), seed=2)
         assert first == second
+
+
+SIDE_A = ("f0", "f1", "f2")
+SIDE_B = ("f3", "f4", "f5")
+
+
+def split_scenario(with_side_a_burst: bool = True,
+                   with_side_b_burst: bool = True) -> Scenario:
+    """Six fixed nodes split into two sides at t=0, one sender per side."""
+    workload = []
+    if with_side_a_burst:
+        workload.append(ChatBurst(5.0, "f0", count=40, prefix="a"))
+    if with_side_b_burst:
+        workload.append(ChatBurst(5.0, "f3", count=40, prefix="b"))
+    return Scenario(name="split", duration_s=45.0,
+                    nodes=tuple(NodeSpec(node) for node in SIDE_A + SIDE_B),
+                    events=(Partition(0.0, (SIDE_A, SIDE_B)),),
+                    workload=tuple(workload), heartbeat_interval=1.0)
+
+
+class TestDisjointGroupsOnOneRunner:
+    def test_each_side_runs_as_if_alone(self):
+        # Two groups that never exchange a packet share one engine; each
+        # must deliver its own stream and be blind to the other's.
+        result = run_scenario(split_scenario(), seed=3)
+        for side, prefix in ((SIDE_A, "a"), (SIDE_B, "b")):
+            stream = tuple(f"{prefix}-{index}" for index in range(40))
+            for node in side:
+                assert result.texts[node] == stream
+                assert result.control_views[node] == side
+        alone = run_scenario(split_scenario(with_side_b_burst=False),
+                             seed=3)
+        for node in SIDE_A:
+            assert result.texts[node] == alone.texts[node]
+            assert result.stats[node] == alone.stats[node]
+            assert result.stats[node]["sent_total"] > 0
+
+    def test_side_b_is_blind_to_side_a_burst(self):
+        result = run_scenario(split_scenario(), seed=3)
+        alone = run_scenario(split_scenario(with_side_a_burst=False),
+                             seed=3)
+        assert alone.texts["f0"] == ()
+        for node in SIDE_B:
+            assert result.texts[node] == alone.texts[node]
+            assert result.stats[node] == alone.stats[node]
+
+    def test_split_run_is_independent_of_delivery_batching(self):
+        batched = run_scenario(split_scenario(), seed=4)
+        with unbatched():
+            plain = run_scenario(split_scenario(), seed=4)
+        assert batched.engine_events < plain.engine_events
+        assert dataclasses.replace(batched, engine_events=0) == \
+            dataclasses.replace(plain, engine_events=0)
+
+    def test_heap_engine_agrees_on_split_run(self):
+        wheel = run_scenario(split_scenario(), seed=9)
+        heap = run_scenario(split_scenario(), seed=9,
+                            engine_factory=HeapSimEngine)
+        assert wheel == heap  # engine_events included
 
 
 class TestPacketTrace:

@@ -26,7 +26,7 @@ from repro.experiments.scenario_suite import format_suite, run_suite
 
 
 TINY = Figure3Config(node_counts=(2, 3), messages=60, warmup=20.0,
-                     drain=10.0, seed=1)
+                     drain=10.0)
 
 
 class TestFigure3Harness:
@@ -47,7 +47,7 @@ class TestFigure3Harness:
 
 class TestFigure2Harness:
     def test_deploy_render_verify(self):
-        captured = deploy_stacks(num_mobile=1, seed=2, settle_s=15.0)
+        captured = deploy_stacks(num_mobile=1, settle_s=15.0)
         assert verify(captured) == []
         text = render(captured)
         assert "mecho/wired" in text and "mecho/wireless" in text
@@ -55,7 +55,7 @@ class TestFigure2Harness:
 
 class TestAblationHarnesses:
     def test_reconfiguration_harness(self):
-        result = run_reconfiguration(3, seed=5)
+        result = run_reconfiguration(3)
         assert result.messages_lost == 0
         assert result.latency_s > 0
 
@@ -76,15 +76,79 @@ class TestAblationHarnesses:
 
     def test_energy_lifetime_harness(self):
         result = run_lifetime("rotating", num_nodes=3, capacity_mj=800.0,
-                              horizon_s=300.0, seed=6)
+                              horizon_s=300.0)
         assert 0 < result.lifetime_s <= 300.0
         assert "rotating" in format_results([result])
 
     def test_control_overhead_harness(self):
-        adaptive, baseline = run_breakdown(num_nodes=3, messages=60, seed=7)
+        adaptive, baseline = run_breakdown(num_nodes=3, messages=60)
         assert control_fraction(baseline) < control_fraction(adaptive) < 1.0
         table = format_breakdown(adaptive, baseline)
         assert "ApplicationMessage" in table
+
+
+class TestPaperShapes:
+    """The shapes the paper reports, at tier-1 sizes (the benchmark files
+    assert the same shapes at larger sizes)."""
+
+    SHAPE = Figure3Config(messages=200, warmup=20.0, drain=10.0)
+
+    @pytest.mark.parametrize("num_nodes", (2, 3, 6))
+    def test_figure3_flat_and_linear_series(self, num_nodes):
+        optimized = run_scenario(num_nodes, optimized=True, config=self.SHAPE)
+        baseline = run_scenario(num_nodes, optimized=False, config=self.SHAPE)
+        assert optimized.delivered_everywhere
+        assert baseline.delivered_everywhere
+        assert optimized.sent_data == self.SHAPE.messages
+        assert baseline.sent_data == self.SHAPE.messages * (num_nodes - 1)
+
+    def test_figure3_two_nodes_coincide(self):
+        optimized = run_scenario(2, optimized=True, config=self.SHAPE)
+        baseline = run_scenario(2, optimized=False, config=self.SHAPE)
+        assert 0.8 < optimized.sent_total / baseline.sent_total < 1.3
+
+    def test_figure3_gain_grows_with_n(self):
+        gains = []
+        for num_nodes in (3, 6, 9):
+            optimized = run_scenario(num_nodes, optimized=True,
+                                     config=self.SHAPE)
+            baseline = run_scenario(num_nodes, optimized=False,
+                                    config=self.SHAPE)
+            gains.append(baseline.sent_total / optimized.sent_total)
+        assert gains == sorted(gains)
+        assert gains[-1] > 4.0
+
+    def test_figure2_stacks_before_and_after_adaptation(self):
+        captured = deploy_stacks(num_mobile=2)
+        for info in captured.values():
+            assert info["before"][1] == "beb"
+            assert info["after"][1] == "mecho"
+            assert info["before"][2:] == info["after"][2:]
+            assert info["relay"] == "fixed-0"
+
+    def test_switch_message_cost_grows_linearly(self):
+        small = run_reconfiguration(3)
+        large = run_reconfiguration(9)
+        assert small.messages_lost == large.messages_lost == 0
+        assert large.latency_s < 2.0 and large.longest_gap_s < 2.0
+        assert 1.5 < large.switch_messages / small.switch_messages < 4.5
+
+    def test_rotation_extends_lifetime(self):
+        params = dict(num_nodes=4, capacity_mj=1200.0, horizon_s=500.0)
+        plain = run_lifetime("plain", **params)
+        static = run_lifetime("static", **params)
+        rotating = run_lifetime("rotating", **params)
+        assert rotating.lifetime_s > plain.lifetime_s > static.lifetime_s
+        assert rotating.relay_switches >= 2
+        assert rotating.delivered_in_lifetime > plain.delivered_in_lifetime
+
+    def test_control_stays_a_minor_share(self):
+        adaptive, baseline = run_breakdown(num_nodes=6, messages=400)
+        assert control_fraction(adaptive) < 0.35
+        assert adaptive.sent_total < 0.5 * baseline.sent_total
+        assert baseline.sent_by_event.get("ContextMessage", 0) == 0
+        assert baseline.sent_by_event.get("CoreMessage", 0) == 0
+        assert adaptive.sent_by_event.get("ContextMessage", 0) > 0
 
 
 class TestScenarioSuiteHarness:
