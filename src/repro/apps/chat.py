@@ -31,8 +31,11 @@ Unmarked deliveries keep the exact pre-federation semantics.
 
 from __future__ import annotations
 
+import copy
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.kernel.events import ChannelClose, Direction, Event
 from repro.kernel.layer import Layer
@@ -66,6 +69,112 @@ class ChatDelivery:
     fed_cell: str = ""
 
 
+class _Sparse:
+    """A field most rows leave at its default: the rows that set it, in
+    ascending order (rows are only ever appended), and their values."""
+
+    __slots__ = ("rows", "values")
+
+    def __init__(self) -> None:
+        self.rows = array("q")
+        self.values: list = []
+
+    def add(self, row: int, value: Any) -> None:
+        self.rows.append(row)
+        self.values.append(value)
+
+    def get(self, row: int, default: Any) -> Any:
+        rows = self.rows
+        if not rows:
+            return default
+        at = bisect_left(rows, row)
+        if at < len(rows) and rows[at] == row:
+            return self.values[at]
+        return default
+
+
+class ChatHistory:
+    """Everything a session delivered, one row per delivery, in columns.
+
+    ``source`` and ``text`` are lists of references to strings that
+    already exist (the delivered payload's), ``time`` is an
+    ``array('d')``: a flat delivery costs three column slots, about 26 B
+    with over-allocation, where a :class:`ChatDelivery` and its boxed
+    time cost about 121 B.  The fields most rows leave at their default
+    — a room other than :attr:`room`, a ``marker``, an ``n`` and a
+    ``fed_cell`` — are sparse columns keyed by row; a federated group
+    stamps ``n`` on every row, which costs two more slots.
+
+    Reads keep the list API — ``len``, iteration, ``[i]``, slices,
+    ``==`` (against another history or a list of deliveries) and pickle
+    — and each yields a :class:`ChatDelivery` built at that moment.
+    """
+
+    def __init__(self, room: str) -> None:
+        #: The room of every row that records none of its own.
+        self.room = room
+        self.source: list[str] = []
+        self.text: list[str] = []
+        self.time = array("d")
+        self._room = _Sparse()
+        self._marker = _Sparse()
+        self._n = _Sparse()
+        self._fed_cell = _Sparse()
+
+    def append(self, source: str, text: str, room: str, time: float,
+               marker: str = "", n: Optional[int] = None,
+               fed_cell: str = "") -> None:
+        """Add one delivery as a row (fields as in :class:`ChatDelivery`)."""
+        row = len(self.text)
+        self.source.append(source)
+        self.text.append(text)
+        self.time.append(time)
+        if room != self.room:
+            self._room.add(row, room)
+        if marker:
+            self._marker.add(row, marker)
+        if n is not None:
+            self._n.add(row, n)
+        if fed_cell:
+            self._fed_cell.add(row, fed_cell)
+
+    def room_at(self, row: int) -> str:
+        return self._room.get(row, self.room)
+
+    def entry(self, row: int) -> list:
+        """Row ``row`` as a ``[source, text, room]`` repair entry."""
+        return [self.source[row], self.text[row], self.room_at(row)]
+
+    def _delivery(self, row: int) -> ChatDelivery:
+        return ChatDelivery(self.source[row], self.text[row],
+                            self.room_at(row), self.time[row],
+                            self._marker.get(row, ""),
+                            self._n.get(row, None),
+                            self._fed_cell.get(row, ""))
+
+    def __len__(self) -> int:
+        return len(self.text)
+
+    def __iter__(self) -> Iterator[ChatDelivery]:
+        return map(self._delivery, range(len(self.text)))
+
+    def __getitem__(self, index):
+        rows = range(len(self.text))[index]  # bounds, negatives, slices
+        if isinstance(rows, range):
+            return [self._delivery(row) for row in rows]
+        return self._delivery(rows)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (ChatHistory, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]  (mutable, like a list)
+
+    def __repr__(self) -> str:
+        return f"ChatHistory({self.room!r}, {list(self)!r})"
+
+
 class ChatSession(GroupSession):
     """Application endpoint of one chat room (= one multicast group)."""
 
@@ -79,7 +188,7 @@ class ChatSession(GroupSession):
         #: serves the admission backlog (meaningless unless ``backlog_n``).
         self.backlog_server = False
         self.ready = False
-        self.history: list[ChatDelivery] = []
+        self.history = ChatHistory(self.room)
         self._outbox: list[str] = []
         self._fed_outbox: list[tuple[str, str, int, str, str]] = []
         self.on_message: Optional[Callable[[ChatDelivery], None]] = None
@@ -126,7 +235,7 @@ class ChatSession(GroupSession):
 
     def texts(self) -> list[str]:
         """All delivered message bodies, in delivery order."""
-        return [delivery.text for delivery in self.history]
+        return list(self.history.text)
 
     # -- federation API ----------------------------------------------------------
 
@@ -151,7 +260,7 @@ class ChatSession(GroupSession):
 
     def export_state(self) -> dict:
         """Snapshot carried across a cell re-formation (split/merge)."""
-        return {"history": list(self.history), "seq": self._seq,
+        return {"history": copy.deepcopy(self.history), "seq": self._seq,
                 "sent": self.sent_count, "fed_seen": set(self._fed_seen),
                 "fed_high": dict(self._fed_high),
                 "seen_members": set(self._members_seen),
@@ -164,7 +273,7 @@ class ChatSession(GroupSession):
         The node keeps its delivered history and continues its federation
         sequence numbering, so per-stream FIFO holds across cell churn.
         """
-        self.history = list(state["history"])
+        self.history = copy.deepcopy(state["history"])
         self._keys = None
         self._seq = state["seq"]
         self.sent_count = state["sent"]
@@ -268,15 +377,19 @@ class ChatSession(GroupSession):
         """The ``(source, text)`` dedup set, built from ``history`` on
         first use."""
         if self._keys is None:
-            self._keys = {(d.source, d.text) for d in self.history}
+            history = self.history
+            self._keys = set(zip(history.source, history.text))
         return self._keys
 
-    def _append(self, delivery: ChatDelivery) -> None:
-        self.history.append(delivery)
+    def _append(self, source: str, text: str, room: str, time: float,
+                marker: str = "", n: Optional[int] = None,
+                fed_cell: str = "") -> None:
+        self.history.append(source, text, room, time, marker, n, fed_cell)
         if self._keys is not None:
-            self._keys.add((delivery.source, delivery.text))
+            self._keys.add((source, text))
         if self.on_message is not None:
-            self.on_message(delivery)
+            self.on_message(ChatDelivery(source, text, room, time, marker,
+                                         n, fed_cell))
 
     def _deliver(self, event: ApplicationMessage) -> None:
         payload = event.message.payload
@@ -295,10 +408,9 @@ class ChatSession(GroupSession):
                 self._fed_high[stream] = n
                 return
             self._fed_high[stream] = n
-            self._append(ChatDelivery(
-                source=source, text=payload["text"],
-                room=payload.get("room", self.room), time=self._now(),
-                marker="fed", n=n, fed_cell=cell))
+            self._append(source, payload["text"],
+                         payload.get("room", self.room), self._now(),
+                         marker="fed", n=n, fed_cell=cell)
             return
         if self.fed_seq and (event.source, payload["text"]) in self._known():
             # Scoped (federated) group: a repair path — admission
@@ -307,10 +419,9 @@ class ChatSession(GroupSession):
             # stack has no repair paths, so its unmarked deliveries keep
             # appending unconditionally, exactly as before.
             return
-        self._append(ChatDelivery(
-            source=event.source, text=payload["text"],
-            room=payload.get("room", self.room), time=self._now(),
-            n=payload.get("n")))
+        self._append(event.source, payload["text"],
+                     payload.get("room", self.room), self._now(),
+                     n=payload.get("n"))
 
     # -- backlog replay ----------------------------------------------------------
 
@@ -323,8 +434,10 @@ class ChatSession(GroupSession):
     def _serve_backlog(self, joiners: tuple[str, ...]) -> None:
         if not self.backlog_server or self.backlog_n <= 0 or not self.history:
             return
-        entries = [[d.source, d.text, d.room]
-                   for d in self.history[-self.backlog_n:]]
+        history = self.history
+        entries = [history.entry(row) for row in
+                   range(max(len(history) - self.backlog_n, 0),
+                         len(history))]
         for joiner in joiners:
             self.send_down(self.control_message(
                 ChatSyncMessage, {"kind": "backlog", "entries": entries},
@@ -344,15 +457,13 @@ class ChatSession(GroupSession):
             dest=coordinator))
 
     def _entry_keys(self) -> list[tuple[str, str]]:
-        seen: list[tuple[str, str]] = []
-        for delivery in self.history:
-            seen.append((delivery.source, delivery.text))
-        return seen
+        return list(zip(self.history.source, self.history.text))
 
-    def _entries_by_key(self) -> dict[tuple[str, str], ChatDelivery]:
-        table: dict[tuple[str, str], ChatDelivery] = {}
-        for delivery in self.history:
-            table.setdefault((delivery.source, delivery.text), delivery)
+    def _entries_by_key(self) -> dict[tuple[str, str], int]:
+        """``(source, text)`` -> the first history row delivering it."""
+        table: dict[tuple[str, str], int] = {}
+        for row, key in enumerate(self._entry_keys()):
+            table.setdefault(key, row)
         return table
 
     def _on_sync(self, event: ChatSyncMessage) -> None:
@@ -380,15 +491,14 @@ class ChatSession(GroupSession):
             if (source, text) in known:
                 continue
             fresh.append([source, text, room])
-            self._append(ChatDelivery(source=source, text=text, room=room,
-                                      time=now, marker=marker))
+            self._append(source, text, room, now, marker=marker)
         return fresh
 
     def _on_ae_digest(self, sender: Any, payload: dict) -> None:
         theirs = {(key[0], key[1]) for key in payload.get("keys", ())}
         mine = self._entries_by_key()
-        missing_there = [[d.source, d.text, d.room]
-                         for key, d in mine.items() if key not in theirs]
+        missing_there = [self.history.entry(row)
+                         for key, row in mine.items() if key not in theirs]
         if missing_there:
             self.send_down(self.control_message(
                 ChatSyncMessage,
@@ -404,9 +514,9 @@ class ChatSession(GroupSession):
         mine = self._entries_by_key()
         entries = []
         for key in payload.get("keys", ()):
-            delivery = mine.get((key[0], key[1]))
-            if delivery is not None:
-                entries.append([delivery.source, delivery.text, delivery.room])
+            row = mine.get((key[0], key[1]))
+            if row is not None:
+                entries.append(self.history.entry(row))
         if entries:
             self.send_down(self.control_message(
                 ChatSyncMessage, {"kind": "ae_push", "entries": entries},

@@ -49,13 +49,16 @@ and battery drain, so they are the accounting source of truth and must not
 drift with encoding details.  :func:`encode_payload` therefore computes the
 legacy charge *in the same traversal* that emits the bytes and returns
 ``(blob, charge)`` — by construction ``charge == estimate_size(payload)``,
-asserted (together with round-trip fidelity) when :data:`PARITY` is on.
+asserted (with round-trip fidelity and the decoder's equal charge) when
+:data:`PARITY` is on.
 The *encoded* length is tracked separately (``wire_bytes`` counters in
 :mod:`repro.simnet.stats`), which is how the codec's compression is
 measured without perturbing a single timing.  Header cells take both
 numbers the same way, once, when a header is pushed
 (:func:`encode_header`); encoding a message then joins the cells' bytes
-and never walks a header again.
+and never walks a header again.  The decoder takes the same charge in
+its one pass, so a cell rebuilt from the wire is charged without a second
+walk of its header.
 
 Payload types outside the table above (custom classes, dataclasses inside
 payloads) raise :class:`CodecError`; the caller falls back to the legacy
@@ -67,6 +70,10 @@ from __future__ import annotations
 import os
 import struct
 from typing import Any, Callable, Optional
+
+# The message module imports this one too.  Each binds the other as a
+# module object and reads its names at call time, so either may load first.
+from repro.kernel import message as _message
 
 __all__ = [
     "CodecError", "PARITY", "decode_payload", "encode_header",
@@ -80,8 +87,8 @@ class CodecError(Exception):
 
 
 #: Parity mode: every encode asserts the computed charge matches the legacy
-#: estimate and that the blob decodes back to an equal value.  Enabled in
-#: the tier-1 parity test and by ``REPRO_CODEC_PARITY=1``.
+#: estimate and that the blob decodes back to an equal value, charged the
+#: same.  Enabled in the tier-1 parity test and by ``REPRO_CODEC_PARITY=1``.
 PARITY = bool(os.environ.get("REPRO_CODEC_PARITY"))
 
 
@@ -97,6 +104,8 @@ def set_parity(enabled: bool) -> None:
 #: N-th registered key, on every node.
 _KEY_LIST: list[str] = []
 _KEY_IDS: dict[str, int] = {}
+#: The legacy charge of each key (its UTF-8 length), by id.
+_KEY_CHARGES: list[int] = []
 
 
 def register_wire_key(key: str) -> int:
@@ -111,6 +120,7 @@ def register_wire_key(key: str) -> int:
     key_id = len(_KEY_LIST)
     _KEY_LIST.append(key)
     _KEY_IDS[key] = key_id
+    _KEY_CHARGES.append(len(key.encode("utf-8")))
     return key_id
 
 
@@ -234,15 +244,14 @@ def _encode(out: bytearray, obj: Any) -> int:
         return charge
     # Structured leaves the hot loop never sees: nested messages (carried
     # by retransmission stores and relays) and re-embedded frozen blobs.
-    from repro.kernel.message import Message, WirePayload
-    if kind is WirePayload:
+    if kind is _message.WirePayload:
         out.append(0x0F)
         blob = obj.blob
         _append_varint(out, len(blob))
         out += blob
         _append_varint(out, obj.size_bytes)
         return obj.size_bytes
-    if kind is Message:
+    if kind is _message.Message:
         # tag ‖ depth ‖ cached cell bytes ‖ payload: every header was
         # encoded when its cell was made (see ``encode_header``), so a
         # relay, a retransmission and an N-way fan-out splice the same
@@ -266,7 +275,7 @@ def _encode(out: bytearray, obj: Any) -> int:
             cells.reverse()  # the wire order is bottom → top
             out += b"".join(cells)
         payload = obj._payload
-        if type(payload) is not WirePayload:
+        if type(payload) is not _message.WirePayload:
             # Route through the copy-family cache so every relay and
             # retransmission embedding this message shares one payload
             # encode — the nested-snapshot sharing the object path had.
@@ -282,12 +291,11 @@ def _encode(out: bytearray, obj: Any) -> int:
         # for a class object.
         from repro.kernel.events import SendableEvent
         if issubclass(obj, SendableEvent):
-            from repro.kernel.message import estimate_size
             out.append(0x10)
             encoded = obj.__name__.encode("utf-8")
             _append_varint(out, len(encoded))
             out += encoded
-            return estimate_size(obj)
+            return _message.estimate_size(obj)
     raise CodecError(f"cannot wire-encode {kind.__name__}")
 
 
@@ -325,8 +333,7 @@ def encode_header(header: Any) -> tuple[Optional[bytes], int]:
     try:
         charge = _encode(out, header)
     except CodecError:
-        from repro.kernel.message import estimate_size
-        return None, estimate_size(header)
+        return None, _message.estimate_size(header)
     wire = bytes(out)
     if PARITY:
         _assert_parity(header, wire, charge)
@@ -335,37 +342,43 @@ def encode_header(header: Any) -> tuple[Optional[bytes], int]:
 
 # -- decoding -----------------------------------------------------------------
 
-def _decode(buf: bytes, pos: int) -> tuple[Any, int]:
+def _decode(buf: bytes, pos: int) -> tuple[Any, int, int]:
+    """Read the value at ``pos``: ``(value, next pos, legacy charge)``.
+
+    The charge is what :func:`~repro.kernel.message.estimate_size` gives
+    the value, taken in the same pass, as :func:`_encode` takes it: a
+    header cell rebuilt here needs no second walk to be charged.
+    """
     try:
         tag = buf[pos]
     except IndexError:
         raise CodecError("truncated value") from None
     pos += 1
     if tag & 0x80:
-        return tag & 0x7F, pos
+        return tag & 0x7F, pos, 4
     if tag == 0x00:
-        return None, pos
+        return None, pos, 1
     if tag == 0x01:
-        return True, pos
+        return True, pos, 1
     if tag == 0x02:
-        return False, pos
+        return False, pos, 1
     if tag == 0x03:
         raw, pos = _read_varint(buf, pos)
-        return _unzigzag(raw), pos
+        return _unzigzag(raw), pos, 4
     if tag == 0x04:
         if pos + 8 > len(buf):
             raise CodecError("truncated float")
-        return _unpack_double(buf, pos)[0], pos + 8
+        return _unpack_double(buf, pos)[0], pos + 8, 8
     if tag == 0x05:
         length, pos = _read_varint(buf, pos)
         end = pos + length
         if end > len(buf):
             raise CodecError("truncated string")
-        return buf[pos:end].decode("utf-8"), end
+        return buf[pos:end].decode("utf-8"), end, length
     if tag == 0x06:
         key_id, pos = _read_varint(buf, pos)
         try:
-            return _KEY_LIST[key_id], pos
+            return _KEY_LIST[key_id], pos, _KEY_CHARGES[key_id]
         except IndexError:
             raise CodecError(f"unknown interned key id {key_id}") from None
     if tag == 0x07 or tag == 0x08:
@@ -374,46 +387,56 @@ def _decode(buf: bytes, pos: int) -> tuple[Any, int]:
         if end > len(buf):
             raise CodecError("truncated bytes")
         raw = buf[pos:end]
-        return (raw if tag == 0x07 else bytearray(raw)), end
+        return (raw if tag == 0x07 else bytearray(raw)), end, length
     if 0x09 <= tag <= 0x0C:
         count, pos = _read_varint(buf, pos)
         items = []
+        charge = 2
         for _ in range(count):
-            item, pos = _decode(buf, pos)
+            item, pos, item_charge = _decode(buf, pos)
             items.append(item)
-        build: Callable = (list, tuple, set, frozenset)[tag - 0x09]
-        return (items if tag == 0x09 else build(items)), pos
+            charge += item_charge
+        if tag == 0x09:
+            return items, pos, charge
+        built = (tuple, set, frozenset)[tag - 0x0A](items)
+        if len(built) != count:  # equal items collapsed: not our encoding
+            charge = _message.estimate_size(built)
+        return built, pos, charge
     if tag == 0x0D:
         count, pos = _read_varint(buf, pos)
         result = {}
+        charge = 2
         for _ in range(count):
-            key, pos = _decode(buf, pos)
-            value, pos = _decode(buf, pos)
+            key, pos, key_charge = _decode(buf, pos)
+            value, pos, value_charge = _decode(buf, pos)
             result[key] = value
-        return result, pos
+            charge += key_charge + value_charge
+        if len(result) != count:  # a key repeated: not our encoding
+            charge = _message.estimate_size(result)
+        return result, pos, charge
     if tag == 0x0E:
-        from repro.kernel.message import Message, _HeaderNode
+        off_the_wire = _message._HeaderNode.off_the_wire
         count, pos = _read_varint(buf, pos)
         top = None
         for _ in range(count):
             start = pos
-            header, pos = _decode(buf, pos)
+            header, pos, charge = _decode(buf, pos)
             # The bytes just read are the cell's wire form: forwarding
             # this message re-encodes none of its headers.
-            top = _HeaderNode.off_the_wire(header, top, buf[start:pos])
-        payload, pos = _decode(buf, pos)
-        message = Message(payload)
+            top = off_the_wire(header, top, buf[start:pos], charge)
+        payload, pos, charge = _decode(buf, pos)
+        message = _message.Message(payload)
         message._top = top
-        return message, pos
+        message._payload_size = charge
+        return message, pos, message.size_bytes
     if tag == 0x0F:
-        from repro.kernel.message import WirePayload
         length, pos = _read_varint(buf, pos)
         end = pos + length
         if end > len(buf):
             raise CodecError("truncated embedded blob")
         blob = buf[pos:end]
         charge, pos = _read_varint(buf, end)
-        return WirePayload(blob, charge), pos
+        return _message.WirePayload(blob, charge), pos, charge
     if tag == 0x10:
         length, pos = _read_varint(buf, pos)
         end = pos + length
@@ -423,7 +446,8 @@ def _decode(buf: bytes, pos: int) -> tuple[Any, int]:
             name = buf[pos:end].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CodecError(f"malformed class name: {exc}") from None
-        return resolve_event_class(name), end
+        cls = resolve_event_class(name)
+        return cls, end, _message.estimate_size(cls)
     raise CodecError(f"unknown wire tag 0x{tag:02X}")
 
 
@@ -459,7 +483,7 @@ def resolve_event_class(name: str) -> type:
 
 def decode_payload(blob: bytes) -> Any:
     """Decode one wire value; the whole blob must be consumed."""
-    value, pos = _decode(blob, 0)
+    value, pos, _ = _decode(blob, 0)
     if pos != len(blob):
         raise CodecError(f"trailing bytes after value ({len(blob) - pos})")
     return value
@@ -468,13 +492,16 @@ def decode_payload(blob: bytes) -> Any:
 # -- parity -------------------------------------------------------------------
 
 def _assert_parity(obj: Any, blob: bytes, charge: int) -> None:
-    from repro.kernel.message import estimate_size
-    legacy = estimate_size(obj)
+    legacy = _message.estimate_size(obj)
     if charge != legacy:
         raise AssertionError(
             f"codec charge {charge} != legacy estimate {legacy} "
             f"for {obj!r}")
-    decoded = decode_payload(blob)
-    if decoded != obj:
+    decoded, pos, decoded_charge = _decode(blob, 0)
+    if pos != len(blob) or decoded != obj:
         raise AssertionError(
             f"codec round-trip mismatch: {obj!r} -> {decoded!r}")
+    if decoded_charge != charge:
+        raise AssertionError(
+            f"decoder charge {decoded_charge} != codec charge {charge} "
+            f"for {obj!r}")

@@ -58,8 +58,8 @@ import copy
 from dataclasses import fields, is_dataclass
 from typing import Any, Iterable, Optional
 
-# The codec imports this module's classes at call time, never at import
-# time, so the dependency runs one way while both modules load.
+# The codec imports this module too.  Each binds the other as a module
+# object and reads its names at call time, so either may load first.
 from repro.kernel import codec
 
 #: Default serialized size charged for a header with no explicit estimate.
@@ -239,11 +239,12 @@ class _HeaderNode:
 
     @classmethod
     def off_the_wire(cls, header: Any, below: Optional["_HeaderNode"],
-                     wire: bytes) -> "_HeaderNode":
-        """The cell of a header just decoded from ``wire``: the bytes are
-        kept as the cell's wire form, so a relay forwards them as is."""
+                     wire: bytes, charge: int) -> "_HeaderNode":
+        """The cell of a header just decoded from ``wire``, with the
+        charge the decoder took in the same pass: the bytes are kept as
+        the cell's wire form, so a relay forwards them as is."""
         node = cls.__new__(cls)
-        node._link(header, below, wire, estimate_size(header))
+        node._link(header, below, wire, charge)
         return node
 
     def _link(self, header: Any, below: Optional["_HeaderNode"],

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import pickle
+import tracemalloc
 
 import pytest
 
+from repro.apps.chat import ChatDelivery, ChatHistory
 from repro.core import build_plain_group
+from repro.kernel.message import Message
+from repro.protocols.events import ApplicationMessage
 from repro.simnet import Network, SimEngine
 
 
@@ -111,6 +115,113 @@ class TestHistory:
         engine.run_until(2.0)
         history = nodes["b"].chat.history
         assert pickle.loads(pickle.dumps(history)) == history
+
+
+#: Deliveries the reference list and the columns are both built from:
+#: flat rows, and rows setting each rare field.
+DELIVERIES = [
+    ChatDelivery("a", "one", "lobby", 1.0),
+    ChatDelivery("b", "two", "lobby", 1.5, n=3),
+    ChatDelivery("c", "three", "ops", 2.0, marker="fed", n=9,
+                 fed_cell="cell-1"),
+    ChatDelivery("a", "four", "lobby", 2.5, marker="backlog"),
+    ChatDelivery("b", "five", "lobby", 3.0),
+    ChatDelivery("d", "six", "ops", 3.5, marker="recovered"),
+]
+
+
+def columns_of(deliveries) -> ChatHistory:
+    history = ChatHistory("lobby")
+    for d in deliveries:
+        history.append(d.source, d.text, d.room, d.time, d.marker, d.n,
+                       d.fed_cell)
+    return history
+
+
+def deliver(chat, source: str, payload: dict) -> None:
+    """Hand ``chat`` one delivery through its delivery path."""
+    chat._deliver(ApplicationMessage(message=Message(payload=payload),
+                                     source=source))
+
+
+class TestChatHistory:
+    def test_reads_match_the_list_form(self):
+        history = columns_of(DELIVERIES)
+        assert len(history) == len(DELIVERIES)
+        assert list(history) == DELIVERIES
+        for index in range(-len(DELIVERIES), len(DELIVERIES)):
+            assert history[index] == DELIVERIES[index]
+        for cut in (slice(None), slice(-3, None), slice(1, 4),
+                    slice(None, None, 2), slice(None, None, -1),
+                    slice(10, None)):
+            assert history[cut] == DELIVERIES[cut]
+        assert history == DELIVERIES and DELIVERIES == history
+        assert history == columns_of(DELIVERIES)
+        assert history != DELIVERIES[:-1]
+        assert history != columns_of(DELIVERIES[::-1])
+        with pytest.raises(IndexError):
+            history[len(DELIVERIES)]
+        with pytest.raises(IndexError):
+            history[-len(DELIVERIES) - 1]
+
+    def test_rare_fields_pickle(self):
+        history = columns_of(DELIVERIES)
+        back = pickle.loads(pickle.dumps(history))
+        assert type(back) is ChatHistory
+        assert back == DELIVERIES
+
+    def test_federated_delivery_round_trips(self, plain_pair):
+        engine, network, nodes = plain_pair
+        engine.run_until(0.5)
+        chat = nodes["b"].chat
+        deliver(chat, "gw", {"room": "ops", "text": "far",
+                             "fed": ["cell-2", "zed", 7], "src": "zed"})
+        deliver(chat, "a", {"room": "lobby", "text": "near", "n": 4})
+        now = engine.now()
+        assert chat.history[-2:] == [
+            ChatDelivery("zed", "far", "ops", now, marker="fed", n=7,
+                         fed_cell="cell-2"),
+            ChatDelivery("a", "near", "lobby", now, n=4)]
+
+    def test_export_and_adopt_keep_the_history(self, plain_pair):
+        engine, network, nodes = plain_pair
+        engine.run_until(0.5)
+        nodes["a"].send("hello")
+        engine.run_until(2.0)
+        source = nodes["b"].chat
+        deliver(source, "gw", {"room": "ops", "text": "far",
+                               "fed": ["cell-2", "zed", 7], "src": "zed"})
+        before = list(source.history)
+        state = source.export_state()
+        deliver(source, "a", {"room": "lobby", "text": "later"})
+        target = nodes["a"].chat
+        target.adopt(state)
+        assert target.history == before
+        assert target.texts() == ["hello", "far"]
+        assert target._known() == {("a", "hello"), ("zed", "far")}
+
+    def test_a_flat_delivery_costs_under_40_bytes(self, plain_pair):
+        """Rows, not objects: 50,000 flat deliveries through the session's
+        delivery path hold at most 40 B each beyond the strings they
+        share with their payloads (a ChatDelivery per row costs ~121 B)."""
+        engine, network, nodes = plain_pair
+        engine.run_until(0.5)
+        chat = nodes["b"].chat
+        events = [ApplicationMessage(
+            message=Message(payload={"room": "lobby", "text": f"t{k}"}),
+            source="a") for k in range(64)]
+        count = 50_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(count):
+                chat._deliver(events[k % len(events)])
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(chat.history) == count
+        assert chat._keys is None
+        assert held / count <= 40, f"{held / count:.1f} B per delivery"
 
 
 class TestLeave:

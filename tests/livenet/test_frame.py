@@ -20,16 +20,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernel import codec
+from repro.kernel import message as message_module
 from repro.kernel.codec import (CodecError, decode_payload, encode_payload,
                                 resolve_event_class, wire_key_table)
 from repro.kernel.message import Message, estimate_size
 from repro.kernel.packet import CONTROL, DATA, Packet
+from repro.livenet.conformance import CONFORMANCE_CASES
 from repro.livenet.frame import (FRAME_MAGIC, FRAME_VERSION,
                                  MAX_DATAGRAM_BYTES, decode_frame,
                                  encode_frame)
 from repro.protocols.events import (ApplicationMessage, CoreMessage,
                                     HeartbeatMessage, MembershipMessage,
                                     NackMessage, RetransmissionMessage)
+from repro.protocols.reliable import _STABILITY_REPORT_EVERY
+from repro.scenarios.runner import ScenarioRunner
+from repro.simnet import network as sim_network
+from tests.protocols.helpers import build_world, collector_of
 
 # -- strategies ---------------------------------------------------------------
 
@@ -114,6 +120,110 @@ class TestRoundTrip:
         back = decode_frame(encode_frame(clone))
         assert back.dst == "fixed-1"
         assert back.size_bytes == packet.size_bytes
+
+
+# -- byte charges of decoded messages ----------------------------------------
+
+#: Every message kind the live backend carries: what the five conformance
+#: scenarios send, plus the reliable layer's stability reports, which the
+#: live workload sends once a store fills a report.
+LIVE_VOCABULARY = frozenset({
+    "ApplicationMessage", "ContextMessage", "CoreMessage",
+    "HeartbeatMessage", "MembershipMessage", "NackMessage", "ParityMessage",
+    "RetransmissionMessage", "StabilityMessage", "SyncMessage"})
+
+#: Frames kept per message kind (the first ones sent).
+_PER_KIND = 40
+
+
+def _cell_charges(message: Message) -> list[int]:
+    """``stack_bytes`` of every header cell, top → bottom."""
+    charges = []
+    node = message._top
+    while node is not None:
+        charges.append(node.stack_bytes)
+        node = node.below
+    return charges
+
+
+@pytest.fixture(scope="module")
+def live_vocabulary_frames():
+    """``(kind, size_bytes, cell charges, payload charge, frame)`` of the
+    first frames of each kind, encoded with codec parity on as the
+    simulator sends them."""
+    frames = []
+    counts: dict[str, int] = {}
+    route = sim_network.Network._route
+
+    def capture(network, sender, packet, receivers, now):
+        receivers = list(receivers)
+        kind = packet.event_cls.__name__
+        if receivers and counts.get(kind, 0) < _PER_KIND:
+            counts[kind] = counts.get(kind, 0) + 1
+            # The first datagram the live backend would send for it.
+            dst = receivers[0]
+            frame = encode_frame(packet if dst is packet.dst
+                                 else packet.copy_for(dst))
+            message = packet.message
+            frames.append((kind, message.size_bytes, _cell_charges(message),
+                           estimate_size(message._payload), frame))
+        route(network, sender, packet, receivers, now)
+
+    was_on = codec.PARITY
+    codec.set_parity(True)
+    sim_network.Network._route = capture
+    try:
+        for case in CONFORMANCE_CASES:
+            ScenarioRunner(case.build(), seed=0).run()
+        # A store that fills a stability report: one sender, one report's
+        # worth of messages and a few more.
+        engine, _, channels = build_world({"a": "fixed", "b": "fixed"},
+                                          heartbeat_interval=2.0)
+        engine.run_until(0.5)
+        for k in range(_STABILITY_REPORT_EVERY + 8):
+            collector_of(channels["a"]).send_text(f"a:{k}")
+        engine.run_until(3.0)
+    finally:
+        sim_network.Network._route = route
+        codec.set_parity(was_on)
+    return frames
+
+
+class TestDecodedCharges:
+    def test_every_live_kind_was_framed(self, live_vocabulary_frames):
+        assert {kind for kind, *_ in live_vocabulary_frames} >= \
+            LIVE_VOCABULARY
+
+    def test_receiver_charges_equal_the_senders(self, live_vocabulary_frames):
+        """The decoder's own charges rebuild the sender's accounting: the
+        message, every header cell, and the payload, nested messages
+        (retransmissions) included."""
+        was_on = codec.PARITY
+        codec.set_parity(True)
+        try:
+            for kind, size, cells, payload, frame in live_vocabulary_frames:
+                back = decode_frame(frame).message
+                assert back.size_bytes == size, kind
+                assert _cell_charges(back) == cells, kind
+                assert estimate_size(back.payload) == payload, kind
+        finally:
+            codec.set_parity(was_on)
+
+    def test_decoding_walks_no_header_twice(self, live_vocabulary_frames,
+                                            monkeypatch):
+        """Header cells are charged from the decoding pass itself:
+        ``estimate_size`` is not called while a frame is decoded."""
+        calls = []
+        estimate = message_module.estimate_size
+
+        def counted(obj):
+            calls.append(obj)
+            return estimate(obj)
+
+        monkeypatch.setattr(message_module, "estimate_size", counted)
+        for kind, size, *_, frame in live_vocabulary_frames:
+            assert decode_frame(frame).message.size_bytes == size, kind
+        assert calls == []
 
 
 # -- embedded class references (codec tag 0x10) -------------------------------
