@@ -21,9 +21,9 @@ def test_reconfiguration_cost(benchmark, num_nodes):
         lambda: run_reconfiguration(num_nodes),
         rounds=1, iterations=1)
     assert result.messages_lost == 0
-    # The switch is dominated by the deliberate hold-grace window (two
-    # membership retry ticks = 1 s with default parameters), during which
-    # the installation is re-broadcast so no member is left behind.
+    # The hold flush releases on install acks, so the switch costs a few
+    # link delays on top of the trigger; a lost ack falls back to the
+    # announcer's retry ticks (0.5 s each with default parameters).
     assert result.latency_s < 2.0
     assert result.longest_gap_s < 2.0
     benchmark.extra_info["latency_s"] = result.latency_s

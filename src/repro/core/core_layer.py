@@ -13,8 +13,11 @@ group."*  Coordination protocol:
 * each member hands the configuration to its local module (trigger view
   change → quiesce → redeploy) and answers ``reconfig_done``;
 * the coordinator re-sends to unresponsive members every evaluation tick
-  (idempotent, config-id–tagged) and declares the configuration deployed
-  when every control-group member acked.
+  (idempotent, tagged with config id and lineage) and declares the
+  configuration deployed when every control-group member acked;
+* a member whose data stack another member's flush held before its own
+  configuration arrived asks for it (``config_query``): the coordinator
+  re-sends it, or, with no reconfiguration in flight, redeploys.
 """
 
 from __future__ import annotations
@@ -61,6 +64,9 @@ class CoreSession(GroupSession):
         self._active_members: Optional[tuple[str, ...]] = None
         self._active_lineage: Optional[tuple] = None
         self._acks: set[str] = set()
+        #: A member reported its data stack held for a configuration this
+        #: coordinator has not issued: redeploy at the next evaluation.
+        self._stranded = False
         #: Completed group-wide reconfigurations (diagnostics/benches).
         self.reconfigurations_completed = 0
         #: Virtual timestamps of the last reconfiguration (benches).
@@ -70,7 +76,10 @@ class CoreSession(GroupSession):
         # Member-side state.
         self._applying_id: Optional[int] = None
         self._applying_name: Optional[str] = None
+        self._applying_lineage: Optional[tuple] = None
         self._last_applied_id = 0
+        #: Lineage of the configuration this node last deployed.
+        self._applied_lineage: Optional[tuple] = None
 
     def attach(self, local_module: LocalModule, policy: Policy,
                directory: ContextDirectory,
@@ -83,6 +92,7 @@ class CoreSession(GroupSession):
         redeployment (the pre-dynamic-topology behaviour).
         """
         self.local_module = local_module
+        local_module.request_config = self._request_config
         self.policy = policy
         self.directory = directory
         self.deployed_name = initial_config_name
@@ -121,6 +131,14 @@ class CoreSession(GroupSession):
             self.deployed_members = tuple(
                 member for member in self.deployed_members
                 if member in event.view.members)
+        if event.view.coordinator != self.local:
+            # The role passed on: the new coordinator decides from what it
+            # knows.  A plan kept here would be re-sent, under its old
+            # lineage, if the role ever came back — a redeploy nobody else
+            # is running, whose hold flush strands the members it misses.
+            self._active_plan = None
+            self._active_members = None
+            self._stranded = False
         if self.local is not None and \
                 self.local in getattr(event, "joiners", ()):
             # Re-admitted from outside the group: any configuration this
@@ -129,8 +147,10 @@ class CoreSession(GroupSession):
             # the group's.  Start over so the coordinator's next
             # configuration is never mistaken for a duplicate.
             self._last_applied_id = 0
+            self._applied_lineage = None
             self._applying_id = None
             self._applying_name = None
+            self._applying_lineage = None
 
     def on_event(self, event: Event) -> None:
         if isinstance(event, TimerEvent):
@@ -167,7 +187,8 @@ class CoreSession(GroupSession):
         members_now = tuple(sorted(self.members))
         grown = self.deployed_members is not None and \
             bool(set(members_now) - set(self.deployed_members))
-        if plan.name == self.deployed_name and not grown:
+        if plan.name == self.deployed_name and not grown and \
+                not self._stranded:
             return
         self._start_reconfiguration(plan, channel)
 
@@ -180,6 +201,7 @@ class CoreSession(GroupSession):
         self._config_id = max(self._config_id, self._last_applied_id) + 1
         self._active_plan = plan
         self._active_members = tuple(sorted(self.members))
+        self._stranded = False
         # Lineage of this configuration: the control view it was issued
         # under.  Config ids alone are only monotonic per coordinator, so
         # divergent partitions each mint their own ``#c2``; the lineage
@@ -216,9 +238,29 @@ class CoreSession(GroupSession):
                 self._send_config(member, channel)
         self._check_complete()
 
+    def _on_query(self, payload: dict, channel) -> None:
+        """A member's data stack is held for a configuration it has not
+        received: send it again now, not at the next evaluation.  With no
+        reconfiguration in flight, the hold came from one this coordinator
+        never issued (its issuer lost the role before the member got it),
+        and the data channel is not what this coordinator believes: the
+        next evaluation redeploys."""
+        member = payload["from"]
+        if member not in self.members:
+            return
+        if self._active_plan is None:
+            self._stranded = True
+        elif member not in self._acks:
+            self._send_config(member, channel)
+
     def _on_done(self, payload: dict) -> None:
+        # The lineage too: a member that deployed the same id issued under
+        # an earlier view has not deployed this configuration.
+        lineage = tuple(payload["lineage"]) if payload.get("lineage") \
+            else None
         if self._active_plan is None or \
-                payload["config_id"] != self._config_id:
+                (payload["config_id"], lineage) != (self._config_id,
+                                                    self._active_lineage):
             return
         self._acks.add(payload["from"])
         self._check_complete()
@@ -248,42 +290,77 @@ class CoreSession(GroupSession):
             self._on_reconfig(payload, event.channel)
         elif kind == "reconfig_done":
             self._on_done(payload)
+        elif kind == "config_query":
+            self._on_query(payload, event.channel)
 
     def _on_reconfig(self, payload: dict, channel) -> None:
         assert self.local_module is not None
         config_id = payload["config_id"]
-        if config_id <= self._last_applied_id:
-            self._send_done(config_id, channel)  # duplicate: re-ack
+        lineage = tuple(payload["lineage"]) if payload.get("lineage") \
+            else None
+        # Ids are monotonic per lineage only: after a merge, the current
+        # coordinator may issue the very id this node last applied, under
+        # another lineage.  That is a new configuration — taking it for a
+        # duplicate left this node on the old generation, held by the new
+        # one's flush for good.  It is applied only from this node's own
+        # coordinator (a view behind, it waits for the re-send), and never
+        # acked unapplied: an ack counts the member as deployed.  A lower
+        # id stays a duplicate.
+        same_id_new_lineage = config_id == self._last_applied_id and \
+            lineage != self._applied_lineage
+        if same_id_new_lineage and (self.view is None or
+                                    payload.get("from") !=
+                                    self.view.coordinator):
             return
-        if config_id == self._applying_id:
+        if config_id <= self._last_applied_id and not same_id_new_lineage:
+            self._send_done(config_id, lineage, channel)  # duplicate
+            return
+        if (config_id, lineage) == (self._applying_id,
+                                    self._applying_lineage):
             return  # already in progress
         self._applying_id = config_id
         self._applying_name = payload["name"]
-        lineage = payload.get("lineage")
+        self._applying_lineage = lineage
         template = ChannelTemplate.from_xml(payload["xml"])
         self.local_module.apply(
             config_id, template,
-            done=lambda cid: self._deployed(cid, channel),
-            lineage=tuple(lineage) if lineage else None)
+            done=lambda cid: self._deployed(cid, lineage, channel),
+            lineage=lineage)
 
-    def _deployed(self, config_id: int, channel) -> None:
-        self._last_applied_id = max(self._last_applied_id, config_id)
+    def _deployed(self, config_id: int, lineage: Optional[tuple],
+                  channel) -> None:
         if self._applying_id == config_id:
+            # Only the configuration being applied counts as applied: one
+            # queued before a re-admission reset (on_view) finishes under
+            # the old numbering and must not shadow the new lineage's ids.
+            self._last_applied_id = max(self._last_applied_id, config_id)
             self._applying_id = None
+            self._applied_lineage = self._applying_lineage
             # Every member tracks what it runs: if the coordinator fails,
             # its successor must know the deployed configuration or it
             # would never see a difference worth reconfiguring for.
             if self._applying_name is not None:
                 self.deployed_name = self._applying_name
                 self._applying_name = None
-        self._send_done(config_id, channel)
+        self._send_done(config_id, lineage, channel)
 
-    def _send_done(self, config_id: int, channel) -> None:
+    def _request_config(self) -> None:
+        """Ask the coordinator for the configuration this node's held
+        data stack waits for (the local module calls this)."""
+        if self.view is None or not self.channels:
+            return
+        query = self.control_message(
+            CoreMessage, {"kind": "config_query", "from": self.local},
+            dest=self.view.coordinator, source=self.local)
+        self.send_down(query, channel=self.channels[0])
+
+    def _send_done(self, config_id: int, lineage: Optional[tuple],
+                   channel) -> None:
         assert self.view is not None
         done = self.control_message(
             CoreMessage,
             {"kind": "reconfig_done", "config_id": config_id,
-             "from": self.local},
+             "lineage": lineage, "from": self.local},
             dest=self.view.coordinator, source=self.local)
         self.send_down(done, channel=channel)
 

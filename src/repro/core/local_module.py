@@ -55,6 +55,9 @@ class LocalModule:
             tuple[int, ChannelTemplate, DoneCallback, Optional[tuple]]] = None
         self._held_view: Optional[View] = None
         self._retry_handle = None
+        #: Asks Core for the configuration a held stack waits for (set by
+        #: :meth:`CoreSession.attach`).
+        self.request_config: Optional[Callable[[], None]] = None
         #: Completed deployments (including the initial one).
         self.deploy_count = 0
         #: Name of the template currently deployed (diagnostics).
@@ -109,6 +112,15 @@ class LocalModule:
         if self._busy:
             self._pending = (config_id, template, done, lineage)
             return
+        channel = self.data_channel
+        if self._held_view is None and channel is not None and \
+                channel.state is ChannelState.STARTED and \
+                channel.name == self._generation_name(config_id, lineage):
+            # This generation is the one running: redeploying it would boot
+            # a fresh stack on the port the old one used, and re-deliver
+            # whatever the old one had delivered.
+            done(config_id)
+            return
         self._busy = True
         self._active = (config_id, template, done, lineage)
         if self._held_view is not None:
@@ -145,6 +157,8 @@ class LocalModule:
         self._retry_handle = None
         if self._busy and self._held_view is None:
             self._request_quiescence()
+        elif not self._busy and self._held_view is not None:
+            self._ask_for_config()
 
     def _on_quiescent(self, view: View) -> None:
         """Membership hook: flush complete, stack blocked and replaceable."""
@@ -152,6 +166,17 @@ class LocalModule:
         self._cancel_retry()
         if self._busy:
             self._schedule_swap()
+        else:
+            # Another member's flush held this stack before the
+            # configuration got here.  It normally follows within a
+            # round trip; one lost on the way (or never sent) would leave
+            # the stack blocked, so ask for it every retry interval.
+            self._arm_retry()
+
+    def _ask_for_config(self) -> None:
+        if self.request_config is not None:
+            self.request_config()
+        self._arm_retry()
 
     def _schedule_swap(self) -> None:
         # Swap outside the membership layer's dispatch context.
@@ -165,6 +190,7 @@ class LocalModule:
         config_id, template, done, lineage = self._active
         view = self._held_view
         self._held_view = None
+        self._cancel_retry()
         old = self.data_channel
         if old is not None and old.state is ChannelState.STARTED:
             old.close()
@@ -182,17 +208,10 @@ class LocalModule:
         # thus also a group re-formation from the control plane's globally
         # consistent knowledge; view synchrony still guarantees no data
         # message straddles the boundary within each surviving subgroup.
-        generation_name = f"{self.channel_name}#c{config_id}"
-        if lineage:
-            # Same value at every member (it rides the reconfig message), so
-            # the group still boots as ONE generation; the suffix only
-            # separates generations minted by different coordinator
-            # histories.  Ports are names, not wire bytes — packet overhead
-            # is a fixed charge — so byte accounting is unchanged.
-            generation_name += "@" + ".".join(str(part) for part in lineage)
-        channel = template.instantiate(self.node.kernel,
-                                       channel_name=generation_name,
-                                       session_bindings=self.bindings)
+        channel = template.instantiate(
+            self.node.kernel,
+            channel_name=self._generation_name(config_id, lineage),
+            session_bindings=self.bindings)
         self.data_channel = channel
         self.current_template_name = template.name
         self.deploy_count += 1
@@ -203,6 +222,18 @@ class LocalModule:
         if self._pending is not None:
             queued, self._pending = self._pending, None
             self.apply(*queued)
+
+    def _generation_name(self, config_id: int,
+                         lineage: Optional[tuple]) -> str:
+        name = f"{self.channel_name}#c{config_id}"
+        if lineage:
+            # Same value at every member (it rides the reconfig message), so
+            # the group still boots as ONE generation; the suffix only
+            # separates generations minted by different coordinator
+            # histories.  Ports are names, not wire bytes — packet overhead
+            # is a fixed charge — so byte accounting is unchanged.
+            name += "@" + ".".join(str(part) for part in lineage)
+        return name
 
     def _reconcile_bindings(self, template: ChannelTemplate) -> None:
         """Drop preserved sessions whose layer class changed in the new stack.

@@ -179,6 +179,19 @@ class DatagramTransportSession(Session):
         """When a packet from ``peer`` last arrived (``-inf``: never)."""
         return self._heard.get(peer, float("-inf"))
 
+    def silent(self, port: str, peer: str, since: float,
+               period: Optional[float] = None) -> bool:
+        """Has ``peer`` said nothing on ``port`` — no packet on it, no
+        beacon listing it — for longer than ``period`` (default: the
+        port's suspicion timeout) since ``since``?"""
+        if period is None:
+            detector = self._detectors.get(port)
+            if detector is None:
+                return False
+            period = detector.suspect_timeout
+        spoke = self._spoke.get(port, {}).get(peer, since)
+        return self._now() - max(since, spoke) > period
+
     def _beat(self) -> None:
         """Beacon the watched peers not in two-way contact since the last
         beat: sent a packet, and heard from on every port watching them (a

@@ -112,8 +112,13 @@ class FecSession(GroupSession):
 
     def on_view(self, event: ViewEvent) -> None:
         self._blocks.clear()
+        if self._position:
+            # Abandon the partial block under a fresh id, never id 0 again:
+            # this layer sits below view synchrony, so a receiver can hold
+            # pieces of the old view's block while the new view's arrive,
+            # and two blocks under one id decode into garbage.
+            self._block_id += 1
         self._outgoing.clear()
-        self._block_id = 0
         self._position = 0
         self._stop_sweep()  # receiver state gone; re-armed on next block
 

@@ -61,7 +61,13 @@ class HeartbeatSession(GroupSession):
     def on_view(self, event: ViewEvent) -> None:
         now = self._now()
         self.floor = {member: now for member in event.view.members}
-        self.suspected &= set(event.view.members)
+        if self.local in event.joiners:
+            # Re-admitted: membership drops what this node suspected while
+            # outside the view, so the detector must be able to raise any
+            # of it again — a suspicion kept here is never re-sent.
+            self.suspected.clear()
+        else:
+            self.suspected &= set(event.view.members)
 
     def on_event(self, event: Event) -> None:
         if isinstance(event, TimerEvent):

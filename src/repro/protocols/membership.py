@@ -26,11 +26,15 @@ re-elected deterministically when the incumbent fails):
    requested with ``hold=True``, in which case the stack stays blocked and
    a :class:`QuiescentEvent` is emitted instead: the hook the Core local
    module uses to swap the stack.
+4. ``install_ack`` — hold flushes only: each member acks the installation
+   to its announcer and releases its quiescence at once; the announcer
+   releases its own when the last member of the view has acked (see the
+   acknowledged release below), so it is the last node to swap.
 
 Loss tolerance: every message is idempotent; the coordinator periodically
 re-announces its current phase, members periodically re-send their current
-ack, and the coordinator answers stale acks for an already-installed view
-by re-unicasting the installation.
+ack, and whoever holds an installed view answers stale acks for it by
+re-unicasting the installation.
 
 The initial view is installed from the bootstrap ``members`` parameter
 (deterministically, without communication) one virtual instant after
@@ -103,6 +107,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.kernel.events import Direction, Event, TimerEvent
 from repro.kernel.layer import Layer
 from repro.kernel.registry import register_layer
+from repro.kernel.transport import DatagramTransportSession
 from repro.protocols.base import GroupSession
 from repro.protocols.events import (GROUP_DEST, BlockEvent, CutReachedEvent,
                                     FlushCutEvent, FlushQueryEvent,
@@ -117,22 +122,30 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _INSTALL_TIMER = "gms-install-initial"
 _RETRY_TIMER = "gms-retry"
-_HOLD_RELEASE_TIMER = "gms-hold-release"
 #: Per-peer probe one-shots carry ``(_PROBE_TIMER, peer)`` tags.
 _PROBE_TIMER = "gms-probe"
 
-#: Retry ticks a member waits in AWAIT_INSTALL of a *hold* flush before
-#: self-installing the (fully known) target view.  Needed for liveness: in
-#: a hold flush the coordinator replaces its stack shortly after announcing
-#: the installation, so a straggler that lost the announcement has nobody
-#: left to re-ask.  Self-release is safe for the straggler's deliveries —
-#: it only enters AWAIT_INSTALL after reaching the agreed cut.
+#: Liveness backstop of a *hold* flush, in retry ticks.  A member waiting
+#: in AWAIT_INSTALL this long self-installs the (fully known) target view;
+#: a hold-flush coordinator still missing install acks this long releases
+#: its own quiescence anyway.  Self-release is safe for the straggler's
+#: deliveries — it only enters AWAIT_INSTALL after reaching the agreed
+#: cut — and it only fires when the announcer is gone or an ack was lost
+#: on its way from a member that has already swapped its stack.
 _SELF_RELEASE_TICKS = 6
 
-#: Retry ticks the hold-flush coordinator keeps re-broadcasting the
-#: installation (and stays swappable-but-unswapped) before releasing its
-#: own quiescence — a grace period that repairs single losses cheaply.
-_HOLD_GRACE_TICKS = 2
+# Acknowledged release of a hold flush.  A member that installs a hold
+# view sends one ``install_ack`` to the announcer and releases its
+# quiescence at once (the Core local module swaps the stack).  The
+# announcer stays in HELD with the old stack up, re-sends the installation
+# on its retry ticks to every member that has not acked it, answers
+# stragglers' stale acks with it (_answer_if_stale), and releases its own
+# quiescence in the instant the last member of the target view acks.  The
+# coordinator is thus the last node to swap, and only once it knows every
+# member holds the view: no straggler is left without a node to re-ask.
+# A staggered swap is harmless — each new stack's failure detector starts
+# an observation floor for every member at its first view, and evidence
+# of life is the node's, kept in the transport session the swap preserves.
 
 #: Retry ticks the flush coordinator keeps re-unicasting an installation to
 #: the view's joiners.  Joining nodes have their own ``join_req`` retry
@@ -233,9 +246,17 @@ class MembershipSession(GroupSession):
         # Member-side flush context.
         self._target_view: Optional[View] = None
         self._target_hold = False
+        #: Sender of the flush request this member joined, the sender's
+        #: number for that attempt at the flush, and when this node joined
+        #: or started it.
+        self._flush_announcer: Optional[str] = None
+        self._flush_attempt: Optional[int] = None
+        self._flush_started_at = 0.0
         self._last_status: Optional[dict] = None
 
         # Coordinator-side flush context.
+        #: Flushes this node has started, numbering each request's attempt.
+        self._flushes_started = 0
         self._acks: dict[str, dict] = {}
         self._cut_acks: set[str] = set()
         self._cut: Optional[dict[str, int]] = None
@@ -244,8 +265,11 @@ class MembershipSession(GroupSession):
 
         self._retry_handle = None
         self._install_wait_ticks = 0
-        self._hold_grace_ticks = 0
+        #: The announcer's own held view, released once every member of it
+        #: is in ``_install_acks`` (see the acknowledged release above).
         self._pending_quiescence: Optional[View] = None
+        self._install_acks: set[str] = set()
+        self._install_announced_at = 0.0
         # Post-install re-announcement to joiners (this node announced).
         self._announce_joiners: tuple[str, ...] = ()
         self._announce_ticks = 0
@@ -421,22 +445,48 @@ class MembershipSession(GroupSession):
                 # flush_req re-enrolls it.
                 self._broadcast_flush_req(channel)
                 self._broadcast_cut(channel)
+            elif self._suspect_silent(self._flush_participants() -
+                                      set(self._acks) - {self.local},
+                                      channel):
+                # A participant that owes its flush ack has left the port.
+                self._start_flush(hold=self._target_hold, channel=channel)
             else:
                 self._broadcast_flush_req(channel)
         if self.phase is _Phase.HELD and self._pending_quiescence is not None:
-            # Hold-flush grace period, symmetric across members so the
-            # subsequent stack swaps happen near-simultaneously (staggered
-            # boots would trip the new stacks' failure detectors).  The
-            # flush coordinator additionally re-broadcasts the installation
-            # so stragglers learn it before anybody replaces their stack.
-            if self._last_install_payload is not None and \
-                    self._last_install_payload["new_view_id"] == \
-                    self._pending_quiescence.view_id:
-                self._broadcast_install(channel)
-            self._hold_grace_ticks -= 1
-            if self._hold_grace_ticks <= 0:
-                view, self._pending_quiescence = self._pending_quiescence, None
+            # The announcer of a hold flush waits for install acks, not for
+            # a number of ticks, and re-sends the installation to every
+            # member that has not acked it.  A member still waiting for
+            # the view re-sends its cut ack every retry interval; one
+            # silent on this port for two of them has most likely
+            # installed the view and swapped its stack (its ack was lost,
+            # and the old stack that would ack a re-send is gone) — or is
+            # gone itself.  That inference is the only way an ack counts
+            # without arriving; a straggler it misjudges still has the
+            # self-release backstop.
+            self._install_wait_ticks += 1
+            view = self._pending_quiescence
+            if self._install_wait_ticks >= _SELF_RELEASE_TICKS:
+                self.self_released += 1
+                self._pending_quiescence = None
                 self._release_quiescence(view, channel)
+                return
+            service = DatagramTransportSession.of(channel)
+            for member in view.members:
+                if member in self._install_acks:
+                    continue
+                if service.silent(channel.name, member,
+                                  self._install_announced_at,
+                                  2 * self.retry_interval):
+                    self._install_acks.add(member)
+                else:
+                    self._broadcast_install(channel, unicast_to=member)
+            self._release_if_acked(channel)
+            return
+        if self._target_view is not None and not coordinating and \
+                self._suspect_silent({self._flush_coordinator()}, channel):
+            # The acting coordinator has left the port: hand the flush on.
+            if self._flush_coordinator() == self.local:
+                self._start_flush(hold=self._target_hold, channel=channel)
             return
         # Member side: re-send whatever proof of progress we owe.
         if self.phase is _Phase.AWAIT_STATUS:
@@ -454,7 +504,8 @@ class MembershipSession(GroupSession):
                 # the agreed view and have reached the cut — install it.
                 self.self_released += 1
                 self._install(self._target_view, hold=True, channel=channel,
-                              immediate=True)
+                              immediate=True,
+                              announcer=self._flush_coordinator())
         elif self.phase is _Phase.STABLE and not coordinating and \
                 self._announce_ticks <= 0:
             self._stop_retry()
@@ -624,12 +675,36 @@ class MembershipSession(GroupSession):
         self._cut_acks = set()
         self._cut = None
         self._install_announced = False
+        self._flush_started_at = channel.kernel.now()
+        self._flushes_started += 1
         # A new flush supersedes any post-install re-announcement (a
         # joiner that missed the previous installation re-asks anyway).
         self._announce_joiners = ()
         self._announce_ticks = 0
         self._broadcast_flush_req(channel)
         self._arm_retry(channel)
+
+    def _suspect_silent(self, members: set[str], channel) -> bool:
+        """Suspect each of ``members`` that has left this channel; True
+        when any has.
+
+        Both sides of a flush talk on the channel's port every retry tick,
+        and a peer whose stack on the port still watches this node at
+        least beacons it there.  A peer silent on the port — no packet on
+        it, no beacon listing it — for a whole suspicion timeout since
+        this node joined or started the flush has moved its stack to
+        another generation's port (a reconfiguration this node never
+        received).  The failure detector takes evidence of life from every
+        port, so it never suspects such a peer, and without this the flush
+        would wait for it forever.
+        """
+        service = DatagramTransportSession.of(channel)
+        silent = {member for member in members
+                  if member not in self.suspected and
+                  service.silent(channel.name, member,
+                                 self._flush_started_at)}
+        self.suspected |= silent
+        return bool(silent)
 
     def _broadcast_flush_req(self, channel) -> None:
         assert self._target_view is not None
@@ -638,7 +713,8 @@ class MembershipSession(GroupSession):
             {"kind": "flush_req", "new_view_id": self._target_view.view_id,
              "members": list(self._target_view.members),
              "hold": self._target_hold, "from": self.local,
-             "incarnation": self._target_incarnation},
+             "incarnation": self._target_incarnation,
+             "attempt": self._flushes_started},
             dest=GROUP_DEST, source=self.local)
         self.send_down(req, channel=channel)
 
@@ -653,7 +729,8 @@ class MembershipSession(GroupSession):
         return set(self.view.members) & target
 
     def _on_flush_ack(self, payload: dict, channel) -> None:
-        if self._answer_if_stale(payload, channel):
+        if self._answer_if_stale(payload, channel) or \
+                self._adopt_orphan(payload, channel):
             return
         if self._target_view is None or \
                 payload["new_view_id"] != self._target_view.view_id:
@@ -685,7 +762,8 @@ class MembershipSession(GroupSession):
         self.send_down(message, channel=channel)
 
     def _on_cut_ack(self, payload: dict, channel) -> None:
-        if self._answer_if_stale(payload, channel):
+        if self._answer_if_stale(payload, channel) or \
+                self._adopt_orphan(payload, channel):
             return
         if self._target_view is None or \
                 payload["new_view_id"] != self._target_view.view_id:
@@ -694,7 +772,34 @@ class MembershipSession(GroupSession):
         if self._flush_participants().issubset(self._cut_acks) and \
                 not self._install_announced:
             self._install_announced = True
+            self._install_announced_at = channel.kernel.now()
+            self._install_acks = set()
             self._broadcast_install(channel)
+
+    def _on_install_ack(self, payload: dict, channel) -> None:
+        """A member holds the hold view this node announced; release this
+        node's own quiescence once every member of it does."""
+        last = self._last_install_payload
+        if last is None or payload["new_view_id"] != last["new_view_id"]:
+            return
+        self._install_acks.add(payload["from"])
+        self._release_if_acked(channel)
+
+    def _release_if_acked(self, channel) -> None:
+        view = self._pending_quiescence
+        if view is None or self.phase is not _Phase.HELD or \
+                not self._install_acks.issuperset(view.members):
+            return
+        self._pending_quiescence = None
+        self._release_quiescence(view, channel)
+
+    def _send_install_ack(self, view: View, dest: str, channel) -> None:
+        ack = self.control_message(
+            MembershipMessage,
+            {"kind": "install_ack", "new_view_id": view.view_id,
+             "from": self.local},
+            dest=dest, source=self.local)
+        self.send_down(ack, channel=channel)
 
     def _broadcast_install(self, channel, unicast_to: Optional[str] = None) -> None:
         if self._target_view is not None:
@@ -730,6 +835,24 @@ class MembershipSession(GroupSession):
             message = self.control_message(MembershipMessage, dict(payload),
                                            dest=dest, source=self.local)
             self.send_down(message, channel=channel)
+
+    def _adopt_orphan(self, payload: dict, channel) -> bool:
+        """Run a flush for a member stuck in one nobody drives.
+
+        An ack for the next view, from a member of this view, while this
+        acting coordinator runs no flush: the member joined a flush whose
+        announcer abandoned it (it installed this view instead).  A member
+        ignores acks' answers and a bare cut; only a new request
+        re-enrolls it.
+        """
+        if self._target_view is not None or self.view is None or \
+                self.phase is not _Phase.STABLE or \
+                payload["new_view_id"] != self.view.view_id + 1 or \
+                not self.view.includes(payload["from"]) or \
+                self._flush_coordinator() != self.local:
+            return False
+        self._start_flush(hold=False, channel=channel)
+        return True
 
     def _answer_if_stale(self, payload: dict, channel) -> bool:
         """Re-unicast the installation to members stuck in an old flush.
@@ -789,6 +912,10 @@ class MembershipSession(GroupSession):
             self._on_cut_ack(payload, channel)
         elif kind == "view_install":
             self._member_view_install(payload, channel)
+        elif kind == "install_ack":
+            self._on_install_ack(payload, channel)
+        elif kind == "view_query":
+            self._answer_if_stale(payload, channel)
         elif kind == "leave_req":
             self.pending_leavers.add(payload["from"])
             if self.view is not None and \
@@ -894,10 +1021,24 @@ class MembershipSession(GroupSession):
         # than one view cannot exist in-lineage: every flush needs this
         # member's acks to complete, so at most the last installation is
         # outstanding (re-answered through _answer_if_stale).
+        announcer = payload.get("from")
         if self.view is None or \
                 payload["new_view_id"] != self.view.view_id + 1:
+            if self.view is not None and announcer is not None and \
+                    payload["new_view_id"] > self.view.view_id + 1 and \
+                    self.view.includes(announcer):
+                # A member of this view is flushing past views this node
+                # never installed (every repeat of an installation lost,
+                # say across a partition).  Nothing else would tell it:
+                # a stale ack makes it replay its latest installation.
+                query = self.control_message(
+                    MembershipMessage,
+                    {"kind": "view_query",
+                     "new_view_id": self.view.view_id + 1,
+                     "from": self.local},
+                    dest=announcer, source=self.local)
+                self.send_down(query, channel=channel)
             return
-        announcer = payload.get("from")
         if announcer is not None and not self.view.includes(announcer):
             # A coordinator outside this view roping us into its flush is
             # a lineage takeover (a zombie's privately advanced ids can
@@ -908,11 +1049,23 @@ class MembershipSession(GroupSession):
         self._note_incarnation(announcer, payload.get("incarnation"))
         proposed = View(self.group, payload["new_view_id"],
                         tuple(payload["members"]))
-        if self._target_view == proposed and self.phase in (
-                _Phase.AWAIT_CUT, _Phase.REACHING_CUT, _Phase.AWAIT_INSTALL):
-            return  # duplicate announcement of a flush we already joined
+        attempt = payload.get("attempt")
+        if self._target_view == proposed and \
+                (announcer, attempt) == (self._flush_announcer,
+                                         self._flush_attempt) and \
+                self.phase in (_Phase.AWAIT_CUT, _Phase.REACHING_CUT,
+                               _Phase.AWAIT_INSTALL):
+            # Duplicate announcement of a flush we already joined.  The
+            # same target under another attempt is a restart (its first
+            # announcer died mid-round, or the coordinator started over):
+            # join it afresh, or the coordinator waits forever for a flush
+            # ack this member sent to the earlier attempt.
+            return
         self._target_view = proposed
         self._target_hold = bool(payload["hold"])
+        self._flush_attempt = attempt
+        self._flush_announcer = announcer
+        self._flush_started_at = channel.kernel.now()
         self._last_status = None
         self.phase = _Phase.AWAIT_STATUS
         self._arm_retry(channel)
@@ -934,8 +1087,22 @@ class MembershipSession(GroupSession):
             {"kind": "flush_ack", "new_view_id": self._target_view.view_id,
              "from": self.local, "sent": self._last_status["sent"],
              "delivered": dict(self._last_status["delivered"])},
-            dest=self._flush_coordinator(), source=self.local)
+            dest=self._ack_dest(), source=self.local)
         self.send_down(ack, channel=channel)
+
+    def _ack_dest(self) -> str:
+        """Where flush and cut acks go: the acting coordinator — unless the
+        target view excludes it.  A member suspected by the announcer but
+        not by itself would otherwise join the flush that excludes it,
+        re-drive it as the lowest unsuspected member and absorb every
+        ack addressed to it, and the announcer would never reach a quorum.
+        """
+        coordinator = self._flush_coordinator()
+        target = self._target_view
+        if self._flush_announcer is not None and target is not None and \
+                not target.includes(coordinator):
+            return self._flush_announcer
+        return coordinator
 
     def _member_flush_cut(self, payload: dict, channel) -> None:
         if self._target_view is None or \
@@ -963,7 +1130,7 @@ class MembershipSession(GroupSession):
             MembershipMessage,
             {"kind": "cut_ack", "new_view_id": self._target_view.view_id,
              "from": self.local},
-            dest=self._flush_coordinator(), source=self.local)
+            dest=self._ack_dest(), source=self.local)
         self.send_down(ack, channel=channel)
 
     def _member_view_install(self, payload: dict, channel) -> None:
@@ -977,19 +1144,38 @@ class MembershipSession(GroupSession):
         stamp = (raw_stamp[0], raw_stamp[1]) if raw_stamp else None
         announcer = payload.get("from")
         if self.view is not None and announcer is not None and \
-                not self.view.includes(announcer):
-            # Cross-lineage installation (this node taken over from
-            # outside its agreed view, at whatever id): the announcing
-            # lineage must prove liveness — its stamped incarnation must
-            # be newer than this node's history for the stamp's
-            # coordinator.  This closes the zombie acting-coordinator
-            # window: a recovered node replaying or extending its
-            # pre-crash lineage replays an incarnation its ex-peers
-            # already recorded.
+                (not self.view.includes(announcer) or
+                 (self.local in payload.get("joiners", ()) and
+                  self.view.includes(self.local) and
+                  payload["new_view_id"] == self.view.view_id + 1 and
+                  (payload["new_view_id"], tuple(payload["members"]))
+                  not in self._installed_history)):
+            # Cross-lineage installation: the announcing lineage must
+            # prove liveness — its stamped incarnation must be newer than
+            # this node's history for the stamp's coordinator.  This
+            # closes the zombie acting-coordinator window: a recovered
+            # node replaying or extending its pre-crash lineage replays an
+            # incarnation its ex-peers already recorded.  It is
+            # cross-lineage when the announcer is outside this node's
+            # view, or when it admits this node as a joiner on top of a
+            # view with the id of this node's own view, which holds both:
+            # a view of this lineage would have had this node flush, not
+            # join — the two views only share an id (seen as a recovered
+            # node's late re-announcement of its private view, crossing
+            # the group's installation that had just taken it back).
             stamp_coord, stamp_inc = stamp if stamp is not None \
                 else (announcer, 0)
             if not self._accepts_foreign(stamp_coord, stamp_inc):
                 return
+        held = self.held_view
+        if held is not None and payload["hold"] and \
+                payload["new_view_id"] == held.view_id and \
+                tuple(payload["members"]) == held.members:
+            # A re-sent installation this node already holds: its install
+            # ack was lost, and the announcer is still waiting for it.
+            if announcer is not None and announcer != self.local:
+                self._send_install_ack(held, announcer, channel)
+            return
         proposed = View(self.group, payload["new_view_id"],
                         tuple(payload["members"]), stamp=stamp)
         if payload["new_view_id"] <= watermark:
@@ -1015,6 +1201,10 @@ class MembershipSession(GroupSession):
                            not in self._installed_history)
             if not readmission:
                 return
+        # Whoever holds the view answers a straggler's stale acks with this
+        # installation, verbatim (_answer_if_stale) — not only the node
+        # that announced it, which may have left or swapped its stack.
+        self._last_install_payload = dict(payload)
         self._install(proposed, hold=bool(payload["hold"]), channel=channel,
                       joiners=tuple(payload.get("joiners", ())),
                       departed=tuple(payload.get("departed", ())),
@@ -1107,16 +1297,19 @@ class MembershipSession(GroupSession):
         if hold:
             self.phase = _Phase.HELD
             self.held_view = view
-            if immediate:
-                # Self-released straggler: already late, swap right away.
-                self._stop_retry()
-                self._release_quiescence(view, channel)
+            if announcer == self.local and not immediate:
+                # The announcer releases last, once every member has acked
+                # the installation (the acknowledged release above).
+                self._pending_quiescence = view
+                self._install_acks.add(self.local)
+                self._arm_retry(channel)
+                self._release_if_acked(channel)
                 return
-            # Symmetric grace before releasing quiescence (and hence before
-            # the stack swap); see the HELD branch of _retry_tick.
-            self._pending_quiescence = view
-            self._hold_grace_ticks = _HOLD_GRACE_TICKS
-            self._arm_retry(channel)
+            # A member (or a self-released straggler): ack to the announcer
+            # and let the stack go.
+            if announcer is not None and announcer != self.local:
+                self._send_install_ack(view, announcer, channel)
+            self._release_quiescence(view, channel)
             return
         self.phase = _Phase.STABLE
         self.held_view = None

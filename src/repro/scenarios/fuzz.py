@@ -24,6 +24,9 @@ The invariants (installed through the
 * **counter consistency** — network-level delivery accounting matches the
   per-NIC receive counters, and no packets are delivered or lost that
   were never sent;
+* **flush liveness** — after the settle tail, every surviving node's
+  membership is ``STABLE`` on every channel (a flush that never ends, or
+  a hold flush that never releases its stack, trips it);
 * **engine parity** — on a sampled subset of runs the scenario is
   replayed on the reference heap scheduler
   (:class:`~repro.simnet.engine.HeapSimEngine`) and the two
@@ -37,11 +40,13 @@ reported by CI replays bit-identically on a laptop.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from repro.federation.runner import FED_ALWAYS_ON
+from repro.kernel.channel import ChannelState
 from repro.scenarios.runner import (InvariantViolation, ScenarioResult,
                                     ScenarioRunner, run_scenario)
 from repro.scenarios.scenario import (ChatBurst, Crash, Handoff, Heal, Leave,
@@ -337,6 +342,15 @@ def generate_scenario(seed: int, index: int, mix: str = "uniform",
         events.sort(key=lambda e: e.at)
     horizon = max([event_hi] + [b.start + b.count * b.interval
                                 for b in bursts])
+    # A battery that runs out is an unscheduled topology change, and one
+    # inside the settle tail leaves the group no time to converge after
+    # it.  Every battery-powered node docks at the horizon instead: on
+    # the wire its battery stops draining (and a drained one stops
+    # mattering), so the last possible death is at the horizon and a
+    # full tail follows it.
+    dock_at = math.floor(horizon * 10) / 10
+    events.extend(Handoff(dock_at, node=spec.node_id, to="fixed")
+                  for spec in nodes if spec.battery_mj is not None)
     return Scenario(
         name=f"fuzz-{mix}-{seed}-{index}",
         duration_s=round(horizon + config.settle_s, 1),
@@ -533,11 +547,34 @@ def check_counters(runner: ScenarioRunner,
     return violations
 
 
+def check_flush_liveness(runner: ScenarioRunner,
+                         result: ScenarioResult) -> list[str]:
+    """After the settle tail, every surviving node's membership is
+    ``STABLE`` on every channel: no flush is still running and no hold
+    flush is still waiting for its release."""
+    violations = []
+    for node_id in sorted(runner.morpheus):
+        node = runner.network.nodes.get(node_id)
+        if node is None or not node.alive:
+            continue
+        instance = runner.morpheus[node_id]
+        for channel in (instance.control_channel,
+                        instance.local_module.data_channel):
+            if channel is None or channel.state is not ChannelState.STARTED:
+                continue
+            membership = channel.session_named("membership")
+            if membership is not None and membership.phase.value != "stable":
+                violations.append(
+                    f"flush-liveness: {node_id} ended with its "
+                    f"{channel.name} membership {membership.phase.value}")
+    return violations
+
+
 #: The always-on invariant set the fuzzer installs on every run.  The
 #: federation checks (cross-cell no-dup, per-stream FIFO) hold vacuously
 #: on flat histories, so they ride along unconditionally.
-ALWAYS_ON = (check_view_agreement, check_delivery,
-             check_counters) + FED_ALWAYS_ON
+ALWAYS_ON = (check_view_agreement, check_delivery, check_counters,
+             check_flush_liveness) + FED_ALWAYS_ON
 
 
 # ---------------------------------------------------------------------------

@@ -417,7 +417,7 @@ class ScenarioRunner:
             reconfigurations=tuple(self._reconfigs),
             stack_history={node_id: tuple(history) for node_id, history
                            in sorted(self._stack_history.items())},
-            texts={node_id: tuple(node.chat.texts()) for node_id, node
+            texts={node_id: tuple(node.chat.history.text) for node_id, node
                    in sorted(self.morpheus.items())},
             stats={node_id: network.stats_of(node_id).snapshot()
                    for node_id in sorted(self._stack_history)},

@@ -10,17 +10,6 @@ from repro.simnet import Network, SimEngine
 FAST = dict(publish_interval=1.0, evaluate_interval=1.0,
             heartbeat_interval=2.0)
 
-#: A data-channel flush that never completes.  A mobile suspects the relay
-#: fixed-0 and announces a flush that excludes it.  fixed-0 does not
-#: suspect itself: it joins that flush, acks itself and re-drives it as the
-#: lowest unsuspected member (``_flush_coordinator``), and the other mobile
-#: sends its flush and cut acks to fixed-0 too, so the announcer never
-#: collects a quorum and every membership stays in ``AWAIT_CUT``.  The loss
-#: draws reach it under heavy loss without any change to the stack; the fix
-#: belongs to the membership protocol.
-FLUSH_WEDGE = ("data-channel flush wedge: the excluded relay re-drives "
-               "the flush that excludes it and absorbs the acks")
-
 _FLUSH_PHASES = {"AWAIT_STATUS", "AWAIT_CUT", "REACHING_CUT",
                  "AWAIT_INSTALL"}
 
@@ -58,10 +47,16 @@ class TestAdaptationUnderLoss:
             assert "through-loss" in morpheus.chat.texts(), \
                 _data_phases(nodes)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason=FLUSH_WEDGE)
     def test_no_data_channel_flush_is_left_open_under_heavy_loss(self):
-        """Every data-channel membership is out of its flush at 60 s."""
+        """Every data-channel membership is out of its flush at 60 s.
+
+        The wedge this guards: a mobile suspects the relay fixed-0 and
+        announces a flush that excludes it; fixed-0, which does not
+        suspect itself, joins that flush and re-drives it as the lowest
+        unsuspected member.  Acks go to the announcer whenever the target
+        view excludes the acting coordinator, so fixed-0 cannot absorb
+        them and the flush completes.
+        """
         open_flushes = []
         for seed in range(1, 101):
             engine, nodes = _lossy_hybrid(0.35, seed)
@@ -157,3 +152,69 @@ class TestFacade:
         assert nodes["mobile-0"].chat is chat_before
         assert nodes["mobile-0"].local_module.data_channel.sessions[-1] \
             is chat_before
+
+
+class TestStrandedHold:
+    """A data stack held for a configuration that does not reach it asks
+    the coordinator for it instead of waiting for good."""
+
+    def _group(self):
+        engine = SimEngine()
+        network = Network(engine)
+        network.add_fixed_node("fixed-0")
+        network.add_fixed_node("fixed-1")
+        network.add_mobile_node("mobile-0")
+        return engine, build_morpheus_group(network, **FAST)
+
+    @staticmethod
+    def _settled(nodes) -> set[str]:
+        assert _data_phases(nodes) == {"STABLE"}
+        return {morpheus.local_module.data_channel.name
+                for morpheus in nodes.values()}
+
+    def test_a_lost_configuration_is_pulled(self, monkeypatch):
+        """The coordinator's periodic re-send is off and the first
+        configuration to mobile-0 is lost: only mobile-0's request gets
+        it there."""
+        from repro.core.core_layer import CoreSession
+        monkeypatch.setattr(CoreSession, "_resend_pending",
+                            lambda self, channel: self._check_complete())
+        on_reconfig = CoreSession._on_reconfig
+        lost = []
+
+        def lose_first(self, payload, channel):
+            if self.local == "mobile-0" and not lost:
+                lost.append(payload["config_id"])
+                return
+            on_reconfig(self, payload, channel)
+
+        monkeypatch.setattr(CoreSession, "_on_reconfig", lose_first)
+        engine, nodes = self._group()
+        engine.run_until(20.0)
+        assert lost
+        assert len(self._settled(nodes)) == 1
+        assert all("mecho" in morpheus.current_stack()
+                   for morpheus in nodes.values())
+
+    def test_a_hold_nobody_is_deploying_is_redeployed(self):
+        """The coordinator deploys a configuration it never issued (as an
+        ex-coordinator's stale plan once did): its flush holds every
+        other data stack, and asked for a configuration it has none of
+        in flight, it redeploys the one it runs."""
+        from repro.core import plain_data_template
+        engine, nodes = self._group()
+        engine.run_until(20.0)
+        coordinator = nodes["fixed-0"].core
+        assert coordinator.reconfigurations_completed == 1
+        generation = self._settled(nodes)
+        nodes["fixed-0"].local_module.apply(
+            99, plain_data_template(tuple(sorted(nodes))),
+            done=lambda config_id: None, lineage=("stale",))
+        # The coordinator's own flush on the stale generation waits two
+        # suspicion timeouts (30 s each) for the members that never came.
+        engine.run_until(80.0)
+        assert coordinator.reconfigurations_completed == 2
+        settled = self._settled(nodes)
+        assert len(settled) == 1 and settled != generation
+        assert all("mecho" in morpheus.current_stack()
+                   for morpheus in nodes.values())

@@ -130,3 +130,25 @@ class TestQuiescenceRaces:
         engine.run_until(10.0)
         assert done == [1]
         assert "mecho" in modules["n1"].data_channel.layer_names()
+
+    def test_a_held_stack_asks_for_its_config_until_it_lands(self, world):
+        """A stack held before its configuration arrived asks Core for it
+        every retry interval, and stops once the swap is done."""
+        engine, network, modules = world
+        asked = []
+        modules["n1"].request_config = lambda: asked.append(engine.now())
+        engine.run_until(0.5)
+        template = mecho_data_template(MEMBERS, mode="wired", relay="n0")
+        modules["n0"].apply(1, template, lambda cid: None)
+        engine.run_until(5.0)
+        assert modules["n1"]._held_view is not None
+        interval = modules["n1"].trigger_retry_interval
+        assert len(asked) >= 3
+        assert all(later - earlier == pytest.approx(interval)
+                   for earlier, later in zip(asked, asked[1:]))
+        modules["n1"].apply(1, template, lambda cid: None)
+        engine.run_until(10.0)
+        assert "mecho" in modules["n1"].data_channel.layer_names()
+        settled = len(asked)
+        engine.run_until(20.0)
+        assert len(asked) == settled

@@ -154,3 +154,180 @@ class TestWithdrawnExclusion:
         assert any(members == ("a", "b") for _, _, members, _ in log), log
         for channel in channels.values():
             assert collector_of(channel).view.members == ("a", "b", "c")
+
+
+class TestAcknowledgedRelease:
+    """A hold flush releases as soon as every member holds the view: each
+    member acks the installation and lets its stack go, and the announcer
+    releases last, on the last ack — no fixed wait."""
+
+    SPECS = {"a": "fixed", "b": "fixed", "c": "fixed",
+             "d": "mobile", "e": "mobile", "f": "mobile"}
+
+    def hold_flush(self, drop_install_to=None, quiet_s=0.0):
+        """Run one hold flush from ``a``.  ``drop_install_to`` loses the
+        first hold installation it is sent and, for ``quiet_s`` after,
+        every repeat of it and every cut ack it re-sends."""
+        engine, network, channels = build_world(self.SPECS)
+        released = {}
+        for node_id, channel in channels.items():
+            membership_of(channel).quiescence_listener = \
+                lambda view, n=node_id: released.setdefault(n, engine.now())
+        dropped = []
+        if drop_install_to is not None:
+            straggler = membership_of(channels[drop_install_to])
+            deliver = straggler._member_view_install
+            send_cut_ack = straggler._send_cut_ack
+
+            def quiet():
+                return dropped and engine.now() <= dropped[0] + quiet_s
+
+            def lose_first_hold_install(payload, channel):
+                if payload["hold"] and (not dropped or quiet()):
+                    dropped.append(engine.now())
+                    return
+                deliver(payload, channel)
+
+            def mute_cut_ack(channel):
+                if not quiet():
+                    send_cut_ack(channel)
+
+            straggler._member_view_install = lose_first_hold_install
+            straggler._send_cut_ack = mute_cut_ack
+        engine.run_until(0.5)
+        channels["a"].insert(TriggerViewChangeEvent(hold=True),
+                             Direction.DOWN)
+        engine.run_until(10.0)
+        return network, channels, released, dropped
+
+    def test_release_within_three_link_delays_of_the_install(self):
+        network, channels, released, _ = self.hold_flush()
+        coordinator = membership_of(channels["a"])
+        installed_at = coordinator.install_log[-1][0]
+        # The longest path is mobile -> access point -> mobile; a packet is
+        # far smaller than the 1,500 bytes charged here.
+        largest_delay = 2 * network.wireless.delay_for(1500)
+        assert set(released) == set(self.SPECS)
+        for node_id, at in released.items():
+            assert at <= installed_at + 3 * largest_delay, (node_id, at)
+        # The announcer swaps last, once every member has acked.
+        assert released["a"] == max(released.values())
+        assert all(membership_of(channel).self_released == 0
+                   for channel in channels.values())
+
+    def test_lost_install_is_answered_by_a_holder(self):
+        network, channels, released, dropped = self.hold_flush(
+            drop_install_to="e")
+        assert dropped, "the installation to e was never sent"
+        assert set(released) == set(self.SPECS)
+        straggler = membership_of(channels["e"])
+        coordinator = membership_of(channels["a"])
+        # e learned the view (a repeat from the announcer, which still held
+        # it) rather than installing it on its own after the backstop.
+        assert straggler.self_released == 0
+        assert straggler.held_view == coordinator.held_view
+        # The announcer released only once e had acked.
+        assert released["a"] >= released["e"] > dropped[0]
+
+
+    def test_one_lost_resend_does_not_pass_for_a_swap(self):
+        """The announcer takes a member silent on the port for two of its
+        re-send periods for one that has swapped.  A straggler whose
+        install and one cut-ack re-send were lost is not silent that
+        long: the announcer keeps re-sending and releases after it."""
+        retry_interval = 0.3  # build_world's
+        network, channels, released, dropped = self.hold_flush(
+            drop_install_to="e", quiet_s=retry_interval)
+        assert len(dropped) >= 2, "no repeat of the installation was lost"
+        assert set(released) == set(self.SPECS)
+        assert membership_of(channels["e"]).self_released == 0
+        assert released["a"] >= released["e"] > dropped[-1]
+
+
+class TestStaggeredBoot:
+    def test_a_late_stack_raises_no_suspicion(self, monkeypatch):
+        """The new stacks boot at different times; none suspects the
+        member whose stack comes up last.  Each stack starts an
+        observation floor for every member at its first view, and the
+        node's evidence of life (its control channel's traffic and beats)
+        crosses the generations."""
+        from repro.core import build_morpheus_group
+        from repro.core.core_layer import CoreSession
+        from repro.protocols.membership import MembershipSession
+        from repro.simnet import Network, SimEngine
+
+        engine = SimEngine()
+        suspicions = []
+        on_suspect = MembershipSession._on_suspect
+
+        def record(self, event):
+            suspicions.append((engine.now(), self.local, event.member))
+            on_suspect(self, event)
+
+        # mobile-2 hears its configuration three suspicion timeouts late;
+        # until then it holds the old generation's stack.
+        timeout = 6 * 2.0
+        late = 3 * timeout
+        on_reconfig = CoreSession._on_reconfig
+
+        def delayed(self, payload, channel):
+            if self.local != "mobile-2" or engine.now() >= late:
+                on_reconfig(self, payload, channel)
+
+        monkeypatch.setattr(MembershipSession, "_on_suspect", record)
+        monkeypatch.setattr(CoreSession, "_on_reconfig", delayed)
+        network = Network(engine)
+        for index in range(3):
+            network.add_fixed_node(f"fixed-{index}")
+            network.add_mobile_node(f"mobile-{index}")
+        nodes = build_morpheus_group(network, publish_interval=1.0,
+                                     evaluate_interval=1.0,
+                                     heartbeat_interval=2.0)
+        engine.run_until(late / 2)
+        assert "mecho" in nodes["fixed-0"].current_stack()
+        assert "mecho" not in nodes["mobile-2"].current_stack()
+        engine.run_until(late + 3 * timeout)
+        assert suspicions == []
+        members = tuple(sorted(nodes))
+        names = {morpheus.local_module.data_channel.name
+                 for morpheus in nodes.values()}
+        assert len(names) == 1
+        for node_id, morpheus in nodes.items():
+            channel = morpheus.local_module.data_channel
+            assert "mecho" in channel.layer_names(), node_id
+            assert channel.session_named("membership").view.members == \
+                members
+            heartbeat = channel.session_named("heartbeat")
+            assert set(heartbeat.floor) == set(members)
+            assert not heartbeat.suspected
+
+
+class TestNoBackstopWithoutLoss:
+    def test_adapt_run_never_self_releases(self, monkeypatch):
+        """On a loss-free run every hold flush ends by acks: neither a
+        straggler nor an announcer falls back to the liveness backstop."""
+        from repro.protocols.membership import MembershipSession
+        from repro.scenarios.runner import run_scenario
+        from repro.scenarios.scenario import Handoff, NodeSpec, Scenario
+
+        sessions = []
+        init = MembershipSession.__init__
+
+        def track(self, layer):
+            init(self, layer)
+            sessions.append(self)
+
+        monkeypatch.setattr(MembershipSession, "__init__", track)
+        nodes = tuple(NodeSpec(f"n{index}", "fixed") for index in range(5))
+        events = tuple(
+            Handoff(6.0 + 10.0 * index, node="n3",
+                    to="mobile" if index % 2 == 0 else "fixed")
+            for index in range(4))
+        result = run_scenario(Scenario(
+            name="loss_free_adapt", duration_s=50.0, nodes=nodes,
+            events=events, heartbeat_interval=1.0, evaluate_interval=1.0),
+            seed=1)
+        assert result.reconfiguration_count() >= 4
+        held = [s for s in sessions if s.held_view is not None]
+        assert len(held) >= 4 * len(nodes)
+        assert sum(s.self_released for s in sessions) == 0

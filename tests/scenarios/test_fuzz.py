@@ -8,7 +8,9 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.rules import rule_names
-from repro.scenarios.fuzz import (MIXES, check_delivery, final_components,
+from repro.kernel.channel import ChannelState
+from repro.scenarios.fuzz import (MIXES, check_delivery,
+                                  check_flush_liveness, final_components,
                                   fuzz_oracle, generate_scenario,
                                   run_seed_for, scenario_from_dict,
                                   scenario_to_dict)
@@ -62,6 +64,23 @@ class TestGenerator:
             drew_governor = drew_governor or bool(scenario.governor)
             assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
         assert drew_governor, "half the draws should be governed"
+
+    def test_battery_nodes_dock_a_full_tail_before_the_end(self):
+        """A battery that ran out in the settle tail left the group no
+        time to converge (``12-155 --policy-fuzz``: a death 4.9 s before
+        the end failed view agreement).  Every battery node now docks at
+        the horizon, so the last possible death is a full tail early."""
+        config = dataclasses.replace(MIXES["uniform"], rules_p=1.0)
+        scenario = generate_scenario(12, 155, config=config)
+        docks = [event for event in scenario.events
+                 if isinstance(event, Handoff) and
+                 event.at == scenario.events[-1].at]
+        assert {event.node for event in docks} == \
+            {spec.node_id for spec in scenario.nodes
+             if spec.battery_mj is not None}
+        assert docks and all(event.to == "fixed" for event in docks)
+        assert scenario.duration_s - docks[0].at >= config.settle_s - 1e-9
+        assert fuzz_oracle(scenario, run_seed_for(12, 155)) == []
 
     def test_rules_p_zero_keeps_streams_untouched(self):
         """Pre-rules corpus entries must regenerate byte-identically."""
@@ -144,6 +163,43 @@ class TestDeliveryInvariant:
         runner = _runner_with_histories({
             "a": [("b", "b0-0"), ("b", "b0-7"), ("b", "b0-9")]})
         assert check_delivery(runner, None) == []
+
+
+def _runner_with_phases(phases: dict, dead: tuple = ()) -> SimpleNamespace:
+    """Nodes whose control and data memberships sit in the given phases."""
+    def channel(name, phase):
+        membership = SimpleNamespace(phase=SimpleNamespace(value=phase))
+        return SimpleNamespace(name=name, state=ChannelState.STARTED,
+                               session_named=lambda _: membership)
+
+    morpheus = {
+        node_id: SimpleNamespace(
+            control_channel=channel("ctrl", ctrl),
+            local_module=SimpleNamespace(data_channel=channel("data", data)))
+        for node_id, (ctrl, data) in phases.items()}
+    nodes = {node_id: SimpleNamespace(alive=node_id not in dead)
+             for node_id in phases}
+    return SimpleNamespace(morpheus=morpheus,
+                           network=SimpleNamespace(nodes=nodes))
+
+
+class TestFlushLivenessInvariant:
+    def test_stable_everywhere_passes(self):
+        runner = _runner_with_phases({"a": ("stable", "stable"),
+                                      "b": ("stable", "stable")})
+        assert check_flush_liveness(runner, None) == []
+
+    def test_a_hold_never_released_is_flagged(self):
+        runner = _runner_with_phases({"a": ("stable", "stable"),
+                                      "b": ("stable", "held")})
+        assert check_flush_liveness(runner, None) == [
+            "flush-liveness: b ended with its data membership held"]
+
+    def test_a_dead_node_is_not_judged(self):
+        runner = _runner_with_phases({"a": ("stable", "stable"),
+                                      "b": ("await-cut", "held")},
+                                     dead=("b",))
+        assert check_flush_liveness(runner, None) == []
 
 
 class TestOracleAndShrinker:
