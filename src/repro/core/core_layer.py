@@ -6,25 +6,39 @@ version of the control component is based on a coordinator,
 deterministically elected in run-time among all the members of the control
 group."*  Coordination protocol:
 
-* the coordinator periodically evaluates its policy; when the adequate
-  configuration differs from the deployed one it assigns a config id and
-  **unicasts to each participant the configuration that should be deployed
-  at that node** (an XML channel description, as in the paper);
+* the coordinator evaluates its policy **when something the policy reads
+  changes** (a *trigger*): it subscribes to the context topics of the
+  attributes its rules declare they read, and a sample whose value
+  differs from the last one seen for that (node, attribute) arms one
+  zero-delay evaluation for the instant — a snapshot of five attributes
+  costs one ``decide``.  A control view change, a stranded
+  ``config_query`` (below) and a trigger left over when a reconfiguration
+  completes arm it too.  When the adequate configuration differs from the
+  deployed one it assigns a config id and **unicasts to each participant
+  the configuration that should be deployed at that node** (an XML channel
+  description, as in the paper);
 * each member hands the configuration to its local module (trigger view
-  change → quiesce → redeploy) and answers ``reconfig_done``;
-* the coordinator re-sends to unresponsive members every evaluation tick
-  (idempotent, tagged with config id and lineage) and declares the
-  configuration deployed when every control-group member acked;
+  change → quiesce → redeploy) and answers ``reconfig_done`` to the
+  configuration's issuer;
+* the periodic ``evaluate_interval`` tick is the safety net: it re-sends
+  the configuration to unresponsive members (idempotent, tagged with
+  config id and lineage) and re-evaluates only while a trigger is still
+  outstanding (the policy could not decide, or its governor held the
+  change back); the configuration is deployed when every control-group
+  member acked;
 * a member whose data stack another member's flush held before its own
   configuration arrived asks for it (``config_query``): the coordinator
   re-sends it, or, with no reconfiguration in flight, redeploys.
+
+Only the coordinator ever calls ``decide``.
 """
 
 from __future__ import annotations
 
-import inspect
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
+from repro.context.model import ContextSample, topic_for
+from repro.context.pubsub import TopicBus
 from repro.core.local_module import LocalModule
 from repro.core.policy import ContextDirectory, Policy, ReconfigurationPlan
 from repro.kernel.events import Direction, Event, TimerEvent
@@ -35,6 +49,8 @@ from repro.protocols.base import GroupSession
 from repro.protocols.events import CoreMessage, ViewEvent
 
 _EVALUATE_TIMER = "core-evaluate"
+_TRIGGER_TIMER = "core-trigger"
+_UNSEEN = object()
 
 
 class CoreSession(GroupSession):
@@ -46,7 +62,6 @@ class CoreSession(GroupSession):
             layer.params.get("evaluate_interval", 5.0))
         self.local_module: Optional[LocalModule] = None
         self.policy: Optional[Policy] = None
-        self._policy_takes_clock = False
         self.directory: Optional[ContextDirectory] = None
         #: Configuration the coordinator believes is deployed everywhere.
         self.deployed_name: str = "plain"
@@ -65,8 +80,16 @@ class CoreSession(GroupSession):
         self._active_lineage: Optional[tuple] = None
         self._acks: set[str] = set()
         #: A member reported its data stack held for a configuration this
-        #: coordinator has not issued: redeploy at the next evaluation.
+        #: coordinator has not issued: the evaluation this triggers
+        #: redeploys even if the plan is the deployed one.
         self._stranded = False
+        #: A trigger is outstanding: the group may need a decision that
+        #: has not been made (or that the policy could not make yet).
+        self._dirty = False
+        #: A zero-delay evaluation is armed for the current instant.
+        self._armed = False
+        #: Last value seen per (node, attribute) the policy reads.
+        self._seen: dict[tuple[str, str], Any] = {}
         #: Completed group-wide reconfigurations (diagnostics/benches).
         self.reconfigurations_completed = 0
         #: Virtual timestamps of the last reconfiguration (benches).
@@ -82,10 +105,11 @@ class CoreSession(GroupSession):
         self._applied_lineage: Optional[tuple] = None
 
     def attach(self, local_module: LocalModule, policy: Policy,
-               directory: ContextDirectory,
+               directory: ContextDirectory, bus: TopicBus,
                initial_config_name: str = "plain",
                initial_members: Optional[Sequence[str]] = None) -> None:
-        """Wire the session to its local module, policy and directory.
+        """Wire the session to its local module, policy, directory and the
+        node's context bus (where it subscribes to what the policy reads).
 
         ``initial_members`` is the membership the initial data template was
         built for; when omitted, membership changes alone never force a
@@ -98,18 +122,8 @@ class CoreSession(GroupSession):
         self.deployed_name = initial_config_name
         self.deployed_members = tuple(sorted(initial_members)) \
             if initial_members is not None else None
-        # Engine-aware dispatch, decided once: a PolicyEngine takes the
-        # evaluation clock (governor windows in simulated seconds) and the
-        # group key (per-group decision state); a classic two-argument
-        # policy keeps its old calling convention.
-        try:
-            signature = inspect.signature(policy.decide)
-            params = signature.parameters
-            self._policy_takes_clock = "now" in params and "group" in params \
-                or any(p.kind is inspect.Parameter.VAR_KEYWORD
-                       for p in params.values())
-        except (TypeError, ValueError):  # builtins, exotic callables
-            self._policy_takes_clock = False
+        for attribute in sorted(policy.reads):
+            bus.subscribe(topic_for(attribute), self._on_sample)
 
     # -- protocol ---------------------------------------------------------------
 
@@ -139,6 +153,12 @@ class CoreSession(GroupSession):
             self._active_plan = None
             self._active_members = None
             self._stranded = False
+            self._dirty = False
+        else:
+            # The members the policy decides for changed (a joiner to fold
+            # in, a lost relay to replace), or this node just took the
+            # role and has decided nothing yet.
+            self._trigger()
         if self.local is not None and \
                 self.local in getattr(event, "joiners", ()):
             # Re-admitted from outside the group: any configuration this
@@ -154,8 +174,14 @@ class CoreSession(GroupSession):
 
     def on_event(self, event: Event) -> None:
         if isinstance(event, TimerEvent):
-            if event.tag == _EVALUATE_TIMER:
+            if event.tag == _TRIGGER_TIMER:
+                self._armed = False
                 self._evaluate(event.channel)
+            elif event.tag == _EVALUATE_TIMER:
+                if self._active_plan is not None:
+                    self._resend_pending(event.channel)
+                else:
+                    self._evaluate(event.channel)
             return
         if isinstance(event, CoreMessage) and event.direction is Direction.UP:
             self._on_message(event)
@@ -169,21 +195,40 @@ class CoreSession(GroupSession):
         return self.view is not None and \
             self.view.coordinator == self.local
 
+    def _on_sample(self, topic: str, sample: ContextSample) -> None:
+        """A sample of an attribute the policy reads reached the node's bus
+        (the coordinator's own, or a member's snapshot republished by
+        Cocaditem): a trigger when its value changed."""
+        key = (sample.node_id, sample.attribute)
+        if self._seen.get(key, _UNSEEN) != sample.value:
+            self._seen[key] = sample.value
+            self._trigger()
+
+    def _trigger(self) -> None:
+        """Mark the group dirty and arm one zero-delay evaluation for this
+        instant (the coordinator only: members never decide)."""
+        if not self.is_control_coordinator:
+            return
+        self._dirty = True
+        if not self._armed and self.channels:
+            self._armed = True
+            self.set_timer(0.0, tag=_TRIGGER_TIMER, channel=self.channels[0])
+
     def _evaluate(self, channel) -> None:
-        if not self.is_control_coordinator or self.policy is None or \
+        """Decide, if a trigger is outstanding and no reconfiguration is in
+        flight (its completion re-arms the evaluation).  The trigger stays
+        outstanding while the policy returns no plan — context still
+        missing, or a change the governor vetoed — so the safety-net tick
+        retries it."""
+        if not self._dirty or self._active_plan is not None or \
+                not self.is_control_coordinator or self.policy is None or \
                 self.directory is None:
             return
-        if self._active_plan is not None:
-            self._resend_pending(channel)
-            return
-        if self._policy_takes_clock:
-            plan = self.policy.decide(self.directory, list(self.members),
-                                      now=channel.kernel.now(),
-                                      group=self.group)
-        else:
-            plan = self.policy.decide(self.directory, list(self.members))
+        plan = self.policy.decide(self.directory, list(self.members),
+                                  now=channel.kernel.now(), group=self.group)
         if plan is None:
             return
+        self._dirty = False
         members_now = tuple(sorted(self.members))
         grown = self.deployed_members is not None and \
             bool(set(members_now) - set(self.deployed_members))
@@ -250,6 +295,7 @@ class CoreSession(GroupSession):
             return
         if self._active_plan is None:
             self._stranded = True
+            self._trigger()
         elif member not in self._acks:
             self._send_config(member, channel)
 
@@ -280,6 +326,8 @@ class CoreSession(GroupSession):
                     self.channels[0].kernel.clock.now()
             if self.on_reconfigured is not None:
                 self.on_reconfigured(self.deployed_name)
+            if self._dirty:  # a trigger arrived while the plan ran
+                self._trigger()
 
     # -- member side --------------------------------------------------------------------
 
@@ -312,8 +360,9 @@ class CoreSession(GroupSession):
                                     payload.get("from") !=
                                     self.view.coordinator):
             return
+        issuer = payload["from"]
         if config_id <= self._last_applied_id and not same_id_new_lineage:
-            self._send_done(config_id, lineage, channel)  # duplicate
+            self._send_done(config_id, lineage, issuer, channel)  # duplicate
             return
         if (config_id, lineage) == (self._applying_id,
                                     self._applying_lineage):
@@ -324,11 +373,11 @@ class CoreSession(GroupSession):
         template = ChannelTemplate.from_xml(payload["xml"])
         self.local_module.apply(
             config_id, template,
-            done=lambda cid: self._deployed(cid, lineage, channel),
+            done=lambda cid: self._deployed(cid, lineage, issuer, channel),
             lineage=lineage)
 
     def _deployed(self, config_id: int, lineage: Optional[tuple],
-                  channel) -> None:
+                  issuer: str, channel) -> None:
         if self._applying_id == config_id:
             # Only the configuration being applied counts as applied: one
             # queued before a re-admission reset (on_view) finishes under
@@ -342,7 +391,7 @@ class CoreSession(GroupSession):
             if self._applying_name is not None:
                 self.deployed_name = self._applying_name
                 self._applying_name = None
-        self._send_done(config_id, lineage, channel)
+        self._send_done(config_id, lineage, issuer, channel)
 
     def _request_config(self) -> None:
         """Ask the coordinator for the configuration this node's held
@@ -355,13 +404,15 @@ class CoreSession(GroupSession):
         self.send_down(query, channel=self.channels[0])
 
     def _send_done(self, config_id: int, lineage: Optional[tuple],
-                   channel) -> None:
-        assert self.view is not None
+                   issuer: str, channel) -> None:
+        # To the issuer, the one node that counts acks for this id and
+        # lineage: a joiner may deploy its first configuration before its
+        # own control view is installed.
         done = self.control_message(
             CoreMessage,
             {"kind": "reconfig_done", "config_id": config_id,
              "lineage": lineage, "from": self.local},
-            dest=self.view.coordinator, source=self.local)
+            dest=issuer, source=self.local)
         self.send_down(done, channel=channel)
 
 
@@ -369,7 +420,9 @@ class CoreSession(GroupSession):
 class CoreLayer(Layer):
     """Control and reconfiguration component (control channel).
 
-    Parameters: ``evaluate_interval`` (policy evaluation period, seconds).
+    Parameters: ``evaluate_interval`` (the safety-net period, seconds: the
+    coordinator re-sends pending configurations and retries an
+    outstanding trigger; it decides on triggers, not on this tick).
     """
 
     layer_name = "core"

@@ -136,7 +136,7 @@ class MorpheusNode:
         # coordinator redeploys everyone (joiner included) with the grown
         # membership once the control channel admits it.
         initial_data_members = (node_id,) if joining else self.members
-        core.attach(self.local_module, self.policy, self.directory,
+        core.attach(self.local_module, self.policy, self.directory, self.bus,
                     initial_config_name="plain",
                     initial_members=initial_data_members)
         self.core = core

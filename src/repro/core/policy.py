@@ -32,6 +32,8 @@ __all__ = [
 class StaticPolicy:
     """Always prescribes one fixed plan (tests, manual control)."""
 
+    reads: frozenset[str] = frozenset()
+
     def __init__(self, plan: ReconfigurationPlan) -> None:
         self.plan = plan
 

@@ -15,6 +15,7 @@ Registering a rule::
     @register_rule
     class MyRule:
         rule_name = "my_rule"
+        reads = frozenset({"link_quality"})
 
         def __init__(self, *, threshold: float = 0.5,
                      stack_options=None) -> None: ...
@@ -28,6 +29,14 @@ rule needs across evaluations lives in ``ctx.state``, which the engine
 scopes per (group, rule) — never on ``self``.  That discipline is what
 lets one rule instance serve many groups without decisions leaking
 between them.
+
+Every rule declares ``reads``: the context attributes its evaluation
+looks at.  The control component subscribes to exactly those topics and
+evaluates when a sample changes one of them (the paper's Core
+*"subscribe[s] the topics required for [its] operation"*, §3.2), so a
+rule that reads an undeclared attribute would never be re-evaluated when
+it changes.  A rule class without the declaration is rejected when it is
+registered, a rule object without it when an engine is built.
 """
 
 from __future__ import annotations
@@ -61,6 +70,8 @@ class Rule(Protocol):
     """One adaptation rule: context in, plan (or abstention) out."""
 
     rule_name: str
+    #: Context attributes ``evaluate`` reads (see :func:`rule_reads`).
+    reads: frozenset[str]
 
     def evaluate(self, ctx: RuleContext):
         """Return a ``ReconfigurationPlan`` or ``None`` to fall through."""
@@ -70,11 +81,26 @@ class Rule(Protocol):
 _RULE_REGISTRY: dict[str, type] = {}
 
 
+def rule_reads(rule: Any) -> frozenset[str]:
+    """The context attributes ``rule`` (a class or an instance) declares
+    it reads; a missing or malformed declaration raises, naming the rule."""
+    reads = getattr(rule, "reads", None)
+    if not isinstance(reads, frozenset) or \
+            not all(isinstance(name, str) for name in reads):
+        name = getattr(rule, "rule_name", None) or \
+            getattr(rule, "__name__", type(rule).__name__)
+        raise ConfigurationError(
+            f"rule {name!r} does not declare the context attributes it "
+            f"reads (a 'reads' frozenset of attribute names)")
+    return reads
+
+
 def register_rule(cls: type) -> type:
     """Class decorator: publish ``cls`` under its ``rule_name``.
 
     Re-registering a name is an error — a typo'd duplicate would silently
-    shadow a built-in and change every config that referenced it.
+    shadow a built-in and change every config that referenced it — and so
+    is a class that does not declare what it ``reads``.
     """
     name = getattr(cls, "rule_name", None)
     if not isinstance(name, str) or not name:
@@ -83,6 +109,7 @@ def register_rule(cls: type) -> type:
     if name in _RULE_REGISTRY:
         raise ConfigurationError(f"rule name {name!r} already registered "
                                  f"(by {_RULE_REGISTRY[name].__name__})")
+    rule_reads(cls)
     _RULE_REGISTRY[name] = cls
     return cls
 

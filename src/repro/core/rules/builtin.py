@@ -5,7 +5,9 @@ maps to one of them (``hybrid`` → ``hybrid_mecho``, ``rotating`` →
 ``battery_rotation``, ``loss_adaptive`` → ``loss_adaptive``).  Hysteresis
 memory and the current relay choice live in ``ctx.state`` — engine-owned,
 per-group — not on the rule instance, so reusing one rule (or one engine)
-across groups cannot leak decisions between them.
+across groups cannot leak decisions between them.  Each declares the
+attributes it ``reads``; the hybrid rule adds whatever its relay selector
+reads.
 """
 
 from __future__ import annotations
@@ -22,14 +24,18 @@ from repro.kernel.errors import ConfigurationError
 
 
 def _resolve_selector(selector: Union[str, Callable]) -> Callable:
-    if callable(selector):
-        return selector
-    try:
-        return RELAY_SELECTORS[selector]
-    except KeyError:
-        known = ", ".join(sorted(RELAY_SELECTORS))
+    if not callable(selector):
+        try:
+            selector = RELAY_SELECTORS[selector]
+        except KeyError:
+            known = ", ".join(sorted(RELAY_SELECTORS))
+            raise ConfigurationError(
+                f"unknown relay selector {selector!r} ({known})") from None
+    if not isinstance(getattr(selector, "reads", None), frozenset):
         raise ConfigurationError(
-            f"unknown relay selector {selector!r} ({known})") from None
+            f"relay selector {selector!r} does not declare the context "
+            f"attributes it reads (a 'reads' frozenset)")
+    return selector
 
 
 @register_rule
@@ -42,10 +48,12 @@ class HybridMechoRule:
     """
 
     rule_name = "hybrid_mecho"
+    reads = frozenset({DEVICE_TYPE})
 
     def __init__(self, *, relay_selector: Union[str, Callable] = "lowest_id",
                  stack_options: Optional[dict] = None) -> None:
         self.relay_selector = _resolve_selector(relay_selector)
+        self.reads = self.reads | self.relay_selector.reads
         self.stack_options = dict(stack_options or {})
 
     def evaluate(self, ctx: RuleContext) -> Optional[ReconfigurationPlan]:
@@ -81,6 +89,7 @@ class BatteryRotationRule:
     """
 
     rule_name = "battery_rotation"
+    reads = frozenset({BATTERY})
 
     def __init__(self, *, hysteresis: float = 0.08,
                  stack_options: Optional[dict] = None) -> None:
@@ -120,6 +129,7 @@ class LossAdaptiveRule:
     """
 
     rule_name = "loss_adaptive"
+    reads = frozenset({LINK_QUALITY})
 
     def __init__(self, *, threshold: float = 0.08, hysteresis: float = 0.02,
                  k: int = 8, m: int = 2,
@@ -159,6 +169,7 @@ class PlainRule:
     """Unconditionally prescribe the plain stack (catch-all tail rule)."""
 
     rule_name = "plain"
+    reads: frozenset[str] = frozenset()
 
     def __init__(self, *, stack_options: Optional[dict] = None) -> None:
         self.stack_options = dict(stack_options or {})

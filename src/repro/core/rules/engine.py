@@ -1,12 +1,13 @@
 """The policy engine: ordered rules, per-group state, governed output.
 
-A :class:`PolicyEngine` satisfies the ``Policy`` protocol — its
-``decide`` accepts the plain ``(directory, members)`` call — but the
-core layer passes two extra keywords when available: ``now`` (simulated
-time, for governor windows) and ``group`` (so one engine instance can
-serve many groups without decisions bleeding between them).  Rules are
-evaluated in order and the first plan wins; the governor then decides
-whether acting on that plan is admissible right now.
+A :class:`PolicyEngine` satisfies the ``Policy`` protocol: ``decide``
+takes the directory and members, plus ``now`` (simulated time, for
+governor windows) and ``group`` (so one engine instance can serve many
+groups without decisions bleeding between them), both of which the core
+layer always passes.  Rules are evaluated in order and the first plan
+wins; the governor then decides whether acting on that plan is
+admissible right now.  The engine ``reads`` the union of what its rules
+declare they read.
 
 Decision state discipline: every rule gets a private per-(group, rule)
 dict through :class:`~repro.core.rules.base.RuleContext`, created lazily
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.rules.base import Rule, RuleContext
+from repro.core.rules.base import Rule, RuleContext, rule_reads
 from repro.core.rules.governor import AdaptationGovernor, GovernorState
 from repro.core.rules.plan import (ContextDirectory, Policy,
                                    ReconfigurationPlan)
@@ -44,6 +45,8 @@ class PolicyEngine:
     def __init__(self, rules: Sequence[Rule],
                  governor: Optional[AdaptationGovernor] = None) -> None:
         self.rules = tuple(rules)
+        self.reads: frozenset[str] = frozenset().union(
+            *(rule_reads(rule) for rule in self.rules))
         self.governor = governor
         self._groups: dict[str, _GroupState] = {}
 

@@ -70,12 +70,22 @@ class ReconfigurationPlan:
 
 
 class Policy(Protocol):
-    """Decides the adequate configuration for the current context."""
+    """Decides the adequate configuration for the current context.
 
-    def decide(self, directory: ContextDirectory,
-               members: Sequence[str]) -> Optional[ReconfigurationPlan]:
+    ``reads`` names the context attributes ``decide`` looks at: Core
+    re-evaluates when a sample changes one of them.  ``now`` is the
+    evaluation clock (governor windows, in the kernel's seconds) and
+    ``group`` keys per-group decision state; Core always passes both.
+    """
+
+    reads: frozenset[str]
+
+    def decide(self, directory: ContextDirectory, members: Sequence[str],
+               now: Optional[float] = None,
+               group: Optional[str] = None) -> Optional[ReconfigurationPlan]:
         """Return the desired plan, or ``None`` when undecidable (e.g. the
-        context of some member is not yet known)."""
+        context of some member is not yet known, or the governor holds a
+        change back)."""
         ...  # pragma: no cover - protocol declaration
 
 
@@ -83,6 +93,11 @@ def lowest_id_relay(directory: ContextDirectory,
                     fixed_members: Sequence[str]) -> str:
     """Default relay selection: deterministic lowest identifier."""
     return sorted(fixed_members)[0]
+
+
+#: What a selector reads besides the candidates it is handed: a rule that
+#: selects a relay reads it too.
+lowest_id_relay.reads = frozenset()  # type: ignore[attr-defined]
 
 
 def best_battery_relay(directory: ContextDirectory,
@@ -93,6 +108,9 @@ def best_battery_relay(directory: ContextDirectory,
         battery = directory.value(member, BATTERY, default=0.0)
         return (-battery, member)
     return sorted(candidates, key=score)[0]
+
+
+best_battery_relay.reads = frozenset({BATTERY})  # type: ignore[attr-defined]
 
 
 #: Relay selectors addressable from declarative rule parameters.

@@ -55,6 +55,9 @@ from repro.kernel.session import Session
 PacketReceiver = Callable[[Packet], None]
 
 _BEAT_TIMER = "supervision-beat"
+#: Ports remembered per peer: a node runs its control channel and one data
+#: generation, two during a swap.
+_KNOWN_PORTS = 4
 
 
 class TransportEndpoint(Protocol):
@@ -110,6 +113,10 @@ class DatagramTransportSession(Session):
         self._sent: dict[str, float] = {}
         self._detectors: dict[str, Any] = {}
         self._spoke: defaultdict[str, dict[str, float]] = defaultdict(dict)
+        #: Ports each peer is known to have bound: the ports its last
+        #: beacon listed, after the ports packets from it arrived on since
+        #: (newest first, at most ``_KNOWN_PORTS``).
+        self._ports_of: dict[str, tuple[str, ...]] = {}
         self._beat_port: Optional[str] = None
         self._beaten_at = float("-inf")
 
@@ -197,22 +204,47 @@ class DatagramTransportSession(Session):
         beat: sent a packet, and heard from on every port watching them (a
         peer that dropped this node from a channel's view falls silent on
         that port).  The beacon lists those ports; peers with the same
-        list share one point-to-point fan-out, straight to the endpoint."""
+        list share one point-to-point fan-out, straight to the endpoint.
+
+        It travels on the first listed port the peer is known to have
+        bound (on the first listed port when nothing is known of the
+        peer): a peer drops a packet for a port it has not bound at its
+        NIC, and evidence of life is the node's, whatever the port.  When
+        none of them is known (the two ends run different generations of a
+        channel: a staggered swap), it travels twice: on the first listed
+        port, which the peer may have moved to with this node, and on the
+        one the peer was last known on, which it may not have left."""
         since, self._beaten_at = self._beaten_at, self._now()
         watching: dict[str, list[str]] = {}
         for port, detector in self._detectors.items():
             for peer in detector.others():
                 watching.setdefault(peer, []).append(port)
         groups: dict[tuple[str, ...], list[str]] = {}
+        detours: dict[tuple[tuple[str, ...], tuple[str, ...]],
+                      list[str]] = {}
+        ports_of = self._ports_of
         for peer, ports in watching.items():
             if self._sent.get(peer, since) <= since or any(
                     self._spoke[port].get(peer, since) <= since
                     for port in ports):
-                groups.setdefault(tuple(ports), []).append(peer)
+                known = ports_of.get(peer)
+                if known is None or ports[0] in known:
+                    groups.setdefault(tuple(ports), []).append(peer)
+                    continue
+                via = next(((port,) for port in ports[1:] if port in known),
+                           (ports[0], known[0]))
+                detours.setdefault((tuple(ports), via), []).append(peer)
         for ports, peers in groups.items():
-            beacon = HeartbeatMessage(message=Message(payload=ports),
-                                      dest=EachOf(tuple(peers)))
-            self._transmit(beacon, ports[0])
+            self._beacon(ports, peers, ports[0])
+        for (ports, via), peers in detours.items():
+            for port in via:
+                self._beacon(ports, peers, port)
+
+    def _beacon(self, ports: tuple[str, ...], peers: list[str],
+                port: str) -> None:
+        beacon = HeartbeatMessage(message=Message(payload=ports),
+                                  dest=EachOf(tuple(peers)))
+        self._transmit(beacon, port)
 
     # -- outbound ---------------------------------------------------------------
 
@@ -238,13 +270,19 @@ class DatagramTransportSession(Session):
         source, hop = packet.logical_src, packet.src
         now = self._heard[source] = self._now()
         if packet.event_cls is HeartbeatMessage:
-            for port in packet.message.payload:
+            ports = packet.message.payload
+            self._ports_of[source] = tuple(ports)
+            for port in ports:
                 detector = self._detectors.get(port)
                 if detector is not None:
                     self._spoke[port][source] = now
                     detector.beacon(source)
             return
-        spoke = self._spoke[packet.port]
+        port = packet.port
+        known = self._ports_of.get(hop)
+        if known is None or port not in known:
+            self._ports_of[hop] = ((port,) + (known or ()))[:_KNOWN_PORTS]
+        spoke = self._spoke[port]
         spoke[source] = now
         if hop != source:  # relayed: evidence of the relay too
             self._heard[hop] = spoke[hop] = now

@@ -556,17 +556,51 @@ class MembershipSession(GroupSession):
             return True
         return self.view is not None and len(self.view.members) <= 1
 
+    def _isolated(self, announcer: Optional[str], members) -> bool:
+        """Does a flush or installation from ``announcer`` towards
+        ``members`` only record that the announcer lost this side?
+
+        True when the announcer is a member of this node's view but not its
+        acting coordinator, and its target keeps nobody of this view but
+        itself: a member that suspected everyone it could not hear and
+        flushed alone.  Its fan-out still reaches the old view once the
+        link is back (a healed partition), and taking it up would abandon
+        the flush this view's coordinator is running — a Core hold flush
+        included, leaving the reconfiguration waiting for a quiescence that
+        never comes — and dissolve the view into one that excludes this
+        node.  It is evidence that the announcer left this view instead
+        (see :meth:`_suspect_isolated`); the announcer merges back as a
+        joiner through its probes.
+        """
+        if self.view is None or announcer is None or \
+                announcer == self.local or self.local in members or \
+                not self.view.includes(announcer) or \
+                self._flush_coordinator() == announcer:
+            return False
+        return not (set(members) & set(self.view.members)) - {announcer}
+
+    def _suspect_isolated(self, announcer: str, channel) -> None:
+        """Exclude a member that isolated itself (:meth:`_isolated`)."""
+        if announcer not in self.suspected:
+            self._suspect_here({announcer}, channel)
+            self._exclude_suspect(announcer, channel)
+
     # -- suspicion / triggers ---------------------------------------------------------
 
     def _on_suspect(self, event: SuspectEvent) -> None:
         self.suspected.add(event.member)
         event.go()  # let upper layers observe the suspicion
-        if self.view is None or not self.view.includes(event.member):
+        self._exclude_suspect(event.member, event.channel)
+
+    def _exclude_suspect(self, member: str, channel) -> None:
+        """The acting coordinator starts a flush without a newly suspected
+        current member, or restarts the one it runs."""
+        if self.view is None or not self.view.includes(member):
             return
         if self._flush_coordinator() != self.local:
             return
         if self.phase is _Phase.STABLE and self._target_view is None:
-            self._start_flush(hold=False, channel=event.channel)
+            self._start_flush(hold=False, channel=channel)
         elif self._target_view is not None and \
                 not self._install_announced:
             # A flush is running and a current-view member died mid-round.
@@ -580,7 +614,7 @@ class MembershipSession(GroupSession):
             # that flush forever.  Restart towards a target derived from
             # current suspicions (surviving members simply re-join the
             # revised flush).
-            self._start_flush(hold=self._target_hold, channel=event.channel)
+            self._start_flush(hold=self._target_hold, channel=channel)
 
     def _on_unsuspect(self, event: UnsuspectEvent) -> None:
         self.suspected.discard(event.member)
@@ -703,8 +737,17 @@ class MembershipSession(GroupSession):
                   if member not in self.suspected and
                   service.silent(channel.name, member,
                                  self._flush_started_at)}
-        self.suspected |= silent
+        self._suspect_here(silent, channel)
         return bool(silent)
+
+    def _suspect_here(self, members: set[str], channel) -> None:
+        """Suspect ``members`` on this channel's own evidence.  The failure
+        detector below never raises such a suspicion, so it also goes down
+        to the relay choice: a wireless Mecho member whose relay left the
+        port would keep handing the flush to a node that drops it."""
+        self.suspected |= members
+        for member in sorted(members):
+            self.send_down(SuspectEvent(member), channel=channel)
 
     def _broadcast_flush_req(self, channel) -> None:
         assert self._target_view is not None
@@ -1039,6 +1082,9 @@ class MembershipSession(GroupSession):
                     dest=announcer, source=self.local)
                 self.send_down(query, channel=channel)
             return
+        if self._isolated(announcer, payload["members"]):
+            self._suspect_isolated(announcer, channel)
+            return
         if announcer is not None and not self.view.includes(announcer):
             # A coordinator outside this view roping us into its flush is
             # a lineage takeover (a zombie's privately advanced ids can
@@ -1105,8 +1151,11 @@ class MembershipSession(GroupSession):
         return coordinator
 
     def _member_flush_cut(self, payload: dict, channel) -> None:
+        # The id alone does not name the flush: concurrent flushes of one
+        # view (a member that flushed alone, say) share the next id.
         if self._target_view is None or \
-                payload["new_view_id"] != self._target_view.view_id:
+                payload["new_view_id"] != self._target_view.view_id or \
+                tuple(payload["members"]) != self._target_view.members:
             return
         self._note_incarnation(payload.get("from"), payload.get("incarnation"))
         if self.phase not in (_Phase.AWAIT_CUT, _Phase.AWAIT_STATUS):
@@ -1143,6 +1192,9 @@ class MembershipSession(GroupSession):
         raw_stamp = payload.get("stamp")
         stamp = (raw_stamp[0], raw_stamp[1]) if raw_stamp else None
         announcer = payload.get("from")
+        if self._isolated(announcer, payload["members"]):
+            self._suspect_isolated(announcer, channel)
+            return
         if self.view is not None and announcer is not None and \
                 (not self.view.includes(announcer) or
                  (self.local in payload.get("joiners", ()) and

@@ -168,16 +168,17 @@ class TestDistributedDissemination:
             heartbeat_interval=1.0)
         successor = nodes["fixed-1"]
         core = successor.core
-        coverage = []
-        evaluate = core._evaluate
+        decisions = []
+        decide = core.policy.decide
 
-        def recording(channel):
+        def recording(directory, members, now, group):
+            plan = decide(directory, members, now=now, group=group)
             if core.is_control_coordinator:
-                coverage.append((engine.now(), tuple(core.members),
-                                 core.directory.covers(core.members,
-                                                       DEVICE_TYPE)))
-            evaluate(channel)
-        core._evaluate = recording
+                decisions.append((engine.now(), tuple(members),
+                                  directory.covers(members, DEVICE_TYPE),
+                                  plan))
+            return plan
+        core.policy.decide = recording
         survivors = ("fixed-1", "fixed-2", "fixed-3")
         views = {node_id: _views(engine, nodes[node_id])
                  for node_id in survivors}
@@ -196,10 +197,17 @@ class TestDistributedDissemination:
         sends = _context_sends(trace)
         for node_id in ("fixed-2", "fixed-3"):
             assert (failover[node_id], node_id, "fixed-1") in sends
-        # ...so its first evaluation as coordinator sees every member.
-        at, evaluated_members, covered = coverage[0]
+        # ...so its first decision as coordinator sees every member.  The
+        # view itself is a trigger: the evaluation it arms may run before
+        # the snapshots land, and the policy then abstains (no plan) until
+        # a snapshot's arrival triggers the informed one.
+        assert decisions
+        assert all(plan is None for _, _, covered, plan in decisions
+                   if not covered)
+        at, decided_members, covered, plan = next(
+            decision for decision in decisions if decision[3] is not None)
         assert at > max(failover.values())
-        assert evaluated_members == survivors
+        assert decided_members == survivors
         assert covered
 
     def test_handoff_reaches_the_coordinator_within_a_round_trip(self):

@@ -218,3 +218,33 @@ class TestStrandedHold:
         assert len(settled) == 1 and settled != generation
         assert all("mecho" in morpheus.current_stack()
                    for morpheus in nodes.values())
+
+
+class TestAckBeforeTheFirstControlView:
+    def test_a_joiner_acks_a_configuration_it_deploys_before_its_view(self):
+        """A coordinator that decides on the joiner's admission view can
+        hand the joiner its configuration before the joiner's own control
+        view is installed (the installation to a joiner is a unicast that
+        can be lost or overtaken).  The joiner deploys it and acks the
+        configuration's issuer: it has no coordinator of its own yet.
+        Here the joiner is alone, so no view ever comes."""
+        from repro.core import MorpheusNode, plain_data_template
+        from repro.simnet.trace import PacketTrace
+        engine = SimEngine()
+        network = Network(engine)
+        network.add_fixed_node("n3")
+        joiner = MorpheusNode(network, "n3", ("n0", "n3"), joining=True,
+                              **FAST)
+        engine.run_until(1.0)
+        trace = PacketTrace(network).install()
+        template = plain_data_template(("n0", "n3"), heartbeat_interval=2.0)
+        joiner.core._on_reconfig(
+            {"kind": "reconfig", "config_id": 7, "lineage": [0, "n0", 1],
+             "name": "plain", "xml": template.to_xml(), "from": "n0"},
+            joiner.control_channel)
+        engine.run_until(1.5)
+        assert joiner.core.view is None
+        assert joiner.local_module.data_channel.name == "data#c7@0.n0.1"
+        acks = [(entry.time, entry.dst) for entry in trace.entries
+                if entry.event == "CoreMessage" and entry.src == "n3"]
+        assert acks == [(1.0, "n0")]

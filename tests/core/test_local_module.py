@@ -152,3 +152,47 @@ class TestQuiescenceRaces:
         settled = len(asked)
         engine.run_until(20.0)
         assert len(asked) == settled
+
+
+class TestStaggeredSwapSupervision:
+    def test_a_late_generation_is_not_suspected_across_the_swap(
+            self, monkeypatch):
+        """Six standalone modules (no control channel to share a port),
+        heartbeat 0.5 s: five swap to a new generation at once, the sixth
+        gets its configuration 9 s later, far past the 3 s suspicion
+        timeout.  Each side beacons the other on a port the other has
+        bound — the late node's old one, the swapped nodes' new one — so
+        nobody suspects anybody."""
+        from repro.protocols.membership import MembershipSession
+        suspicions = []
+        on_suspect = MembershipSession._on_suspect
+
+        def recording(self, event):
+            suspicions.append((event.channel.kernel.now(), self.local,
+                               event.member))
+            on_suspect(self, event)
+        monkeypatch.setattr(MembershipSession, "_on_suspect", recording)
+        members = tuple(f"n{index}" for index in range(6))
+        engine = SimEngine()
+        network = Network(engine)
+        for node_id in members:
+            network.add_fixed_node(node_id)
+        modules = {node_id: build_module(network, node_id)
+                   for node_id in members}
+        for module in modules.values():
+            module.deploy_initial(plain_data_template(
+                members, heartbeat_interval=0.5))
+        engine.run_until(1.0)
+        template = plain_data_template(members, heartbeat_interval=0.5)
+        for node_id in members[:-1]:
+            modules[node_id].apply(1, template, lambda cid: None)
+        engine.run_until(10.0)
+        late = modules[members[-1]]
+        assert late.data_channel.name == "data"
+        late.apply(1, template, lambda cid: None)
+        engine.run_until(20.0)
+        assert suspicions == []
+        for module in modules.values():
+            assert module.data_channel.name == "data#c1"
+            view = module.data_channel.session_named("membership").view
+            assert view.members == members

@@ -25,6 +25,7 @@ class _ForcedRule:
     """Test rule: always prescribes the plan named ``forced``."""
 
     rule_name = "forced"
+    reads: frozenset[str] = frozenset()
 
     def evaluate(self, ctx):
         return ReconfigurationPlan(name="forced")

@@ -157,6 +157,7 @@ class _TogglePlan:
     """Test rule: prescribes the plan name it is told to."""
 
     rule_name = "_test_toggle"
+    reads: frozenset[str] = frozenset()
 
     def __init__(self, holder: dict) -> None:
         self.holder = holder
