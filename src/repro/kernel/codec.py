@@ -76,7 +76,8 @@ from typing import Any, Callable, Optional
 from repro.kernel import message as _message
 
 __all__ = [
-    "CodecError", "PARITY", "decode_payload", "encode_header",
+    "CodecError", "PARITY", "decode_message", "decode_payload",
+    "encode_header",
     "encode_payload", "register_wire_key", "resolve_event_class",
     "set_parity", "wire_key_table",
 ]
@@ -350,12 +351,97 @@ def _decode(buf: bytes, pos: int) -> tuple[Any, int, int]:
     header cell rebuilt here needs no second walk to be charged.
     """
     try:
-        tag = buf[pos]
+        return _decode_at(buf, pos)
     except IndexError:
         raise CodecError("truncated value") from None
+
+
+def _decode_at(buf: bytes, pos: int) -> tuple[Any, int, int]:
+    """:func:`_decode` without the truncation guard: an ``IndexError``
+    here is a read past the end of ``buf``."""
+    tag = buf[pos]
     pos += 1
     if tag & 0x80:
         return tag & 0x7F, pos, 4
+    if tag == 0x05:
+        length, pos = _read_varint(buf, pos)
+        end = pos + length
+        if end > len(buf):
+            raise CodecError("truncated string")
+        return buf[pos:end].decode("utf-8"), end, length
+    if tag == 0x0A or tag == 0x09 or tag == 0x0B or tag == 0x0C:
+        count = buf[pos]
+        if count & 0x80:
+            count, pos = _read_varint(buf, pos)
+        else:
+            pos += 1
+        items = []
+        append = items.append
+        charge = 2
+        for _ in range(count):
+            # The leaves of a header tuple, read in place: a small int,
+            # a string of under 128 bytes.
+            byte = buf[pos]
+            if byte & 0x80:
+                append(byte & 0x7F)
+                pos += 1
+                charge += 4
+                continue
+            if byte == 0x05:
+                length = buf[pos + 1]
+                if not length & 0x80:
+                    start = pos + 2
+                    pos = start + length
+                    if pos > len(buf):
+                        raise CodecError("truncated string")
+                    append(buf[start:pos].decode("utf-8"))
+                    charge += length
+                    continue
+            item, pos, item_charge = _decode_at(buf, pos)
+            append(item)
+            charge += item_charge
+        if tag == 0x09:
+            return items, pos, charge
+        built = (tuple, set, frozenset)[tag - 0x0A](items)
+        if len(built) != count:  # equal items collapsed: not our encoding
+            charge = _message.estimate_size(built)
+        return built, pos, charge
+    if tag == 0x0D:
+        count = buf[pos]
+        if count & 0x80:
+            count, pos = _read_varint(buf, pos)
+        else:
+            pos += 1
+        result = {}
+        charge = 2
+        for _ in range(count):
+            # An interned key and a small-int value, read in place.
+            if buf[pos] == 0x06 and not buf[pos + 1] & 0x80:
+                key_id = buf[pos + 1]
+                if key_id >= len(_KEY_LIST):
+                    raise CodecError(f"unknown interned key id {key_id}")
+                key = _KEY_LIST[key_id]
+                charge += _KEY_CHARGES[key_id]
+                pos += 2
+            else:
+                key, pos, key_charge = _decode_at(buf, pos)
+                charge += key_charge
+            byte = buf[pos]
+            if byte & 0x80:
+                result[key] = byte & 0x7F
+                pos += 1
+                charge += 4
+            else:
+                result[key], pos, value_charge = _decode_at(buf, pos)
+                charge += value_charge
+        if len(result) != count:  # a key repeated: not our encoding
+            charge = _message.estimate_size(result)
+        return result, pos, charge
+    if tag == 0x06:
+        key_id, pos = _read_varint(buf, pos)
+        if key_id >= len(_KEY_LIST):
+            raise CodecError(f"unknown interned key id {key_id}")
+        return _KEY_LIST[key_id], pos, _KEY_CHARGES[key_id]
     if tag == 0x00:
         return None, pos, 1
     if tag == 0x01:
@@ -369,18 +455,6 @@ def _decode(buf: bytes, pos: int) -> tuple[Any, int, int]:
         if pos + 8 > len(buf):
             raise CodecError("truncated float")
         return _unpack_double(buf, pos)[0], pos + 8, 8
-    if tag == 0x05:
-        length, pos = _read_varint(buf, pos)
-        end = pos + length
-        if end > len(buf):
-            raise CodecError("truncated string")
-        return buf[pos:end].decode("utf-8"), end, length
-    if tag == 0x06:
-        key_id, pos = _read_varint(buf, pos)
-        try:
-            return _KEY_LIST[key_id], pos, _KEY_CHARGES[key_id]
-        except IndexError:
-            raise CodecError(f"unknown interned key id {key_id}") from None
     if tag == 0x07 or tag == 0x08:
         length, pos = _read_varint(buf, pos)
         end = pos + length
@@ -388,47 +462,8 @@ def _decode(buf: bytes, pos: int) -> tuple[Any, int, int]:
             raise CodecError("truncated bytes")
         raw = buf[pos:end]
         return (raw if tag == 0x07 else bytearray(raw)), end, length
-    if 0x09 <= tag <= 0x0C:
-        count, pos = _read_varint(buf, pos)
-        items = []
-        charge = 2
-        for _ in range(count):
-            item, pos, item_charge = _decode(buf, pos)
-            items.append(item)
-            charge += item_charge
-        if tag == 0x09:
-            return items, pos, charge
-        built = (tuple, set, frozenset)[tag - 0x0A](items)
-        if len(built) != count:  # equal items collapsed: not our encoding
-            charge = _message.estimate_size(built)
-        return built, pos, charge
-    if tag == 0x0D:
-        count, pos = _read_varint(buf, pos)
-        result = {}
-        charge = 2
-        for _ in range(count):
-            key, pos, key_charge = _decode(buf, pos)
-            value, pos, value_charge = _decode(buf, pos)
-            result[key] = value
-            charge += key_charge + value_charge
-        if len(result) != count:  # a key repeated: not our encoding
-            charge = _message.estimate_size(result)
-        return result, pos, charge
     if tag == 0x0E:
-        off_the_wire = _message._HeaderNode.off_the_wire
-        count, pos = _read_varint(buf, pos)
-        top = None
-        for _ in range(count):
-            start = pos
-            header, pos, charge = _decode(buf, pos)
-            # The bytes just read are the cell's wire form: forwarding
-            # this message re-encodes none of its headers.
-            top = off_the_wire(header, top, buf[start:pos], charge)
-        payload, pos, charge = _decode(buf, pos)
-        message = _message.Message(payload)
-        message._top = top
-        message._payload_size = charge
-        return message, pos, message.size_bytes
+        return _decode_message(buf, pos)
     if tag == 0x0F:
         length, pos = _read_varint(buf, pos)
         end = pos + length
@@ -449,6 +484,67 @@ def _decode(buf: bytes, pos: int) -> tuple[Any, int, int]:
         cls = resolve_event_class(name)
         return cls, end, _message.estimate_size(cls)
     raise CodecError(f"unknown wire tag 0x{tag:02X}")
+
+
+def _decode_message(buf: bytes, pos: int) -> tuple[Any, int, int]:
+    """The body of a ``0x0E`` value at ``pos``: the message, its header
+    cells and its payload, built in one pass.
+
+    Each cell keeps the bytes just read as its wire form, so forwarding
+    the message re-encodes none of its headers, and the cumulative sizes
+    a pushed cell computes (:class:`~repro.kernel.message._HeaderNode`)
+    are carried here in locals: nothing is walked twice.
+    """
+    count = buf[pos]
+    if count & 0x80:
+        count, pos = _read_varint(buf, pos)
+    else:
+        pos += 1
+    new = object.__new__
+    cell_class = _message._HeaderNode
+    top = None
+    stack_bytes = 0
+    wire_len = 0
+    for depth in range(1, count + 1):
+        start = pos
+        header, pos, charge = _decode_at(buf, pos)
+        cell = new(cell_class)
+        cell.header = header
+        cell.below = top
+        cell.wire = buf[start:pos]
+        cell.depth = depth
+        # max(charge, 1) plus one framing byte, as a pushed cell charges.
+        stack_bytes += (charge if charge > 1 else 1) + 1
+        cell.stack_bytes = stack_bytes
+        wire_len += pos - start
+        cell.wire_stack_len = wire_len
+        top = cell
+    payload, pos, charge = _decode_at(buf, pos)
+    message = new(_message.Message)
+    message._payload = payload
+    message._payload_size = charge
+    message._top = top
+    message._wire_cache = None
+    return message, pos, charge + stack_bytes
+
+
+def decode_message(buf: bytes, pos: int = 0) -> Any:
+    """Decode the message (tag ``0x0E``) at ``pos``, which must end
+    ``buf``: the datagram frame's body.
+
+    Raises:
+        CodecError: if the value at ``pos`` is not a message, is
+            truncated or malformed, or bytes follow it.
+    """
+    try:
+        if buf[pos] != 0x0E:
+            raise CodecError(f"not a message (tag 0x{buf[pos]:02X})")
+        message, end, _ = _decode_message(buf, pos + 1)
+    except IndexError:
+        raise CodecError("truncated message") from None
+    if end != len(buf):
+        raise CodecError(f"trailing bytes after message ({len(buf) - end})")
+    return message
 
 
 #: Name → class map over the SendableEvent subclass tree, rebuilt once on

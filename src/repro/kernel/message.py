@@ -217,10 +217,12 @@ class _HeaderNode:
     """One immutable cell of a persistent header stack.
 
     A cell owns both sizes of its header, taken from one codec traversal
-    when the header is pushed (or handed over by the decoder, which has
-    the bytes in hand): ``stack_bytes`` is the cumulative accounting
-    charge of this cell and everything below it, ``wire`` the header's
-    encoded form and ``wire_stack_len`` the cumulative encoded length.
+    when the header is pushed (the decoder,
+    :func:`repro.kernel.codec._decode_message`, builds cells off the wire
+    with the same fields from the bytes it has in hand): ``stack_bytes``
+    is the cumulative accounting charge of this cell and everything below
+    it, ``wire`` the header's encoded form and ``wire_stack_len`` the
+    cumulative encoded length.
     That makes ``Message.size_bytes`` and ``Message.wire_bytes`` O(1), and
     lets every wire crossing of every handle sharing the cell — fan-out,
     relay, retransmission — splice ``wire`` in instead of re-encoding.
@@ -235,20 +237,6 @@ class _HeaderNode:
 
     def __init__(self, header: Any, below: Optional["_HeaderNode"]) -> None:
         wire, charge = codec.encode_header(header)
-        self._link(header, below, wire, charge)
-
-    @classmethod
-    def off_the_wire(cls, header: Any, below: Optional["_HeaderNode"],
-                     wire: bytes, charge: int) -> "_HeaderNode":
-        """The cell of a header just decoded from ``wire``, with the
-        charge the decoder took in the same pass: the bytes are kept as
-        the cell's wire form, so a relay forwards them as is."""
-        node = cls.__new__(cls)
-        node._link(header, below, wire, charge)
-        return node
-
-    def _link(self, header: Any, below: Optional["_HeaderNode"],
-              wire: Optional[bytes], charge: int) -> None:
         self.header = header
         self.below = below
         self.wire = wire

@@ -8,15 +8,15 @@ The same protocol kernel that runs against the deterministic simulator
   loop, with an optional ``time_scale`` so virtual-second scenarios
   compress into fast real-time runs;
 * :mod:`repro.livenet.frame` — the datagram frame putting ``Packet``
-  metadata plus the codec's ``WirePayload`` blobs directly on the wire
-  (varint-framed header over :mod:`repro.kernel.codec`);
+  names and sizes plus the codec's message bytes directly on the wire;
+  the socket is the address, so one request is one frame;
 * :class:`~repro.livenet.network.LiveNetwork` — the simulator's sibling
   on :class:`~repro.simnet.network.NetworkBase`: the same nodes
   (:class:`~repro.simnet.node.Node`), topology, failure injection and
-  link model, with a UDP socket per node as its wire.  With ``impaired``
-  on, locally-routed frames take the simulator's seeded per-sender loss
-  draws and per-hop delays, so canned scenarios replay against real
-  sockets;
+  link model, with a UDP socket per node, drained by an event-loop
+  reader, as its wire.  With ``impaired`` on, locally-routed datagrams
+  take the simulator's seeded per-sender loss draws and per-hop delays,
+  so canned scenarios replay against real sockets;
 * :class:`~repro.livenet.runner.LiveScenarioRunner` — replays declarative
   scenarios over sockets, keeping the simulated twin as the conformance
   oracle (:mod:`repro.livenet.conformance`).

@@ -13,8 +13,9 @@ the simulated engine's, which the conformance suite depends on.
 Two knobs make it testable and fast:
 
 * ``time_source`` — the real monotonic time function.  Tests inject a
-  hand-cranked fake and drive :meth:`poll` directly; live runs default to
-  the event loop's clock.
+  hand-cranked fake and drive :meth:`poll` directly; live runs read
+  :func:`time.monotonic`, the clock asyncio's own ``loop.time()`` reads,
+  so loop timers and virtual time stay aligned.
 * ``time_scale`` — virtual seconds per real second.  Scenarios are
   written in virtual seconds (heartbeats of 1 s, horizons of 60–90 s); a
   scale of 10 replays them 10× faster without touching a single protocol
@@ -63,9 +64,8 @@ class WallClock:
     """A :class:`~repro.kernel.clock.Clock` backed by real monotonic time.
 
     Args:
-        time_source: monotonic seconds function.  ``None`` (the default)
-            binds to the event loop's clock on :meth:`attach`, falling
-            back to :func:`time.monotonic` if never attached.
+        time_source: monotonic seconds function; :func:`time.monotonic`
+            (the event loop's clock) by default.
         time_scale: virtual seconds per real second (> 0).  ``1.0`` runs
             scenarios in real time; larger values compress them.
     """
@@ -75,7 +75,8 @@ class WallClock:
         if time_scale <= 0:
             raise ValueError(f"time_scale must be positive, got {time_scale}")
         self.time_scale = time_scale
-        self._source = time_source
+        self._source = time_source if time_source is not None \
+            else time.monotonic
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._heap: list[_WallEntry] = []
         self._seq = itertools.count()
@@ -96,8 +97,6 @@ class WallClock:
         """
         if self._real_base is not None:
             return
-        if self._source is None:
-            self._source = time.monotonic
         self._real_base = self._source()
         if self._loop is not None:
             self._rearm()
@@ -172,8 +171,6 @@ class WallClock:
                                    "another event loop")
             return
         self._loop = loop
-        if self._source is None:
-            self._source = loop.time
         self._rearm()
 
     @property

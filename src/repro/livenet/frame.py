@@ -2,39 +2,49 @@
 
 ROADMAP direction 4 called the shot: the compact codec's frozen
 ``WirePayload`` blob *is* the framing a socket transport puts on the wire.
-A frame is::
+A frame (version 2) is::
 
-    MAGIC(1) VERSION(1) varint(len(meta)) meta body
+    MAGIC(1) VERSION(1) varint(size_bytes) varint(wire_bytes)
+    varint(len(names)) names body
 
-where ``meta`` and ``body`` are both :mod:`repro.kernel.codec` values —
-``meta`` a tuple of the packet's addressing and accounting fields, ``body``
-the carried :class:`~repro.kernel.message.Message` (tag ``0x0E``: the
-bytes each header cell was encoded to when it was pushed — or arrived
-with — spliced in as they are, then the frozen payload blob re-embedded
-verbatim via tag ``0x0F``; framing a packet, a relayed one included,
-encodes no header and no payload again).  Decoding
-rebuilds a :class:`~repro.kernel.packet.Packet` that is
+``names`` is the UTF-8 of the packet's ``src``, ``logical_src``,
+``port``, event-class name and traffic class, joined by NUL (a name
+holding a NUL cannot be framed).  ``body`` is the carried
+:class:`~repro.kernel.message.Message` as a :mod:`repro.kernel.codec`
+value (tag ``0x0E``: the bytes each header cell was encoded to when it
+was pushed — or arrived with — spliced in as they are, then the frozen
+payload blob re-embedded verbatim via tag ``0x0F``; framing a packet, a
+relayed one included, encodes no header and no payload again).
+
+**The socket is the address.**  ``dst`` is not on the wire: the
+receiving endpoint's node id is, because the live network sends a
+node's datagrams to that node's socket only.  So every datagram of one
+request — a unicast, a native multicast, an ``EachOf`` fan-out — is the
+same ``bytes``, encoded once (:meth:`LiveNetwork._route
+<repro.livenet.network.LiveNetwork._route>`), and the receiver passes
+its own id to :func:`decode_frame`.
+
+Decoding rebuilds a :class:`~repro.kernel.packet.Packet` that is
 indistinguishable, to the receiving transport session, from the record the
 simulator would have delivered: same event class (resolved by its unique
 ``__name__`` — the :class:`SendableEvent` wire contract), same logical
 source, same byte charges (carried explicitly so live counters reproduce
-the sender's accounting exactly).
+the sender's accounting exactly).  The header cells are rebuilt in the
+same pass; the payload stays a :class:`~repro.kernel.message.WirePayload`
+that the first layer reading it decodes, once.
 
 Safety contract for the receive loop: **every** malformed input —
 truncation, garbage bytes, an oversized datagram, an unknown frame
-version, an unknown event class — raises :class:`CodecError` and nothing
-else.  The transport counts and drops; a bad datagram can never crash the
-node.
+version (version 1 included), the wrong number of names, an unknown event
+class, trailing bytes — raises :class:`CodecError` and nothing else.  The
+transport counts and drops; a bad datagram can never crash the node.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.kernel import codec
-from repro.kernel.codec import CodecError, decode_payload, encode_payload
-from repro.kernel.message import Message
-from repro.kernel.packet import Packet
+from repro.kernel.codec import CodecError, decode_message, encode_payload
+from repro.kernel.packet import Packet, _packet_ids
 
 # The wire vocabulary: importing the protocol events module guarantees
 # every stack-deployable SendableEvent subclass exists before the first
@@ -44,13 +54,14 @@ import repro.protocols.events  # noqa: F401  (registers wire event classes)
 #: First frame byte; anything else is not ours (or is hopelessly mangled).
 FRAME_MAGIC = 0xA9
 #: Frame layout version; bumped on any incompatible change.
-FRAME_VERSION = 1
+FRAME_VERSION = 2
 #: Largest UDP payload over IPv4 (65535 - 8 UDP - 20 IP).  Frames beyond
 #: this cannot leave the socket; the check fails fast on both sides.
 MAX_DATAGRAM_BYTES = 65507
 
-_META_FIELDS = 8  # src, logical_src, port, event, dst, class, sizes
-
+#: Separator of the frame's names (never inside a valid one).
+_SEP = "\0"
+_NAMES = 5  # src, logical_src, port, event class, traffic class
 
 #: Re-exported from the codec: the frame header and embedded class
 #: references (codec tag ``0x10``) share one resolver, so both honour the
@@ -58,40 +69,27 @@ _META_FIELDS = 8  # src, logical_src, port, event, dst, class, sizes
 resolve_event_class = codec.resolve_event_class
 
 
-def encode_body(message: Message) -> bytes:
-    """The frame body of ``message`` — what every frame of one request
-    shares (see :func:`encode_frame`).
-
-    Raises:
-        CodecError: if the message contains values outside the wire
-            format.
-    """
-    return encode_payload(message)[0]
-
-
-def encode_frame(packet: Packet, body: Optional[bytes] = None) -> bytes:
-    """Serialize ``packet`` into one datagram.
-
-    ``body`` is ``encode_body(packet.message)`` when the caller already
-    holds it: the per-receiver packets of a fan-out share their message,
-    so their frames differ only in the meta's ``dst`` and the body is
-    encoded once per request, not once per datagram.
+def encode_frame(packet: Packet) -> bytes:
+    """Serialize ``packet`` into the datagram every receiver of it gets.
 
     Raises:
         CodecError: if the frame would exceed :data:`MAX_DATAGRAM_BYTES`
             (an application payload too large for a single datagram — the
-            caller drops and counts it) or the message contains values
-            outside the wire format.
+            caller drops and counts it), a name holds a NUL, or the
+            message contains values outside the wire format.
     """
-    meta = (packet.src, packet.logical_src, packet.port,
-            packet.event_cls.__name__, packet.dst, packet.traffic_class,
-            packet.size_bytes, packet.wire_bytes)
-    meta_blob, _ = encode_payload(meta)
-    body_blob = body if body is not None else encode_body(packet.message)
+    names = _SEP.join((packet.src, packet.logical_src, packet.port,
+                       packet.event_cls.__name__, packet.traffic_class))
+    if names.count(_SEP) != _NAMES - 1:
+        raise CodecError(f"a frame name holds a NUL ({packet!r})")
+    encoded = names.encode("utf-8")
+    body, _ = encode_payload(packet.message)
     out = bytearray((FRAME_MAGIC, FRAME_VERSION))
-    codec._append_varint(out, len(meta_blob))
-    out += meta_blob
-    out += body_blob
+    codec._append_varint(out, packet.size_bytes)
+    codec._append_varint(out, packet.wire_bytes)
+    codec._append_varint(out, len(encoded))
+    out += encoded
+    out += body
     if len(out) > MAX_DATAGRAM_BYTES:
         raise CodecError(
             f"frame of {len(out)} bytes exceeds the {MAX_DATAGRAM_BYTES}-"
@@ -99,31 +97,40 @@ def encode_frame(packet: Packet, body: Optional[bytes] = None) -> bytes:
     return bytes(out)
 
 
-def decode_frame(data: bytes) -> Packet:
-    """Rebuild the :class:`Packet` one datagram carries.
+def decode_frame(data: bytes, dst: str) -> Packet:
+    """Rebuild the :class:`Packet` one datagram carries to node ``dst``
+    (the id of the endpoint it arrived at).
 
     Raises:
         CodecError: for every malformed input — truncated or garbage
             frames, oversized datagrams, unknown versions, unknown event
-            classes, meta tuples of the wrong shape.  No other exception
-            escapes (arbitrary bytes must never crash the receive loop).
+            classes, a names field of the wrong shape, a body that is not
+            exactly one message.  No other exception escapes (arbitrary
+            bytes must never crash the receive loop).
     """
     if len(data) > MAX_DATAGRAM_BYTES:
         raise CodecError(f"oversized datagram ({len(data)} bytes)")
-    if len(data) < 3:
+    if len(data) < 5:
         raise CodecError(f"truncated frame ({len(data)} bytes)")
     if data[0] != FRAME_MAGIC:
         raise CodecError(f"bad frame magic 0x{data[0]:02X}")
     if data[1] != FRAME_VERSION:
         raise CodecError(f"unknown frame version {data[1]}")
     try:
-        meta_len, pos = codec._read_varint(data, 2)
-        end = pos + meta_len
+        size_bytes, pos = codec._read_varint(data, 2)
+        wire_bytes, pos = codec._read_varint(data, pos)
+        names_len, pos = codec._read_varint(data, pos)
+        end = pos + names_len
         if end > len(data):
-            raise CodecError(f"truncated frame meta ({meta_len} declared, "
+            raise CodecError(f"truncated frame names ({names_len} declared, "
                              f"{len(data) - pos} present)")
-        meta = decode_payload(data[pos:end])
-        message = decode_payload(data[end:])
+        names = data[pos:end].decode("utf-8").split(_SEP)
+        if len(names) != _NAMES:
+            raise CodecError(f"frame carries {len(names)} names, not "
+                             f"{_NAMES}")
+        message = decode_message(data, end)
+        src, logical_src, port, event_name, traffic_class = names
+        event_cls = resolve_event_class(event_name)
     except CodecError:
         raise
     except Exception as exc:
@@ -131,20 +138,20 @@ def decode_frame(data: bytes) -> Packet:
         # still reach e.g. UTF-8 decoding; fold everything into the one
         # exception the receive loop handles.
         raise CodecError(f"malformed frame: {exc}") from exc
-    if not isinstance(meta, tuple) or len(meta) != _META_FIELDS:
-        raise CodecError(f"bad frame meta shape: {meta!r}")
-    src, logical_src, port, event_name, dst, traffic_class, \
-        size_bytes, wire_bytes = meta
-    if not (isinstance(src, str) and isinstance(logical_src, str) and
-            isinstance(port, str) and isinstance(event_name, str) and
-            isinstance(traffic_class, str) and
-            isinstance(size_bytes, int) and isinstance(wire_bytes, int) and
-            isinstance(dst, (str, tuple))):
-        raise CodecError(f"bad frame meta field types: {meta!r}")
-    if not isinstance(message, Message):
-        raise CodecError(f"frame body is not a message: {type(message)}")
-    event_cls = resolve_event_class(event_name)
-    return Packet(src=src, dst=dst, port=port, event_cls=event_cls,
-                  message=message, logical_src=logical_src,
-                  traffic_class=traffic_class, size_bytes=size_bytes,
-                  wire_bytes=wire_bytes)
+    # Built the way Packet.copy_for builds one: every size is in the
+    # frame, so the dataclass __init__/__post_init__ have nothing to do.
+    packet = object.__new__(Packet)
+    packet.src = src
+    packet.dst = dst
+    packet.port = port
+    packet.event_cls = event_cls
+    packet.message = message
+    packet.logical_src = logical_src
+    packet.traffic_class = traffic_class
+    packet.size_bytes = size_bytes
+    packet.wire_bytes = wire_bytes
+    packet.sent_at = 0.0
+    packet.hops = 0
+    packet.packet_id = next(_packet_ids)
+    return packet
+

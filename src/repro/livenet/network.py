@@ -4,11 +4,28 @@
 :class:`repro.simnet.network.NetworkBase`, which owns the node registry,
 handoffs, crashes, partitions, loss-model swaps, topology listeners, the
 link model and the delivery counters.  What this module adds is the wire:
-every node owns an asyncio UDP socket (:meth:`LiveNetwork.open_endpoint`),
-outgoing packets are serialized by :mod:`repro.livenet.frame`, and a
-locally-routed frame is charged the link model's per-hop delay and loss
-draws — the simulator's own, from each sender's private loss stream — with
-its send scheduled on the shared :class:`~repro.livenet.clock.WallClock`.
+every node owns a non-blocking UDP socket (:meth:`LiveNetwork.open_endpoint`)
+read by an event-loop reader, and outgoing packets are serialized by
+:mod:`repro.livenet.frame`.
+
+**One frame per request.**  The socket is the address — a frame does not
+name its receiver — so every datagram of one request is the same bytes,
+encoded once, when the first receiver survives the reach check.  With
+``impaired`` on, each datagram to a local node then takes the link
+model's loss draws — the simulator's own, from the sender's private loss
+stream, per receiver and in receiver order — and the survivors of one
+destination kind are sent together by **one**
+:class:`~repro.livenet.clock.WallClock` entry at that kind's delay.
+
+**One pass per datagram.**  A node's reader drains its socket
+(``recvfrom_into`` on one preallocated buffer) until it would block; each
+datagram is decoded in one pass (:func:`~repro.livenet.frame.decode_frame`
+— names, header cells, the payload left as frozen bytes) and handed to
+:func:`~repro.simnet.network.deliver`.  A malformed datagram is one
+``decode_errors`` and is dropped; a socket error on either side is one
+``socket_errors``; a frame that cannot be built (an oversized payload, a
+value outside the wire format) is one ``encode_errors`` and its request
+goes nowhere.  None of them is link loss (``lost_packets``).
 
 Peers come in two flavours:
 
@@ -29,30 +46,20 @@ frames die exactly where a simulated packet would.
 from __future__ import annotations
 
 import asyncio
+import socket
 from functools import partial
 from typing import Optional
 
 from repro.kernel.codec import CodecError
 from repro.kernel.packet import Packet
 from repro.livenet.clock import WallClock
-from repro.livenet.frame import decode_frame, encode_body, encode_frame
+from repro.livenet.frame import decode_frame, encode_frame
 from repro.simnet.energy import Battery
 from repro.simnet.network import LinkParams, NetworkBase, deliver
 from repro.simnet.node import Node, NodeKind
 
-
-class _NodeDatagramProtocol(asyncio.DatagramProtocol):
-    """Receives one node's datagrams and hands them to the network."""
-
-    def __init__(self, network: "LiveNetwork", node_id: str) -> None:
-        self.network = network
-        self.node_id = node_id
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        self.network._on_datagram(self.node_id, data, addr)
-
-    def error_received(self, exc: Exception) -> None:  # pragma: no cover
-        self.network.socket_errors += 1
+#: Receive buffer of every reader: no UDP datagram is larger.
+_RECV_BUFFER_BYTES = 64 * 1024
 
 
 class LiveNetwork(NetworkBase):
@@ -77,10 +84,16 @@ class LiveNetwork(NetworkBase):
         self.host = host
         #: Datagrams dropped by the frame decoder (malformed input).
         self.decode_errors = 0
-        #: Socket-level errors reported by the event loop.
+        #: Requests dropped because their frame could not be built.
+        self.encode_errors = 0
+        #: Failed socket reads and sends.
         self.socket_errors = 0
         self._addresses: dict[str, tuple[str, int]] = {}
-        self._transports: dict[str, asyncio.DatagramTransport] = {}
+        #: Each local node's socket (anything with ``sendto``).
+        self._sockets: dict[str, socket.socket] = {}
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: The one buffer every reader receives into.
+        self._buffer = memoryview(bytearray(_RECV_BUFFER_BYTES))
 
     # -- endpoints ------------------------------------------------------------
 
@@ -88,29 +101,35 @@ class LiveNetwork(NetworkBase):
                             port: int = 0) -> tuple[str, int]:
         """Open ``node_id``'s UDP socket; returns the bound ``(host, port)``.
 
-        Must run before :meth:`add_node` registers the node — sockets are
-        created asynchronously, nodes synchronously, so a scenario opens
-        every endpoint (future joiners included) up front and the rest of
-        the run stays synchronous.  Attaches the clock to the running loop
-        on first use.
+        Must run before :meth:`add_node` registers the node — a scenario
+        opens every endpoint (future joiners included) up front, so the
+        rest of the run stays synchronous.  Attaches the clock to the
+        running loop on first use.
         """
-        if node_id in self._transports:
-            raise ValueError(f"endpoint for {node_id!r} already open")
         loop = asyncio.get_running_loop()
         if not self.engine.attached:
             self.engine.attach(loop)
-        transport, _ = await loop.create_datagram_endpoint(
-            lambda: _NodeDatagramProtocol(self, node_id),
-            local_addr=(self.host, port))
-        sockname = transport.get_extra_info("sockname")
-        address = (sockname[0], sockname[1])
-        self._transports[node_id] = transport
+        self._loop = loop
+        family, kind, proto, _, address = (await loop.getaddrinfo(
+            self.host, port, type=socket.SOCK_DGRAM))[0]
+        if node_id in self._sockets:
+            raise ValueError(f"endpoint for {node_id!r} already open")
+        sock = socket.socket(family, kind, proto)
+        try:
+            sock.setblocking(False)
+            sock.bind(address)
+        except OSError:
+            sock.close()
+            raise
+        loop.add_reader(sock.fileno(), self._drain, node_id, sock)
+        address = sock.getsockname()[:2]
+        self._sockets[node_id] = sock
         self._addresses[node_id] = address
         return address
 
     def register_peer(self, node_id: str, host: str, port: int) -> None:
         """Announce a remote peer's address (multi-process runs)."""
-        if node_id in self._transports:
+        if node_id in self._sockets:
             raise ValueError(f"{node_id!r} is a local endpoint here")
         self._addresses[node_id] = (host, port)
 
@@ -118,17 +137,18 @@ class LiveNetwork(NetworkBase):
         return self._addresses[node_id]
 
     async def close(self) -> None:
-        """Close every local socket and disarm the clock's wakeup."""
-        for transport in self._transports.values():
-            transport.close()
+        """Close every local socket, removing its reader, and disarm the
+        clock's wakeup.  Nothing is sent or delivered afterwards."""
+        for sock in self._sockets.values():
+            self._loop.remove_reader(sock.fileno())
+            sock.close()
+        self._sockets.clear()
         self.engine.shutdown()
-        # One loop turn lets the transports run their close callbacks.
-        await asyncio.sleep(0)
 
     def add_node(self, node_id: str, kind: NodeKind,
                  battery: Optional[Battery] = None) -> Node:
         """Register a node on its (already open) endpoint."""
-        if node_id not in self._transports:
+        if node_id not in self._sockets:
             raise RuntimeError(
                 f"no endpoint open for {node_id!r}; await "
                 "open_endpoint() before add_node()")
@@ -138,63 +158,91 @@ class LiveNetwork(NetworkBase):
 
     def _route(self, sender: Node, packet: Packet, receivers,
                now: float) -> None:
-        """Frame and send one request's datagrams, in ``receivers`` order.
+        """Frame one request and send its datagrams, in ``receivers`` order.
 
-        The frames of a shared request differ only in the ``dst`` of their
-        meta, so its message body is encoded once for all of them.  A
-        frame for a local node, when ``impaired``, then takes the link
-        model's loss draws and is sent after its delay
-        (:meth:`~repro.simnet.network.NetworkBase._hop_plan`, resolved
-        once per destination kind, as the simulator does).
+        The frame is encoded once, for the first receiver that survives
+        the reach check, and every datagram is that frame.  To a local
+        node, when ``impaired``, a datagram first takes the link model's
+        loss draws (:meth:`~repro.simnet.network.NetworkBase._hop_plan`,
+        resolved once per destination kind, as the simulator does); the
+        survivors of a kind share one clock entry at its delay.  A frame
+        that cannot be built ends the request: one ``encode_errors``.
         """
         src_id = sender.node_id
         size = packet.size_bytes
         reach = self._reach_of(src_id)
-        body = None
-        plans: dict = {}
+        nodes = self.nodes
+        addresses = self._addresses
+        frame = None
+        # Per destination kind: [is_lost_on_hop, delay, survivors], the
+        # survivors' list made with the kind's clock entry.
+        kinds: dict = {}
         for dst_id in receivers:
-            local = self.nodes.get(dst_id)
-            if (local is None and dst_id not in self._addresses) or (
+            local = nodes.get(dst_id)
+            if (local is None and dst_id not in addresses) or (
                     reach is not None and dst_id not in reach):
                 self.lost_packets += 1  # gone, unknown or cut off
                 continue
-            try:
-                if dst_id is packet.dst:  # unicast: framed as it stands
+            if frame is None:
+                try:
                     frame = encode_frame(packet)
-                else:
-                    if body is None:
-                        body = encode_body(packet.message)
-                    frame = encode_frame(packet.copy_for(dst_id), body)
-            except CodecError:
-                self.lost_packets += 1
-                continue
+                except CodecError:
+                    self.encode_errors += 1
+                    return
             if local is None or not self.impaired:
-                self._send_frame(src_id, dst_id, frame)
+                self._send_frame(src_id, (dst_id,), frame)
                 continue
-            plan = plans.get(local.kind)
+            kind = local.kind
+            plan = kinds.get(kind)
             if plan is None:
-                plan = plans[local.kind] = self._hop_plan(sender, local.kind,
-                                                          size)
-            is_lost_on_hop, _, delay = plan
-            if any(is_lost(size) for is_lost in is_lost_on_hop):
-                self.lost_packets += 1
+                is_lost_on_hop, _, delay = self._hop_plan(sender, kind, size)
+                plan = kinds[kind] = [is_lost_on_hop, delay, None]
+            for is_lost in plan[0]:
+                if is_lost(size):
+                    self.lost_packets += 1
+                    break
             else:
-                self.engine.call_later(
-                    delay, partial(self._send_frame, src_id, dst_id, frame))
+                survivors = plan[2]
+                if survivors is None:
+                    survivors = plan[2] = []
+                    self.engine.call_later(plan[1], partial(
+                        self._send_frame, src_id, survivors, frame))
+                survivors.append(dst_id)
 
-    def _send_frame(self, src_id: str, dst_id: str, frame: bytes) -> None:
-        transport = self._transports.get(src_id)
-        address = self._addresses.get(dst_id)
-        if transport is None or transport.is_closing() or address is None:
-            self.lost_packets += 1
-            return
-        transport.sendto(frame, address)
+    def _send_frame(self, src_id: str, dst_ids, frame: bytes) -> None:
+        """Send ``frame`` from ``src_id``'s socket to each of ``dst_ids``."""
+        sock = self._sockets.get(src_id)
+        addresses = self._addresses
+        for dst_id in dst_ids:
+            address = addresses.get(dst_id)
+            if sock is None or address is None:
+                self.lost_packets += 1  # closed or departed meanwhile
+                continue
+            try:
+                sock.sendto(frame, address)
+            except OSError:
+                self.socket_errors += 1
 
     # -- reception -------------------------------------------------------------
 
+    def _drain(self, node_id: str, sock: socket.socket) -> None:
+        """``node_id``'s reader: receive every queued datagram, one pass
+        each, until the socket would block."""
+        recv_into = sock.recvfrom_into
+        buffer = self._buffer
+        while True:
+            try:
+                nbytes, addr = recv_into(buffer)
+            except BlockingIOError:
+                return
+            except OSError:
+                self.socket_errors += 1
+                return
+            self._on_datagram(node_id, buffer[:nbytes].tobytes(), addr)
+
     def _on_datagram(self, node_id: str, data: bytes, addr) -> None:
         try:
-            packet = decode_frame(data)
+            packet = decode_frame(data, node_id)
         except CodecError:
             self.decode_errors += 1
             return

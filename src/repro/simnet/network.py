@@ -240,6 +240,9 @@ class NetworkBase:
         #: interleaves — the property that lets a live replay draw the
         #: simulator's losses.
         self._loss_streams: dict[LossModel, dict[str, LossModel]] = {}
+        #: ``_hop_plan``'s resolved hops and draw streams, by (sender,
+        #: sender kind, destination kind, wired model, wireless model).
+        self._hop_plans: dict[tuple, tuple[list, list]] = {}
 
     # -- topology -----------------------------------------------------------
 
@@ -455,14 +458,26 @@ class NetworkBase:
         """The link model from ``sender`` to a ``dst_kind`` node for
         ``size`` bytes: ``(is_lost_on_hop, hop_count, delay)`` — the draw
         of the sender's own loss stream per hop, in hop order (a packet is
-        lost at the first hop that draws a loss), and the summed delay."""
-        hops = self._hops_between(sender.kind, dst_kind)
+        lost at the first hop that draws a loss), and the summed delay.
+
+        The hops and draws depend on the sender, both kinds and the two
+        segments' loss models only, so they are resolved once per such
+        key; a loss swap or a handoff changes the key.  The delay is
+        summed for ``size`` on every call."""
+        sender_id = sender.node_id
+        key = (sender_id, sender.kind, dst_kind, self.wired.loss,
+               self.wireless.loss)
+        plan = self._hop_plans.get(key)
+        if plan is None:
+            hops = self._hops_between(sender.kind, dst_kind)
+            plan = self._hop_plans[key] = (
+                hops, [self._sender_loss(link.loss, sender_id).is_lost
+                       for link in hops])
+        hops, is_lost_on_hop = plan
         delay = 0.0
         for link in hops:
             delay += link.delay_for(size)
-        sender_id = sender.node_id
-        return ([self._sender_loss(link.loss, sender_id).is_lost
-                 for link in hops], len(hops), delay)
+        return is_lost_on_hop, len(hops), delay
 
     def _hops_between(self, src: NodeKind,
                       dst: NodeKind) -> list[LinkParams]:

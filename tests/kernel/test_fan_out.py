@@ -13,9 +13,11 @@ Contracts under test:
   16, and receivers cannot tell: ``dest`` is their own id;
 * **``dest`` is opaque below the fan-out layer** — ``frag`` under ``beb``
   fragments the one event and every member reassembles it;
-* **live frames are unchanged** — the datagrams of one ``EachOf`` request
-  are byte for byte ``encode_frame(packet.copy_for(m))``, with the shared
-  body encoded once.
+* **one request is one live frame** — every datagram of one ``EachOf``
+  request is the same bytes, ``encode_frame(packet)``, encoded once, and
+  the live network leaves the same datagrams, losses and sender counters
+  as the unicast sequence; a loss swap between two requests is seen by
+  the second, on both backends.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from hypothesis import strategies as st
 from repro.kernel import EachOf, Message, SendableEvent
 from repro.kernel.packet import CONTROL, DATA, Packet
 from repro.kernel.transport import DatagramTransportSession
-from repro.livenet import frame as live_frame
+from repro.livenet import network as live_network
 from repro.livenet.frame import decode_frame, encode_frame
 from repro.simnet import BernoulliLoss, LinkParams, Network, SimEngine
 from repro.simnet.energy import Battery
@@ -299,7 +301,7 @@ class TestFragUnderBeb:
         assert network.stats_of("a").sent_total == fragments
 
 
-# -- live frames are unchanged --------------------------------------------------
+# -- one request is one live frame ------------------------------------------
 
 def live_world(impaired: bool):
     """Two wired and four mobile nodes behind a lossy wireless hop, the
@@ -317,42 +319,89 @@ def live_world(impaired: bool):
 
 class TestLiveFrames:
     @pytest.mark.parametrize("impaired", [False, True])
-    def test_datagrams_equal_the_per_member_frames(self, impaired,
-                                                   monkeypatch):
+    def test_one_request_is_one_frame(self, impaired, monkeypatch):
         members = ("fixed-1", "mobile-0", "ghost", "mobile-1", "mobile-2",
                    "mobile-3")
         runs = []
         for expanded in (False, True):
             network, source, sent = live_world(impaired)
-            bodies = []
-            original = live_frame.encode_payload
+            frames = []
+            original = live_network.encode_frame
 
-            def counted(value):
-                if isinstance(value, Message):
-                    bodies.append(value)
-                return original(value)
+            def counted(packet):
+                frames.append(packet)
+                return original(packet)
 
             packet = request("fixed-0", members, size=300)
             with monkeypatch.context() as patch:
-                patch.setattr(live_frame, "encode_payload", counted)
+                patch.setattr(live_network, "encode_frame", counted)
                 transmit(network, "fixed-0", packet, expanded)
             source.advance(1.0)
             network.engine.poll()
-            reached = [address for _, address, _ in sent]
+            # Every datagram of the request is the one frame, decoded at
+            # each receiver for that receiver.
+            assert {data for _, _, data in sent} == {encode_frame(packet)}
             for _, address, data in sent:
                 member = next(m for m in members if m != "ghost" and
                               network.address_of(m) == address)
-                assert data == encode_frame(packet.copy_for(member))
-                arrived = decode_frame(data)
+                arrived = decode_frame(data, member)
                 assert arrived.dst == member and arrived.src == "fixed-0"
                 assert arrived.message == packet.message
                 assert arrived.size_bytes == packet.size_bytes
             runs.append((sent, network.lost_packets,
                          network.stats_of("fixed-0")))
-            # The body is framed once per request, not once per datagram.
+            # The frame is encoded once per request, not once per datagram.
             framed = len(members) - 2  # all but the ghost and the cut-off
-            assert len(bodies) == (framed if expanded else 1)
+            assert len(frames) == (framed if expanded else 1)
             assert network.lost_packets >= 2
-            assert reached and network.lost_packets + len(sent) == \
+            assert sent and network.lost_packets + len(sent) == \
                 len(members)
         assert runs[0] == runs[1]
+
+    def test_a_loss_swap_between_requests_draws_from_the_new_model(self):
+        """``_hop_plan`` resolves its draw streams once per key, and the
+        key holds the loss models: after ``set_wireless_loss`` the next
+        request draws from the new model's stream, on the live network as
+        on the simulator."""
+        kinds = {"fixed-0": NodeKind.FIXED, "mobile-0": NodeKind.MOBILE,
+                 "mobile-1": NodeKind.MOBILE, "mobile-2": NodeKind.MOBILE}
+        members = ("mobile-0", "mobile-1", "mobile-2")
+
+        def lossy(probability: float, label: str) -> BernoulliLoss:
+            return BernoulliLoss(probability, random.Random(label),
+                                 seed_base=label)
+
+        def schedule(network, deliver_all) -> list:
+            """Requests from one sender around two swaps; the packets
+            each request lost."""
+            lost = []
+            for probability, requests in ((0.0, 2), (1.0, 2), (0.5, 8)):
+                network.set_wireless_loss(
+                    lossy(probability, f"p{probability}"))
+                for _ in range(requests):
+                    before = network.lost_packets
+                    network.transmit(network.node("fixed-0"),
+                                     request("fixed-0", members, size=100))
+                    deliver_all()
+                    lost.append(network.lost_packets - before)
+            return lost
+
+        live, source, sent = offline_live_network(kinds)
+
+        def drain_live():
+            source.advance(1.0)
+            live.engine.poll()
+
+        live_lost = schedule(live, drain_live)
+        engine = SimEngine()
+        sim = Network(engine)
+        for node_id, kind in kinds.items():
+            sim.add_node(node_id, kind)
+        sim_lost = schedule(sim, lambda: engine.run_until(engine.now() + 1.0))
+        assert live_lost == sim_lost
+        # Nothing is lost before the first swap, everything after it, and
+        # a share after the second.
+        assert live_lost[:4] == [0, 0, len(members), len(members)]
+        assert 0 < sum(live_lost[4:]) < 8 * len(members)
+        assert len(sent) == sim.delivered_packets == \
+            12 * len(members) - sum(live_lost)

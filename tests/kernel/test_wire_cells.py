@@ -196,13 +196,14 @@ class TestFanOutEncodesOnce:
 
 def reference_frame(packet: Packet) -> bytes:
     """The datagram with the body re-traversed header by header."""
-    meta, _ = encode_payload(
-        (packet.src, packet.logical_src, packet.port,
-         packet.event_cls.__name__, packet.dst, packet.traffic_class,
-         packet.size_bytes, packet.wire_bytes))
+    names = "\0".join((packet.src, packet.logical_src, packet.port,
+                       packet.event_cls.__name__, packet.traffic_class))
+    encoded = names.encode("utf-8")
     out = bytearray((FRAME_MAGIC, FRAME_VERSION))
-    codec._append_varint(out, len(meta))
-    return bytes(out) + meta + traversed(packet.message)
+    codec._append_varint(out, packet.size_bytes)
+    codec._append_varint(out, packet.wire_bytes)
+    codec._append_varint(out, len(encoded))
+    return bytes(out) + encoded + traversed(packet.message)
 
 
 class TestFrameBytes:
@@ -216,7 +217,8 @@ class TestFrameBytes:
                         logical_src="mobile-1")
         frame = encode_frame(packet)  # cells pushed on this node
         assert frame == reference_frame(packet)
-        arrived = decode_frame(frame)
+        arrived = decode_frame(frame, "mobile-0")
+        assert arrived.dst == "mobile-0"
         assert arrived.message == packet.message
         assert arrived.message.headers == headers
         assert arrived.size_bytes == packet.size_bytes
@@ -224,4 +226,5 @@ class TestFrameBytes:
         assert arrived.message.wire_bytes == packet.message.wire_bytes
         # Cells that came off the wire: forwarding re-sends their bytes.
         assert encode_frame(arrived) == frame
-        assert decode_frame(encode_frame(arrived)).message == packet.message
+        assert decode_frame(encode_frame(arrived), "mobile-0").message == \
+            packet.message

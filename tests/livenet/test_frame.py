@@ -2,15 +2,18 @@
 
 Two properties carry the live wire:
 
-* **round-trip** — ``decode_frame(encode_frame(p))`` rebuilds a packet
-  whose every meta field and carried message equal the original's, for
-  arbitrary payloads, header stacks, and every stack-deployable event
-  class;
+* **round-trip** — ``decode_frame(encode_frame(p), receiver)`` rebuilds a
+  packet addressed to ``receiver`` (the socket is the address: ``dst`` is
+  not on the wire) whose every other field and carried message equal the
+  original's, for arbitrary payloads, header stacks, and every
+  stack-deployable event class;
 * **total safety** — every malformed datagram (truncation, garbage,
-  single-byte corruption, oversize, bad magic, unknown version, unknown
-  event class) raises :class:`CodecError` and nothing else.  The receive
-  loop counts and drops on that one exception; any other escape would
-  crash a live node.
+  single-byte corruption, oversize, bad magic, an unknown version or a
+  version-1 frame, a bad varint, too few or too many names, trailing
+  bytes, an unknown event class) raises :class:`CodecError` and nothing
+  else.  The receive loop counts and drops on that one exception; any
+  other escape would crash a live node.  A name holding the separator
+  (NUL) cannot be framed: the sender raises.
 """
 
 from __future__ import annotations
@@ -75,7 +78,8 @@ def packets(draw):
            if multicast else draw(node_ids))
     message = Message(payload=draw(payloads), headers=draw(header_stacks))
     return Packet(
-        src=src, dst=dst, port=draw(wire_text.filter(bool)),
+        src=src, dst=dst,
+        port=draw(wire_text.filter(lambda text: text and "\0" not in text)),
         event_cls=draw(st.sampled_from(EVENT_CLASSES)), message=message,
         logical_src=draw(st.one_of(st.none(), node_ids)),
         traffic_class=draw(st.sampled_from([DATA, CONTROL])))
@@ -92,13 +96,18 @@ def _reference_packet() -> Packet:
 
 # -- round-trips --------------------------------------------------------------
 
+def receiver_of(packet: Packet) -> str:
+    """The node a datagram of ``packet`` arrives at."""
+    return packet.dst[-1] if isinstance(packet.dst, tuple) else packet.dst
+
+
 class TestRoundTrip:
     @given(packet=packets())
     @settings(max_examples=200, deadline=None)
     def test_arbitrary_packets_round_trip(self, packet):
-        back = decode_frame(encode_frame(packet))
+        back = decode_frame(encode_frame(packet), receiver_of(packet))
         assert back.src == packet.src
-        assert back.dst == packet.dst
+        assert back.dst == receiver_of(packet)
         assert back.port == packet.port
         assert back.event_cls is packet.event_cls
         assert back.logical_src == packet.logical_src
@@ -110,16 +119,19 @@ class TestRoundTrip:
     @settings(max_examples=100, deadline=None)
     def test_byte_charges_travel_verbatim(self, packet):
         """Counters on the receiver reproduce the sender's accounting."""
-        back = decode_frame(encode_frame(packet))
+        back = decode_frame(encode_frame(packet), receiver_of(packet))
         assert back.size_bytes == packet.size_bytes
         assert back.wire_bytes == packet.wire_bytes
 
-    def test_multicast_siblings_share_one_frame_shape(self):
+    def test_every_receiver_of_a_request_gets_the_same_frame(self):
         packet = _reference_packet()
-        clone = packet.copy_for("fixed-1")
-        back = decode_frame(encode_frame(clone))
-        assert back.dst == "fixed-1"
-        assert back.size_bytes == packet.size_bytes
+        frame = encode_frame(packet)
+        for member in packet.dst:
+            assert encode_frame(packet.copy_for(member)) == frame
+            back = decode_frame(frame, member)
+            assert back.dst == member
+            assert back.size_bytes == packet.size_bytes
+            assert back.message == packet.message
 
 
 # -- byte charges of decoded messages ----------------------------------------
@@ -148,8 +160,8 @@ def _cell_charges(message: Message) -> list[int]:
 
 @pytest.fixture(scope="module")
 def live_vocabulary_frames():
-    """``(kind, size_bytes, cell charges, payload charge, frame)`` of the
-    first frames of each kind, encoded with codec parity on as the
+    """``(kind, size_bytes, cell charges, payload charge, frame, receiver)``
+    of the first frames of each kind, encoded with codec parity on as the
     simulator sends them."""
     frames = []
     counts: dict[str, int] = {}
@@ -160,13 +172,12 @@ def live_vocabulary_frames():
         kind = packet.event_cls.__name__
         if receivers and counts.get(kind, 0) < _PER_KIND:
             counts[kind] = counts.get(kind, 0) + 1
-            # The first datagram the live backend would send for it.
-            dst = receivers[0]
-            frame = encode_frame(packet if dst is packet.dst
-                                 else packet.copy_for(dst))
+            # The datagram the live backend would send for it.
+            frame = encode_frame(packet)
             message = packet.message
             frames.append((kind, message.size_bytes, _cell_charges(message),
-                           estimate_size(message._payload), frame))
+                           estimate_size(message._payload), frame,
+                           receivers[0]))
         route(network, sender, packet, receivers, now)
 
     was_on = codec.PARITY
@@ -201,8 +212,9 @@ class TestDecodedCharges:
         was_on = codec.PARITY
         codec.set_parity(True)
         try:
-            for kind, size, cells, payload, frame in live_vocabulary_frames:
-                back = decode_frame(frame).message
+            for kind, size, cells, payload, frame, receiver in \
+                    live_vocabulary_frames:
+                back = decode_frame(frame, receiver).message
                 assert back.size_bytes == size, kind
                 assert _cell_charges(back) == cells, kind
                 assert estimate_size(back.payload) == payload, kind
@@ -221,8 +233,9 @@ class TestDecodedCharges:
             return estimate(obj)
 
         monkeypatch.setattr(message_module, "estimate_size", counted)
-        for kind, size, *_, frame in live_vocabulary_frames:
-            assert decode_frame(frame).message.size_bytes == size, kind
+        for kind, size, *_, frame, receiver in live_vocabulary_frames:
+            assert decode_frame(frame, receiver).message.size_bytes == \
+                size, kind
         assert calls == []
 
 
@@ -255,34 +268,74 @@ class TestClassReferences:
 
 def _assert_only_codec_error(data: bytes) -> None:
     try:
-        decode_frame(data)
+        decode_frame(data, "fixed-1")
     except CodecError:
         pass
 
 
+def _names(packet: Packet) -> list[str]:
+    return [packet.src, packet.logical_src, packet.port,
+            packet.event_cls.__name__, packet.traffic_class]
+
+
+def _raw_frame(names, body: bytes, version: int = FRAME_VERSION) -> bytes:
+    """A frame laid out by hand: any names, any body, any version."""
+    encoded = "\0".join(names).encode("utf-8")
+    out = bytearray((FRAME_MAGIC, version))
+    codec._append_varint(out, 60)
+    codec._append_varint(out, 50)
+    codec._append_varint(out, len(encoded))
+    return bytes(out + encoded) + body
+
+
+def _body(packet: Packet) -> bytes:
+    return encode_payload(packet.message)[0]
+
+
 class TestMalformedFrames:
+    def test_the_hand_laid_frame_is_a_valid_one(self):
+        """The layout the cases below corrupt decodes when left intact."""
+        packet = _reference_packet()
+        back = decode_frame(_raw_frame(_names(packet), _body(packet)),
+                            "fixed-1")
+        assert back.port == packet.port
+        assert back.message == packet.message
+
     def test_every_truncation_raises_codec_error(self):
         frame = encode_frame(_reference_packet())
         for cut in range(len(frame)):
             with pytest.raises(CodecError):
-                decode_frame(frame[:cut])
+                decode_frame(frame[:cut], "fixed-1")
 
     def test_bad_magic(self):
         frame = bytearray(encode_frame(_reference_packet()))
         frame[0] ^= 0xFF
         with pytest.raises(CodecError):
-            decode_frame(bytes(frame))
+            decode_frame(bytes(frame), "fixed-1")
 
     def test_unknown_version(self):
         frame = bytearray(encode_frame(_reference_packet()))
         frame[1] = FRAME_VERSION + 1
         with pytest.raises(CodecError):
-            decode_frame(bytes(frame))
+            decode_frame(bytes(frame), "fixed-1")
+
+    def test_a_version_1_frame_is_an_unknown_version(self):
+        """The layout before the socket became the address: a codec meta
+        tuple holding ``dst``, then the body."""
+        packet = _reference_packet()
+        meta_blob, _ = encode_payload(
+            (packet.src, packet.logical_src, packet.port,
+             packet.event_cls.__name__, packet.dst, packet.traffic_class,
+             packet.size_bytes, packet.wire_bytes))
+        out = bytearray((FRAME_MAGIC, 1))
+        codec._append_varint(out, len(meta_blob))
+        with pytest.raises(CodecError, match="version 1"):
+            decode_frame(bytes(out) + meta_blob + _body(packet), "fixed-1")
 
     def test_oversized_datagram_rejected_on_decode(self):
         with pytest.raises(CodecError):
             decode_frame(bytes([FRAME_MAGIC, FRAME_VERSION]) +
-                         b"\x00" * MAX_DATAGRAM_BYTES)
+                         b"\x00" * MAX_DATAGRAM_BYTES, "fixed-1")
 
     def test_oversized_payload_rejected_on_encode(self):
         packet = Packet(src="a", dst="b", port="data",
@@ -291,46 +344,73 @@ class TestMalformedFrames:
         with pytest.raises(CodecError):
             encode_frame(packet)
 
+    def test_a_bad_varint(self):
+        """A size varint whose continuation bit never ends."""
+        with pytest.raises(CodecError):
+            decode_frame(bytes([FRAME_MAGIC, FRAME_VERSION]) + b"\xff" * 40,
+                         "fixed-1")
+
+    def test_truncated_names(self):
+        packet = _reference_packet()
+        encoded = "\0".join(_names(packet)).encode("utf-8")
+        out = bytearray((FRAME_MAGIC, FRAME_VERSION, 60, 50))
+        codec._append_varint(out, len(encoded) + 40)  # more than present
+        with pytest.raises(CodecError, match="truncated frame names"):
+            decode_frame(bytes(out + encoded), "fixed-1")
+
+    @pytest.mark.parametrize("count", [4, 6])
+    def test_four_or_six_names(self, count):
+        packet = _reference_packet()
+        names = (_names(packet) + ["extra"])[:count]
+        with pytest.raises(CodecError, match=f"carries {count} names"):
+            decode_frame(_raw_frame(names, _body(packet)), "fixed-1")
+
+    def test_names_that_are_not_utf8(self):
+        packet = _reference_packet()
+        out = bytearray((FRAME_MAGIC, FRAME_VERSION, 60, 50, 6))
+        out += b"\xff\xfe\0\0\0\0"
+        with pytest.raises(CodecError):
+            decode_frame(bytes(out) + _body(packet), "fixed-1")
+
+    def test_trailing_bytes(self):
+        frame = encode_frame(_reference_packet())
+        with pytest.raises(CodecError, match="trailing"):
+            decode_frame(frame + b"\x00", "fixed-1")
+
     def test_unknown_event_class_name(self):
         """A structurally valid frame naming a class we never deployed."""
         packet = _reference_packet()
-        meta = (packet.src, packet.logical_src, packet.port,
-                "NoSuchEventClass", packet.dst, packet.traffic_class,
-                packet.size_bytes, packet.wire_bytes)
-        meta_blob, _ = encode_payload(meta)
-        body_blob, _ = encode_payload(packet.message)
-        out = bytearray((FRAME_MAGIC, FRAME_VERSION))
-        codec._append_varint(out, len(meta_blob))
-        out += meta_blob + body_blob
-        with pytest.raises(CodecError):
-            decode_frame(bytes(out))
-
-    def test_wrong_meta_shape(self):
-        meta_blob, _ = encode_payload(("just", "three", "fields"))
-        body_blob, _ = encode_payload(Message(payload=b""))
-        out = bytearray((FRAME_MAGIC, FRAME_VERSION))
-        codec._append_varint(out, len(meta_blob))
-        out += meta_blob + body_blob
-        with pytest.raises(CodecError):
-            decode_frame(bytes(out))
+        names = _names(packet)
+        names[3] = "NoSuchEventClass"
+        with pytest.raises(CodecError, match="NoSuchEventClass"):
+            decode_frame(_raw_frame(names, _body(packet)), "fixed-1")
 
     def test_body_must_be_a_message(self):
         packet = _reference_packet()
-        meta = (packet.src, packet.logical_src, packet.port,
-                packet.event_cls.__name__, packet.dst, packet.traffic_class,
-                packet.size_bytes, packet.wire_bytes)
-        meta_blob, _ = encode_payload(meta)
         body_blob, _ = encode_payload({"not": "a message"})
-        out = bytearray((FRAME_MAGIC, FRAME_VERSION))
-        codec._append_varint(out, len(meta_blob))
-        out += meta_blob + body_blob
-        with pytest.raises(CodecError):
-            decode_frame(bytes(out))
+        with pytest.raises(CodecError, match="not a message"):
+            decode_frame(_raw_frame(_names(packet), body_blob), "fixed-1")
+
+    @pytest.mark.parametrize("field", ["src", "logical_src", "port",
+                                       "traffic_class"])
+    def test_a_nul_in_a_name_raises_at_the_sender(self, field):
+        packet = _reference_packet()
+        setattr(packet, field, getattr(packet, field) + "\0x")
+        with pytest.raises(CodecError, match="NUL"):
+            encode_frame(packet)
 
     @given(data=st.binary(max_size=256))
     @settings(max_examples=300, deadline=None)
     def test_garbage_never_raises_anything_but_codec_error(self, data):
         _assert_only_codec_error(data)
+
+    @given(data=st.binary(max_size=96))
+    @settings(max_examples=300, deadline=None)
+    def test_garbage_after_a_valid_header_is_contained(self, data):
+        """Arbitrary bytes behind a well-formed magic, version, sizes and
+        names: only the body decoder sees them."""
+        names = _names(_reference_packet())
+        _assert_only_codec_error(_raw_frame(names, data))
 
     @given(position=st.integers(min_value=0),
            flip=st.integers(min_value=1, max_value=255))

@@ -94,8 +94,11 @@ def live_arrivals(order, monkeypatch) -> dict[tuple[str, int], float]:
     source.advance(10.0)
     clock.poll()
     assert len(delays) == len(sent)  # one datagram per fired send
-    return {key(decode_frame(data)): delay
-            for delay, (_, _, data) in zip(delays, sent)}
+    # The socket is the address: a datagram is decoded for the node whose
+    # address it was sent to.
+    node_at = {network.address_of(node_id): node_id for node_id in KINDS}
+    return {key(decode_frame(data, node_at[address])): delay
+            for delay, (_, address, data) in zip(delays, sent)}
 
 
 def of(sender: str, arrivals: dict) -> set[int]:
