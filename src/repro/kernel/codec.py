@@ -67,6 +67,7 @@ object-graph snapshot, so exotic payloads keep working at the old cost.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from typing import Any, Callable, Optional
@@ -296,7 +297,7 @@ def _encode(out: bytearray, obj: Any) -> int:
             encoded = obj.__name__.encode("utf-8")
             _append_varint(out, len(encoded))
             out += encoded
-            return _message.estimate_size(obj)
+            return _class_charge(obj)
     raise CodecError(f"cannot wire-encode {kind.__name__}")
 
 
@@ -482,7 +483,7 @@ def _decode_at(buf: bytes, pos: int) -> tuple[Any, int, int]:
         except UnicodeDecodeError as exc:
             raise CodecError(f"malformed class name: {exc}") from None
         cls = resolve_event_class(name)
-        return cls, end, _message.estimate_size(cls)
+        return cls, end, _class_charge(cls)
     raise CodecError(f"unknown wire tag 0x{tag:02X}")
 
 
@@ -575,6 +576,12 @@ def resolve_event_class(name: str) -> type:
         if cls is None:
             raise CodecError(f"unknown wire event class {name!r}")
     return cls
+
+
+@functools.cache
+def _class_charge(cls: type) -> int:
+    """An event class's legacy charge, estimated once per class."""
+    return _message.estimate_size(cls)
 
 
 def decode_payload(blob: bytes) -> Any:

@@ -21,10 +21,10 @@ as a ``("__net_src__", src)`` header.
 Fan-out: a request addressed to several receivers — one native-multicast
 transmission (``tuple`` destination) or a sequence of point-to-point
 transmissions (:class:`EachOf` destination) — reaches the network as *one*
-:class:`Packet` and is materialized there as one packet per receiver
-(:meth:`Packet.copy_for`).  Every per-receiver packet shares the *same
-frozen message structure* — the copy is an O(1) handle, so a 1→N fan-out
-allocates N small packet records and zero message deep-copies.
+:class:`Packet`, and that one record reaches every receiver: the
+receiving transport session gives its event an O(1) handle onto the
+frozen message, so a 1→N fan-out allocates no per-receiver packet and no
+message deep-copy.
 
 The paper's Figure 3 counts *messages transmitted by the mobile device,
 including data and control messages*; the ``traffic_class`` tag lets the
@@ -95,13 +95,14 @@ class Packet:
         src: transmitting node identifier (the NIC the packet left from).
         dst: destination node identifier, a tuple of identifiers for a
             native-multicast transmission, or an :class:`EachOf` for a
-            point-to-point fan-out (the per-receiver packets the network
-            makes of either carry the receiver's identifier).
+            point-to-point fan-out (every receiver of either gets this
+            record; a live datagram's decoded record carries the
+            receiver's identifier).
         port: demultiplexing key — by convention the channel name.
         event_cls: the :class:`SendableEvent` subclass to reconstruct on
             delivery.
-        message: the carried message (a frozen copy-on-write handle; owned
-            by this packet, structurally shared with its siblings).
+        message: the carried message (a frozen copy-on-write handle; a
+            receiver that keeps it past delivery takes its own handle).
         logical_src: the message's logical sender, reported as the
             reconstructed event's ``source``; defaults to ``src``.
         traffic_class: ``"data"`` or ``"control"``.
@@ -113,7 +114,6 @@ class Packet:
             ``size_bytes``.
         sent_at: transmission time on the transport's clock (set by the
             network).
-        hops: link hops traversed (set by the network; diagnostics).
     """
 
     src: str
@@ -126,7 +126,6 @@ class Packet:
     size_bytes: int = 0
     wire_bytes: int = 0
     sent_at: float = 0.0
-    hops: int = 0
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
 
     def __post_init__(self) -> None:
@@ -148,34 +147,6 @@ class Packet:
         """True when addressed to several receivers in one transmission
         (native multicast; an :class:`EachOf` is several transmissions)."""
         return isinstance(self.dst, tuple)
-
-    def copy_for(self, dst: str) -> "Packet":
-        """A per-receiver packet sharing this packet's frozen message.
-
-        The message handle is an O(1) copy-on-write duplicate: the receiver
-        may push/pop freely without affecting any sibling receiver's view,
-        while the header chain and payload remain physically shared.  Both
-        byte sizes are passed through (each is O(1) arithmetic over the
-        message's cells in any case — nothing is encoded to measure).
-
-        Built without re-running ``__init__``/``__post_init__``: every
-        derived field is already known, and this is the per-receiver inner
-        loop of every multicast.
-        """
-        clone = object.__new__(Packet)
-        clone.src = self.src
-        clone.dst = dst
-        clone.port = self.port
-        clone.event_cls = self.event_cls
-        clone.message = self.message.copy()
-        clone.logical_src = self.logical_src
-        clone.traffic_class = self.traffic_class
-        clone.size_bytes = self.size_bytes
-        clone.wire_bytes = self.wire_bytes
-        clone.sent_at = self.sent_at
-        clone.hops = self.hops
-        clone.packet_id = next(_packet_ids)
-        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Packet #{self.packet_id} {self.src}->{self.dst} "

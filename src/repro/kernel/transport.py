@@ -32,10 +32,12 @@ Addressing convention carried by ``SendableEvent.dest``:
 Whatever the form, one event is one frozen message
 (:meth:`~repro.kernel.message.Message.wire_copy`), one :class:`Packet` and
 one call of the backend's ``transmit``: **a group send crosses the kernel
-queue once; the per-member loop lives in the network**.  Layers treat
-``dest`` as opaque, and the packet a member's transport session gets
-carries that member's id as ``dst``.  The logical sender travels in the
-packet's ``logical_src`` field (see :mod:`repro.kernel.packet`).
+queue once; the per-member loop lives in the network**, which hands
+every receiver the request's packet itself.  Layers treat ``dest`` as
+opaque: the event a member's transport session builds from a packet
+carries that member's id as ``dest``, and its own message handle.  The
+logical sender travels in the packet's ``logical_src`` field (see
+:mod:`repro.kernel.packet`).
 """
 
 from __future__ import annotations
@@ -119,6 +121,13 @@ class DatagramTransportSession(Session):
         self._ports_of: dict[str, tuple[str, ...]] = {}
         self._beat_port: Optional[str] = None
         self._beaten_at = float("-inf")
+        #: ``peer -> ports watching it``, rebuilt when ``_watch_key`` (each
+        #: detector's port and ``others()``) changes.
+        self._watching: dict[str, tuple[str, ...]] = {}
+        self._watch_key: list = []
+        #: One beacon message per port list, frozen by its first wire
+        #: copy (the copy family's cache): a later beat encodes nothing.
+        self._beacons: dict[tuple[str, ...], Message] = {}
 
     # -- event handling ------------------------------------------------------
 
@@ -157,6 +166,8 @@ class DatagramTransportSession(Session):
             del self._channel_by_port[port]
             self._detectors.pop(port, None)
             self._spoke.pop(port, None)
+            self._beacons = {ports: beacon for ports, beacon
+                             in self._beacons.items() if port not in ports}
             self.node.unbind_port(port)
             if self._beat_port == port:  # the beat moves to an open channel
                 self._arm_beat(next(iter(self._detectors), None))
@@ -215,25 +226,29 @@ class DatagramTransportSession(Session):
         port, which the peer may have moved to with this node, and on the
         one the peer was last known on, which it may not have left."""
         since, self._beaten_at = self._beaten_at, self._now()
-        watching: dict[str, list[str]] = {}
-        for port, detector in self._detectors.items():
-            for peer in detector.others():
-                watching.setdefault(peer, []).append(port)
+        key = [(port, detector.others())
+               for port, detector in self._detectors.items()]
+        if key != self._watch_key:
+            self._watch_key, self._watching = key, {}
+            for port, others in key:
+                for peer in others:
+                    self._watching[peer] = \
+                        self._watching.get(peer, ()) + (port,)
         groups: dict[tuple[str, ...], list[str]] = {}
         detours: dict[tuple[tuple[str, ...], tuple[str, ...]],
                       list[str]] = {}
         ports_of = self._ports_of
-        for peer, ports in watching.items():
+        for peer, ports in self._watching.items():
             if self._sent.get(peer, since) <= since or any(
                     self._spoke[port].get(peer, since) <= since
                     for port in ports):
                 known = ports_of.get(peer)
                 if known is None or ports[0] in known:
-                    groups.setdefault(tuple(ports), []).append(peer)
+                    groups.setdefault(ports, []).append(peer)
                     continue
                 via = next(((port,) for port in ports[1:] if port in known),
                            (ports[0], known[0]))
-                detours.setdefault((tuple(ports), via), []).append(peer)
+                detours.setdefault((ports, via), []).append(peer)
         for ports, peers in groups.items():
             self._beacon(ports, peers, ports[0])
         for (ports, via), peers in detours.items():
@@ -242,9 +257,11 @@ class DatagramTransportSession(Session):
 
     def _beacon(self, ports: tuple[str, ...], peers: list[str],
                 port: str) -> None:
-        beacon = HeartbeatMessage(message=Message(payload=ports),
-                                  dest=EachOf(tuple(peers)))
-        self._transmit(beacon, port)
+        message = self._beacons.get(ports)
+        if message is None:  # its first wire_copy freezes it for good
+            message = self._beacons[ports] = Message(payload=ports)
+        self._transmit(HeartbeatMessage(message=message,
+                                        dest=EachOf(tuple(peers))), port)
 
     # -- outbound ---------------------------------------------------------------
 
@@ -255,9 +272,9 @@ class DatagramTransportSession(Session):
         node, dest, now = self.node, event.dest, self._now()
         local = node.node_id
         source = event.source if event.source is not None else local
-        for member in (dest,) if isinstance(dest, str) else \
-                dest.members if isinstance(dest, EachOf) else dest:
-            self._sent[member] = now
+        self._sent.update(dict.fromkeys(
+            (dest,) if isinstance(dest, str) else
+            dest.members if isinstance(dest, EachOf) else dest, now))
         node.send(Packet(src=local, dst=dest, port=port,
                          event_cls=type(event),
                          message=event.message.wire_copy(),
@@ -289,10 +306,14 @@ class DatagramTransportSession(Session):
         channel = self._channel_by_port.get(packet.port)
         if channel is None:  # pragma: no cover - unbound race, defensive
             return
-        # The packet owns its message handle (frozen at _transmit, or a
-        # per-receiver copy_for handle): the event adopts it, no copy.
-        event = packet.event_cls(message=packet.message,
-                                 source=packet.logical_src, dest=packet.dst)
+        # A unicast packet owns its message handle (frozen at _transmit):
+        # the event adopts it.  A fan-out's one packet reaches every
+        # receiver, so each event takes its own O(1) handle and this
+        # node's id as its destination.
+        message, dest = packet.message, packet.dst
+        if type(dest) is not str:
+            message, dest = message.copy(), self.node.node_id
+        event = packet.event_cls(message=message, source=source, dest=dest)
         channel.insert_from(self, event, Direction.UP)
 
 

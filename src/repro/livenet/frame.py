@@ -29,21 +29,25 @@ indistinguishable, to the receiving transport session, from the record the
 simulator would have delivered: same event class (resolved by its unique
 ``__name__`` — the :class:`SendableEvent` wire contract), same logical
 source, same byte charges (carried explicitly so live counters reproduce
-the sender's accounting exactly).  The header cells are rebuilt in the
-same pass; the payload stays a :class:`~repro.kernel.message.WirePayload`
-that the first layer reading it decodes, once.
+the sender's accounting exactly).  The header cells and the payload are
+decoded in the same pass: the payload stays a
+:class:`~repro.kernel.message.WirePayload` (relaying it re-embeds the
+blob), with its decoded value already in hand.
 
 Safety contract for the receive loop: **every** malformed input —
 truncation, garbage bytes, an oversized datagram, an unknown frame
 version (version 1 included), the wrong number of names, an unknown event
-class, trailing bytes — raises :class:`CodecError` and nothing else.  The
+class, trailing bytes, a malformed payload — raises :class:`CodecError`
+and nothing else, so no layer reading the payload later can.  The
 transport counts and drops; a bad datagram can never crash the node.
 """
 
 from __future__ import annotations
 
 from repro.kernel import codec
-from repro.kernel.codec import CodecError, decode_message, encode_payload
+from repro.kernel.codec import (CodecError, decode_message, decode_payload,
+                                encode_payload)
+from repro.kernel.message import WirePayload
 from repro.kernel.packet import Packet, _packet_ids
 
 # The wire vocabulary: importing the protocol events module guarantees
@@ -105,7 +109,8 @@ def decode_frame(data: bytes, dst: str) -> Packet:
         CodecError: for every malformed input — truncated or garbage
             frames, oversized datagrams, unknown versions, unknown event
             classes, a names field of the wrong shape, a body that is not
-            exactly one message.  No other exception escapes (arbitrary
+            exactly one message, a payload blob that is not exactly one
+            value.  No other exception escapes (arbitrary
             bytes must never crash the receive loop).
     """
     if len(data) > MAX_DATAGRAM_BYTES:
@@ -129,6 +134,9 @@ def decode_frame(data: bytes, dst: str) -> Packet:
             raise CodecError(f"frame carries {len(names)} names, not "
                              f"{_NAMES}")
         message = decode_message(data, end)
+        payload = message._payload
+        if type(payload) is WirePayload:
+            payload._decoded = decode_payload(payload.blob)
         src, logical_src, port, event_name, traffic_class = names
         event_cls = resolve_event_class(event_name)
     except CodecError:
@@ -138,8 +146,8 @@ def decode_frame(data: bytes, dst: str) -> Packet:
         # still reach e.g. UTF-8 decoding; fold everything into the one
         # exception the receive loop handles.
         raise CodecError(f"malformed frame: {exc}") from exc
-    # Built the way Packet.copy_for builds one: every size is in the
-    # frame, so the dataclass __init__/__post_init__ have nothing to do.
+    # Every size is in the frame, so the dataclass __init__ and
+    # __post_init__ have nothing to do.
     packet = object.__new__(Packet)
     packet.src = src
     packet.dst = dst
@@ -151,7 +159,6 @@ def decode_frame(data: bytes, dst: str) -> Packet:
     packet.size_bytes = size_bytes
     packet.wire_bytes = wire_bytes
     packet.sent_at = 0.0
-    packet.hops = 0
     packet.packet_id = next(_packet_ids)
     return packet
 

@@ -195,7 +195,7 @@ class LiveNetwork(NetworkBase):
             kind = local.kind
             plan = kinds.get(kind)
             if plan is None:
-                is_lost_on_hop, _, delay = self._hop_plan(sender, kind, size)
+                is_lost_on_hop, delay = self._hop_plan(sender, kind, size)
                 plan = kinds[kind] = [is_lost_on_hop, delay, None]
             for is_lost in plan[0]:
                 if is_lost(size):

@@ -109,9 +109,18 @@ class GroupSession(Session):
             handle.cancel()
         return None
 
+    #: ``(members, local, others)`` of the last :meth:`others` call.
+    _others: Optional[tuple] = None
+
     def others(self) -> tuple[str, ...]:
-        """Current members excluding this node."""
-        return tuple(member for member in self.members if member != self.local)
+        """Current members excluding this node: one tuple per ``members``
+        tuple and ``local``, so a caller may tell a change by identity."""
+        members, local = self.members, self.local
+        cached = self._others
+        if cached is None or cached[0] is not members or cached[1] != local:
+            cached = self._others = (members, local, tuple(
+                member for member in members if member != local))
+        return cached[2]
 
     def is_group_dest(self, event: Event) -> bool:
         dest = getattr(event, "dest", None)

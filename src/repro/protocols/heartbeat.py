@@ -49,6 +49,11 @@ class HeartbeatSession(GroupSession):
         #: service's last evidence of the member.
         self.floor: dict[str, float] = {}
         self.suspected: set[str] = set()
+        #: A lower bound on every unsuspected member's evidence instant
+        #: (the oldest one at the last full scan; evidence only grows):
+        #: no member can have expired while ``now - oldest`` is within
+        #: the timeout.  Whatever adds a candidate resets it.
+        self._oldest = float("-inf")
         self._service = self._channel = None
 
     def on_channel_init(self, event: Event) -> None:
@@ -61,6 +66,7 @@ class HeartbeatSession(GroupSession):
     def on_view(self, event: ViewEvent) -> None:
         now = self._now()
         self.floor = {member: now for member in event.view.members}
+        self._oldest = float("-inf")
         if self.local in event.joiners:
             # Re-admitted: membership drops what this node suspected while
             # outside the view, so the detector must be able to raise any
@@ -95,6 +101,7 @@ class HeartbeatSession(GroupSession):
             self.send_up(StrangerEvent(member), channel=channel)
         elif member in self.suspected:
             self.suspected.discard(member)
+            self._oldest = float("-inf")
             # Up to membership, down to the relay choice.
             self.send_up(UnsuspectEvent(member), channel=channel)
             self.send_down(UnsuspectEvent(member), channel=channel)
@@ -109,21 +116,29 @@ class HeartbeatSession(GroupSession):
         the single most-silent member first lets the dissemination layer's
         :class:`PathChangedEvent` reset the other windows before the next
         tick (a second crashed member is simply suspected a tick later).
+
+        A tick within the timeout of :attr:`_oldest` scans nothing: every
+        unsuspected member's evidence is at least that recent.
         """
         now = self._now()
+        if now - self._oldest <= self.suspect_timeout:
+            return
         last_heard = self._service.last_heard
         expired: list[tuple[float, str]] = []
+        oldest = float("inf")
         for member in self.others():
             if member in self.suspected:
                 continue
             floor = self.floor.get(member)
             if floor is None:
-                self.floor[member] = now
-                continue
+                floor = self.floor[member] = now
             last = max(floor, last_heard(member))
             if now - last > self.suspect_timeout:
                 expired.append((last, member))
+            elif last < oldest:
+                oldest = last
         if not expired:
+            self._oldest = oldest
             return
         __, member = min(expired)
         self.suspected.add(member)

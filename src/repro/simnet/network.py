@@ -407,10 +407,10 @@ class NetworkBase:
         ``ValueError`` because they indicate a protocol configuration bug.
 
         Every charged receiver then goes through the backend's one
-        routing core, ``_route``.  The per-receiver packets share the request's
-        frozen message structurally (:meth:`Packet.copy_for` hands each
-        receiver an O(1) copy-on-write handle), so fan-out cost is
-        per-packet bookkeeping, not per-receiver message copies.
+        routing core, ``_route``.  Every receiver gets the request's one
+        packet (the receiving transport takes an O(1) copy-on-write
+        handle of its message), so fan-out cost is per-receiver
+        bookkeeping, not per-receiver records or message copies.
         """
         now = self.engine.now()
         self._route(sender, packet,
@@ -454,9 +454,9 @@ class NetworkBase:
         return stream
 
     def _hop_plan(self, sender: Node, dst_kind: NodeKind,
-                  size: int) -> tuple[list, int, float]:
+                  size: int) -> tuple[list, float]:
         """The link model from ``sender`` to a ``dst_kind`` node for
-        ``size`` bytes: ``(is_lost_on_hop, hop_count, delay)`` — the draw
+        ``size`` bytes: ``(is_lost_on_hop, delay)`` — the draw
         of the sender's own loss stream per hop, in hop order (a packet is
         lost at the first hop that draws a loss), and the summed delay.
 
@@ -477,7 +477,7 @@ class NetworkBase:
         delay = 0.0
         for link in hops:
             delay += link.delay_for(size)
-        return is_lost_on_hop, len(hops), delay
+        return is_lost_on_hop, delay
 
     def _hops_between(self, src: NodeKind,
                       dst: NodeKind) -> list[LinkParams]:
@@ -529,25 +529,30 @@ class Network(NetworkBase):
 
     def _route(self, sender: Node, packet: Packet, receivers,
                now: float) -> None:
-        """Put one request's packets in flight, in ``receivers`` order.
+        """Put one request in flight: one queue entry per delivery
+        instant, holding that instant's receivers in ``receivers`` order.
 
         The routing core shared by unicast, native multicast and
         point-to-point fan-out.  What depends only on the request — the
-        sender's partition side, and per destination *kind* the
-        hop count, the sender's loss streams and the delivery instant for
-        this size — is resolved once, in locals that die with the call
-        (nothing re-enters the network before it returns, so there is no
-        cache to invalidate).  What can differ per receiver — existence,
-        reachability, the loss draws, the reserved sequence number and the
-        receiver's own packet record — happens per receiver.
+        sender's partition side, and per destination *kind* the sender's
+        loss streams and the delivery instant for this size — is resolved
+        once, in locals that die with the call (nothing re-enters the
+        network before it returns, so there is no cache to invalidate).
+        What can differ per receiver — existence,
+        reachability, the loss draws and the reserved sequence number —
+        happens per receiver.  Every receiver gets the request ``packet``
+        itself: the receiving transport session makes its event's own
+        message handle (see :mod:`repro.kernel.transport`).
         """
         sender_id = sender.node_id
         size = packet.size_bytes
         nodes = self.nodes
         reach = self._reach_of(sender_id)
         reserve_seq = self.engine.reserve_seq
-        enqueue = self._batcher.enqueue
+        #: ``kind -> (loss draws, *batches[its instant])``.
         paths: dict = {}
+        #: ``when -> (seqs, receivers)``: one queue entry per instant.
+        batches: dict = {}
         for dst_id in receivers:
             dst = nodes.get(dst_id)
             if dst is None or (reach is not None and dst_id not in reach):
@@ -555,42 +560,48 @@ class Network(NetworkBase):
                 continue
             path = paths.get(dst.kind)
             if path is None:
-                is_lost_on_hop, hop_count, delay = self._hop_plan(
-                    sender, dst.kind, size)
-                path = paths[dst.kind] = (is_lost_on_hop, hop_count,
-                                          now + delay)
-            is_lost_on_hop, hop_count, when = path
+                is_lost_on_hop, delay = self._hop_plan(sender, dst.kind, size)
+                batch = batches.get(now + delay)
+                if batch is None:
+                    batch = batches[now + delay] = ([], [])
+                path = paths[dst.kind] = (is_lost_on_hop, *batch)
+            is_lost_on_hop, seqs, dsts = path
             for is_lost in is_lost_on_hop:
                 if is_lost(size):
                     self.lost_packets += 1
                     break
             else:
-                # A unicast packet is its own delivery record; a shared
-                # request hands each receiver a copy-on-write sibling.
-                record = packet if dst_id is packet.dst \
-                    else packet.copy_for(dst_id)
-                record.hops = hop_count
-                # Queue the packet under the (when, seq) a call_at of its
-                # own would have taken: reserving the seq here keeps every
-                # other callback's sequence number, and so the run's
-                # history, that of a one-entry-per-packet schedule.
-                enqueue(when, reserve_seq(), dst, record)
+                # Reserve the seq a call_at of the receiver's own would
+                # have taken: every other callback's sequence number, and
+                # so the run's history, stays that of a one-entry-per-
+                # packet schedule.
+                seqs.append(reserve_seq())
+                dsts.append(dst)
+        enqueue = self._batcher.enqueue
+        for when, (seqs, dsts) in batches.items():
+            if seqs:
+                enqueue(when, seqs, dsts, packet)
 
 
 class _DeliveryBatcher:
     """Same-slot delivery batching: the network's one delivery path.
 
-    One engine event drains a whole wheel slot of queued deliveries: the
-    flush entry sits at the queue head's reserved ``(when, seq)``, so the
-    engine fires it exactly where a per-packet callback would have fired.
-    The drain then keeps delivering queued packets as long as (a) the next
-    one is due before this flush's slot ends — beyond that, wheel entries
-    the peek cannot see could be owed first — (b) no visible engine entry
+    An entry is one request's receivers at one delivery instant, queued
+    under the first one's reserved ``(when, seq)``: the rest hold the seqs
+    reserved right after it, so no other engine entry can fall between
+    them.  One engine event drains a whole wheel slot of entries: the
+    flush entry sits at the queue head's ``(when, seq)``, so the engine
+    fires it exactly where a per-packet callback would have fired.  The
+    drain then keeps delivering entries as long as (a) the next one is
+    due before this flush's slot ends — beyond that, wheel entries the
+    peek cannot see could be owed first — (b) no visible engine entry
     outranks it, and (c) it does not cross the active ``run_until``
-    deadline (inclusive, like ``run_until`` itself).  Each delivery
-    advances the virtual clock to its exact instant, so observers cannot
-    tell batching from one engine entry per packet (the parity tests swap
-    in such a per-packet batcher and assert identical histories).
+    deadline (inclusive, like ``run_until`` itself).  Each entry advances
+    the virtual clock to its exact instant, and :func:`deliver` judges
+    each receiver as it comes to it (crashed, out of reach, battery
+    empty), so observers cannot tell batching from one engine entry per
+    packet (the parity tests swap in such a per-packet batcher and assert
+    identical histories).
     """
 
     __slots__ = ("network", "engine", "pending", "_flush_call",
@@ -599,17 +610,21 @@ class _DeliveryBatcher:
     def __init__(self, network: Network, engine: SimEngine) -> None:
         self.network = network
         self.engine = engine
-        #: In-flight packets awaiting delivery, ordered by ``(when, seq)``
+        #: In-flight entries awaiting delivery, ordered by ``(when, seq)``
         #: — the exact instant/rank a per-packet ``call_at`` would have
-        #: fired them at (the seq is reserved from the engine's counter).
-        self.pending: list[tuple[float, int, Node, Packet]] = []
+        #: fired the entry's first receiver at (the seq is reserved from
+        #: the engine's counter).
+        self.pending: list[tuple[float, int, list[Node], Packet]] = []
         self._flush_call: Optional[ScheduledCall] = None
         self._flush_key: Optional[tuple[float, int]] = None
         self._in_flush = False
 
-    def enqueue(self, when: float, seq: int, dst: Node,
+    def enqueue(self, when: float, seqs: list[int], dsts: list[Node],
                 packet: Packet) -> None:
-        heapq.heappush(self.pending, (when, seq, dst, packet))
+        """Queue ``packet`` for ``dsts`` at ``when``; ``seqs`` are the
+        seqs reserved for them, one each, in order."""
+        seq = seqs[0]
+        heapq.heappush(self.pending, (when, seq, dsts, packet))
         if not self._in_flush and \
                 (self._flush_key is None or (when, seq) < self._flush_key):
             self._schedule_flush(when, seq)
@@ -636,7 +651,7 @@ class _DeliveryBatcher:
         self._in_flush = True
         try:
             while pending:
-                when, seq, dst, packet = pending[0]
+                when, seq, dsts, packet = pending[0]
                 if when >= slot_end or when > deadline:
                     break
                 nxt = peek()
@@ -644,7 +659,8 @@ class _DeliveryBatcher:
                     break
                 pop(pending)
                 advance_clock(when)
-                deliver(network, dst, packet)
+                for dst in dsts:
+                    deliver(network, dst, packet)
         finally:
             self._in_flush = False
         if pending:

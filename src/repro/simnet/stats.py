@@ -8,8 +8,8 @@ ablation (footnote 1 of the paper).
 
 Byte accounting rides ``Packet.size_bytes``, which is computed **once per
 transmission** from the message's incrementally-maintained size (see
-:mod:`repro.kernel.message`) plus framing overheads, and shared by every
-per-receiver packet of a multicast — recording a packet here never walks
+:mod:`repro.kernel.message`) plus framing overheads, and read off the one
+packet by every receiver of a multicast — recording a packet never walks
 the header stack.  The charges are unchanged from the seed-era recursive
 accounting (the wire-framing rework keeps the old pseudo-header's byte
 cost as ``SRC_FIELD_OVERHEAD``), so historical Figure-2/Figure-3 numbers
@@ -37,8 +37,6 @@ class NodeStats:
     sent_bytes: Counter = field(default_factory=Counter)
     sent_wire_bytes: Counter = field(default_factory=Counter)
     recv_packets: Counter = field(default_factory=Counter)
-    recv_bytes: Counter = field(default_factory=Counter)
-    recv_wire_bytes: Counter = field(default_factory=Counter)
     sent_by_event: Counter = field(default_factory=Counter)
     recv_by_event: Counter = field(default_factory=Counter)
     dropped_packets: int = 0
@@ -55,8 +53,6 @@ class NodeStats:
 
     def record_received(self, packet: Packet) -> None:
         self.recv_packets[packet.traffic_class] += 1
-        self.recv_bytes[packet.traffic_class] += packet.size_bytes
-        self.recv_wire_bytes[packet.traffic_class] += packet.wire_bytes
         self.recv_by_event[packet.event_cls.__name__] += 1
 
     def record_dropped(self, count: int = 1) -> None:
@@ -110,8 +106,6 @@ class NodeStats:
         self.sent_bytes.clear()
         self.sent_wire_bytes.clear()
         self.recv_packets.clear()
-        self.recv_bytes.clear()
-        self.recv_wire_bytes.clear()
         self.sent_by_event.clear()
         self.recv_by_event.clear()
         self.dropped_packets = 0

@@ -4,9 +4,11 @@ Contracts under test:
 
 * **the network's expansion is the sequence of unicasts** — one
   ``EachOf(members)`` transmit leaves the simulator in the state the
-  reference expansion ``for m in members: transmit(copy_for(m))`` (written
-  out *here*, the semantics before fan-out moved into the network) leaves
-  it in: every counter, loss draw, battery level and delivery, in order;
+  reference expansion ``for m in members: transmit(unicast(packet, m))``
+  (written out *here*, the semantics before fan-out moved into the
+  network) leaves it in: every counter, loss draw, reserved sequence
+  number, battery level and delivery, in order, and every event the
+  receivers' transport sessions build from what arrives;
 * **a group send crosses the transport once** — a real beb and a real
   Mecho group send run ``DatagramTransportSession.handle`` and
   ``Message.wire_copy`` once (twice via the relay) for 4 members and for
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import random
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,8 @@ from tests.kernel.test_wire_cells import mecho_world
 from tests.livenet.helpers import offline_live_network
 from tests.protocols.helpers import build_world, collector_of
 from tests.protocols.test_frag import frag_of, frag_world
+from tests.simnet.test_batching import FAN_OUT_CASES, run_fan_out_case
+from tests.simnet.test_transport import build_node_stack
 from tests.simnet.unbatched import unbatched
 
 PORT = "p"
@@ -56,14 +60,44 @@ def request(sender: str, members, size: int = 100,
                   traffic_class=traffic_class)
 
 
+def unicast(packet: Packet, member: str) -> Packet:
+    """The unicast to ``member`` of the sequence ``packet`` stands for:
+    its own record and its own handle onto the frozen message."""
+    return replace(packet, dst=member, message=packet.message.copy())
+
+
 def transmit(network, sender: str, packet: Packet, expanded: bool) -> None:
     """``packet`` as one request, or as the unicast sequence it stands for."""
     node = network.node(sender)
     if expanded:
         for member in packet.dst.members:
-            network.transmit(node, packet.copy_for(member))
+            network.transmit(node, unicast(packet, member))
     else:
         network.transmit(node, packet)
+
+
+def attach_stack(network, node_id: str, arrivals: list):
+    """A transport session and an app on ``node_id``'s :data:`PORT`;
+    ``arrivals`` records each packet at the NIC, before the session.
+    Returns the app session, whose ``received`` are the events the
+    transport built."""
+    app = build_node_stack(network, node_id, PORT).sessions[1]
+    node = network.node(node_id)
+    incoming = node._ports[PORT]
+
+    def arrive(packet):
+        arrivals.append((network.engine.now(), node_id, packet.src,
+                         packet.sent_at, packet.size_bytes))
+        incoming(packet)
+    node._ports[PORT] = arrive
+    return app
+
+
+def events_of(app) -> list:
+    """What the app saw: each event's class, source, destination and
+    payload, and whether it holds a handle of its own."""
+    return [(type(event), event.source, event.dest, event.message.payload,
+             event.message.headers) for event in app.received]
 
 
 # -- the network's expansion is the sequence of unicasts -----------------------
@@ -131,11 +165,10 @@ def run_world(world: World, expanded: bool) -> dict:
             wireless=link(0.002, 11e6,
                           loss(world.wireless_loss, world, "wireless")))
     received = []
+    apps = {}
     for node_id, kind in world.kinds.items():
-        node = network.add_node(node_id, kind)
-        node.bind_port(PORT, lambda packet, node_id=node_id: received.append(
-            (engine.now(), node_id, packet.src, packet.dst, packet.hops,
-             packet.sent_at, packet.size_bytes, packet.message.payload)))
+        network.add_node(node_id, kind)
+        apps[node_id] = attach_stack(network, node_id, received)
     if world.partition is not None:
         left, right = world.partition
         network.partition(left, right - left)
@@ -144,14 +177,21 @@ def run_world(world: World, expanded: bool) -> dict:
     for sender, members, size, traffic_class in world.requests:
         transmit(network, sender,
                  request(sender, members, size, traffic_class), expanded)
-    in_flight = sorted(
-        (when, seq, dst.node_id, packet.dst, packet.hops)
-        for when, seq, dst, packet in network._batcher.pending)
+    # Each instant's receivers, in order; one seq reserved per receiver.
+    in_flight = [(when, dst.node_id) for when, _, dsts, _ in
+                 sorted(network._batcher.pending, key=lambda e: e[:2])
+                 for dst in dsts]
+    reserved = engine.reserve_seq()
     lost_at_send = network.lost_packets
     engine.run_until(5.0)
+    for app in apps.values():  # each event owns its message handle
+        for event in app.received:
+            event.message.push_header("mine")
     return {
-        "in_flight": in_flight, "lost_at_send": lost_at_send,
-        "received": received, "lost": network.lost_packets,
+        "in_flight": in_flight, "reserved": reserved,
+        "lost_at_send": lost_at_send, "received": received,
+        "events": {node_id: events_of(app) for node_id, app in apps.items()},
+        "lost": network.lost_packets,
         "delivered": network.delivered_packets,
         "fired": engine.fired_count,
         "stats": {node_id: network.stats_of(node_id)
@@ -182,12 +222,13 @@ class TestExpansionIsTheUnicastSequence:
             sender = network.add_mobile_node(
                 "mobile", battery=Battery(
                     capacity_mj=max(survives - 0.5, 0.0) * cost))
-            heard = []
+            apps = []
             for member in members:
-                network.add_fixed_node(member).bind_port(
-                    PORT, lambda packet: heard.append(packet.dst))
+                network.add_fixed_node(member)
+                apps.append(attach_stack(network, member, []))
             transmit(network, "mobile", request("mobile", members), expanded)
             engine.run_until(1.0)
+            heard = [event.dest for app in apps for event in app.received]
             assert sender.stats.sent_total == survives
             assert sender.stats.dropped_packets == len(members) - survives
             assert heard == members[:survives]
@@ -195,6 +236,19 @@ class TestExpansionIsTheUnicastSequence:
             outcomes.append((sender.stats, sender.battery, heard,
                              network.lost_packets))
         assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("per_packet", [False, True])
+    @pytest.mark.parametrize("case", FAN_OUT_CASES)
+    def test_entry_splits_equal_the_unicasts(self, case, per_packet):
+        """Fixed and mobile receivers at one instant, a crash, a
+        partition or a dead battery between the receivers of one entry,
+        a sender's battery dying mid-request, a ``run_until`` deadline
+        at the entry's instant: one request leaves every observation the
+        unicasts leave."""
+        with unbatched() if per_packet else nullcontext():
+            one = run_fan_out_case(case)
+            unicasts = run_fan_out_case(case, expanded=True)
+        assert one["steps"] == unicasts["steps"]
 
     def test_each_of_is_n_transmissions_and_a_tuple_is_one(self):
         """Figure-3 accounting: ``sent_total`` counts what left the NIC."""

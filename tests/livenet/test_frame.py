@@ -18,6 +18,8 @@ Two properties carry the live wire:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,7 +129,9 @@ class TestRoundTrip:
         packet = _reference_packet()
         frame = encode_frame(packet)
         for member in packet.dst:
-            assert encode_frame(packet.copy_for(member)) == frame
+            # The frame holds no destination: a record of the request
+            # addressed to the member alone frames to the same bytes.
+            assert encode_frame(replace(packet, dst=member)) == frame
             back = decode_frame(frame, member)
             assert back.dst == member
             assert back.size_bytes == packet.size_bytes
@@ -292,7 +296,26 @@ def _body(packet: Packet) -> bytes:
     return encode_payload(packet.message)[0]
 
 
+def malformed_payload_frame(text: str = "hello") -> bytes:
+    """A real chat frame whose payload dict's tag byte is ``0x1F``: the
+    frame around it, the names and every length still well-formed."""
+    message = Message(payload={"kind": "chat", "text": text}).wire_copy()
+    frame = bytearray(encode_frame(Packet(
+        src="tx", dst="rx", port="data", event_cls=ApplicationMessage,
+        message=message)))
+    at = bytes(frame).index(message._payload.blob)
+    assert frame[at] == 0x0D  # the dict tag
+    frame[at] = 0x1F
+    return bytes(frame)
+
+
 class TestMalformedFrames:
+    def test_a_malformed_payload_fails_the_frame(self):
+        """The payload is decoded in the frame's pass, so no layer that
+        reads it later can raise."""
+        with pytest.raises(CodecError, match="unknown wire tag 0x1F"):
+            decode_frame(malformed_payload_frame(), "rx")
+
     def test_the_hand_laid_frame_is_a_valid_one(self):
         """The layout the cases below corrupt decodes when left intact."""
         packet = _reference_packet()

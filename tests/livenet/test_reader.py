@@ -30,6 +30,7 @@ from repro.protocols.events import ApplicationMessage
 from repro.simnet.node import NodeKind
 from tests.livenet.conftest import _loopback_udp_available
 from tests.livenet.helpers import offline_live_network
+from tests.livenet.test_frame import malformed_payload_frame
 from tests.protocols.helpers import build_group_stack, collector_of
 
 needs_loopback = pytest.mark.skipif(
@@ -97,6 +98,41 @@ class TestReader:
         assert network.decode_errors == 1
         assert (network.socket_errors, network.encode_errors,
                 network.lost_packets) == (0, 0, 0)
+
+    def test_a_malformed_payload_is_one_decode_error(self, monkeypatch):
+        """A well-formed frame around a payload that does not decode is
+        counted where every bad datagram is, and the drain goes on to
+        the next datagram: the receiving layer reads only good ones."""
+        drains = []
+        drain = LiveNetwork._drain
+
+        def counted(network, node_id, sock):
+            drains.append(node_id)
+            drain(network, node_id, sock)
+
+        monkeypatch.setattr(LiveNetwork, "_drain", counted)
+
+        async def scenario():
+            network = LiveNetwork(WallClock(), impaired=False)
+            address = await network.open_endpoint("rx")
+            network.add_fixed_node("rx")
+            payloads = []
+            network.node("rx").bind_port(
+                "data", lambda packet: payloads.append(
+                    packet.message.payload))
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as peer:
+                for data in (datagram("before"), malformed_payload_frame(),
+                             datagram("after")):
+                    peer.sendto(data, address)
+                await settle(lambda: len(payloads) == 2)
+            await network.close()
+            return network, payloads
+
+        network, payloads = asyncio.run(scenario())
+        assert drains == ["rx"]
+        assert payloads == ["before", "after"]
+        assert network.decode_errors == 1
+        assert network.delivered_packets == 2
 
     def test_close_removes_every_reader(self):
         async def scenario():

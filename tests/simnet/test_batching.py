@@ -15,9 +15,16 @@ The batching contract has two halves:
 
 from __future__ import annotations
 
+import copy
+import math
+from dataclasses import replace
+from functools import partial
+
 import pytest
 
-from repro.simnet import SimEngine
+from repro.kernel import EachOf, Message, SendableEvent
+from repro.kernel.packet import Packet
+from repro.simnet import Battery, LinkParams, Network, NodeKind, SimEngine
 from repro.simnet.engine import SLOT_WIDTH_S, HeapSimEngine
 from tests.simnet.unbatched import unbatched
 
@@ -136,3 +143,177 @@ class TestNetworkCoalescing:
         with unbatched():
             got_plain, _ = self._payloads()
         assert got_batched == got_plain
+
+
+# -- one queue entry per (request, instant) ------------------------------------
+
+PORT = "data"
+
+
+class FanOutWorld:
+    """Raw NICs on a simulated network: every arrival is logged, and a
+    node's one-shot ``hooks`` entry runs when a packet reaches it (a
+    crash, a partition, a battery dying *between* the receivers of one
+    queue entry).  ``sender_battery_mj`` is ``m0``'s battery."""
+
+    def __init__(self, kinds: dict, same_instant: bool = False,
+                 sender_battery_mj=None) -> None:
+        self.engine = SimEngine()
+        wired = LinkParams(latency_s=0.0005, bandwidth_bps=100e6)
+        # Equal segments: a mobile sender's fixed and mobile receivers are
+        # both two hops away, so they land at one instant.
+        wireless = LinkParams(latency_s=0.0005, bandwidth_bps=100e6) \
+            if same_instant else None
+        self.network = Network(self.engine, wired=wired, wireless=wireless)
+        self.log: list = []
+        self.hooks: dict = {}
+        for node_id, kind in kinds.items():
+            battery = Battery(capacity_mj=sender_battery_mj) \
+                if sender_battery_mj is not None and node_id == "m0" \
+                else None
+            node = self.network.add_node(node_id, kind, battery=battery)
+            node.bind_port(PORT, partial(self._arrive, node_id))
+
+    def _arrive(self, node_id: str, packet) -> None:
+        self.log.append((self.engine.now(), node_id, packet.logical_src,
+                         packet.size_bytes, packet.message.payload))
+        hook = self.hooks.pop(node_id, None)
+        if hook is not None:
+            hook()
+
+    def send(self, sender: str, members, expanded: bool = False) -> Packet:
+        """One ``EachOf`` request, or the unicasts it stands for."""
+        packet = Packet(src=sender, dst=EachOf(tuple(members)), port=PORT,
+                        event_cls=SendableEvent,
+                        message=Message(payload=f"from {sender}").wire_copy())
+        node = self.network.node(sender)
+        if not expanded:
+            self.network.transmit(node, packet)
+            return packet
+        for member in members:
+            self.network.transmit(node, replace(
+                packet, dst=member, message=packet.message.copy()))
+        return packet
+
+    def observe(self) -> dict:
+        network = self.network
+        return {
+            "log": list(self.log), "now": self.engine.now(),
+            "delivered": network.delivered_packets,
+            "lost": network.lost_packets,
+            "stats": {node_id: copy.deepcopy(network.stats_of(node_id))
+                      for node_id in network.nodes},
+            "batteries": {node_id: (node.battery.level_mj
+                                    if node.battery else None)
+                          for node_id, node in network.nodes.items()}}
+
+
+MIXED = {"f0": NodeKind.FIXED, "m0": NodeKind.MOBILE,
+         "f1": NodeKind.FIXED, "m1": NodeKind.MOBILE,
+         "f2": NodeKind.FIXED, "m2": NodeKind.MOBILE}
+
+
+def _crash(world, node_id):
+    return lambda: world.network.crash_node(node_id)
+
+
+def _partition(world):
+    return lambda: world.network.partition(("f0", "m0", "f1"),
+                                           ("m1", "f2", "m2"))
+
+
+def _drain_battery(world, node_id):
+    battery = world.network.node(node_id).battery
+    return lambda: battery._drain(battery.level_mj, world.engine.now())
+
+
+def run_fan_out_case(case: str, expanded: bool = False) -> dict:
+    """One fan-out case; every observation, and at each step whether it
+    went through a shared queue entry."""
+    world = FanOutWorld(MIXED, same_instant=case in ("same_instant",
+                                                     "receiver_battery"),
+                        sender_battery_mj=2.5 * _tx_cost()
+                        if case == "sender_battery" else None)
+    engine, network = world.engine, world.network
+    others = ["f1", "m1", "f2", "m2", "f0"]
+    steps = []
+    if case == "same_instant":
+        world.send("m0", others, expanded)
+    elif case == "crash":
+        world.hooks["f1"] = _crash(world, "f2")
+        world.send("f0", others[:-1], expanded)
+    elif case == "partition":
+        world.hooks["f1"] = _partition(world)
+        world.send("f0", others[:-1], expanded)
+    elif case == "receiver_battery":
+        world.hooks["f1"] = _drain_battery(world, "m1")
+        world.hooks["f2"] = _drain_battery(world, "m2")
+        world.send("m0", others, expanded)
+    elif case == "sender_battery":
+        world.send("m0", others, expanded)
+    elif case == "deadline":
+        size = world.send("f0", others[:-1], expanded).size_bytes
+        first = network._hop_plan(network.node("f0"), NodeKind.FIXED,
+                                  size)[1]
+        engine.run_until(math.nextafter(first, 0.0))
+        steps.append(world.observe())
+        engine.run_until(first)  # inclusive: the batch is delivered
+        steps.append(world.observe())
+    widths = [len(dsts) for *_, dsts, _ in network._batcher.pending]
+    steps.append(engine.reserve_seq())
+    engine.run_until(1.0)
+    steps.append(world.observe())
+    return {"steps": steps, "widths": widths}
+
+
+def _tx_cost() -> float:
+    params = Battery().params
+    packet = Packet(src="m0", dst="f0", port=PORT, event_cls=SendableEvent,
+                    message=Message(payload="from m0").wire_copy())
+    return params.tx_per_packet_mj + \
+        params.tx_per_byte_mj * packet.size_bytes
+
+
+FAN_OUT_CASES = ["same_instant", "crash", "partition", "receiver_battery",
+                 "sender_battery", "deadline"]
+
+
+class TestOneEntryPerRequestAndInstant:
+    """Batched fan-out equals one engine entry per receiver, each at its
+    own reserved seq, in the cases that split a queue entry."""
+
+    @pytest.mark.parametrize("case", FAN_OUT_CASES)
+    def test_batched_equals_per_packet(self, case):
+        batched = run_fan_out_case(case)
+        with unbatched():
+            plain = run_fan_out_case(case)
+        assert batched["steps"] == plain["steps"]
+
+    def test_fixed_and_mobile_receivers_share_one_entry(self):
+        run = run_fan_out_case("same_instant")
+        assert run["widths"] == [5]
+        final = run["steps"][-1]
+        assert [node for _, node, *_ in final["log"]] == \
+            ["f1", "m1", "f2", "m2", "f0"]
+        assert len({when for when, *_ in final["log"]}) == 1
+
+    def test_a_receiver_judged_as_its_turn_comes(self):
+        """A crash, a partition and a dead battery caused by one
+        receiver's delivery drop the later receivers of the same entry."""
+        heard = {case: [node for _, node, *_ in
+                        run_fan_out_case(case)["steps"][-1]["log"]]
+                 for case in ("crash", "partition", "receiver_battery")}
+        assert heard == {"crash": ["f1", "m1", "m2"], "partition": ["f1"],
+                         "receiver_battery": ["f1", "f2", "f0"]}
+
+    def test_a_dying_sender_reaches_only_what_it_paid_for(self):
+        final = run_fan_out_case("sender_battery")["steps"][-1]
+        # Three transmissions start (the third empties the battery); the
+        # fixed receivers are a hop nearer.
+        assert [node for _, node, *_ in final["log"]] == ["f1", "f2", "m1"]
+        assert final["stats"]["m0"].dropped_packets == 2
+
+    def test_the_deadline_is_inclusive_for_a_whole_entry(self):
+        before, at, *_ = run_fan_out_case("deadline")["steps"]
+        assert before["log"] == []
+        assert [node for _, node, *_ in at["log"]] == ["f1", "f2"]

@@ -220,10 +220,28 @@ class TestPacket:
         assert _packet(dst=("a", "b")).is_multicast
         assert not _packet(dst="a").is_multicast
 
-    def test_copy_for_isolates_message(self):
-        packet = _packet()
-        dup = packet.copy_for("c")
-        dup.message.push_header("mutation")
+    def test_each_receivers_event_isolates_the_message(self):
+        """One packet reaches every receiver of a fan-out; the event each
+        receiver's transport builds holds its own handle onto the
+        message, addressed to that receiver."""
+        from tests.simnet.test_transport import build_node_stack
+
+        from repro.simnet import Network, SimEngine
+
+        engine = SimEngine()
+        network = Network(engine, native_multicast_wired=True)
+        apps = {}
+        for node_id in ("a", "b", "c"):
+            network.add_fixed_node(node_id)
+            apps[node_id] = build_node_stack(network, node_id).sessions[1]
+        packet = Packet(src="a", dst=("a", "b", "c"), port="data",
+                        event_cls=SendableEvent,
+                        message=Message(payload=b"x" * 100).wire_copy())
+        network.transmit(network.node("a"), packet)
+        engine.run_until_idle()
+        (at_b,), (at_c,) = apps["b"].received, apps["c"].received
+        at_b.message.push_header("mutation")
         assert packet.message.headers == []
-        assert dup.dst == "c"
-        assert dup.size_bytes == packet.size_bytes
+        assert at_c.message.headers == []
+        assert (at_b.dest, at_c.dest) == ("b", "c")
+        assert at_c.message.payload == b"x" * 100

@@ -6,10 +6,10 @@ import random
 
 import pytest
 
-from repro.kernel import Message, SendableEvent
-from repro.simnet import (Battery, BernoulliLoss, LinkParams, Network,
-                          NodeKind, NoLoss, Packet, SimEngine,
-                          TopologyChange)
+from repro.kernel import Direction, Message, QoS, SendableEvent
+from repro.simnet import (Battery, BernoulliLoss, DatagramTransportSession,
+                          LinkParams, Network, NodeKind, NoLoss, Packet,
+                          SimEngine, SimTransportLayer, TopologyChange)
 from tests.kernel.helpers import RecorderLayer, build_channel
 
 
@@ -179,21 +179,36 @@ class TestNativeMulticast:
         assert network.stats_of("mobile-0").sent_total == 1
 
     def test_per_receiver_message_isolation(self, engine):
+        from tests.simnet.test_transport import _AppLayer, _AppSession
+
+        class MutatingApp(_AppSession):
+            def handle(self, event):
+                if isinstance(event, SendableEvent) and \
+                        event.direction is Direction.UP:
+                    event.message.push_header("local-mutation")
+                    self.received.append(len(event.message.headers))
+                    return
+                event.go()
+
+        class MutatingLayer(_AppLayer):
+            session_class = MutatingApp
+
         network = Network(engine, native_multicast_wired=True)
+        apps = []
         for index in range(3):
-            network.add_fixed_node(f"fixed-{index}")
-        payloads = []
-
-        def receive_and_mutate(pkt):
-            pkt.message.push_header("local-mutation")
-            payloads.append(len(pkt.message.headers))
-
-        network.node("fixed-1").bind_port("data", receive_and_mutate)
-        network.node("fixed-2").bind_port("data", receive_and_mutate)
+            node = network.add_fixed_node(f"fixed-{index}")
+            transport = DatagramTransportSession(SimTransportLayer(),
+                                                 node=node)
+            channel = QoS("stack", [SimTransportLayer(), MutatingLayer()]) \
+                .create_channel("data", node.kernel,
+                                preset_sessions={0: transport})
+            channel.start()
+            apps.append(channel.sessions[1])
         network.node("fixed-0").send(
             make_packet("fixed-0", ("fixed-1", "fixed-2")))
         engine.run_until_idle()
-        assert payloads == [1, 1]  # each saw a fresh header stack
+        # Each receiver's event saw a fresh header stack.
+        assert [app.received for app in apps] == [[], [1], [1]]
 
 
 class TestLoss:

@@ -1,11 +1,11 @@
 """The per-packet delivery reference the batching parity tests compare to.
 
 :func:`unbatched` swaps the network's delivery batcher for one that
-schedules every packet as its own engine entry, at the ``(when, seq)``
-the network reserved for it while routing — the seq stream of one plain
-``call_at`` per packet, which same-slot batching must be
-indistinguishable from.  Only ``engine_events`` may differ: batching
-exists to shrink it.
+schedules every receiver of a queued request as its own engine entry, at
+the ``(when, seq)`` the network reserved for that receiver while routing
+— the seq stream of one plain ``call_at`` per packet, which same-slot
+batching must be indistinguishable from.  Only ``engine_events`` may
+differ: batching exists to shrink it.
 """
 
 from __future__ import annotations
@@ -18,12 +18,14 @@ from repro.simnet import network as network_module
 
 
 class PerPacketBatcher(network_module._DeliveryBatcher):
-    """Delivers each queued packet from its own engine entry."""
+    """Delivers each receiver of a queued request from its own engine
+    entry."""
 
-    def enqueue(self, when, seq, dst, packet) -> None:
-        self.engine.schedule_at_seq(
-            when, seq, partial(network_module.deliver, self.network, dst,
-                               packet))
+    def enqueue(self, when, seqs, dsts, packet) -> None:
+        for seq, dst in zip(seqs, dsts, strict=True):
+            self.engine.schedule_at_seq(
+                when, seq, partial(network_module.deliver, self.network,
+                                   dst, packet))
 
 
 @contextmanager
