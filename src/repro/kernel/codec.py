@@ -1,10 +1,9 @@
-"""Compact binary wire codec for payloads crossing the simulated network.
+"""The compact binary wire codec: the package's one serializer.
 
-At the wire boundary (:meth:`~repro.kernel.message.Message.wire_copy`, used
-by the transport on every send) a payload is frozen into a compact byte
-string instead of the object-graph snapshot the pre-codec path rebuilt per
-transmission.  The encoding is the seam the ROADMAP's real-transport
-backend needs (a socket needs real framing).
+A payload frozen at the wire boundary
+(:meth:`~repro.kernel.message.Message.wire_copy`, used by the transport
+on every send), a header cell, a live datagram's body, an FEC block and a
+fragmented event are all one value in this format.
 
 Wire format — one tagged value, recursively::
 
@@ -60,32 +59,35 @@ and never walks a header again.  The decoder takes the same charge in
 its one pass, so a cell rebuilt from the wire is charged without a second
 walk of its header.
 
-Payload types outside the table above (custom classes, dataclasses inside
-payloads) raise :class:`CodecError`; the caller falls back to the legacy
-object-graph snapshot, so exotic payloads keep working at the old cost.
+**Total and loud.**  A value outside the table above (a custom class
+instance, a dataclass) raises :class:`CodecError` where it is first
+frozen — at ``push_header`` for a header, at ``wire_copy`` for a payload —
+on the sender, on both backends; there is no second path.  Malformed
+input raises :class:`CodecError` and nothing else, and
+:func:`decode_nested` decodes the blobs nested in a received value, so no
+later read of them can raise.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import struct
-from typing import Any, Callable, Optional
+from typing import Any
 
 # The message module imports this one too.  Each binds the other as a
 # module object and reads its names at call time, so either may load first.
 from repro.kernel import message as _message
 
 __all__ = [
-    "CodecError", "PARITY", "decode_message", "decode_payload",
-    "encode_header",
+    "CodecError", "PARITY", "decode_message", "decode_nested",
+    "decode_payload", "encode_header",
     "encode_payload", "register_wire_key", "resolve_event_class",
     "set_parity", "wire_key_table",
 ]
 
 
 class CodecError(Exception):
-    """Payload not representable in the compact wire format."""
+    """A value outside the wire format, or bytes that are not a wire value."""
 
 
 #: Parity mode: every encode asserts the computed charge matches the legacy
@@ -265,9 +267,6 @@ def _encode(out: bytearray, obj: Any) -> int:
             out.append(0)
             charge = 0
         else:
-            if top.wire_stack_len is None:
-                raise CodecError("message carries a header outside the "
-                                 "wire format")
             _append_varint(out, top.depth)
             charge = top.stack_bytes
             cells = []
@@ -289,15 +288,14 @@ def _encode(out: bytearray, obj: Any) -> int:
         # fragment reassembly all ship the original event's class so the
         # receiver can re-instantiate it.  The class's unique ``__name__``
         # is already the wire contract (datagram frames resolve event
-        # classes the same way); the charge mirrors the legacy estimate
-        # for a class object.
+        # classes the same way); every class reference is charged alike.
         from repro.kernel.events import SendableEvent
         if issubclass(obj, SendableEvent):
             out.append(0x10)
             encoded = obj.__name__.encode("utf-8")
             _append_varint(out, len(encoded))
             out += encoded
-            return _class_charge(obj)
+            return _message.CLASS_REFERENCE_SIZE
     raise CodecError(f"cannot wire-encode {kind.__name__}")
 
 
@@ -310,8 +308,7 @@ def encode_payload(obj: Any) -> tuple[bytes, int]:
     what it was before the codec existed.
 
     Raises:
-        CodecError: for types outside the wire format (callers fall back
-            to the legacy object snapshot).
+        CodecError: for types outside the wire format.
     """
     out = bytearray()
     charge = _encode(out, obj)
@@ -321,21 +318,15 @@ def encode_payload(obj: Any) -> tuple[bytes, int]:
     return blob, charge
 
 
-def encode_header(header: Any) -> tuple[Optional[bytes], int]:
-    """One header's wire form and legacy charge, for its stack cell.
+def encode_header(header: Any) -> tuple[bytes, int]:
+    """One header's wire form and legacy charge, for its stack cell:
+    ``(wire, charge)`` from a single traversal, like :func:`encode_payload`.
 
-    ``(wire, charge)`` from a single traversal, like
-    :func:`encode_payload`, but never raises: a header outside the wire
-    format (a custom class, a dataclass) has no wire form — ``wire`` is
-    ``None`` — and is charged by
-    :func:`~repro.kernel.message.estimate_size`, as every header was
-    before cells carried their bytes.
+    Raises:
+        CodecError: for a header outside the wire format.
     """
     out = bytearray()
-    try:
-        charge = _encode(out, header)
-    except CodecError:
-        return None, _message.estimate_size(header)
+    charge = _encode(out, header)
     wire = bytes(out)
     if PARITY:
         _assert_parity(header, wire, charge)
@@ -483,7 +474,7 @@ def _decode_at(buf: bytes, pos: int) -> tuple[Any, int, int]:
         except UnicodeDecodeError as exc:
             raise CodecError(f"malformed class name: {exc}") from None
         cls = resolve_event_class(name)
-        return cls, end, _class_charge(cls)
+        return cls, end, _message.CLASS_REFERENCE_SIZE
     raise CodecError(f"unknown wire tag 0x{tag:02X}")
 
 
@@ -578,18 +569,40 @@ def resolve_event_class(name: str) -> type:
     return cls
 
 
-@functools.cache
-def _class_charge(cls: type) -> int:
-    """An event class's legacy charge, estimated once per class."""
-    return _message.estimate_size(cls)
-
-
 def decode_payload(blob: bytes) -> Any:
     """Decode one wire value; the whole blob must be consumed."""
     value, pos, _ = _decode(blob, 0)
     if pos != len(blob):
         raise CodecError(f"trailing bytes after value ({len(blob) - pos})")
     return value
+
+
+def decode_nested(value: Any) -> None:
+    """Decode, now, every lazy :class:`~repro.kernel.message.WirePayload`
+    nested in the decoded ``value`` (a retransmitted or relayed message's
+    payload), so a malformed one raises here, where a receiver drops it,
+    not in the layer that reads it later.  Each blob is still decoded once.
+
+    Raises:
+        CodecError: if a nested blob is not exactly one wire value.
+    """
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        kind = type(value)
+        if kind is dict:
+            stack.extend(value)
+            stack.extend(value.values())
+        elif kind in _SEQ_TAGS:
+            stack.extend(value)
+        elif kind is _message.Message:
+            stack.append(value._payload)
+            cell = value._top
+            while cell is not None:
+                stack.append(cell.header)
+                cell = cell.below
+        elif kind is _message.WirePayload:
+            stack.append(value.decoded())
 
 
 # -- parity -------------------------------------------------------------------

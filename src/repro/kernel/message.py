@@ -10,63 +10,44 @@ immutable once created.
 Consequences, and the ownership contract every layer relies on:
 
 * :meth:`Message.copy` is **O(1)** — it duplicates the handle, never the
-  chain or the payload.  Fan-out layers, retransmission stores and the
-  wire path copy freely; a multicast transmission shares one frozen chain
-  across all receivers.
-* ``push_header`` allocates one cell on top of the shared tail;
-  ``pop_header`` moves this handle's top pointer down.  Neither ever
-  mutates a cell, so **no sequence of push/pop on one handle can corrupt
-  another handle's view** — the isolation that previously required a deep
-  copy per receiver now holds structurally.
-* ``size_bytes`` is maintained **incrementally**: each cell caches the
-  cumulative size of the stack below-and-including it at creation, and the
-  payload estimate is cached per handle, so reading ``size_bytes`` after a
-  push/pop is O(1) instead of a recursive re-walk.
-* The **wire form** is kept the same way: a cell is encoded once, when
-  its header is pushed (or decoded), and keeps those bytes and the
-  cumulative encoded length of the stack below it.  ``wire_bytes`` is
-  therefore O(1) arithmetic too — a packet is measured, never encoded to
-  be measured — and every wire crossing of every handle sharing a cell
-  (fan-out, relay, retransmission) splices the same bytes in.
-* **Headers are frozen at push time.**  A layer that pushes mutable state
-  must push a private copy (as the causal layer does with its vector
-  clock), and a layer that pops a header must treat its contents as
-  read-only.  Mutating a header object after pushing it corrupts every
-  handle sharing the cell *and* desynchronizes the cached byte accounting.
-* **Payloads are shared by reference.**  This is a deliberately *narrower*
-  contract than the seed's (which deep-copied payloads on every
-  ``copy()``/``clone()``, so even within-node paths — loopbacks, held
-  sends, retransmit stores — were isolated): once a payload object is
-  attached to a message that has been sent, treat it as immutable.
-  Across the wire the old observable semantics are preserved — the
-  transport snapshots mutable payloads (:func:`snapshot_payload`, via
-  :meth:`Message.wire_copy`) so a sender mutating its payload object
-  after the send cannot retroactively change what receivers observe; the
-  snapshot is computed once per payload and cached across the message's
-  copy family, so a fan-out's N transmissions share one snapshot.
-  Received payloads are shared between the delivery and any
-  retransmission store — treat them as immutable.
+  chain or the payload.  ``push_header`` allocates one cell on top of the
+  shared tail; ``pop_header`` moves this handle's top pointer down, so
+  **no sequence of push/pop on one handle can corrupt another handle's
+  view**.
+* **Everything a message carries is in the wire format**
+  (:mod:`repro.kernel.codec`, the package's one serializer).  A header is
+  encoded once, when it is pushed (or decoded), and its cell keeps those
+  bytes, its charge and the cumulative charge and encoded length of the
+  stack below it; a header outside the format raises
+  :class:`~repro.kernel.codec.CodecError` at ``push_header``.  So
+  ``size_bytes`` and ``wire_bytes`` are O(1) arithmetic, and every wire
+  crossing of every handle sharing a cell splices the same bytes in.
+* **The wire boundary freezes the payload**: :meth:`Message.wire_copy`
+  encodes it once per copy family into a :class:`WirePayload` (a payload
+  outside the format raises ``CodecError`` there, on the sender, on both
+  backends), so a sender mutating its payload object after the send
+  cannot change what receivers observe.
+* **Headers are frozen at push time and payloads are shared by
+  reference.**  A layer that pushes mutable state must push a private
+  copy (as the causal layer does with its vector clock); a popped header,
+  a sent payload and a received payload are read-only.  Mutating one
+  corrupts every handle sharing it *and* desynchronizes the cached byte
+  accounting.
 
-For experiment accounting every header contributes a size estimate so that
-byte counters in :mod:`repro.simnet.stats` remain meaningful; the estimates
-(and therefore every counter) are unchanged from the recursive-walk era.
+The size estimates (and therefore every byte counter in
+:mod:`repro.simnet.stats`) are unchanged from the recursive-walk era.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import fields, is_dataclass
 from typing import Any, Iterable, Optional
 
 # The codec imports this module too.  Each binds the other as a module
 # object and reads its names at call time, so either may load first.
 from repro.kernel import codec
 
-#: Default serialized size charged for a header with no explicit estimate.
-DEFAULT_HEADER_SIZE = 8
-
-#: Size charged for payload objects that are not bytes/str.
-DEFAULT_PAYLOAD_SIZE = 32
+#: The charge of an event-class reference (codec tag ``0x10``).
+CLASS_REFERENCE_SIZE = 32
 
 
 def _estimate_str(obj: str) -> int:
@@ -82,10 +63,9 @@ def _estimate_dict(obj: dict) -> int:
                for k, v in obj.items()) + 2
 
 
-#: Exact-type fast dispatch for :func:`estimate_size`.  Builtins cannot
-#: carry a ``size_bytes`` override, so skipping the ``getattr`` probe (and
-#: the isinstance ladder) for them is charge-identical — and they are the
-#: overwhelming majority of what the hot send path estimates.
+#: Exact-type dispatch for :func:`estimate_size`: the builtins of the wire
+#: format (the codec matches exact types too), the overwhelming majority
+#: of what the hot send path estimates.
 _ESTIMATE_FAST: dict[type, Any] = {
     bytes: len, bytearray: len, str: _estimate_str,
     bool: lambda obj: 1, int: lambda obj: 4, float: lambda obj: 8,
@@ -97,40 +77,29 @@ _ESTIMATE_FAST: dict[type, Any] = {
 
 
 def estimate_size(obj: Any) -> int:
-    """Estimate the wire size, in bytes, of ``obj``.
+    """Estimate the wire size, in bytes, of the wire value ``obj``.
 
-    Headers may override the estimate by exposing a ``size_bytes`` attribute
-    (either a class constant or a property).  Dataclass headers without an
-    explicit size are charged per field.
+    This is the charge reference: the codec computes the same number in
+    its encode and decode traversals, and parity mode asserts they agree.
+    A frozen value (:class:`Message`, :class:`WirePayload`) carries its
+    charge as ``size_bytes``.
+
+    Raises:
+        CodecError: for a value outside the wire format.
     """
     fast = _ESTIMATE_FAST.get(type(obj))
     if fast is not None:
         return fast(obj)
+    if isinstance(obj, type):
+        return CLASS_REFERENCE_SIZE
     explicit = getattr(obj, "size_bytes", None)
     if isinstance(explicit, int):
         return explicit
-    if isinstance(obj, (bytes, bytearray)):
-        return len(obj)
-    if isinstance(obj, str):
-        return len(obj.encode("utf-8"))
-    if isinstance(obj, bool):
-        return 1
-    if isinstance(obj, int):
-        return 4
-    if isinstance(obj, float):
-        return 8
-    if obj is None:
-        return 1
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return sum(estimate_size(getattr(obj, f.name)) for f in fields(obj)) or 1
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return sum(estimate_size(item) for item in obj) + 2
-    if isinstance(obj, dict):
-        return sum(estimate_size(k) + estimate_size(v) for k, v in obj.items()) + 2
-    return DEFAULT_PAYLOAD_SIZE
+    raise codec.CodecError(f"no wire charge for {type(obj).__name__}")
 
 
-#: Payload types that need no snapshot at the wire boundary.
+#: Payload types a receiver may share with the sender: frozen, they are
+#: their own decoded value.
 _IMMUTABLE_PAYLOAD_TYPES = (bytes, str, int, float, bool, frozenset,
                             type(None), type)
 
@@ -138,8 +107,7 @@ _IMMUTABLE_PAYLOAD_TYPES = (bytes, str, int, float, bool, frozenset,
 class WirePayload:
     """A payload frozen into compact wire bytes (see :mod:`.codec`).
 
-    Replaces the object-graph snapshot on the wire path: the sender encodes
-    once per transmission (shared by every receiver of a fan-out via the
+    The payload's wire form: the sender encodes once per transmission (shared by every receiver of a fan-out via the
     message's copy-family cache), and receivers decode lazily, once per
     family — :attr:`Message.payload` unwraps transparently, so layers never
     see the wrapper.
@@ -185,34 +153,6 @@ class WirePayload:
                 f"charge={self.size_bytes})")
 
 
-def snapshot_payload(obj: Any) -> Any:
-    """A one-level-per-container snapshot of a payload for transmission.
-
-    Unlike ``copy.deepcopy`` this understands the message model: immutable
-    leaves pass through untouched, a nested :class:`Message` (control
-    payloads carry them for retransmissions and gossip relays) becomes an
-    O(1) copy-on-write handle, and only mutable containers are rebuilt.
-    """
-    if isinstance(obj, _IMMUTABLE_PAYLOAD_TYPES):
-        return obj
-    if isinstance(obj, Message):
-        # wire_copy, not copy: the nested message's own payload must be
-        # snapshotted too, or a retransmitted/relayed message would leak
-        # sender-side mutations made after the original send.
-        return obj.wire_copy()
-    if isinstance(obj, tuple):
-        return tuple(snapshot_payload(item) for item in obj)
-    if isinstance(obj, list):
-        return [snapshot_payload(item) for item in obj]
-    if isinstance(obj, dict):
-        return {key: snapshot_payload(value) for key, value in obj.items()}
-    if isinstance(obj, set):
-        return {snapshot_payload(item) for item in obj}
-    if isinstance(obj, bytearray):
-        return bytearray(obj)
-    return copy.deepcopy(obj)
-
-
 class _HeaderNode:
     """One immutable cell of a persistent header stack.
 
@@ -227,9 +167,8 @@ class _HeaderNode:
     lets every wire crossing of every handle sharing the cell — fan-out,
     relay, retransmission — splice ``wire`` in instead of re-encoding.
 
-    ``wire`` is ``None`` for a header outside the wire format, and
-    ``wire_stack_len`` is ``None`` from that cell upwards: such a stack
-    has no wire form, only its charge.
+    Raises:
+        CodecError: for a header outside the wire format.
     """
 
     __slots__ = ("header", "below", "depth", "stack_bytes", "wire",
@@ -244,13 +183,11 @@ class _HeaderNode:
         if below is None:
             self.depth = 1
             self.stack_bytes = charge
-            below_len = 0
+            self.wire_stack_len = len(wire)
         else:
             self.depth = below.depth + 1
             self.stack_bytes = below.stack_bytes + charge
-            below_len = below.wire_stack_len
-        self.wire_stack_len = None if wire is None or below_len is None \
-            else below_len + len(wire)
+            self.wire_stack_len = below.wire_stack_len + len(wire)
 
 
 def _varint_len(value: int) -> int:
@@ -275,11 +212,11 @@ class Message:
                  headers: Iterable[Any] = ()) -> None:
         self._payload = payload
         self._payload_size: Optional[int] = None
-        #: Shared wire-snapshot cell (see :meth:`wire_copy`): a one-element
-        #: list holding the cached :func:`snapshot_payload` of the current
-        #: payload, shared by every handle :meth:`copy` derives from this
-        #: one so a fan-out's N transmissions snapshot once.  ``None``
-        #: until the first copy/wire_copy needs it.
+        #: Shared wire cell (see :meth:`wire_copy`): a one-element list
+        #: holding the frozen :class:`WirePayload` of the current payload,
+        #: shared by every handle :meth:`copy` derives from this one so a
+        #: fan-out's N transmissions encode once.  ``None`` until the
+        #: first copy/wire_copy needs it.
         self._wire_cache: Optional[list] = None
         top: Optional[_HeaderNode] = None
         for header in headers:  # given bottom → top, like the old list form
@@ -338,9 +275,8 @@ class Message:
     def headers(self) -> list[Any]:
         """The header stack as a fresh bottom→top list.
 
-        Materialized on demand for diagnostics and serialization
-        (:mod:`repro.protocols.fec` / ``frag`` freeze paths, tests).  Hot
-        paths should use :attr:`header_depth` / :meth:`peek_header` instead;
+        Materialized on demand for diagnostics and tests.  Hot paths
+        should use :attr:`header_depth` / :meth:`peek_header` instead;
         mutating the returned list does not affect the message.
         """
         out: list[Any] = []
@@ -378,9 +314,8 @@ class Message:
         encoding saves.  Nothing is encoded to take it: a cell is encoded
         once, ever, when its header is pushed, and carries the cumulative
         encoded length of the stack below it; the frozen blob knows its
-        own.  Only meaningful on a wire copy (frozen payload): unfrozen
-        handles, exotic legacy-snapshot payloads and stacks holding a
-        header outside the wire format fall back to ``size_bytes``.
+        own.  Only meaningful on a wire copy (frozen payload): an
+        unfrozen handle reads ``size_bytes``.
         """
         payload = self._payload
         if type(payload) is not WirePayload:
@@ -389,10 +324,7 @@ class Message:
         if top is None:
             framing = 3  # message tag + zero header count + blob tag
         else:
-            headers_len = top.wire_stack_len
-            if headers_len is None:  # exotic header value
-                return self.size_bytes
-            framing = 2 + _varint_len(top.depth) + headers_len
+            framing = 2 + _varint_len(top.depth) + top.wire_stack_len
         blob_len = len(payload.blob)
         return (framing + blob_len + _varint_len(blob_len) +
                 _varint_len(payload.size_bytes))
@@ -419,23 +351,22 @@ class Message:
         return dup
 
     def wire_copy(self) -> "Message":
-        """A copy safe to hand to the network, as if serialized.
+        """A copy safe to hand to the network: its payload frozen into
+        codec bytes (a :class:`WirePayload`), so sender-side mutation after
+        the send cannot leak into what receivers observe.
 
-        Like :meth:`copy` but with mutable payload containers snapshotted
-        (:func:`snapshot_payload`), so sender-side mutation after the send
-        cannot leak into what receivers observe — the seed-era "re-read off
-        the wire" semantics at a fraction of the former deep-copy cost.
+        The frozen payload is **cached in a cell shared across the
+        message's copy family**: a best-effort fan-out of one group send —
+        N clones of one event, each crossing the transport — encodes the
+        payload once, not N times, and a relay re-transmitting a received
+        message re-sends the blob it was delivered with.  The cache is
+        invalidated when ``payload`` is reassigned; mutating a payload
+        object *in place* after it was first transmitted is outside the
+        ownership contract (see the module docstring) with or without the
+        cache.
 
-        The snapshot of an unchanged payload is **cached in a cell shared
-        across the message's copy family**: a best-effort fan-out of one
-        group send — N clones of one event, each crossing the transport —
-        snapshots the payload dict once, not N times, and a relay
-        re-transmitting a received message reuses the snapshot it was
-        delivered with (the snapshot, being immutable by contract, is its
-        own wire form).  The cache is invalidated when ``payload`` is
-        reassigned; mutating a payload object *in place* after it was
-        first transmitted is outside the ownership contract (see the
-        module docstring) with or without the cache.
+        Raises:
+            CodecError: for a payload outside the wire format.
         """
         cache = self._wire_cache
         if cache is None:
@@ -448,19 +379,14 @@ class Message:
                 # its own wire form, zero re-encode.
                 snap = payload
             else:
-                try:
-                    blob, charge = codec.encode_payload(payload)
-                    snap = WirePayload(blob, charge)
-                    if isinstance(payload, _IMMUTABLE_PAYLOAD_TYPES):
-                        # Already its own snapshot: seed the decode cache
-                        # so receivers observe the sender's object directly
-                        # (identity pass-through, zero decode cost), as the
-                        # pre-codec path did.
-                        snap._decoded = payload
-                except codec.CodecError:
-                    # Exotic payload (custom class, dataclass): legacy
-                    # object-graph snapshot at the old cost.
-                    snap = snapshot_payload(payload)
+                blob, charge = codec.encode_payload(payload)
+                snap = WirePayload(blob, charge)
+                if isinstance(payload, _IMMUTABLE_PAYLOAD_TYPES):
+                    # Already its own snapshot: seed the decode cache so
+                    # receivers observe the sender's object directly
+                    # (identity pass-through, zero decode cost), as the
+                    # pre-codec path did.
+                    snap._decoded = payload
             cache[0] = snap
         dup = self.copy()  # shares the cache cell holding ``snap``
         dup._payload = snap

@@ -29,17 +29,19 @@ indistinguishable, to the receiving transport session, from the record the
 simulator would have delivered: same event class (resolved by its unique
 ``__name__`` — the :class:`SendableEvent` wire contract), same logical
 source, same byte charges (carried explicitly so live counters reproduce
-the sender's accounting exactly).  The header cells and the payload are
-decoded in the same pass: the payload stays a
+the sender's accounting exactly).  The header cells, the payload and every
+blob nested in either (a retransmitted or relayed message's payload) are
+decoded in the same call: each payload stays a
 :class:`~repro.kernel.message.WirePayload` (relaying it re-embeds the
 blob), with its decoded value already in hand.
 
 Safety contract for the receive loop: **every** malformed input —
 truncation, garbage bytes, an oversized datagram, an unknown frame
 version (version 1 included), the wrong number of names, an unknown event
-class, trailing bytes, a malformed payload — raises :class:`CodecError`
-and nothing else, so no layer reading the payload later can.  The
-transport counts and drops; a bad datagram can never crash the node.
+class, trailing bytes, a malformed payload or nested payload — raises
+:class:`CodecError` and nothing else, so no layer reading the payload
+later can.  The transport counts and drops; a bad datagram can never
+crash the node.
 """
 
 from __future__ import annotations
@@ -109,9 +111,10 @@ def decode_frame(data: bytes, dst: str) -> Packet:
         CodecError: for every malformed input — truncated or garbage
             frames, oversized datagrams, unknown versions, unknown event
             classes, a names field of the wrong shape, a body that is not
-            exactly one message, a payload blob that is not exactly one
-            value.  No other exception escapes (arbitrary
-            bytes must never crash the receive loop).
+            exactly one message, a payload blob — the message's own or
+            one nested in it — that is not exactly one value.  No other
+            exception escapes (arbitrary bytes must never crash the
+            receive loop).
     """
     if len(data) > MAX_DATAGRAM_BYTES:
         raise CodecError(f"oversized datagram ({len(data)} bytes)")
@@ -135,8 +138,12 @@ def decode_frame(data: bytes, dst: str) -> Packet:
                              f"{_NAMES}")
         message = decode_message(data, end)
         payload = message._payload
-        if type(payload) is WirePayload:
+        if type(payload) is WirePayload and data.count(0x0F, end) == 1:
+            # The body's one 0x0F byte is this payload's blob tag, so
+            # nothing in the frame is a nested blob: skip the walk.
             payload._decoded = decode_payload(payload.blob)
+        else:
+            codec.decode_nested(message)
         src, logical_src, port, event_name, traffic_class = names
         event_cls = resolve_event_class(event_name)
     except CodecError:

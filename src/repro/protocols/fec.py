@@ -16,16 +16,24 @@ of a fixed ``m/k`` bandwidth overhead.
 Messages are delivered in sequence order per sender; an incomplete,
 unrecoverable block is given up after ``giveup_timeout`` so later traffic
 keeps flowing (best-effort semantics, like the paper's base multicast).
+
+A message enters the parity math as its wire form
+(:func:`repro.kernel.codec.encode_payload`: remaining headers plus the
+frozen payload).  A recovered block is decoded by the same codec; a block
+that is not exactly one well-formed message — a corrupt or crafted parity
+— is dropped and counted in ``undecodable_dropped``, never raised into
+the stack.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
+from repro.kernel import codec
 from repro.kernel.events import Direction, Event, TimerEvent
 from repro.kernel.layer import Layer
+from repro.kernel.message import Message
 from repro.kernel.registry import register_layer
 from repro.protocols.base import GroupSession
 from repro.protocols.events import (GROUP_DEST, ApplicationMessage,
@@ -34,27 +42,31 @@ from repro.protocols.rs_code import rs_decode, rs_encode
 
 _HEADER_TAG = "fec"
 _SWEEP_TIMER = "fec-sweep"
-_PICKLE_PROTOCOL = 4
 
 
-def _freeze(message) -> bytes:
-    """Serialize a message (payload + remaining headers) for parity math.
+def _freeze(message: Message) -> bytes:
+    """A message's wire form (remaining headers + payload), for parity math.
 
     Headers are included so the layer composes below other header-pushing
     layers (e.g. under :mod:`repro.protocols.reliable`, where recovered
-    messages must still carry their sequencing header).  ``.headers``
-    materializes the copy-on-write chain into a plain list, so the parity
-    blob captures the stack by value, independent of later push/pop on any
-    handle sharing it.
+    messages must still carry their sequencing header).  The sender and
+    every receiver freeze the same cells and the same payload blob, so
+    they produce the same bytes.
     """
-    return pickle.dumps((message.payload, list(message.headers)),
-                        protocol=_PICKLE_PROTOCOL)
+    return codec.encode_payload(message)[0]
 
 
-def _thaw(blob: bytes):
-    from repro.kernel.message import Message
-    payload, headers = pickle.loads(blob)
-    return Message(payload=payload, headers=list(headers))
+def _thaw(blob: bytes) -> Optional[Message]:
+    """The message a recovered block holds, or ``None`` when the block is
+    not exactly one well-formed message."""
+    try:
+        message = codec.decode_payload(blob)
+        if type(message) is not Message:
+            return None
+        codec.decode_nested(message)
+    except codec.CodecError:
+        return None
+    return message
 
 
 @dataclass
@@ -89,6 +101,8 @@ class FecSession(GroupSession):
         #: Diagnostics for the crossover bench.
         self.recovered_count = 0
         self.given_up = 0
+        #: Recovered blocks that were not one well-formed message.
+        self.undecodable_dropped = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -230,11 +244,15 @@ class FecSession(GroupSession):
         except ValueError:
             return
         for position in missing:
-            fresh = ApplicationMessage(message=_thaw(blocks[position]),
-                                       source=sender, dest=self.local)
             state.delivered.add(position)
+            message = _thaw(blocks[position])
+            if message is None:
+                self.undecodable_dropped += 1
+                continue
             self.recovered_count += 1
-            self.send_up(fresh, channel=channel)
+            self.send_up(ApplicationMessage(message=message, source=sender,
+                                            dest=self.local),
+                         channel=channel)
         state.done = True
 
     def _sweep(self, channel) -> None:

@@ -7,6 +7,12 @@ one message share a deterministic id ``(sender, counter)``; incomplete
 reassemblies are dropped after a timeout (the layers above — reliable,
 FEC — treat a dropped oversized message like any other loss and recover).
 
+The oversized event travels as one codec value (:mod:`repro.kernel.codec`),
+the tuple ``(event class, message, source)``: a class reference (tag
+``0x10``) and the message's wire form (tag ``0x0E``).  A reassembled blob
+that is not exactly that shape is dropped and counted in
+``undecodable_dropped``, never raised into the stack.
+
 Counting note: each fragment is one NIC transmission, so a 3-fragment chat
 message counts as 3 messages in the Figure 3 metric — exactly what a real
 packet counter on the device would report.
@@ -14,10 +20,9 @@ packet counter on the device would report.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
-from typing import Any, Optional
 
+from repro.kernel import codec
 from repro.kernel.events import Direction, Event, SendableEvent, TimerEvent
 from repro.kernel.layer import Layer
 from repro.kernel.message import Message
@@ -26,7 +31,6 @@ from repro.protocols.base import GroupSession
 from repro.protocols.events import GroupSendableEvent
 
 _SWEEP_TIMER = "frag-sweep"
-_PICKLE_PROTOCOL = 4
 
 
 class FragmentEvent(SendableEvent):
@@ -59,6 +63,8 @@ class FragmentationSession(GroupSession):
         self.fragmented_count = 0
         self.reassembled_count = 0
         self.expired_count = 0
+        #: Reassembled blobs that were not one well-formed event.
+        self.undecodable_dropped = 0
 
     def on_channel_init(self, event: Event) -> None:
         """Deliberately arms nothing.
@@ -103,11 +109,8 @@ class FragmentationSession(GroupSession):
 
     def _fragment(self, event: SendableEvent) -> None:
         assert self.local is not None, "frag used before ChannelInit"
-        # ``headers`` materializes the shared chain into a plain list —
-        # pickling must serialize the stack by value, never the handle.
-        blob = pickle.dumps(
-            (type(event), event.message.payload, list(event.message.headers),
-             event.source), protocol=_PICKLE_PROTOCOL)
+        blob, _ = codec.encode_payload(
+            (type(event), event.message, event.source))
         chunk_size = max(self.mtu - 64, 64)  # room for fragment framing
         chunks = [blob[offset:offset + chunk_size]
                   for offset in range(0, len(blob), chunk_size)]
@@ -139,10 +142,18 @@ class FragmentationSession(GroupSession):
         del self._buffers[key]
         blob = b"".join(buffer.chunks[index]
                         for index in range(buffer.total))
-        cls, msg_payload, headers, source = pickle.loads(blob)
-        original = cls(message=Message(payload=msg_payload,
-                                       headers=list(headers)),
-                       source=source, dest=self.local)
+        try:
+            value = codec.decode_payload(blob)
+            codec.decode_nested(value)
+        except codec.CodecError:
+            value = None
+        if not (type(value) is tuple and len(value) == 3 and
+                isinstance(value[0], type) and
+                type(value[1]) is Message):
+            self.undecodable_dropped += 1
+            return
+        cls, message, source = value
+        original = cls(message=message, source=source, dest=self.local)
         self.reassembled_count += 1
         self.send_up(original, channel=event.channel)
 

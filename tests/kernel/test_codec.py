@@ -10,10 +10,15 @@ Three contracts under test:
   codec changed the wire representation, never the accounting;
 * **framing** — varints, zigzag, inline small ints and the interned-key
   table behave exactly as documented (the table is a wire contract:
-  ids are registration order).
+  ids are registration order);
+* **one serializer** — the codec is the only one: no module of the
+  package imports another.
 """
 
 from __future__ import annotations
+
+import ast
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -189,3 +194,47 @@ class TestStructuredLeaves:
     def test_bool_is_not_encoded_as_int(self):
         back = decode_payload(encode_payload([True, 1, False, 0])[0])
         assert [type(item) for item in back] == [bool, int, bool, int]
+
+    def test_decode_nested_thaws_every_nested_blob(self):
+        inner = Message(payload={"kind": "chat", "text": "hi"})
+        inner.push_header(("rm", 7))
+        back = decode_payload(encode_payload(
+            {"msg": inner, "relay": [Message(payload=[1, 2]).wire_copy()]})[0])
+        codec.decode_nested(back)
+        assert back["msg"]._payload._decoded == {"kind": "chat",
+                                                 "text": "hi"}
+        assert back["relay"][0]._payload._decoded == [1, 2]
+
+    def test_decode_nested_raises_on_a_malformed_nested_blob(self):
+        inner = Message(payload={"kind": "chat"}).wire_copy()
+        blob = bytearray(encode_payload({"msg": inner})[0])
+        at = bytes(blob).index(inner._payload.blob)
+        blob[at] = 0x1F  # the inner dict's tag
+        back = decode_payload(bytes(blob))  # the nested blob stays lazy
+        with pytest.raises(CodecError, match="unknown wire tag 0x1F"):
+            codec.decode_nested(back)
+
+
+# -- one serializer -----------------------------------------------------------
+
+#: Serializers that can rebuild arbitrary objects from bytes.
+OTHER_SERIALIZERS = {"pickle", "marshal", "shelve"}
+
+
+def imported_modules(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+class TestOneSerializer:
+    def test_no_module_imports_another_serializer(self):
+        package = Path(codec.__file__).resolve().parents[1]
+        offenders = sorted(
+            f"{path.relative_to(package)}: {name}"
+            for path in package.rglob("*.py")
+            for name in imported_modules(ast.parse(path.read_text()))
+            if name.split(".")[0] in OTHER_SERIALIZERS)
+        assert offenders == []

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.kernel import Message, estimate_size
+from repro.kernel.codec import CodecError
 
 
 @dataclass
@@ -42,11 +43,22 @@ class TestHeaderStack:
 
     def test_copy_is_independent(self):
         message = Message(payload=b"payload")
-        message.push_header(_SeqHeader(sender=1, seqno=7))
+        message.push_header(("seq", 1, 7))
         dup = message.copy()
         dup.pop_header()
         assert len(message.headers) == 1
-        assert message.peek_header().seqno == 7
+        assert message.peek_header() == ("seq", 1, 7)
+
+    def test_header_outside_the_wire_format_is_refused_at_push(self):
+        message = Message(payload=b"payload")
+        with pytest.raises(CodecError):
+            message.push_header(_SeqHeader(sender=1, seqno=7))
+        assert message.header_depth == 0
+
+    def test_payload_outside_the_wire_format_is_refused_at_wire_copy(self):
+        message = Message(payload=_SeqHeader(sender=1, seqno=7))
+        with pytest.raises(CodecError):
+            message.wire_copy()
 
     def test_copy_shares_structure_but_isolates_push_pop(self):
         """The COW contract: copies are O(1) handles onto a shared chain —
@@ -92,8 +104,9 @@ class TestSizeEstimation:
     def test_explicit_size_attribute_wins(self):
         assert estimate_size(_SizedHeader()) == 42
 
-    def test_dataclass_charged_per_field(self):
-        assert estimate_size(_SeqHeader(sender=1, seqno=2)) == 8
+    def test_dataclass_has_no_charge(self):
+        with pytest.raises(CodecError):
+            estimate_size(_SeqHeader(sender=1, seqno=2))
 
     def test_scalar_sizes(self):
         assert estimate_size(True) == 1
@@ -108,7 +121,7 @@ class TestSizeEstimation:
     def test_message_size_includes_headers(self):
         message = Message(payload=b"xxxx")
         base = message.size_bytes
-        message.push_header(_SeqHeader(sender=1, seqno=2))
+        message.push_header(("seq", 1, 2))
         assert message.size_bytes > base
 
     @given(st.binary(max_size=256), st.integers(min_value=0, max_value=8))

@@ -5,8 +5,8 @@ Three contracts under test:
 * **arithmetic equals encoding** — ``Message.wire_bytes`` (O(1) over the
   cells' cumulative lengths) is the length ``encode_payload`` produces, and
   ``size_bytes`` is the legacy per-header estimate, over random header
-  stacks, nested messages, relayed (already frozen) payloads and a header
-  outside the wire format;
+  stacks, nested messages and relayed (already frozen) payloads; a header
+  outside the wire format is refused when it is pushed;
 * **a fan-out encodes once** — a real Mecho group send through
   ``DatagramTransportSession`` runs the codec the same number of times
   for 4 members as for 16, wired sender and wireless-via-relay alike;
@@ -30,8 +30,11 @@ from repro.kernel.packet import Packet
 from repro.livenet.frame import (FRAME_MAGIC, FRAME_VERSION, decode_frame,
                                  encode_frame)
 from repro.protocols import ApplicationMessage, MechoLayer
+from repro.simnet.node import NodeKind
 from tests.kernel.test_codec import header_stacks, wire_values
-from tests.protocols.helpers import build_world, collector_of
+from tests.livenet.helpers import offline_live_network
+from tests.protocols.helpers import (build_group_stack, build_world,
+                                     collector_of)
 
 
 @dataclass(frozen=True)
@@ -108,28 +111,55 @@ class TestWireBytesArithmetic:
         assert relayed.wire_bytes == len(again)
         assert again == traversed(relayed)
 
-    @given(payload=wire_values, below=header_stacks, above=header_stacks)
+    @given(payload=wire_values, headers=header_stacks)
     @settings(max_examples=100, deadline=None)
-    def test_unencodable_header_falls_back_to_the_charge(
-            self, payload, below, above):
-        headers = below + [ExoticHeader()] + above
-        frozen = Message(payload, headers=headers).wire_copy()
-        # The cell is charged by estimate_size, as every header once was ...
-        assert frozen.size_bytes == legacy_size(payload, headers)
-        # ... and the stack has no wire form from that cell upwards.
-        assert frozen.wire_bytes == frozen.size_bytes
+    def test_unencodable_header_is_refused_at_push(self, payload, headers):
+        message = Message(payload, headers=headers)
         with pytest.raises(CodecError):
-            encode_payload(frozen)
-        for _ in range(len(above) + 1):
-            frozen.pop_header()
+            message.push_header(ExoticHeader())
+        # The refused header left no cell: the stack and its charges are
+        # those of the encodable headers alone.
+        assert message.headers == headers
+        assert message.size_bytes == legacy_size(payload, headers)
+        frozen = message.wire_copy()
         assert frozen.wire_bytes == len(encode_payload(frozen)[0])
 
-    def test_exotic_header_cell_keeps_its_explicit_charge(self):
-        wire, charge = codec.encode_header(ExoticHeader(size_bytes=40))
-        assert wire is None and charge == 40
+    def test_exotic_header_is_refused_by_the_cell_encoder(self):
+        with pytest.raises(CodecError):
+            codec.encode_header(ExoticHeader(size_bytes=40))
         wire, charge = codec.encode_header(("rm", "n0", 7, 3))
         assert wire == encode_payload(("rm", "n0", 7, 3))[0]
         assert charge == estimate_size(("rm", "n0", 7, 3))
+
+
+class TestOutsideTheWireFormat:
+    @pytest.mark.parametrize("backend", ["simulator", "live"])
+    def test_a_payload_outside_the_format_raises_at_the_sender(self,
+                                                                backend):
+        """Both backends refuse it in the sender's transport, before any
+        packet exists: no fallback sends it on the simulator, and the live
+        network never sees a frame to fail."""
+        if backend == "simulator":
+            engine, network, channels = build_world(
+                {"a": "fixed", "b": "fixed"})
+            engine.run_until(1.0)
+            sent = network.stats_of("a").sent_total
+        else:
+            network, source, frames = offline_live_network(
+                {"a": NodeKind.FIXED, "b": NodeKind.FIXED})
+            channels = {node_id: build_group_stack(network, node_id,
+                                                   ("a", "b"))
+                        for node_id in ("a", "b")}
+            source.advance(1.0)
+            network.engine.poll()
+            sent = len(frames)
+        with pytest.raises(CodecError, match="ExoticHeader"):
+            collector_of(channels["a"]).send_text(ExoticHeader())
+        if backend == "simulator":
+            assert network.stats_of("a").sent_total == sent
+        else:
+            assert len(frames) == sent
+            assert network.encode_errors == 0
 
 
 # -- a fan-out encodes once ---------------------------------------------------

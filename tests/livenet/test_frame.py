@@ -309,12 +309,50 @@ def malformed_payload_frame(text: str = "hello") -> bytes:
     return bytes(frame)
 
 
+def retransmission_frame(text: str, corrupt: bool = False) -> bytes:
+    """A chat frame carrying ``{"kind": "retransmit", "msg": inner}``, the
+    inner message's payload re-embedded as its own blob (tag ``0x0F``);
+    with ``corrupt``, that blob's dict tag byte is ``0x1F``."""
+    inner = Message(payload={"kind": "chat", "text": text}).wire_copy()
+    outer = Message(payload={"kind": "retransmit", "msg": inner})
+    frame = bytearray(encode_frame(Packet(
+        src="tx", dst="rx", port="data", event_cls=ApplicationMessage,
+        message=outer.wire_copy())))
+    if corrupt:
+        at = bytes(frame).index(inner._payload.blob)
+        assert frame[at] == 0x0D  # the inner dict tag
+        frame[at] = 0x1F
+    return bytes(frame)
+
+
 class TestMalformedFrames:
     def test_a_malformed_payload_fails_the_frame(self):
         """The payload is decoded in the frame's pass, so no layer that
         reads it later can raise."""
         with pytest.raises(CodecError, match="unknown wire tag 0x1F"):
             decode_frame(malformed_payload_frame(), "rx")
+
+    def test_a_malformed_nested_payload_fails_the_frame(self):
+        """So is every payload nested in it: a retransmitted message's
+        payload that does not decode fails the frame, not the reader."""
+        packet = decode_frame(retransmission_frame("ok"), "rx")
+        inner = packet.message.payload["msg"]
+        assert inner._payload._decoded == {"kind": "chat", "text": "ok"}
+        with pytest.raises(CodecError, match="unknown wire tag 0x1F"):
+            decode_frame(retransmission_frame("bad", corrupt=True), "rx")
+
+    def test_a_nested_blob_under_an_unframed_payload_fails_the_frame(self):
+        """A body whose payload is not itself a blob (no sender frames one
+        so) can still nest one: its only 0x0F byte is that nested tag."""
+        inner = Message(payload={"kind": "chat"}).wire_copy()
+        payload = bytearray(encode_payload({"msg": inner})[0])
+        at = bytes(payload).index(inner._payload.blob)
+        payload[at] = 0x1F
+        body = b"\x0e\x00" + bytes(payload)  # no headers, a bare dict
+        assert body.count(0x0F) == 1
+        with pytest.raises(CodecError, match="unknown wire tag 0x1F"):
+            decode_frame(_raw_frame(_names(_reference_packet()), body),
+                         "fixed-1")
 
     def test_the_hand_laid_frame_is_a_valid_one(self):
         """The layout the cases below corrupt decodes when left intact."""

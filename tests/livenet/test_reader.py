@@ -30,7 +30,8 @@ from repro.protocols.events import ApplicationMessage
 from repro.simnet.node import NodeKind
 from tests.livenet.conftest import _loopback_udp_available
 from tests.livenet.helpers import offline_live_network
-from tests.livenet.test_frame import malformed_payload_frame
+from tests.livenet.test_frame import (malformed_payload_frame,
+                                     retransmission_frame)
 from tests.protocols.helpers import build_group_stack, collector_of
 
 needs_loopback = pytest.mark.skipif(
@@ -131,6 +132,44 @@ class TestReader:
         network, payloads = asyncio.run(scenario())
         assert drains == ["rx"]
         assert payloads == ["before", "after"]
+        assert network.decode_errors == 1
+        assert network.delivered_packets == 2
+
+    def test_a_malformed_nested_payload_is_one_decode_error(self,
+                                                            monkeypatch):
+        """A retransmission whose inner message's payload does not decode
+        is refused by the frame's pass like any bad datagram: the layer
+        reading the inner message sees only good ones, and the drain goes
+        on."""
+        drains = []
+        drain = LiveNetwork._drain
+
+        def counted(network, node_id, sock):
+            drains.append(node_id)
+            drain(network, node_id, sock)
+
+        monkeypatch.setattr(LiveNetwork, "_drain", counted)
+
+        async def scenario():
+            network = LiveNetwork(WallClock(), impaired=False)
+            address = await network.open_endpoint("rx")
+            network.add_fixed_node("rx")
+            texts = []
+            network.node("rx").bind_port(
+                "data", lambda packet: texts.append(
+                    packet.message.payload["msg"].payload["text"]))
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as peer:
+                for data in (retransmission_frame("before"),
+                             retransmission_frame("bad", corrupt=True),
+                             retransmission_frame("after")):
+                    peer.sendto(data, address)
+                await settle(lambda: len(texts) == 2)
+            await network.close()
+            return network, texts
+
+        network, texts = asyncio.run(scenario())
+        assert drains == ["rx"]
+        assert texts == ["before", "after"]
         assert network.decode_errors == 1
         assert network.delivered_packets == 2
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -9,8 +10,38 @@ import pytest
 from repro.apps.workload import ProbeSession
 from repro.experiments.ministacks import (build_ministack, fec_stack,
                                           flood_stack, gossip_stack)
+from repro.kernel import Direction, Message
+from repro.kernel.codec import encode_payload
+from repro.protocols import fec as fec_module
+from repro.protocols.events import ParityMessage
 from repro.protocols.fec import FecLayer
+from repro.protocols.rs_code import rs_encode
 from repro.simnet import BernoulliLoss, LinkParams, Network, SimEngine
+
+#: What a crafted blob's callable did, if it ever ran.
+EXECUTED: list[str] = []
+
+
+def _crafted_call(tag: str):
+    EXECUTED.append(tag)
+    return ("owned", [])  # a well-formed (payload, headers) pair
+
+
+class _Crafted:
+    """Unpickling this runs ``_crafted_call``."""
+
+    def __reduce__(self):
+        return (_crafted_call, ("fec",))
+
+
+def corrupt_nested_message() -> bytes:
+    """A message's wire form whose payload blob's dict tag is ``0x1F``."""
+    message = Message(payload={"kind": "chat"}).wire_copy()
+    blob = bytearray(encode_payload(message)[0])
+    at = bytes(blob).index(message._payload.blob)
+    assert blob[at] == 0x0D
+    blob[at] = 0x1F
+    return bytes(blob)
 
 
 def loss_world(member_ids, loss=0.0, seed=5, mobile=()):
@@ -94,6 +125,73 @@ class TestFec:
             .session_named("fec")
         assert fec._blocks == {}  # swept away
         assert probes["r0"].payloads() == [0, 1, 2]  # data still delivered
+
+
+    @pytest.mark.parametrize("blob", [
+        pickle.dumps(_Crafted()),
+        encode_payload({"kind": "chat"})[0],  # a wire value, not a message
+        corrupt_nested_message(),
+    ], ids=["pickle", "not-a-message", "corrupt-payload"])
+    def test_a_crafted_parity_block_is_dropped_and_counted(self, blob):
+        """With k=1, m=1 the parity of a block is the block itself, so a
+        plain-data parity dict decides what the receiver thaws."""
+        members = ["s", "r0"]
+        engine, network = loss_world(members)
+        probes = {node_id: build_ministack(
+            network, node_id, members, fec_stack(",".join(members), k=1, m=1))
+            for node_id in members}
+        engine.run_until(1.0)
+        channel = network.node("r0").kernel.find_channel("data")
+        parity = ParityMessage(message=Message(payload={
+            "sender": "s", "block": 99, "parity_index": 0, "k": 1, "m": 1,
+            "lengths": [len(blob)], "data": rs_encode([blob], 1)[0]}),
+            source="s", dest="r0")
+        EXECUTED.clear()
+        channel.insert_from(channel.session_named("beb"), parity,
+                            Direction.UP)
+        engine.run_until(2.0)
+        assert EXECUTED == []
+        fec = channel.session_named("fec")
+        assert fec.undecodable_dropped == 1
+        assert fec.recovered_count == 0
+        assert probes["r0"].payloads() == []
+
+    def test_a_recovered_message_keeps_its_headers_and_size(self,
+                                                            monkeypatch):
+        frozen, thawed = {}, []
+        freeze, thaw = fec_module._freeze, fec_module._thaw
+
+        def recording_freeze(message):
+            blob = freeze(message)
+            frozen[blob] = (message.headers, message.size_bytes,
+                            message.payload)
+            return blob
+
+        def recording_thaw(blob):
+            message = thaw(blob)
+            thawed.append((blob, (message.headers, message.size_bytes,
+                                  message.payload)))
+            return message
+
+        monkeypatch.setattr(fec_module, "_freeze", recording_freeze)
+        monkeypatch.setattr(fec_module, "_thaw", recording_thaw)
+        members = ["s", "r0"]
+        engine, network = loss_world(members, loss=0.2, seed=9,
+                                     mobile=("s",))
+        probes = {node_id: build_ministack(
+            network, node_id, members, fec_stack(",".join(members), k=4, m=2))
+            for node_id in members}
+        for index in range(40):
+            probes["s"].send(index)
+        engine.run_until(30.0)
+        assert sorted(probes["r0"].payloads()) == list(range(40))
+        assert thawed
+        for blob, recovered in thawed:
+            headers, size_bytes, _ = recovered
+            assert headers  # the reliable layer's sequencing header
+            assert recovered == frozen[blob]
+            assert size_bytes == Message(
+                recovered[2], headers=headers).size_bytes
 
 
 class TestGossip:

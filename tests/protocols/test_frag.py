@@ -2,14 +2,37 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.experiments.ministacks import build_ministack
-from repro.protocols import BestEffortMulticastLayer, FragmentationLayer
+from repro.kernel import Direction, Message
+from repro.kernel.codec import encode_payload
+from repro.protocols import (BestEffortMulticastLayer, FragmentationLayer,
+                             ReliableMulticastLayer)
+from repro.protocols.events import ApplicationMessage
+from repro.protocols.frag import FragmentationSession, FragmentEvent
 from repro.simnet import Network, SimEngine
 
+#: What a crafted blob's callable did, if it ever ran.
+EXECUTED: list[str] = []
 
-def frag_world(mtu=256, members=("a", "b")):
+
+def _crafted_call(tag: str):
+    EXECUTED.append(tag)
+    # A well-formed (class, payload, headers, source) reassembly.
+    return (ApplicationMessage, "owned", [], "ghost")
+
+
+class _Crafted:
+    """Unpickling this runs ``_crafted_call``."""
+
+    def __reduce__(self):
+        return (_crafted_call, ("frag",))
+
+
+def frag_world(mtu=256, members=("a", "b"), above=()):
     engine = SimEngine()
     network = Network(engine)
     for node_id in members:
@@ -20,7 +43,8 @@ def frag_world(mtu=256, members=("a", "b")):
         probes[node_id] = build_ministack(
             network, node_id, members,
             [FragmentationLayer(mtu=mtu),
-             BestEffortMulticastLayer(members=members_csv)])
+             BestEffortMulticastLayer(members=members_csv),
+             *(layer(members=members_csv) for layer in above)])
     return engine, network, probes
 
 
@@ -87,3 +111,54 @@ class TestFragmentation:
         engine.run_until(5.0)
         assert frag_b.expired_count == 1
         assert frag_b._buffers == {}
+
+    @pytest.mark.parametrize("blob", [
+        pickle.dumps(_Crafted()),
+        encode_payload((ApplicationMessage, "not a message", "ghost"))[0],
+        encode_payload(("ghost", Message("x").wire_copy(), "ghost"))[0],
+        b"\x0e\x00\x1f",  # a message whose payload has an unknown tag
+    ], ids=["pickle", "payload-not-a-message", "no-class", "corrupt"])
+    def test_a_crafted_fragment_is_dropped_and_counted(self, blob):
+        engine, network, probes = frag_world(mtu=128)
+        frag_b = frag_of(network, "b")
+        channel = network.node("b").kernel.find_channel("data")
+        crafted = FragmentEvent(message=Message(payload={
+            "origin": "ghost", "frag_id": 1, "index": 0, "total": 1,
+            "chunk": blob}), source="ghost", dest="b")
+        EXECUTED.clear()
+        channel.insert(crafted, Direction.UP)
+        engine.run_until(1.0)
+        assert EXECUTED == []
+        assert frag_b.undecodable_dropped == 1
+        assert frag_b.reassembled_count == 0
+        assert probes["b"].payloads() == []
+
+    def test_a_reassembled_event_keeps_class_headers_and_size(
+            self, monkeypatch):
+        sent, arrived = [], []
+        fragment = FragmentationSession._fragment
+        send_up = FragmentationSession.send_up
+
+        def recording_fragment(session, event):
+            sent.append((type(event), event.source, event.message.headers,
+                         event.message.size_bytes))
+            fragment(session, event)
+
+        def recording_send_up(session, event, channel=None):
+            arrived.append((type(event), event.source, event.message.headers,
+                            event.message.size_bytes))
+            send_up(session, event, channel)
+
+        monkeypatch.setattr(FragmentationSession, "_fragment",
+                            recording_fragment)
+        monkeypatch.setattr(FragmentationSession, "send_up",
+                            recording_send_up)
+        engine, network, probes = frag_world(
+            mtu=128, above=(ReliableMulticastLayer,))
+        probes["a"].send({"text": "x" * 600, "seq": 7})
+        engine.run_until(1.0)
+        assert probes["b"].payloads() == [{"text": "x" * 600, "seq": 7}]
+        assert len(sent) == 1
+        assert arrived == sent
+        assert sent[0][0] is ApplicationMessage
+        assert sent[0][2]  # the reliable layer's header rides along
