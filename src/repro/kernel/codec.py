@@ -42,6 +42,11 @@ extension (:func:`register_wire_key`) must happen identically on every
 node before traffic flows — in-process simulation gets this for free; a
 real transport would ship the table in a hello frame.
 
+**Shared ids.**  The decoder hands out one ``str`` per distinct short
+string in a tuple or list (a header's sender id, a view's members) from a
+bounded process-wide table (:data:`SHARED_STRINGS_MAX`), so the ids that
+every datagram repeats are not held once per received header.
+
 **Byte accounting.**  The simulation's byte charges
 (:func:`~repro.kernel.message.estimate_size`) feed link delay, loss draws
 and battery drain, so they are the accounting source of truth and must not
@@ -335,6 +340,16 @@ def encode_header(header: Any) -> tuple[bytes, int]:
 
 # -- decoding -----------------------------------------------------------------
 
+#: Most distinct strings :data:`_shared_strings` holds.
+SHARED_STRINGS_MAX = 4096
+#: The short strings (under 128 bytes) of decoded tuples and lists, one
+#: ``str`` per distinct encoding, process-wide: the ids a header carries
+#: on every datagram are held once, however many history rows keep them.
+#: A full table still decodes; it only stops sharing, so a peer that
+#: sends fresh strings costs at most the cap.
+_shared_strings: dict[bytes, str] = {}
+
+
 def _decode(buf: bytes, pos: int) -> tuple[Any, int, int]:
     """Read the value at ``pos``: ``(value, next pos, legacy charge)``.
 
@@ -346,11 +361,14 @@ def _decode(buf: bytes, pos: int) -> tuple[Any, int, int]:
         return _decode_at(buf, pos)
     except IndexError:
         raise CodecError("truncated value") from None
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"malformed string: {exc}") from None
 
 
 def _decode_at(buf: bytes, pos: int) -> tuple[Any, int, int]:
-    """:func:`_decode` without the truncation guard: an ``IndexError``
-    here is a read past the end of ``buf``."""
+    """:func:`_decode` without its guards: an ``IndexError`` here is a
+    read past the end of ``buf``, a ``UnicodeDecodeError`` a string that
+    is not UTF-8."""
     tag = buf[pos]
     pos += 1
     if tag & 0x80:
@@ -369,6 +387,7 @@ def _decode_at(buf: bytes, pos: int) -> tuple[Any, int, int]:
             pos += 1
         items = []
         append = items.append
+        shared = _shared_strings
         charge = 2
         for _ in range(count):
             # The leaves of a header tuple, read in place: a small int,
@@ -386,7 +405,13 @@ def _decode_at(buf: bytes, pos: int) -> tuple[Any, int, int]:
                     pos = start + length
                     if pos > len(buf):
                         raise CodecError("truncated string")
-                    append(buf[start:pos].decode("utf-8"))
+                    raw = buf[start:pos]
+                    text = shared.get(raw)
+                    if text is None:
+                        text = raw.decode("utf-8")
+                        if len(shared) < SHARED_STRINGS_MAX:
+                            shared[raw] = text
+                    append(text)
                     charge += length
                     continue
             item, pos, item_charge = _decode_at(buf, pos)
@@ -534,6 +559,8 @@ def decode_message(buf: bytes, pos: int = 0) -> Any:
         message, end, _ = _decode_message(buf, pos + 1)
     except IndexError:
         raise CodecError("truncated message") from None
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"malformed string: {exc}") from None
     if end != len(buf):
         raise CodecError(f"trailing bytes after message ({len(buf) - end})")
     return message

@@ -31,7 +31,6 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Any, Optional
-from xml.sax.saxutils import quoteattr
 
 from repro.kernel.channel import Channel
 from repro.kernel.errors import ConfigurationError
@@ -288,6 +287,9 @@ def dump_config(templates: dict[str, ChannelTemplate],
                 policies: Optional[dict[str, PolicySpec]] = None) -> str:
     """Render templates (and optional policies) into a ``<morpheus>``
     document that :func:`parse_config`/:func:`parse_policy_config` round-trip."""
+    # Imported here, its one use: ``xml.sax.saxutils`` loads
+    # ``urllib.request``, ``http.client`` and ``email`` with it.
+    from xml.sax.saxutils import quoteattr
     parts = ["<morpheus>"]
     for name in sorted(templates):
         template = templates[name]

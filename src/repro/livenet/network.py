@@ -174,8 +174,8 @@ class LiveNetwork(NetworkBase):
         nodes = self.nodes
         addresses = self._addresses
         frame = None
-        # Per destination kind: [is_lost_on_hop, delay, survivors], the
-        # survivors' list made with the kind's clock entry.
+        # Per destination kind's value: [is_lost_on_hop, delay,
+        # survivors], the survivors' list made with the kind's clock entry.
         kinds: dict = {}
         for dst_id in receivers:
             local = nodes.get(dst_id)
@@ -193,10 +193,10 @@ class LiveNetwork(NetworkBase):
                 self._send_frame(src_id, (dst_id,), frame)
                 continue
             kind = local.kind
-            plan = kinds.get(kind)
+            plan = kinds.get(kind._value_)
             if plan is None:
                 is_lost_on_hop, delay = self._hop_plan(sender, kind, size)
-                plan = kinds[kind] = [is_lost_on_hop, delay, None]
+                plan = kinds[kind._value_] = [is_lost_on_hop, delay, None]
             for is_lost in plan[0]:
                 if is_lost(size):
                     self.lost_packets += 1

@@ -22,7 +22,8 @@ A message enters the parity math as its wire form
 frozen payload).  A recovered block is decoded by the same codec; a block
 that is not exactly one well-formed message — a corrupt or crafted parity
 — is dropped and counted in ``undecodable_dropped``, never raised into
-the stack.
+the stack.  So is a data header or a parity dict whose fields are not of
+the shape and range this layer sends.
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ def _thaw(blob: bytes) -> Optional[Message]:
     return message
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is a non-negative ``int`` (not a ``bool``)."""
+    return type(value) is int and value >= 0
+
+
 @dataclass
 class _BlockState:
     """Receiver-side reassembly state for one (sender, block) pair."""
@@ -101,7 +107,8 @@ class FecSession(GroupSession):
         #: Diagnostics for the crossover bench.
         self.recovered_count = 0
         self.given_up = 0
-        #: Recovered blocks that were not one well-formed message.
+        #: Recovered blocks that were not one well-formed message, and
+        #: data headers and parity dicts of the wrong shape.
         self.undecodable_dropped = 0
 
     # -- lifecycle -----------------------------------------------------------
@@ -208,6 +215,10 @@ class FecSession(GroupSession):
             self.foreign_dropped += 1  # generation skew: not a fec frame
             return
         _tag, sender, block, position = header
+        if not (type(sender) is str and _is_count(block) and
+                _is_count(position) and position < self.k):
+            self.undecodable_dropped += 1
+            return
         if sender == self.local:
             event.go()  # loopback: already accounted on the send side
             return
@@ -220,7 +231,10 @@ class FecSession(GroupSession):
         self._maybe_recover(sender, block, state, event.channel)
 
     def _incoming_parity(self, event: ParityMessage) -> None:
-        payload = self.payload_of(event)
+        payload = event.message.payload
+        if not self._is_parity(payload):
+            self.undecodable_dropped += 1
+            return
         sender = payload["sender"]
         if sender == self.local:
             return
@@ -228,6 +242,20 @@ class FecSession(GroupSession):
         state.lengths = list(payload["lengths"])
         state.pieces[self.k + payload["parity_index"]] = payload["data"]
         self._maybe_recover(sender, payload["block"], state, event.channel)
+
+    def _is_parity(self, payload) -> bool:
+        """Whether ``payload`` is a parity dict as :meth:`_emit_parity`
+        builds it for this session's ``k`` and ``m``."""
+        if type(payload) is not dict:
+            return False
+        index = payload.get("parity_index")
+        lengths = payload.get("lengths")
+        return (type(payload.get("sender")) is str and
+                _is_count(payload.get("block")) and
+                _is_count(index) and index < self.m and
+                type(lengths) is list and len(lengths) == self.k and
+                all(_is_count(length) for length in lengths) and
+                type(payload.get("data")) is bytes)
 
     def _maybe_recover(self, sender: str, block: int, state: _BlockState,
                        channel) -> None:

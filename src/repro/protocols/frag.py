@@ -11,7 +11,10 @@ The oversized event travels as one codec value (:mod:`repro.kernel.codec`),
 the tuple ``(event class, message, source)``: a class reference (tag
 ``0x10``) and the message's wire form (tag ``0x0E``).  A reassembled blob
 that is not exactly that shape is dropped and counted in
-``undecodable_dropped``, never raised into the stack.
+``undecodable_dropped``, never raised into the stack, and so is a
+fragment whose fields are not of the shape and range this layer sends.
+A message that needs more than :data:`MAX_FRAGMENTS` fragments raises
+``ValueError`` at the sender.
 
 Counting note: each fragment is one NIC transmission, so a 3-fragment chat
 message counts as 3 messages in the Figure 3 metric — exactly what a real
@@ -31,6 +34,10 @@ from repro.protocols.base import GroupSession
 from repro.protocols.events import GroupSendableEvent
 
 _SWEEP_TIMER = "frag-sweep"
+
+#: Most fragments a receiver reassembles into one message (about 1.3 MB
+#: at the default MTU).
+MAX_FRAGMENTS = 1024
 
 
 class FragmentEvent(SendableEvent):
@@ -63,7 +70,8 @@ class FragmentationSession(GroupSession):
         self.fragmented_count = 0
         self.reassembled_count = 0
         self.expired_count = 0
-        #: Reassembled blobs that were not one well-formed event.
+        #: Reassembled blobs that were not one well-formed event, and
+        #: fragments of the wrong shape.
         self.undecodable_dropped = 0
 
     def on_channel_init(self, event: Event) -> None:
@@ -114,6 +122,10 @@ class FragmentationSession(GroupSession):
         chunk_size = max(self.mtu - 64, 64)  # room for fragment framing
         chunks = [blob[offset:offset + chunk_size]
                   for offset in range(0, len(blob), chunk_size)]
+        if len(chunks) > MAX_FRAGMENTS:
+            raise ValueError(
+                f"a {len(blob)}-byte message needs {len(chunks)} fragments "
+                f"at mtu {self.mtu}; receivers reassemble {MAX_FRAGMENTS}")
         self._counter += 1
         frag_id = self._counter
         self.fragmented_count += 1
@@ -128,14 +140,21 @@ class FragmentationSession(GroupSession):
     # -- receiving -----------------------------------------------------------
 
     def _absorb_fragment(self, event: FragmentEvent) -> None:
-        payload = self.payload_of(event)
+        payload = event.message.payload
+        if not _is_fragment(payload):
+            self.undecodable_dropped += 1
+            return
         key = (payload["origin"], payload["frag_id"])
+        total = payload["total"]
         buffer = self._buffers.get(key)
         if buffer is None:
-            buffer = _Reassembly(total=payload["total"],
+            buffer = _Reassembly(total=total,
                                  first_seen=event.channel.kernel.clock.now())
             self._buffers[key] = buffer
             self._ensure_sweep(event.channel)  # first live reassembly
+        elif buffer.total != total:
+            self.undecodable_dropped += 1  # not a fragment of this message
+            return
         buffer.chunks[payload["index"]] = payload["chunk"]
         if len(buffer.chunks) < buffer.total:
             return
@@ -163,6 +182,20 @@ class FragmentationSession(GroupSession):
             if now - buffer.first_seen > self.reassembly_timeout:
                 del self._buffers[key]
                 self.expired_count += 1
+
+
+def _is_fragment(payload) -> bool:
+    """Whether ``payload`` is a fragment dict as
+    :meth:`FragmentationSession._fragment` builds it."""
+    if type(payload) is not dict:
+        return False
+    total = payload.get("total")
+    index = payload.get("index")
+    return (type(payload.get("origin")) is str and
+            type(payload.get("frag_id")) is int and
+            type(total) is int and 1 <= total <= MAX_FRAGMENTS and
+            type(index) is int and 0 <= index < total and
+            type(payload.get("chunk")) is bytes)
 
 
 @register_layer

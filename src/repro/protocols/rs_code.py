@@ -10,8 +10,9 @@ makes the code MDS (maximum distance separable): up to ``m`` erasures are
 always recoverable.
 
 Pure-Python GF(256) arithmetic with exp/log tables (polynomial 0x11d, the
-conventional choice).  Block sizes in this system are chat messages —
-tens of bytes — so table-driven byte loops are plenty fast.
+conventional choice).  A block is never walked byte by byte: scaling it by
+a coefficient is one ``bytes.translate`` over that coefficient's 256-entry
+product table, and adding blocks is one XOR of the integers they spell.
 """
 
 from __future__ import annotations
@@ -54,6 +55,19 @@ def gf_div(a: int, b: int) -> int:
     return gf_mul(a, gf_inv(b))
 
 
+#: Product tables by coefficient, built on first use.
+_MUL_TABLES: dict[int, bytes] = {}
+
+
+def _scale(block: bytes, coefficient: int) -> bytes:
+    """``block`` with every byte multiplied by ``coefficient``."""
+    table = _MUL_TABLES.get(coefficient)
+    if table is None:
+        table = _MUL_TABLES[coefficient] = bytes(
+            gf_mul(coefficient, byte) for byte in range(256))
+    return block.translate(table)
+
+
 # --- code construction ----------------------------------------------------------
 
 
@@ -83,15 +97,12 @@ def rs_encode(data_blocks: Sequence[bytes], m: int) -> list[bytes]:
     padded, width = _pad(data_blocks)
     parities = []
     for j in range(m):
-        parity = bytearray(width)
+        parity = 0
         for i, block in enumerate(padded):
             coefficient = matrix[i][j]
-            if coefficient == 0:
-                continue
-            for offset, byte in enumerate(block):
-                if byte:
-                    parity[offset] ^= gf_mul(coefficient, byte)
-        parities.append(bytes(parity))
+            if coefficient:
+                parity ^= int.from_bytes(_scale(block, coefficient), "big")
+        parities.append(parity.to_bytes(width, "big"))
     return parities
 
 
@@ -137,50 +148,46 @@ def _solve_erasures(data: list[Optional[bytes]], erased: list[int],
                     parity_rows: list[int], by_index: dict[int, bytes],
                     matrix: list[list[int]], k: int,
                     width: int) -> list[Optional[bytes]]:
-    """Gaussian elimination for the erased positions, byte column by column."""
+    """Gaussian elimination for the erased positions, a whole block per step."""
     e = len(erased)
     # Right-hand side: parity bytes minus contributions of surviving data.
     rhs = []
     for j in parity_rows:
-        adjusted = bytearray(by_index[k + j])
+        adjusted = int.from_bytes(by_index[k + j], "big")
         for i in range(k):
             block = data[i]
             if block is None or i in erased:
                 continue
             coefficient = matrix[i][j]
-            if coefficient == 0:
-                continue
-            for offset in range(width):
-                if block[offset]:
-                    adjusted[offset] ^= gf_mul(coefficient, block[offset])
-        rhs.append(adjusted)
+            if coefficient:
+                adjusted ^= int.from_bytes(_scale(block, coefficient), "big")
+        rhs.append(adjusted.to_bytes(width, "big"))
     # Coefficient matrix rows: parity j, columns: erased data i.
     coeffs = [[matrix[i][j] for i in erased] for j in parity_rows]
     solution = _gaussian_solve(coeffs, rhs, e, width)
     for position, block in zip(erased, solution):
-        data[position] = bytes(block)
+        data[position] = block
     return data
 
 
-def _gaussian_solve(coeffs: list[list[int]], rhs: list[bytearray],
-                    e: int, width: int) -> list[bytearray]:
+def _gaussian_solve(coeffs: list[list[int]], rhs: list[bytes],
+                    e: int, width: int) -> list[bytes]:
     """Solve ``coeffs · x = rhs`` over GF(256) for byte-vector unknowns."""
     a = [row[:] for row in coeffs]
-    b = [bytearray(row) for row in rhs]
+    b = list(rhs)
     for col in range(e):
         pivot_row = next(row for row in range(col, e) if a[row][col] != 0)
         a[col], a[pivot_row] = a[pivot_row], a[col]
         b[col], b[pivot_row] = b[pivot_row], b[col]
         inverse = gf_inv(a[col][col])
         a[col] = [gf_mul(value, inverse) for value in a[col]]
-        b[col] = bytearray(gf_mul(byte, inverse) for byte in b[col])
+        b[col] = _scale(b[col], inverse)
         for row in range(e):
             if row == col or a[row][col] == 0:
                 continue
             factor = a[row][col]
             a[row] = [a[row][i] ^ gf_mul(factor, a[col][i])
                       for i in range(e)]
-            for offset in range(width):
-                if b[col][offset]:
-                    b[row][offset] ^= gf_mul(factor, b[col][offset])
+            b[row] = (int.from_bytes(b[row], "big") ^ int.from_bytes(
+                _scale(b[col], factor), "big")).to_bytes(width, "big")
     return b

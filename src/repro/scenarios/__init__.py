@@ -9,14 +9,8 @@ pipeline (Cocaditem dissemination → policy → flush → stack swap) adapts
 live.  :mod:`repro.scenarios.library` ships the canned scenarios.
 """
 
-from repro.scenarios.fuzz import (ALWAYS_ON, MIXES, FuzzConfig, FuzzOutcome,
-                                  fuzz_oracle, generate_scenario, run_fuzz,
-                                  run_seed_for, scenario_from_dict,
-                                  scenario_to_dict)
-from repro.scenarios.library import (CANNED, canned, churn_storm,
-                                     commuter_handoff, degrading_channel_fec,
-                                     energy_rotation, flash_crowd_join,
-                                     partition_heal)
+from importlib import import_module
+
 from repro.scenarios.runner import (InvariantViolation, ScenarioResult,
                                     ScenarioRunner, build_loss_model,
                                     run_scenario)
@@ -24,8 +18,34 @@ from repro.scenarios.scenario import (ChatBurst, Crash, Handoff, Heal,
                                       Leave, LinkSpec, NodeSpec, Partition,
                                       Recover, Scenario, ScenarioEvent,
                                       SetLoss, bernoulli, gilbert_elliott)
-from repro.scenarios.shrink import (ShrinkOutcome, load_corpus_file,
-                                    shrink_scenario, write_corpus_file)
+
+#: Names exported from a submodule that is imported on first use (PEP 562):
+#: a run needs neither the fuzzer nor the shrinker, and the fuzzer imports
+#: all of :mod:`repro.federation`.
+_LAZY = {
+    **dict.fromkeys(
+        ("CANNED", "canned", "churn_storm", "commuter_handoff",
+         "degrading_channel_fec", "energy_rotation", "flash_crowd_join",
+         "partition_heal"), "library"),
+    **dict.fromkeys(
+        ("ALWAYS_ON", "MIXES", "FuzzConfig", "FuzzOutcome", "fuzz_oracle",
+         "generate_scenario", "run_fuzz", "run_seed_for",
+         "scenario_from_dict", "scenario_to_dict"), "fuzz"),
+    **dict.fromkeys(
+        ("ShrinkOutcome", "load_corpus_file", "shrink_scenario",
+         "write_corpus_file"), "shrink"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "CANNED", "canned", "churn_storm", "commuter_handoff",

@@ -465,8 +465,10 @@ class NetworkBase:
         key; a loss swap or a handoff changes the key.  The delay is
         summed for ``size`` on every call."""
         sender_id = sender.node_id
-        key = (sender_id, sender.kind, dst_kind, self.wired.loss,
-               self.wireless.loss)
+        # Kinds by their string value: an enum member's ``__hash__`` is
+        # Python code, a string's is cached.
+        key = (sender_id, sender.kind._value_, dst_kind._value_,
+               self.wired.loss, self.wireless.loss)
         plan = self._hop_plans.get(key)
         if plan is None:
             hops = self._hops_between(sender.kind, dst_kind)
@@ -549,7 +551,7 @@ class Network(NetworkBase):
         nodes = self.nodes
         reach = self._reach_of(sender_id)
         reserve_seq = self.engine.reserve_seq
-        #: ``kind -> (loss draws, *batches[its instant])``.
+        #: ``kind value -> (loss draws, *batches[its instant])``.
         paths: dict = {}
         #: ``when -> (seqs, receivers)``: one queue entry per instant.
         batches: dict = {}
@@ -558,13 +560,14 @@ class Network(NetworkBase):
             if dst is None or (reach is not None and dst_id not in reach):
                 self.lost_packets += 1
                 continue
-            path = paths.get(dst.kind)
+            kind = dst.kind
+            path = paths.get(kind._value_)
             if path is None:
-                is_lost_on_hop, delay = self._hop_plan(sender, dst.kind, size)
+                is_lost_on_hop, delay = self._hop_plan(sender, kind, size)
                 batch = batches.get(now + delay)
                 if batch is None:
                     batch = batches[now + delay] = ([], [])
-                path = paths[dst.kind] = (is_lost_on_hop, *batch)
+                path = paths[kind._value_] = (is_lost_on_hop, *batch)
             is_lost_on_hop, seqs, dsts = path
             for is_lost in is_lost_on_hop:
                 if is_lost(size):

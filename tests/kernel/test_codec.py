@@ -12,7 +12,9 @@ Three contracts under test:
   table behave exactly as documented (the table is a wire contract:
   ids are registration order);
 * **one serializer** — the codec is the only one: no module of the
-  package imports another.
+  package imports another;
+* **shared ids** — a short string in a decoded tuple or list is one
+  object per distinct string, from a table that never outgrows its cap.
 """
 
 from __future__ import annotations
@@ -238,3 +240,55 @@ class TestOneSerializer:
             for name in imported_modules(ast.parse(path.read_text()))
             if name.split(".")[0] in OTHER_SERIALIZERS)
         assert offenders == []
+
+
+@pytest.fixture
+def string_table(monkeypatch):
+    """An empty shared-string table for one test; the process's table
+    is restored after it."""
+    table: dict = {}
+    monkeypatch.setattr(codec, "_shared_strings", table)
+    return table
+
+
+class TestSharedStrings:
+    def test_two_frames_from_one_sender_share_its_id(self, string_table):
+        from repro.kernel.packet import Packet
+        from repro.livenet.frame import decode_frame, encode_frame
+        from repro.protocols.events import ApplicationMessage
+
+        sender = "".join(["n", "07"])  # built at run time, not a constant
+        decoded = []
+        for seqno in (1, 2):
+            message = Message({"text": f"line {seqno}"})
+            message.push_header(("rel", sender, seqno))
+            frame = encode_frame(Packet(
+                src=sender, dst="rx", port="data",
+                event_cls=ApplicationMessage, message=message.wire_copy()))
+            decoded.append(decode_frame(frame, "rx").message.headers[0][1])
+        assert decoded == [sender, sender]
+        assert decoded[0] is decoded[1]
+        assert decoded[0] is not sender
+
+    def test_ten_thousand_ids_decode_equal_and_the_table_stays_capped(
+            self, string_table):
+        ids = [f"peer-{number:05d}" for number in range(10_000)]
+        for start in range(0, len(ids), 100):
+            batch = tuple(ids[start:start + 100])
+            assert decode_payload(encode_payload(batch)[0]) == batch
+            assert decode_payload(encode_payload(list(batch))[0]) == \
+                list(batch)
+            assert len(string_table) <= codec.SHARED_STRINGS_MAX
+        assert len(string_table) == codec.SHARED_STRINGS_MAX
+        # Past the cap a string still decodes; it is only not shared.
+        first, second = (decode_payload(encode_payload((ids[-1],))[0])[0]
+                         for _ in range(2))
+        assert first == second == ids[-1] and first is not second
+
+    def test_a_long_or_malformed_string_is_not_shared(self, string_table):
+        long_id = "x" * 200
+        assert decode_payload(encode_payload((long_id,))[0]) == (long_id,)
+        for blob in (b"\x0a\x01\x05\x01\xff", b"\x05\x01\xff"):
+            with pytest.raises(CodecError, match="malformed string"):
+                decode_payload(blob)
+        assert string_table == {}

@@ -12,11 +12,15 @@ from repro.experiments.ministacks import (build_ministack, fec_stack,
                                           flood_stack, gossip_stack)
 from repro.kernel import Direction, Message
 from repro.kernel.codec import encode_payload
+from repro.kernel.packet import Packet
+from repro.livenet.frame import encode_frame
 from repro.protocols import fec as fec_module
-from repro.protocols.events import ParityMessage
+from repro.protocols.events import ApplicationMessage, ParityMessage
 from repro.protocols.fec import FecLayer
 from repro.protocols.rs_code import rs_encode
 from repro.simnet import BernoulliLoss, LinkParams, Network, SimEngine
+from repro.simnet.node import NodeKind
+from tests.livenet.helpers import offline_live_network
 
 #: What a crafted blob's callable did, if it ever ran.
 EXECUTED: list[str] = []
@@ -42,6 +46,19 @@ def corrupt_nested_message() -> bytes:
     assert blob[at] == 0x0D
     blob[at] = 0x1F
     return bytes(blob)
+
+
+def parity_dict(field: str, value) -> dict:
+    """A k=1, m=1 parity of a good message from ``s``, with ``field`` set
+    to ``value`` (dropped when ``value`` is ``None``)."""
+    blob = encode_payload(Message("hello").wire_copy())[0]
+    parity = {"sender": "s", "block": 0, "parity_index": 0, "k": 1, "m": 1,
+              "lengths": [len(blob)], "data": rs_encode([blob], 1)[0]}
+    if value is None:
+        del parity[field]
+    else:
+        parity[field] = value
+    return parity
 
 
 def loss_world(member_ids, loss=0.0, seed=5, mobile=()):
@@ -131,7 +148,8 @@ class TestFec:
         pickle.dumps(_Crafted()),
         encode_payload({"kind": "chat"})[0],  # a wire value, not a message
         corrupt_nested_message(),
-    ], ids=["pickle", "not-a-message", "corrupt-payload"])
+        b"\x0e\x00\x05\x01\xff",  # a message whose text is not UTF-8
+    ], ids=["pickle", "not-a-message", "corrupt-payload", "not-utf8"])
     def test_a_crafted_parity_block_is_dropped_and_counted(self, blob):
         """With k=1, m=1 the parity of a block is the block itself, so a
         plain-data parity dict decides what the receiver thaws."""
@@ -155,6 +173,89 @@ class TestFec:
         assert fec.undecodable_dropped == 1
         assert fec.recovered_count == 0
         assert probes["r0"].payloads() == []
+
+    @pytest.mark.parametrize("field, value", [
+        ("sender", ["s"]),
+        ("block", None),
+        ("block", -1),
+        ("parity_index", 1),  # m = 1
+        ("parity_index", "0"),
+        ("lengths", "ab"),
+        ("lengths", [7, 7]),  # k = 1
+        ("lengths", [1.5]),
+        ("data", "text"),
+    ], ids=["sender-list", "no-block", "negative-block", "index-past-m",
+            "index-str", "lengths-str", "lengths-count", "length-float",
+            "data-str"])
+    def test_a_malformed_parity_dict_is_dropped_and_counted(self, field,
+                                                           value):
+        """Everything else in the dict is a good parity of a good
+        message (with k=1, m=1 the parity is the block itself)."""
+        members = ["s", "r0"]
+        engine, network = loss_world(members)
+        probes = {node_id: build_ministack(
+            network, node_id, members, fec_stack(",".join(members), k=1, m=1))
+            for node_id in members}
+        channel = network.node("r0").kernel.find_channel("data")
+        channel.insert_from(channel.session_named("beb"), ParityMessage(
+            message=Message(payload=parity_dict(field, value)),
+            source="s", dest="r0"), Direction.UP)
+        engine.run_until(1.0)
+        fec = channel.session_named("fec")
+        assert fec.undecodable_dropped == 1
+        assert fec._blocks == {}
+        assert fec.recovered_count == 0
+        assert probes["r0"].payloads() == []
+
+    def test_a_parity_payload_that_is_not_a_dict_is_dropped(self):
+        members = ["s", "r0"]
+        engine, network = loss_world(members)
+        build_ministack(network, "r0", members, fec_stack("s,r0", k=1, m=1))
+        channel = network.node("r0").kernel.find_channel("data")
+        channel.insert_from(channel.session_named("beb"), ParityMessage(
+            message=Message(payload=["s", 0, 0]), source="s", dest="r0"),
+            Direction.UP)
+        assert channel.session_named("fec").undecodable_dropped == 1
+
+    @pytest.mark.parametrize("header", [
+        ("fec", "s", 0, 1),  # k = 1
+        ("fec", "s", 0, "0"),
+        ("fec", "s", "0", 0),
+        ("fec", ("s",), 0, 0),
+    ], ids=["position-past-k", "position-str", "block-str", "sender-tuple"])
+    def test_a_malformed_data_header_is_dropped_and_counted(self, header):
+        members = ["s", "r0"]
+        engine, network = loss_world(members)
+        probe = build_ministack(network, "r0", members,
+                                fec_stack("s,r0", k=1, m=1))
+        channel = network.node("r0").kernel.find_channel("data")
+        message = Message("hello")
+        message.push_header(header)
+        channel.insert_from(channel.session_named("beb"), ApplicationMessage(
+            message=message, source="s", dest="r0"), Direction.UP)
+        engine.run_until(1.0)
+        fec = channel.session_named("fec")
+        assert fec.undecodable_dropped == 1
+        assert fec._blocks == {}
+        assert probe.payloads() == []
+
+    def test_a_malformed_parity_frame_on_the_live_wire_is_dropped(self):
+        network, _, _ = offline_live_network(
+            {"s": NodeKind.FIXED, "r0": NodeKind.FIXED})
+        probe = build_ministack(network, "r0", ["s", "r0"],
+                                fec_stack("s,r0", k=1, m=1))
+        for field, value in (("block", None), ("parity_index", 1)):
+            frame = encode_frame(Packet(
+                src="s", dst="r0", port="data", event_cls=ParityMessage,
+                message=Message(payload=parity_dict(field, value))
+                .wire_copy()))
+            network._on_datagram("r0", frame, ("127.0.0.1", 1))
+        fec = network.node("r0").kernel.find_channel("data") \
+            .session_named("fec")
+        assert (network.decode_errors, network.delivered_packets) == (0, 2)
+        assert fec.undecodable_dropped == 2
+        assert fec._blocks == {}
+        assert probe.payloads() == []
 
     def test_a_recovered_message_keeps_its_headers_and_size(self,
                                                             monkeypatch):

@@ -9,11 +9,16 @@ import pytest
 from repro.experiments.ministacks import build_ministack
 from repro.kernel import Direction, Message
 from repro.kernel.codec import encode_payload
+from repro.kernel.packet import Packet
+from repro.livenet.frame import encode_frame
 from repro.protocols import (BestEffortMulticastLayer, FragmentationLayer,
                              ReliableMulticastLayer)
 from repro.protocols.events import ApplicationMessage
-from repro.protocols.frag import FragmentationSession, FragmentEvent
+from repro.protocols.frag import (MAX_FRAGMENTS, FragmentationSession,
+                                  FragmentEvent)
 from repro.simnet import Network, SimEngine
+from repro.simnet.node import NodeKind
+from tests.livenet.helpers import offline_live_network
 
 #: What a crafted blob's callable did, if it ever ran.
 EXECUTED: list[str] = []
@@ -30,6 +35,20 @@ class _Crafted:
 
     def __reduce__(self):
         return (_crafted_call, ("frag",))
+
+
+def fragment_dict(field: str, value) -> dict:
+    """The one fragment of a good message from ``ghost``, with ``field``
+    set to ``value`` (dropped when ``value`` is ``None``)."""
+    blob = encode_payload((ApplicationMessage, Message("x").wire_copy(),
+                           "ghost"))[0]
+    fragment = {"origin": "ghost", "frag_id": 1, "index": 0, "total": 1,
+                "chunk": blob}
+    if value is None:
+        del fragment[field]
+    else:
+        fragment[field] = value
+    return fragment
 
 
 def frag_world(mtu=256, members=("a", "b"), above=()):
@@ -117,7 +136,9 @@ class TestFragmentation:
         encode_payload((ApplicationMessage, "not a message", "ghost"))[0],
         encode_payload(("ghost", Message("x").wire_copy(), "ghost"))[0],
         b"\x0e\x00\x1f",  # a message whose payload has an unknown tag
-    ], ids=["pickle", "payload-not-a-message", "no-class", "corrupt"])
+        b"\x0e\x00\x05\x01\xff",  # a message whose text is not UTF-8
+    ], ids=["pickle", "payload-not-a-message", "no-class", "corrupt",
+            "not-utf8"])
     def test_a_crafted_fragment_is_dropped_and_counted(self, blob):
         engine, network, probes = frag_world(mtu=128)
         frag_b = frag_of(network, "b")
@@ -132,6 +153,80 @@ class TestFragmentation:
         assert frag_b.undecodable_dropped == 1
         assert frag_b.reassembled_count == 0
         assert probes["b"].payloads() == []
+
+    @pytest.mark.parametrize("field, value", [
+        ("origin", ["ghost"]),
+        ("frag_id", None),
+        ("frag_id", "1"),
+        ("total", 0),
+        ("total", MAX_FRAGMENTS + 1),
+        ("total", "1"),
+        ("index", 1),  # total = 1
+        ("index", -1),
+        ("chunk", 7),
+        ("chunk", "text"),
+    ], ids=["origin-list", "no-frag-id", "frag-id-str", "total-zero",
+            "total-past-bound", "total-str", "index-past-total",
+            "negative-index", "chunk-int", "chunk-str"])
+    def test_a_malformed_fragment_is_dropped_and_counted(self, field, value):
+        """Nothing is buffered or armed for it, and nothing is raised."""
+        engine, network, probes = frag_world(mtu=128)
+        frag_b = frag_of(network, "b")
+        channel = network.node("b").kernel.find_channel("data")
+        channel.insert(FragmentEvent(
+            message=Message(payload=fragment_dict(field, value)),
+            source="ghost", dest="b"), Direction.UP)
+        engine.run_until(1.0)
+        assert frag_b.undecodable_dropped == 1
+        assert frag_b._buffers == {}
+        assert frag_b._sweep_handle is None
+        assert frag_b.reassembled_count == 0
+        assert probes["b"].payloads() == []
+
+    def test_a_message_past_the_fragment_bound_is_refused_at_the_sender(
+            self):
+        engine, network, probes = frag_world(mtu=128)
+        with pytest.raises(ValueError, match="fragments"):
+            probes["a"].send("x" * 64 * (MAX_FRAGMENTS + 1))
+        assert frag_of(network, "a").fragmented_count == 0
+
+    def test_a_fragment_payload_that_is_not_a_dict_is_dropped(self):
+        engine, network, probes = frag_world(mtu=128)
+        channel = network.node("b").kernel.find_channel("data")
+        channel.insert(FragmentEvent(message=Message(payload=[b"chunk"]),
+                                     source="ghost", dest="b"),
+                       Direction.UP)
+        assert frag_of(network, "b").undecodable_dropped == 1
+
+    def test_a_fragment_that_disagrees_on_the_total_is_dropped(self):
+        engine, network, probes = frag_world(mtu=128)
+        frag_b = frag_of(network, "b")
+        channel = network.node("b").kernel.find_channel("data")
+        for index, total in ((0, 2), (1, 3)):
+            channel.insert(FragmentEvent(message=Message(payload={
+                "origin": "ghost", "frag_id": 1, "index": index,
+                "total": total, "chunk": b"part"}), source="ghost",
+                dest="b"), Direction.UP)
+        assert frag_b.undecodable_dropped == 1
+        assert frag_b._buffers[("ghost", 1)].chunks == {0: b"part"}
+
+    def test_a_malformed_fragment_frame_on_the_live_wire_is_dropped(self):
+        network, _, _ = offline_live_network(
+            {"a": NodeKind.FIXED, "b": NodeKind.FIXED})
+        probe = build_ministack(network, "b", ("a", "b"), [
+            FragmentationLayer(mtu=128),
+            BestEffortMulticastLayer(members="a,b")])
+        for field, value in (("index", 1), ("frag_id", None)):
+            frame = encode_frame(Packet(
+                src="a", dst="b", port="data", event_cls=FragmentEvent,
+                message=Message(payload=fragment_dict(field, value))
+                .wire_copy()))
+            network._on_datagram("b", frame, ("127.0.0.1", 1))
+        frag_b = frag_of(network, "b")
+        assert (network.decode_errors, network.delivered_packets) == (0, 2)
+        assert frag_b.undecodable_dropped == 2
+        assert frag_b._buffers == {}
+        assert probe.payloads() == []
 
     def test_a_reassembled_event_keeps_class_headers_and_size(
             self, monkeypatch):

@@ -123,3 +123,85 @@ class TestEncodeDecode:
         parities = rs_encode(data, 2)
         widest = max(len(block) for block in data)
         assert all(len(parity) == widest for parity in parities)
+
+
+# -- the byte-loop reference -----------------------------------------------------
+#
+# The coder as it was written first, one GF(256) product per byte: the
+# table-driven coder must produce the same parities and the same recovered
+# blocks.
+
+
+def _reference_encode(data, m):
+    k = len(data)
+    matrix = cauchy_matrix(k, m)
+    width = max(len(block) for block in data)
+    padded = [block.ljust(width, b"\0") for block in data]
+    parities = []
+    for j in range(m):
+        parity = bytearray(width)
+        for i, block in enumerate(padded):
+            for offset, value in enumerate(block):
+                if value:
+                    parity[offset] ^= gf_mul(matrix[i][j], value)
+        parities.append(bytes(parity))
+    return parities
+
+
+def _reference_decode(pieces, k, m, lengths):
+    matrix = cauchy_matrix(k, m)
+    width = max(len(piece) for piece in pieces.values())
+    by_index = {i: piece.ljust(width, b"\0") for i, piece in pieces.items()}
+    erased = [i for i in range(k) if i not in by_index]
+    rows = [j for j in range(m) if k + j in by_index][:len(erased)]
+    rhs = []
+    for j in rows:
+        adjusted = bytearray(by_index[k + j])
+        for i in range(k):
+            if i in by_index:
+                for offset in range(width):
+                    adjusted[offset] ^= gf_mul(matrix[i][j],
+                                               by_index[i][offset])
+        rhs.append(adjusted)
+    a = [[matrix[i][j] for i in erased] for j in rows]
+    e = len(erased)
+    for col in range(e):
+        pivot = next(row for row in range(col, e) if a[row][col])
+        a[col], a[pivot] = a[pivot], a[col]
+        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
+        inverse = gf_inv(a[col][col])
+        a[col] = [gf_mul(value, inverse) for value in a[col]]
+        rhs[col] = bytearray(gf_mul(value, inverse) for value in rhs[col])
+        for row in range(e):
+            if row != col and a[row][col]:
+                factor = a[row][col]
+                a[row] = [a[row][i] ^ gf_mul(factor, a[col][i])
+                          for i in range(e)]
+                for offset in range(width):
+                    rhs[row][offset] ^= gf_mul(factor, rhs[col][offset])
+    for position, block in zip(erased, rhs):
+        by_index[position] = bytes(block)
+    return [by_index[i][:length] for i, length in enumerate(lengths)]
+
+
+class TestAgainstTheByteLoop:
+    def test_k8_m2_every_erasure_pattern(self):
+        import itertools
+        import random
+        rng = random.Random(8)
+        k, m = 8, 2
+        for _ in range(3):
+            data = [rng.randbytes(rng.randint(0, 60)) for _ in range(k)]
+            data[0] = rng.randbytes(60)  # the block width, never zero
+            parities = rs_encode(data, m)
+            assert parities == _reference_encode(data, m)
+            pieces = dict(enumerate(data + parities))
+            lengths = [len(block) for block in data]
+            for count in range(m + 1):
+                for erased in itertools.combinations(range(k + m), count):
+                    surviving = {i: piece for i, piece in pieces.items()
+                                 if i not in erased}
+                    recovered = rs_decode(surviving, k, m, lengths)
+                    assert recovered == data
+                    assert recovered == _reference_decode(surviving, k, m,
+                                                          lengths)
