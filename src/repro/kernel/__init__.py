@@ -27,7 +27,7 @@ from repro.kernel.events import (BackoffTimerEvent, ChannelClose,
                                  PeriodicTimerEvent, SendableEvent,
                                  TimerEvent)
 from repro.kernel.layer import Layer
-from repro.kernel.message import Message, estimate_size
+from repro.kernel.message import Message
 from repro.kernel.packet import (CONTROL, DATA, PACKET_OVERHEAD_BYTES,
                                  SRC_FIELD_OVERHEAD, EachOf, Packet)
 from repro.kernel.qos import QoS
@@ -50,7 +50,7 @@ __all__ = [
     "BackoffTimerEvent", "ChannelClose", "ChannelEvent", "ChannelInit",
     "DebugEvent", "Direction",
     "EchoEvent", "Event", "PeriodicTimerEvent", "SendableEvent", "TimerEvent",
-    "Layer", "Message", "estimate_size", "QoS",
+    "Layer", "Message", "QoS",
     "CONTROL", "DATA", "PACKET_OVERHEAD_BYTES", "SRC_FIELD_OVERHEAD",
     "EachOf", "Packet",
     "DatagramTransportLayer", "DatagramTransportSession",

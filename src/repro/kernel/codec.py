@@ -24,7 +24,7 @@ Wire format — one tagged value, recursively::
     0x0C frozenset     varint count + values
     0x0D dict          varint count + (key value) pairs
     0x0E message       varint header count + headers bottom→top + payload
-    0x0F wire blob     varint length + raw + varint charge
+    0x0F wire blob     varint length + raw
                        (an already-encoded nested payload re-embedded
                        verbatim — retransmission stores forward received
                        frozen bytes without a decode/re-encode round trip)
@@ -47,22 +47,14 @@ string in a tuple or list (a header's sender id, a view's members) from a
 bounded process-wide table (:data:`SHARED_STRINGS_MAX`), so the ids that
 every datagram repeats are not held once per received header.
 
-**Byte accounting.**  The simulation's byte charges
-(:func:`~repro.kernel.message.estimate_size`) feed link delay, loss draws
-and battery drain, so they are the accounting source of truth and must not
-drift with encoding details.  :func:`encode_payload` therefore computes the
-legacy charge *in the same traversal* that emits the bytes and returns
-``(blob, charge)`` — by construction ``charge == estimate_size(payload)``,
-asserted (with round-trip fidelity and the decoder's equal charge) when
-:data:`PARITY` is on.
-The *encoded* length is tracked separately (``wire_bytes`` counters in
-:mod:`repro.simnet.stats`), which is how the codec's compression is
-measured without perturbing a single timing.  Header cells take both
-numbers the same way, once, when a header is pushed
+**One byte model.**  A message costs its encoded length
+(:attr:`~repro.kernel.message.Message.size_bytes`), which link delay, loss
+draws, battery drain, fragmentation and the byte counters all read.
+Header cells are encoded once, when a header is pushed
 (:func:`encode_header`); encoding a message then joins the cells' bytes
-and never walks a header again.  The decoder takes the same charge in
-its one pass, so a cell rebuilt from the wire is charged without a second
-walk of its header.
+and never walks a header again, and its length is arithmetic over the
+cells and the frozen payload blob.  :data:`PARITY` asserts every encode
+decodes back to an equal value.
 
 **Total and loud.**  A value outside the table above (a custom class
 instance, a dataclass) raises :class:`CodecError` where it is first
@@ -95,9 +87,9 @@ class CodecError(Exception):
     """A value outside the wire format, or bytes that are not a wire value."""
 
 
-#: Parity mode: every encode asserts the computed charge matches the legacy
-#: estimate and that the blob decodes back to an equal value, charged the
-#: same.  Enabled in the tier-1 parity test and by ``REPRO_CODEC_PARITY=1``.
+#: Parity mode: every encode asserts that the blob decodes back to an
+#: equal value, consuming every byte.  Enabled in the tier-1 parity test
+#: and by ``REPRO_CODEC_PARITY=1``.
 PARITY = bool(os.environ.get("REPRO_CODEC_PARITY"))
 
 
@@ -113,8 +105,6 @@ def set_parity(enabled: bool) -> None:
 #: N-th registered key, on every node.
 _KEY_LIST: list[str] = []
 _KEY_IDS: dict[str, int] = {}
-#: The legacy charge of each key (its UTF-8 length), by id.
-_KEY_CHARGES: list[int] = []
 
 
 def register_wire_key(key: str) -> int:
@@ -129,7 +119,6 @@ def register_wire_key(key: str) -> int:
     key_id = len(_KEY_LIST)
     _KEY_LIST.append(key)
     _KEY_IDS[key] = key_id
-    _KEY_CHARGES.append(len(key.encode("utf-8")))
     return key_id
 
 
@@ -195,72 +184,59 @@ _unpack_double = struct.Struct(">d").unpack_from
 _SEQ_TAGS = {list: 0x09, tuple: 0x0A, set: 0x0B, frozenset: 0x0C}
 
 
-def _encode_str(out: bytearray, value: str) -> int:
+def _encode_str(out: bytearray, value: str) -> None:
     key_id = _KEY_IDS.get(value)
-    encoded = value.encode("utf-8")
     if key_id is not None:
         out.append(0x06)
         _append_varint(out, key_id)
     else:
+        encoded = value.encode("utf-8")
         out.append(0x05)
         _append_varint(out, len(encoded))
         out += encoded
-    return len(encoded)  # legacy charge: UTF-8 length, interned or not
 
 
-def _encode(out: bytearray, obj: Any) -> int:
-    """Append ``obj``'s wire form to ``out``; return its legacy charge."""
+def _encode(out: bytearray, obj: Any) -> None:
+    """Append ``obj``'s wire form to ``out``."""
     kind = type(obj)
     if kind is str:
-        return _encode_str(out, obj)
-    if kind is bool:
+        _encode_str(out, obj)
+    elif kind is bool:
         out.append(0x01 if obj else 0x02)
-        return 1
-    if kind is int:
+    elif kind is int:
         if 0 <= obj <= 0x7F:
             out.append(0x80 | obj)
         else:
             out.append(0x03)
             _append_varint(out, _zigzag(obj))
-        return 4
-    if obj is None:
+    elif obj is None:
         out.append(0x00)
-        return 1
-    if kind is float:
+    elif kind is float:
         out.append(0x04)
         out += _pack_double(obj)
-        return 8
-    if kind is bytes or kind is bytearray:
+    elif kind is bytes or kind is bytearray:
         out.append(0x07 if kind is bytes else 0x08)
         _append_varint(out, len(obj))
         out += obj
-        return len(obj)
-    if kind is dict:
+    elif kind is dict:
         out.append(0x0D)
         _append_varint(out, len(obj))
-        charge = 2
         for key, value in obj.items():
-            charge += _encode(out, key)
-            charge += _encode(out, value)
-        return charge
-    seq_tag = _SEQ_TAGS.get(kind)
-    if seq_tag is not None:
+            _encode(out, key)
+            _encode(out, value)
+    elif (seq_tag := _SEQ_TAGS.get(kind)) is not None:
         out.append(seq_tag)
         _append_varint(out, len(obj))
-        charge = 2
         for item in obj:
-            charge += _encode(out, item)
-        return charge
+            _encode(out, item)
     # Structured leaves the hot loop never sees: nested messages (carried
     # by retransmission stores and relays) and re-embedded frozen blobs.
-    if kind is _message.WirePayload:
+    elif kind is _message.WirePayload:
         out.append(0x0F)
         blob = obj.blob
         _append_varint(out, len(blob))
         out += blob
-        _append_varint(out, obj.size_bytes)
-        return obj.size_bytes
-    if kind is _message.Message:
+    elif kind is _message.Message:
         # tag ‖ depth ‖ cached cell bytes ‖ payload: every header was
         # encoded when its cell was made (see ``encode_header``), so a
         # relay, a retransmission and an N-way fan-out splice the same
@@ -270,10 +246,8 @@ def _encode(out: bytearray, obj: Any) -> int:
         top = obj._top
         if top is None:
             out.append(0)
-            charge = 0
         else:
             _append_varint(out, top.depth)
-            charge = top.stack_bytes
             cells = []
             while top is not None:
                 cells.append(top.wire)
@@ -286,56 +260,40 @@ def _encode(out: bytearray, obj: Any) -> int:
             # retransmission embedding this message shares one payload
             # encode — the nested-snapshot sharing the object path had.
             payload = obj.wire_copy()._payload
-        charge += _encode(out, payload)
-        return charge
-    if isinstance(obj, type):
+        _encode(out, payload)
+    else:
         # Event-class references: retransmission stores, gossip relays and
         # fragment reassembly all ship the original event's class so the
         # receiver can re-instantiate it.  The class's unique ``__name__``
         # is already the wire contract (datagram frames resolve event
-        # classes the same way); every class reference is charged alike.
+        # classes the same way).
         from repro.kernel.events import SendableEvent
-        if issubclass(obj, SendableEvent):
-            out.append(0x10)
-            encoded = obj.__name__.encode("utf-8")
-            _append_varint(out, len(encoded))
-            out += encoded
-            return _message.CLASS_REFERENCE_SIZE
-    raise CodecError(f"cannot wire-encode {kind.__name__}")
+        if not (isinstance(obj, type) and issubclass(obj, SendableEvent)):
+            raise CodecError(f"cannot wire-encode {kind.__name__}")
+        out.append(0x10)
+        encoded = obj.__name__.encode("utf-8")
+        _append_varint(out, len(encoded))
+        out += encoded
 
 
-def encode_payload(obj: Any) -> tuple[bytes, int]:
+def encode_payload(obj: Any) -> bytes:
     """Encode ``obj`` for the wire.
-
-    Returns ``(blob, charge)`` where ``charge`` is the legacy
-    :func:`~repro.kernel.message.estimate_size` of ``obj``, computed during
-    the same traversal — the accounting source of truth stays byte-for-byte
-    what it was before the codec existed.
 
     Raises:
         CodecError: for types outside the wire format.
     """
     out = bytearray()
-    charge = _encode(out, obj)
+    _encode(out, obj)
     blob = bytes(out)
     if PARITY:
-        _assert_parity(obj, blob, charge)
-    return blob, charge
+        _assert_parity(obj, blob)
+    return blob
 
 
-def encode_header(header: Any) -> tuple[bytes, int]:
-    """One header's wire form and legacy charge, for its stack cell:
-    ``(wire, charge)`` from a single traversal, like :func:`encode_payload`.
-
-    Raises:
-        CodecError: for a header outside the wire format.
-    """
-    out = bytearray()
-    charge = _encode(out, header)
-    wire = bytes(out)
-    if PARITY:
-        _assert_parity(header, wire, charge)
-    return wire, charge
+#: One header's wire form, for its stack cell: :func:`encode_payload`
+#: under a second name, so the spans that time payload encodes (they wrap
+#: the module's ``encode_payload``) do not count the cells.
+encode_header = encode_payload
 
 
 # -- decoding -----------------------------------------------------------------
@@ -350,13 +308,8 @@ SHARED_STRINGS_MAX = 4096
 _shared_strings: dict[bytes, str] = {}
 
 
-def _decode(buf: bytes, pos: int) -> tuple[Any, int, int]:
-    """Read the value at ``pos``: ``(value, next pos, legacy charge)``.
-
-    The charge is what :func:`~repro.kernel.message.estimate_size` gives
-    the value, taken in the same pass, as :func:`_encode` takes it: a
-    header cell rebuilt here needs no second walk to be charged.
-    """
+def _decode(buf: bytes, pos: int) -> tuple[Any, int]:
+    """Read the value at ``pos``: ``(value, next pos)``."""
     try:
         return _decode_at(buf, pos)
     except IndexError:
@@ -365,20 +318,20 @@ def _decode(buf: bytes, pos: int) -> tuple[Any, int, int]:
         raise CodecError(f"malformed string: {exc}") from None
 
 
-def _decode_at(buf: bytes, pos: int) -> tuple[Any, int, int]:
+def _decode_at(buf: bytes, pos: int) -> tuple[Any, int]:
     """:func:`_decode` without its guards: an ``IndexError`` here is a
     read past the end of ``buf``, a ``UnicodeDecodeError`` a string that
     is not UTF-8."""
     tag = buf[pos]
     pos += 1
     if tag & 0x80:
-        return tag & 0x7F, pos, 4
+        return tag & 0x7F, pos
     if tag == 0x05:
         length, pos = _read_varint(buf, pos)
         end = pos + length
         if end > len(buf):
             raise CodecError("truncated string")
-        return buf[pos:end].decode("utf-8"), end, length
+        return buf[pos:end].decode("utf-8"), end
     if tag == 0x0A or tag == 0x09 or tag == 0x0B or tag == 0x0C:
         count = buf[pos]
         if count & 0x80:
@@ -388,7 +341,6 @@ def _decode_at(buf: bytes, pos: int) -> tuple[Any, int, int]:
         items = []
         append = items.append
         shared = _shared_strings
-        charge = 2
         for _ in range(count):
             # The leaves of a header tuple, read in place: a small int,
             # a string of under 128 bytes.
@@ -396,7 +348,6 @@ def _decode_at(buf: bytes, pos: int) -> tuple[Any, int, int]:
             if byte & 0x80:
                 append(byte & 0x7F)
                 pos += 1
-                charge += 4
                 continue
             if byte == 0x05:
                 length = buf[pos + 1]
@@ -412,17 +363,12 @@ def _decode_at(buf: bytes, pos: int) -> tuple[Any, int, int]:
                         if len(shared) < SHARED_STRINGS_MAX:
                             shared[raw] = text
                     append(text)
-                    charge += length
                     continue
-            item, pos, item_charge = _decode_at(buf, pos)
+            item, pos = _decode_at(buf, pos)
             append(item)
-            charge += item_charge
         if tag == 0x09:
-            return items, pos, charge
-        built = (tuple, set, frozenset)[tag - 0x0A](items)
-        if len(built) != count:  # equal items collapsed: not our encoding
-            charge = _message.estimate_size(built)
-        return built, pos, charge
+            return items, pos
+        return (tuple, set, frozenset)[tag - 0x0A](items), pos
     if tag == 0x0D:
         count = buf[pos]
         if count & 0x80:
@@ -430,7 +376,6 @@ def _decode_at(buf: bytes, pos: int) -> tuple[Any, int, int]:
         else:
             pos += 1
         result = {}
-        charge = 2
         for _ in range(count):
             # An interned key and a small-int value, read in place.
             if buf[pos] == 0x06 and not buf[pos + 1] & 0x80:
@@ -438,47 +383,41 @@ def _decode_at(buf: bytes, pos: int) -> tuple[Any, int, int]:
                 if key_id >= len(_KEY_LIST):
                     raise CodecError(f"unknown interned key id {key_id}")
                 key = _KEY_LIST[key_id]
-                charge += _KEY_CHARGES[key_id]
                 pos += 2
             else:
-                key, pos, key_charge = _decode_at(buf, pos)
-                charge += key_charge
+                key, pos = _decode_at(buf, pos)
             byte = buf[pos]
             if byte & 0x80:
                 result[key] = byte & 0x7F
                 pos += 1
-                charge += 4
             else:
-                result[key], pos, value_charge = _decode_at(buf, pos)
-                charge += value_charge
-        if len(result) != count:  # a key repeated: not our encoding
-            charge = _message.estimate_size(result)
-        return result, pos, charge
+                result[key], pos = _decode_at(buf, pos)
+        return result, pos
     if tag == 0x06:
         key_id, pos = _read_varint(buf, pos)
         if key_id >= len(_KEY_LIST):
             raise CodecError(f"unknown interned key id {key_id}")
-        return _KEY_LIST[key_id], pos, _KEY_CHARGES[key_id]
+        return _KEY_LIST[key_id], pos
     if tag == 0x00:
-        return None, pos, 1
+        return None, pos
     if tag == 0x01:
-        return True, pos, 1
+        return True, pos
     if tag == 0x02:
-        return False, pos, 1
+        return False, pos
     if tag == 0x03:
         raw, pos = _read_varint(buf, pos)
-        return _unzigzag(raw), pos, 4
+        return _unzigzag(raw), pos
     if tag == 0x04:
         if pos + 8 > len(buf):
             raise CodecError("truncated float")
-        return _unpack_double(buf, pos)[0], pos + 8, 8
+        return _unpack_double(buf, pos)[0], pos + 8
     if tag == 0x07 or tag == 0x08:
         length, pos = _read_varint(buf, pos)
         end = pos + length
         if end > len(buf):
             raise CodecError("truncated bytes")
         raw = buf[pos:end]
-        return (raw if tag == 0x07 else bytearray(raw)), end, length
+        return (raw if tag == 0x07 else bytearray(raw)), end
     if tag == 0x0E:
         return _decode_message(buf, pos)
     if tag == 0x0F:
@@ -486,9 +425,7 @@ def _decode_at(buf: bytes, pos: int) -> tuple[Any, int, int]:
         end = pos + length
         if end > len(buf):
             raise CodecError("truncated embedded blob")
-        blob = buf[pos:end]
-        charge, pos = _read_varint(buf, end)
-        return _message.WirePayload(blob, charge), pos, charge
+        return _message.WirePayload(buf[pos:end]), end
     if tag == 0x10:
         length, pos = _read_varint(buf, pos)
         end = pos + length
@@ -498,19 +435,18 @@ def _decode_at(buf: bytes, pos: int) -> tuple[Any, int, int]:
             name = buf[pos:end].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CodecError(f"malformed class name: {exc}") from None
-        cls = resolve_event_class(name)
-        return cls, end, _message.CLASS_REFERENCE_SIZE
+        return resolve_event_class(name), end
     raise CodecError(f"unknown wire tag 0x{tag:02X}")
 
 
-def _decode_message(buf: bytes, pos: int) -> tuple[Any, int, int]:
+def _decode_message(buf: bytes, pos: int) -> tuple[Any, int]:
     """The body of a ``0x0E`` value at ``pos``: the message, its header
     cells and its payload, built in one pass.
 
     Each cell keeps the bytes just read as its wire form, so forwarding
-    the message re-encodes none of its headers, and the cumulative sizes
-    a pushed cell computes (:class:`~repro.kernel.message._HeaderNode`)
-    are carried here in locals: nothing is walked twice.
+    the message re-encodes none of its headers, and the cumulative length
+    a pushed cell computes (:class:`~repro.kernel.message._HeaderNode`) is
+    carried here in a local: nothing is walked twice.
     """
     count = buf[pos]
     if count & 0x80:
@@ -520,29 +456,24 @@ def _decode_message(buf: bytes, pos: int) -> tuple[Any, int, int]:
     new = object.__new__
     cell_class = _message._HeaderNode
     top = None
-    stack_bytes = 0
     wire_len = 0
     for depth in range(1, count + 1):
         start = pos
-        header, pos, charge = _decode_at(buf, pos)
+        header, pos = _decode_at(buf, pos)
         cell = new(cell_class)
         cell.header = header
         cell.below = top
         cell.wire = buf[start:pos]
         cell.depth = depth
-        # max(charge, 1) plus one framing byte, as a pushed cell charges.
-        stack_bytes += (charge if charge > 1 else 1) + 1
-        cell.stack_bytes = stack_bytes
         wire_len += pos - start
         cell.wire_stack_len = wire_len
         top = cell
-    payload, pos, charge = _decode_at(buf, pos)
+    payload, pos = _decode_at(buf, pos)
     message = new(_message.Message)
     message._payload = payload
-    message._payload_size = charge
     message._top = top
     message._wire_cache = None
-    return message, pos, charge + stack_bytes
+    return message, pos
 
 
 def decode_message(buf: bytes, pos: int = 0) -> Any:
@@ -556,7 +487,7 @@ def decode_message(buf: bytes, pos: int = 0) -> Any:
     try:
         if buf[pos] != 0x0E:
             raise CodecError(f"not a message (tag 0x{buf[pos]:02X})")
-        message, end, _ = _decode_message(buf, pos + 1)
+        message, end = _decode_message(buf, pos + 1)
     except IndexError:
         raise CodecError("truncated message") from None
     except UnicodeDecodeError as exc:
@@ -598,7 +529,7 @@ def resolve_event_class(name: str) -> type:
 
 def decode_payload(blob: bytes) -> Any:
     """Decode one wire value; the whole blob must be consumed."""
-    value, pos, _ = _decode(blob, 0)
+    value, pos = _decode(blob, 0)
     if pos != len(blob):
         raise CodecError(f"trailing bytes after value ({len(blob) - pos})")
     return value
@@ -634,17 +565,8 @@ def decode_nested(value: Any) -> None:
 
 # -- parity -------------------------------------------------------------------
 
-def _assert_parity(obj: Any, blob: bytes, charge: int) -> None:
-    legacy = _message.estimate_size(obj)
-    if charge != legacy:
-        raise AssertionError(
-            f"codec charge {charge} != legacy estimate {legacy} "
-            f"for {obj!r}")
-    decoded, pos, decoded_charge = _decode(blob, 0)
+def _assert_parity(obj: Any, blob: bytes) -> None:
+    decoded, pos = _decode(blob, 0)
     if pos != len(blob) or decoded != obj:
         raise AssertionError(
             f"codec round-trip mismatch: {obj!r} -> {decoded!r}")
-    if decoded_charge != charge:
-        raise AssertionError(
-            f"decoder charge {decoded_charge} != codec charge {charge} "
-            f"for {obj!r}")

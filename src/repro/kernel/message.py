@@ -17,11 +17,12 @@ Consequences, and the ownership contract every layer relies on:
 * **Everything a message carries is in the wire format**
   (:mod:`repro.kernel.codec`, the package's one serializer).  A header is
   encoded once, when it is pushed (or decoded), and its cell keeps those
-  bytes, its charge and the cumulative charge and encoded length of the
-  stack below it; a header outside the format raises
-  :class:`~repro.kernel.codec.CodecError` at ``push_header``.  So
-  ``size_bytes`` and ``wire_bytes`` are O(1) arithmetic, and every wire
-  crossing of every handle sharing a cell splices the same bytes in.
+  bytes and the cumulative encoded length of the stack below it; a
+  header outside the format raises :class:`~repro.kernel.codec.CodecError`
+  at ``push_header``.  So ``size_bytes`` — the message's exact encoded
+  length, the one byte count every model and counter uses — is O(1)
+  arithmetic, and every wire crossing of every handle sharing a cell
+  splices the same bytes in.
 * **The wire boundary freezes the payload**: :meth:`Message.wire_copy`
   encodes it once per copy family into a :class:`WirePayload` (a payload
   outside the format raises ``CodecError`` there, on the sender, on both
@@ -31,11 +32,8 @@ Consequences, and the ownership contract every layer relies on:
   reference.**  A layer that pushes mutable state must push a private
   copy (as the causal layer does with its vector clock); a popped header,
   a sent payload and a received payload are read-only.  Mutating one
-  corrupts every handle sharing it *and* desynchronizes the cached byte
-  accounting.
-
-The size estimates (and therefore every byte counter in
-:mod:`repro.simnet.stats`) are unchanged from the recursive-walk era.
+  corrupts every handle sharing it *and* desynchronizes its cached
+  encoding.
 """
 
 from __future__ import annotations
@@ -46,58 +44,6 @@ from typing import Any, Iterable, Optional
 # object and reads its names at call time, so either may load first.
 from repro.kernel import codec
 
-#: The charge of an event-class reference (codec tag ``0x10``).
-CLASS_REFERENCE_SIZE = 32
-
-
-def _estimate_str(obj: str) -> int:
-    return len(obj.encode("utf-8"))
-
-
-def _estimate_seq(obj: Any) -> int:
-    return sum(estimate_size(item) for item in obj) + 2
-
-
-def _estimate_dict(obj: dict) -> int:
-    return sum(estimate_size(k) + estimate_size(v)
-               for k, v in obj.items()) + 2
-
-
-#: Exact-type dispatch for :func:`estimate_size`: the builtins of the wire
-#: format (the codec matches exact types too), the overwhelming majority
-#: of what the hot send path estimates.
-_ESTIMATE_FAST: dict[type, Any] = {
-    bytes: len, bytearray: len, str: _estimate_str,
-    bool: lambda obj: 1, int: lambda obj: 4, float: lambda obj: 8,
-    type(None): lambda obj: 1,
-    list: _estimate_seq, tuple: _estimate_seq,
-    set: _estimate_seq, frozenset: _estimate_seq,
-    dict: _estimate_dict,
-}
-
-
-def estimate_size(obj: Any) -> int:
-    """Estimate the wire size, in bytes, of the wire value ``obj``.
-
-    This is the charge reference: the codec computes the same number in
-    its encode and decode traversals, and parity mode asserts they agree.
-    A frozen value (:class:`Message`, :class:`WirePayload`) carries its
-    charge as ``size_bytes``.
-
-    Raises:
-        CodecError: for a value outside the wire format.
-    """
-    fast = _ESTIMATE_FAST.get(type(obj))
-    if fast is not None:
-        return fast(obj)
-    if isinstance(obj, type):
-        return CLASS_REFERENCE_SIZE
-    explicit = getattr(obj, "size_bytes", None)
-    if isinstance(explicit, int):
-        return explicit
-    raise codec.CodecError(f"no wire charge for {type(obj).__name__}")
-
-
 #: Payload types a receiver may share with the sender: frozen, they are
 #: their own decoded value.
 _IMMUTABLE_PAYLOAD_TYPES = (bytes, str, int, float, bool, frozenset,
@@ -107,25 +53,19 @@ _IMMUTABLE_PAYLOAD_TYPES = (bytes, str, int, float, bool, frozenset,
 class WirePayload:
     """A payload frozen into compact wire bytes (see :mod:`.codec`).
 
-    The payload's wire form: the sender encodes once per transmission (shared by every receiver of a fan-out via the
-    message's copy-family cache), and receivers decode lazily, once per
-    family — :attr:`Message.payload` unwraps transparently, so layers never
-    see the wrapper.
-
-    ``size_bytes`` is the *legacy* accounting charge of the encoded object
-    (computed during encoding), NOT the blob length: byte charges drive
-    link delays, loss draws and battery drain, and must stay bit-identical
-    to the pre-codec estimates.  The true encoded length (``len(blob)``)
-    feeds the separate ``wire_bytes`` counters.
+    The payload's wire form: the sender encodes once per transmission
+    (shared by every receiver of a fan-out via the message's copy-family
+    cache), and receivers decode lazily, once per family —
+    :attr:`Message.payload` unwraps transparently, so layers never see the
+    wrapper.
     """
 
-    __slots__ = ("blob", "size_bytes", "_decoded")
+    __slots__ = ("blob", "_decoded")
 
     _UNSET = object()
 
-    def __init__(self, blob: bytes, size_bytes: int) -> None:
+    def __init__(self, blob: bytes) -> None:
         self.blob = blob
-        self.size_bytes = size_bytes
         self._decoded: Any = WirePayload._UNSET
 
     def decoded(self) -> Any:
@@ -149,44 +89,37 @@ class WirePayload:
         return hash(self.blob)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"WirePayload({len(self.blob)}B wire, "
-                f"charge={self.size_bytes})")
+        return f"WirePayload({len(self.blob)}B wire)"
 
 
 class _HeaderNode:
     """One immutable cell of a persistent header stack.
 
-    A cell owns both sizes of its header, taken from one codec traversal
-    when the header is pushed (the decoder,
+    A cell encodes its header once, when it is pushed (the decoder,
     :func:`repro.kernel.codec._decode_message`, builds cells off the wire
-    with the same fields from the bytes it has in hand): ``stack_bytes``
-    is the cumulative accounting charge of this cell and everything below
-    it, ``wire`` the header's encoded form and ``wire_stack_len`` the
-    cumulative encoded length.
-    That makes ``Message.size_bytes`` and ``Message.wire_bytes`` O(1), and
-    lets every wire crossing of every handle sharing the cell — fan-out,
-    relay, retransmission — splice ``wire`` in instead of re-encoding.
+    with the same fields from the bytes it has in hand): ``wire`` is the
+    header's encoded form and ``wire_stack_len`` the cumulative encoded
+    length of this cell and everything below it.  That makes
+    ``Message.size_bytes`` O(1), and lets every wire crossing of every
+    handle sharing the cell — fan-out, relay, retransmission — splice
+    ``wire`` in instead of re-encoding.
 
     Raises:
         CodecError: for a header outside the wire format.
     """
 
-    __slots__ = ("header", "below", "depth", "stack_bytes", "wire",
-                 "wire_stack_len")
+    __slots__ = ("header", "below", "depth", "wire", "wire_stack_len")
 
     def __init__(self, header: Any, below: Optional["_HeaderNode"]) -> None:
-        wire, charge = codec.encode_header(header)
+        wire = codec.encode_header(header)
         self.header = header
         self.below = below
         self.wire = wire
-        charge = max(charge, 1) + 1  # +1 framing byte
         if below is None:
             self.depth = 1
-            self.stack_bytes = charge
             self.wire_stack_len = len(wire)
         else:
             self.depth = below.depth + 1
-            self.stack_bytes = below.stack_bytes + charge
             self.wire_stack_len = below.wire_stack_len + len(wire)
 
 
@@ -206,17 +139,16 @@ class Message:
     See the module docstring for the copy-on-write ownership contract.
     """
 
-    __slots__ = ("_payload", "_payload_size", "_top", "_wire_cache")
+    __slots__ = ("_payload", "_top", "_wire_cache")
 
     def __init__(self, payload: Any = b"",
                  headers: Iterable[Any] = ()) -> None:
         self._payload = payload
-        self._payload_size: Optional[int] = None
         #: Shared wire cell (see :meth:`wire_copy`): a one-element list
         #: holding the frozen :class:`WirePayload` of the current payload,
         #: shared by every handle :meth:`copy` derives from this one so a
-        #: fan-out's N transmissions encode once.  ``None`` until the
-        #: first copy/wire_copy needs it.
+        #: fan-out's N transmissions encode once.  ``None`` until copy,
+        #: wire_copy or size_bytes first needs it.
         self._wire_cache: Optional[list] = None
         top: Optional[_HeaderNode] = None
         for header in headers:  # given bottom → top, like the old list form
@@ -235,7 +167,6 @@ class Message:
     @payload.setter
     def payload(self, value: Any) -> None:
         self._payload = value
-        self._payload_size = None  # re-estimated lazily
         # Detach from the shared snapshot cell: this handle's payload is
         # new, while copies made earlier keep their (still valid) cache.
         self._wire_cache = None
@@ -291,43 +222,29 @@ class Message:
 
     @property
     def size_bytes(self) -> int:
-        """Total estimated wire size of payload plus all headers — O(1).
+        """The message's exact encoded length — the bytes
+        :func:`~repro.kernel.codec.encode_payload` gives it and a datagram
+        carries — by O(1) arithmetic at any header depth.
 
-        The per-header charges live in the shared cells; the payload
-        estimate is cached per handle and invalidated when ``payload`` is
-        reassigned (mutating a payload *in place* is outside the ownership
-        contract — see the module docstring).
-        """
-        if self._payload_size is None:
-            self._payload_size = estimate_size(self._payload)
-        return self._payload_size + \
-            (0 if self._top is None else self._top.stack_bytes)
+        Nothing is encoded to take it on a wire copy: each cell knows the
+        cumulative encoded length of the stack below it and the frozen
+        blob knows its own.  An unfrozen handle freezes its payload
+        through the copy-family cache that :meth:`wire_copy` uses, so the
+        send that follows encodes nothing again.
 
-    @property
-    def wire_bytes(self) -> int:
-        """Actual compact-codec length of the whole message — interned
-        header keys, varint framing, and the frozen payload blob
-        re-embedded verbatim — by O(1) arithmetic at any header depth.
-
-        ``size_bytes`` stays the accounting source of truth (delay, loss
-        and battery models); this is the measurement of what the compact
-        encoding saves.  Nothing is encoded to take it: a cell is encoded
-        once, ever, when its header is pushed, and carries the cumulative
-        encoded length of the stack below it; the frozen blob knows its
-        own.  Only meaningful on a wire copy (frozen payload): an
-        unfrozen handle reads ``size_bytes``.
+        Raises:
+            CodecError: for a payload outside the wire format.
         """
         payload = self._payload
         if type(payload) is not WirePayload:
-            return self.size_bytes
+            payload = self._frozen_payload()
+        blob_len = len(payload.blob)
+        # message tag + blob tag + the blob with its length varint
+        size = 2 + blob_len + _varint_len(blob_len)
         top = self._top
         if top is None:
-            framing = 3  # message tag + zero header count + blob tag
-        else:
-            framing = 2 + _varint_len(top.depth) + top.wire_stack_len
-        blob_len = len(payload.blob)
-        return (framing + blob_len + _varint_len(blob_len) +
-                _varint_len(payload.size_bytes))
+            return size + 1  # zero header count
+        return size + _varint_len(top.depth) + top.wire_stack_len
 
     # -- copying --------------------------------------------------------------
 
@@ -345,7 +262,6 @@ class Message:
             cache = self._wire_cache = [None]
         dup = Message.__new__(Message)
         dup._payload = self._payload
-        dup._payload_size = self._payload_size
         dup._top = self._top
         dup._wire_cache = cache
         return dup
@@ -368,6 +284,13 @@ class Message:
         Raises:
             CodecError: for a payload outside the wire format.
         """
+        snap = self._frozen_payload()
+        dup = self.copy()  # shares the cache cell holding ``snap``
+        dup._payload = snap
+        return dup
+
+    def _frozen_payload(self) -> WirePayload:
+        """The copy family's frozen payload, encoded on first use."""
         cache = self._wire_cache
         if cache is None:
             cache = self._wire_cache = [None]
@@ -379,8 +302,7 @@ class Message:
                 # its own wire form, zero re-encode.
                 snap = payload
             else:
-                blob, charge = codec.encode_payload(payload)
-                snap = WirePayload(blob, charge)
+                snap = WirePayload(codec.encode_payload(payload))
                 if isinstance(payload, _IMMUTABLE_PAYLOAD_TYPES):
                     # Already its own snapshot: seed the decode cache so
                     # receivers observe the sender's object directly
@@ -388,9 +310,7 @@ class Message:
                     # pre-codec path did.
                     snap._decoded = payload
             cache[0] = snap
-        dup = self.copy()  # shares the cache cell holding ``snap``
-        dup._payload = snap
-        return dup
+        return snap
 
     # -- dunder compatibility -------------------------------------------------
 

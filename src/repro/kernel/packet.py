@@ -13,10 +13,9 @@ experiment counters.
 Wire framing: the **logical source** of the message travels as a first-class
 packet field (``logical_src``) rather than as a pseudo-header pushed onto
 the message stack.  It may differ from ``src`` (the transmitting NIC) when
-a relay forwards on behalf of a sender.  The field is charged
-:data:`SRC_FIELD_OVERHEAD` plus the address size so byte counters stay
-identical to the seed-era accounting, which serialized the same information
-as a ``("__net_src__", src)`` header.
+a relay forwards on behalf of a sender.  A packet's ``size_bytes`` is its
+message's encoded length plus :func:`framing_bytes`: the address, a
+source-field charge and a fixed per-packet overhead.
 
 Fan-out: a request addressed to several receivers — one native-multicast
 transmission (``tuple`` destination) or a sequence of point-to-point
@@ -37,25 +36,33 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.kernel.message import Message, estimate_size
+from repro.kernel.message import Message
 
 #: Fixed per-packet overhead charged on top of the message size
 #: (rough stand-in for UDP/IP + MAC framing).
 PACKET_OVERHEAD_BYTES = 28
 
 #: Framing charge for the logical-source field, on top of the address
-#: itself.  Chosen to equal the seed-era charge for the
-#: ``("__net_src__", src)`` pseudo-header (tag + tuple + framing bytes), so
-#: every historical byte counter reproduces exactly.
+#: itself.
 SRC_FIELD_OVERHEAD = 14
 
 _packet_ids = itertools.count(1)
 
-#: ``logical_src -> `` the per-packet framing charge on top of the message
-#: (address + source-field + packet overhead): a pure function of a
-#: node-id string, so it is estimated once per distinct sender rather than
-#: once per packet.
+#: ``logical_src -> `` its :func:`framing_bytes`, computed once per
+#: distinct sender rather than once per packet.
 _FRAMING_BYTES: dict[str, int] = {}
+
+
+def framing_bytes(logical_src: str) -> int:
+    """The per-packet charge on top of the message: the logical source's
+    UTF-8 length, :data:`SRC_FIELD_OVERHEAD` and
+    :data:`PACKET_OVERHEAD_BYTES`."""
+    framing = _FRAMING_BYTES.get(logical_src)
+    if framing is None:
+        framing = _FRAMING_BYTES[logical_src] = (
+            len(logical_src.encode("utf-8")) + SRC_FIELD_OVERHEAD +
+            PACKET_OVERHEAD_BYTES)
+    return framing
 
 
 DATA = "data"
@@ -106,12 +113,9 @@ class Packet:
         logical_src: the message's logical sender, reported as the
             reconstructed event's ``source``; defaults to ``src``.
         traffic_class: ``"data"`` or ``"control"``.
-        size_bytes: wire size including per-packet and source-field
-            overhead.
-        wire_bytes: actual compact-codec size of the same framing (the
-            payload's encoded blob length instead of its legacy charge);
-            measurement only — the simulation models run on
-            ``size_bytes``.
+        size_bytes: the message's encoded length plus
+            :func:`framing_bytes` — what delay, loss, battery and the byte
+            counters charge.
         sent_at: transmission time on the transport's clock (set by the
             network).
     """
@@ -123,8 +127,7 @@ class Packet:
     message: Message
     logical_src: Optional[str] = None
     traffic_class: str = DATA
-    size_bytes: int = 0
-    wire_bytes: int = 0
+    size_bytes: int = field(init=False, default=0)
     sent_at: float = 0.0
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
 
@@ -132,15 +135,7 @@ class Packet:
         logical_src = self.logical_src
         if logical_src is None:
             logical_src = self.logical_src = self.src
-        overhead = _FRAMING_BYTES.get(logical_src)
-        if overhead is None:
-            overhead = _FRAMING_BYTES[logical_src] = (
-                estimate_size(logical_src) + SRC_FIELD_OVERHEAD +
-                PACKET_OVERHEAD_BYTES)
-        if not self.size_bytes:
-            self.size_bytes = self.message.size_bytes + overhead
-        if not self.wire_bytes:
-            self.wire_bytes = self.message.wire_bytes + overhead
+        self.size_bytes = self.message.size_bytes + framing_bytes(logical_src)
 
     @property
     def is_multicast(self) -> bool:

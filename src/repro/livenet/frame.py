@@ -2,10 +2,9 @@
 
 ROADMAP direction 4 called the shot: the compact codec's frozen
 ``WirePayload`` blob *is* the framing a socket transport puts on the wire.
-A frame (version 2) is::
+A frame (version 3) is::
 
-    MAGIC(1) VERSION(1) varint(size_bytes) varint(wire_bytes)
-    varint(len(names)) names body
+    MAGIC(1) VERSION(1) varint(len(names)) names body
 
 ``names`` is the UTF-8 of the packet's ``src``, ``logical_src``,
 ``port``, event-class name and traffic class, joined by NUL (a name
@@ -14,7 +13,9 @@ holding a NUL cannot be framed).  ``body`` is the carried
 value (tag ``0x0E``: the bytes each header cell was encoded to when it
 was pushed — or arrived with — spliced in as they are, then the frozen
 payload blob re-embedded verbatim via tag ``0x0F``; framing a packet, a
-relayed one included, encodes no header and no payload again).
+relayed one included, encodes no header and no payload again).  The body
+is exactly ``packet.message.size_bytes`` bytes, so the frame carries no
+size: the receiver recomputes the packet's from the message it decodes.
 
 **The socket is the address.**  ``dst`` is not on the wire: the
 receiving endpoint's node id is, because the live network sends a
@@ -28,8 +29,7 @@ Decoding rebuilds a :class:`~repro.kernel.packet.Packet` that is
 indistinguishable, to the receiving transport session, from the record the
 simulator would have delivered: same event class (resolved by its unique
 ``__name__`` — the :class:`SendableEvent` wire contract), same logical
-source, same byte charges (carried explicitly so live counters reproduce
-the sender's accounting exactly).  The header cells, the payload and every
+source, same ``size_bytes``.  The header cells, the payload and every
 blob nested in either (a retransmitted or relayed message's payload) are
 decoded in the same call: each payload stays a
 :class:`~repro.kernel.message.WirePayload` (relaying it re-embeds the
@@ -37,8 +37,8 @@ blob), with its decoded value already in hand.
 
 Safety contract for the receive loop: **every** malformed input —
 truncation, garbage bytes, an oversized datagram, an unknown frame
-version (version 1 included), the wrong number of names, an unknown event
-class, trailing bytes, a malformed payload or nested payload — raises
+version (versions 1 and 2 included), the wrong number of names, an unknown
+event class, trailing bytes, a malformed payload or nested payload — raises
 :class:`CodecError` and nothing else, so no layer reading the payload
 later can.  The transport counts and drops; a bad datagram can never
 crash the node.
@@ -50,7 +50,7 @@ from repro.kernel import codec
 from repro.kernel.codec import (CodecError, decode_message, decode_payload,
                                 encode_payload)
 from repro.kernel.message import WirePayload
-from repro.kernel.packet import Packet, _packet_ids
+from repro.kernel.packet import Packet, _packet_ids, framing_bytes
 
 # The wire vocabulary: importing the protocol events module guarantees
 # every stack-deployable SendableEvent subclass exists before the first
@@ -60,7 +60,7 @@ import repro.protocols.events  # noqa: F401  (registers wire event classes)
 #: First frame byte; anything else is not ours (or is hopelessly mangled).
 FRAME_MAGIC = 0xA9
 #: Frame layout version; bumped on any incompatible change.
-FRAME_VERSION = 2
+FRAME_VERSION = 3
 #: Largest UDP payload over IPv4 (65535 - 8 UDP - 20 IP).  Frames beyond
 #: this cannot leave the socket; the check fails fast on both sides.
 MAX_DATAGRAM_BYTES = 65507
@@ -89,10 +89,8 @@ def encode_frame(packet: Packet) -> bytes:
     if names.count(_SEP) != _NAMES - 1:
         raise CodecError(f"a frame name holds a NUL ({packet!r})")
     encoded = names.encode("utf-8")
-    body, _ = encode_payload(packet.message)
+    body = encode_payload(packet.message)
     out = bytearray((FRAME_MAGIC, FRAME_VERSION))
-    codec._append_varint(out, packet.size_bytes)
-    codec._append_varint(out, packet.wire_bytes)
     codec._append_varint(out, len(encoded))
     out += encoded
     out += body
@@ -118,16 +116,14 @@ def decode_frame(data: bytes, dst: str) -> Packet:
     """
     if len(data) > MAX_DATAGRAM_BYTES:
         raise CodecError(f"oversized datagram ({len(data)} bytes)")
-    if len(data) < 5:
+    if len(data) < 3:
         raise CodecError(f"truncated frame ({len(data)} bytes)")
     if data[0] != FRAME_MAGIC:
         raise CodecError(f"bad frame magic 0x{data[0]:02X}")
     if data[1] != FRAME_VERSION:
         raise CodecError(f"unknown frame version {data[1]}")
     try:
-        size_bytes, pos = codec._read_varint(data, 2)
-        wire_bytes, pos = codec._read_varint(data, pos)
-        names_len, pos = codec._read_varint(data, pos)
+        names_len, pos = codec._read_varint(data, 2)
         end = pos + names_len
         if end > len(data):
             raise CodecError(f"truncated frame names ({names_len} declared, "
@@ -146,6 +142,7 @@ def decode_frame(data: bytes, dst: str) -> Packet:
             codec.decode_nested(message)
         src, logical_src, port, event_name, traffic_class = names
         event_cls = resolve_event_class(event_name)
+        size_bytes = message.size_bytes + framing_bytes(logical_src)
     except CodecError:
         raise
     except Exception as exc:
@@ -153,8 +150,8 @@ def decode_frame(data: bytes, dst: str) -> Packet:
         # still reach e.g. UTF-8 decoding; fold everything into the one
         # exception the receive loop handles.
         raise CodecError(f"malformed frame: {exc}") from exc
-    # Every size is in the frame, so the dataclass __init__ and
-    # __post_init__ have nothing to do.
+    # Built field by field: the dataclass __init__ would only repeat the
+    # defaults and the size computed here.
     packet = object.__new__(Packet)
     packet.src = src
     packet.dst = dst
@@ -164,7 +161,6 @@ def decode_frame(data: bytes, dst: str) -> Packet:
     packet.logical_src = logical_src
     packet.traffic_class = traffic_class
     packet.size_bytes = size_bytes
-    packet.wire_bytes = wire_bytes
     packet.sent_at = 0.0
     packet.packet_id = next(_packet_ids)
     return packet

@@ -54,7 +54,7 @@ def _freeze(message: Message) -> bytes:
     every receiver freeze the same cells and the same payload blob, so
     they produce the same bytes.
     """
-    return codec.encode_payload(message)[0]
+    return codec.encode_payload(message)
 
 
 def _thaw(blob: bytes) -> Optional[Message]:

@@ -16,6 +16,12 @@ fragment whose fields are not of the shape and range this layer sends.
 A message that needs more than :data:`MAX_FRAGMENTS` fragments raises
 ``ValueError`` at the sender.
 
+Every fragment fits the MTU: a message of at most ``mtu`` bytes
+(``Message.size_bytes``, its encoded length) passes whole, and each chunk
+is sized from its fragment's own framing, so every fragment's message is
+at most ``mtu`` bytes too.  An ``mtu`` that cannot hold a fragment's
+framing plus one byte of chunk raises ``ValueError``.
+
 Counting note: each fragment is one NIC transmission, so a 3-fragment chat
 message counts as 3 messages in the Figure 3 metric — exactly what a real
 packet counter on the device would report.
@@ -61,7 +67,7 @@ class FragmentationSession(GroupSession):
         self.mtu: int = int(layer.params.get("mtu", 1400))
         self.reassembly_timeout: float = float(
             layer.params.get("reassembly_timeout", 10.0))
-        if self.mtu < 64:
+        if _fragment_size("", 1, 1, 1) > self.mtu:
             raise ValueError(f"mtu too small: {self.mtu}")
         self._counter = 0
         self._buffers: dict[tuple[str, int], _Reassembly] = {}
@@ -117,25 +123,44 @@ class FragmentationSession(GroupSession):
 
     def _fragment(self, event: SendableEvent) -> None:
         assert self.local is not None, "frag used before ChannelInit"
-        blob, _ = codec.encode_payload(
+        blob = codec.encode_payload(
             (type(event), event.message, event.source))
-        chunk_size = max(self.mtu - 64, 64)  # room for fragment framing
-        chunks = [blob[offset:offset + chunk_size]
-                  for offset in range(0, len(blob), chunk_size)]
-        if len(chunks) > MAX_FRAGMENTS:
+        frag_id = self._counter + 1
+        # The chunk room shrinks as the count grows past a one-byte int,
+        # so settle the count first (a round or two).
+        total = 1
+        while True:
+            chunk_size = self._chunk_room(frag_id, total)
+            needed = -(-len(blob) // chunk_size)
+            if needed <= total:
+                break
+            total = needed
+        if needed > MAX_FRAGMENTS:
             raise ValueError(
-                f"a {len(blob)}-byte message needs {len(chunks)} fragments "
+                f"a {len(blob)}-byte message needs {needed} fragments "
                 f"at mtu {self.mtu}; receivers reassemble {MAX_FRAGMENTS}")
-        self._counter += 1
-        frag_id = self._counter
+        self._counter = frag_id
         self.fragmented_count += 1
-        for index, chunk in enumerate(chunks):
+        for index in range(needed):
+            chunk = blob[index * chunk_size:(index + 1) * chunk_size]
             fragment = FragmentEvent(
-                message=Message(payload={
-                    "origin": self.local, "frag_id": frag_id,
-                    "index": index, "total": len(chunks), "chunk": chunk}),
+                message=Message(payload=_fragment_payload(
+                    self.local, frag_id, index, needed, chunk)),
                 source=self.local, dest=event.dest)
             self.send_down(fragment, channel=event.channel)
+
+    def _chunk_room(self, frag_id: int, total: int) -> int:
+        """The longest chunk whose fragment — at any index of ``total`` —
+        is at most ``mtu`` bytes."""
+        room = self.mtu - _fragment_size(self.local, frag_id, total, 0)
+        # The length varints may grow with the chunk: a few steps back.
+        while room > 0 and \
+                _fragment_size(self.local, frag_id, total, room) > self.mtu:
+            room -= 1
+        if room < 1:
+            raise ValueError(f"mtu too small for {self.local}'s fragments: "
+                             f"{self.mtu}")
+        return room
 
     # -- receiving -----------------------------------------------------------
 
@@ -182,6 +207,21 @@ class FragmentationSession(GroupSession):
             if now - buffer.first_seen > self.reassembly_timeout:
                 del self._buffers[key]
                 self.expired_count += 1
+
+
+def _fragment_payload(origin: str, frag_id: int, index: int, total: int,
+                      chunk: bytes) -> dict:
+    return {"origin": origin, "frag_id": frag_id, "index": index,
+            "total": total, "chunk": chunk}
+
+
+def _fragment_size(origin: str, frag_id: int, total: int,
+                   chunk_len: int) -> int:
+    """``size_bytes`` of the last fragment of ``total`` carrying
+    ``chunk_len`` bytes: no fragment of them is longer, as an int encodes
+    no shorter when it grows."""
+    return Message(payload=_fragment_payload(
+        origin, frag_id, total - 1, total, bytes(chunk_len))).size_bytes
 
 
 def _is_fragment(payload) -> bool:

@@ -7,13 +7,10 @@ event type that generated the packet, which powers the control-overhead
 ablation (footnote 1 of the paper).
 
 Byte accounting rides ``Packet.size_bytes``, which is computed **once per
-transmission** from the message's incrementally-maintained size (see
+transmission** from the message's encoded length (see
 :mod:`repro.kernel.message`) plus framing overheads, and read off the one
 packet by every receiver of a multicast — recording a packet never walks
-the header stack.  The charges are unchanged from the seed-era recursive
-accounting (the wire-framing rework keeps the old pseudo-header's byte
-cost as ``SRC_FIELD_OVERHEAD``), so historical Figure-2/Figure-3 numbers
-reproduce exactly.
+the header stack.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ class NodeStats:
 
     node_id: str
     sent_packets: Counter = field(default_factory=Counter)
-    sent_bytes: Counter = field(default_factory=Counter)
     sent_wire_bytes: Counter = field(default_factory=Counter)
     recv_packets: Counter = field(default_factory=Counter)
     sent_by_event: Counter = field(default_factory=Counter)
@@ -46,9 +42,8 @@ class NodeStats:
     def record_sent(self, packet: Packet, times: int = 1) -> None:
         """``times`` transmissions of ``packet`` left the NIC."""
         self.sent_packets[packet.traffic_class] += times
-        self.sent_bytes[packet.traffic_class] += packet.size_bytes * times
         self.sent_wire_bytes[packet.traffic_class] += \
-            packet.wire_bytes * times
+            packet.size_bytes * times
         self.sent_by_event[packet.event_cls.__name__] += times
 
     def record_received(self, packet: Packet) -> None:
@@ -78,12 +73,8 @@ class NodeStats:
         return sum(self.recv_packets.values())
 
     @property
-    def sent_bytes_total(self) -> int:
-        return sum(self.sent_bytes.values())
-
-    @property
     def sent_wire_bytes_total(self) -> int:
-        """Compact-codec bytes actually sent (vs the legacy charge)."""
+        """Bytes sent: every transmission's ``Packet.size_bytes``."""
         return sum(self.sent_wire_bytes.values())
 
     def snapshot(self) -> dict:
@@ -93,7 +84,6 @@ class NodeStats:
             "sent_total": self.sent_total,
             "sent_data": self.sent_data,
             "sent_control": self.sent_control,
-            "sent_bytes": self.sent_bytes_total,
             "sent_wire_bytes": self.sent_wire_bytes_total,
             "recv_total": self.recv_total,
             "dropped": self.dropped_packets,
@@ -103,7 +93,6 @@ class NodeStats:
     def reset(self) -> None:
         """Zero every counter (used between experiment phases)."""
         self.sent_packets.clear()
-        self.sent_bytes.clear()
         self.sent_wire_bytes.clear()
         self.recv_packets.clear()
         self.sent_by_event.clear()
@@ -115,7 +104,7 @@ def aggregate(stats: list[NodeStats]) -> dict:
     """Network-wide totals across ``stats``."""
     total = {
         "sent_total": 0, "sent_data": 0, "sent_control": 0,
-        "recv_total": 0, "sent_bytes": 0, "sent_wire_bytes": 0,
+        "recv_total": 0, "sent_wire_bytes": 0,
         "dropped": 0,
     }
     for node_stats in stats:
@@ -123,7 +112,6 @@ def aggregate(stats: list[NodeStats]) -> dict:
         total["sent_data"] += node_stats.sent_data
         total["sent_control"] += node_stats.sent_control
         total["recv_total"] += node_stats.recv_total
-        total["sent_bytes"] += node_stats.sent_bytes_total
         total["sent_wire_bytes"] += node_stats.sent_wire_bytes_total
         total["dropped"] += node_stats.dropped_packets
     return total

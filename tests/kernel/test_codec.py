@@ -1,13 +1,12 @@
-"""The compact wire codec: round-trips, charges, interning, framing.
+"""The compact wire codec: round-trips, lengths, interning, framing.
 
-Three contracts under test:
+Contracts under test:
 
-* **round-trip** — ``decode_payload(encode_payload(x)[0]) == x`` for every
+* **round-trip** — ``decode_payload(encode_payload(x)) == x`` for every
   value the wire format covers, including nested messages and re-embedded
   frozen blobs;
-* **charge parity** — the charge returned by :func:`encode_payload` equals
-  the legacy :func:`estimate_size` on the same object, bit for bit: the
-  codec changed the wire representation, never the accounting;
+* **one byte model** — a message's ``size_bytes`` is the length of its
+  encoding, before and after a wire crossing;
 * **framing** — varints, zigzag, inline small ints and the interned-key
   table behave exactly as documented (the table is a wire contract:
   ids are registration order);
@@ -26,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernel import Message, codec, estimate_size
+from repro.kernel import Message, codec
 from repro.kernel.codec import (CodecError, decode_payload, encode_payload,
                                 register_wire_key, wire_key_table)
 from repro.kernel.message import WirePayload
@@ -75,20 +74,18 @@ header_stacks = st.lists(st.one_of(
 class TestRoundTrip:
     @given(value=wire_values)
     @settings(max_examples=300, deadline=None)
-    def test_arbitrary_payloads_round_trip_with_charge_parity(self, value):
-        blob, charge = encode_payload(value)
-        assert decode_payload(blob) == value
-        assert charge == estimate_size(value)
+    def test_arbitrary_payloads_round_trip(self, value):
+        assert decode_payload(encode_payload(value)) == value
 
     @given(payload=wire_values, headers=header_stacks)
     @settings(max_examples=150, deadline=None)
     def test_arbitrary_header_stacks_round_trip(self, payload, headers):
         message = Message(payload=payload, headers=headers)
-        blob, charge = encode_payload(message)
+        blob = encode_payload(message)
         back = decode_payload(blob)
         assert back.headers == headers
         assert back == message
-        assert charge == estimate_size(message)
+        assert message.size_bytes == back.size_bytes == len(blob)
 
     @given(value=wire_values)
     @settings(max_examples=150, deadline=None)
@@ -101,7 +98,7 @@ class TestRoundTrip:
 
     def test_container_types_are_preserved(self):
         for value in ([1], (1,), {1}, frozenset({1}), bytearray(b"x")):
-            back = decode_payload(encode_payload(value)[0])
+            back = decode_payload(encode_payload(value))
             assert type(back) is type(value)
             assert back == value
 
@@ -114,44 +111,40 @@ class TestFraming:
         2 ** 63, -(2 ** 63), 2 ** 200, -(2 ** 200),
     ])
     def test_varint_boundary_ints(self, value):
-        blob, charge = encode_payload(value)
-        assert decode_payload(blob) == value
-        assert charge == 4  # legacy flat int charge, any magnitude
+        assert decode_payload(encode_payload(value)) == value
 
     def test_small_ints_are_one_byte(self):
         for value in (0, 1, 127):
-            blob, _ = encode_payload(value)
+            blob = encode_payload(value)
             assert len(blob) == 1, value
-        assert len(encode_payload(128)[0]) > 1
+        assert len(encode_payload(128)) > 1
 
     def test_interned_keys_shrink_to_two_bytes(self):
-        blob, charge = encode_payload("coordinator")
+        blob = encode_payload("coordinator")
         assert len(blob) == 2  # tag + varint id
-        assert charge == len("coordinator")  # charge unaffected
         assert decode_payload(blob) == "coordinator"
 
     def test_non_interned_strings_carry_their_text(self):
-        blob, charge = encode_payload("not-a-registered-key!")
-        assert b"not-a-registered-key!" in bytes(blob)
-        assert charge == len("not-a-registered-key!")
+        blob = encode_payload("not-a-registered-key!")
+        assert blob == b"\x05\x15not-a-registered-key!"
 
     def test_registration_is_idempotent_and_ordered(self):
         table = wire_key_table()
         first = register_wire_key("test-codec-private-key")
         assert register_wire_key("test-codec-private-key") == first
         assert first == len(table)  # appended at the next id
-        blob, _ = encode_payload("test-codec-private-key")
+        blob = encode_payload("test-codec-private-key")
         assert len(blob) <= 3
         assert decode_payload(blob) == "test-codec-private-key"
 
     def test_truncated_blobs_raise(self):
-        blob, _ = encode_payload({"kind": "hb", "seq": 12345678})
+        blob = encode_payload({"kind": "hb", "seq": 12345678})
         for cut in range(len(blob)):
             with pytest.raises(CodecError):
                 decode_payload(blob[:cut])
 
     def test_trailing_garbage_raises(self):
-        blob, _ = encode_payload([1, 2, 3])
+        blob = encode_payload([1, 2, 3])
         with pytest.raises(CodecError):
             decode_payload(blob + b"\x00")
 
@@ -167,19 +160,18 @@ class TestStructuredLeaves:
         inner = Message(payload={"body": ["x"], "seq": 3})
         inner.push_header(("rm", 7))
         outer = {"msg": inner, "ttl": 2}
-        blob, charge = encode_payload(outer)
-        back = decode_payload(blob)
+        back = decode_payload(encode_payload(outer))
         assert back["msg"] == inner
         assert back["ttl"] == 2
-        assert charge == estimate_size(outer)
+        assert back["msg"].size_bytes == inner.size_bytes
 
     def test_wire_payload_reembeds_verbatim(self):
         wire = Message(payload={"kind": "data", "seq": 9}).wire_copy()
         frozen = wire._payload
         assert type(frozen) is WirePayload
-        blob, charge = encode_payload(frozen)
-        assert frozen.blob in blob  # verbatim, no re-encode
-        assert charge == frozen.size_bytes
+        blob = encode_payload(frozen)
+        # tag, length, the blob verbatim, and nothing after it
+        assert blob == bytes((0x0F, len(frozen.blob))) + frozen.blob
         back = decode_payload(blob)
         assert type(back) is WirePayload
         assert back == frozen
@@ -194,14 +186,14 @@ class TestStructuredLeaves:
                 encode_payload(value)
 
     def test_bool_is_not_encoded_as_int(self):
-        back = decode_payload(encode_payload([True, 1, False, 0])[0])
+        back = decode_payload(encode_payload([True, 1, False, 0]))
         assert [type(item) for item in back] == [bool, int, bool, int]
 
     def test_decode_nested_thaws_every_nested_blob(self):
         inner = Message(payload={"kind": "chat", "text": "hi"})
         inner.push_header(("rm", 7))
         back = decode_payload(encode_payload(
-            {"msg": inner, "relay": [Message(payload=[1, 2]).wire_copy()]})[0])
+            {"msg": inner, "relay": [Message(payload=[1, 2]).wire_copy()]}))
         codec.decode_nested(back)
         assert back["msg"]._payload._decoded == {"kind": "chat",
                                                  "text": "hi"}
@@ -209,7 +201,7 @@ class TestStructuredLeaves:
 
     def test_decode_nested_raises_on_a_malformed_nested_blob(self):
         inner = Message(payload={"kind": "chat"}).wire_copy()
-        blob = bytearray(encode_payload({"msg": inner})[0])
+        blob = bytearray(encode_payload({"msg": inner}))
         at = bytes(blob).index(inner._payload.blob)
         blob[at] = 0x1F  # the inner dict's tag
         back = decode_payload(bytes(blob))  # the nested blob stays lazy
@@ -275,19 +267,19 @@ class TestSharedStrings:
         ids = [f"peer-{number:05d}" for number in range(10_000)]
         for start in range(0, len(ids), 100):
             batch = tuple(ids[start:start + 100])
-            assert decode_payload(encode_payload(batch)[0]) == batch
-            assert decode_payload(encode_payload(list(batch))[0]) == \
+            assert decode_payload(encode_payload(batch)) == batch
+            assert decode_payload(encode_payload(list(batch))) == \
                 list(batch)
             assert len(string_table) <= codec.SHARED_STRINGS_MAX
         assert len(string_table) == codec.SHARED_STRINGS_MAX
         # Past the cap a string still decodes; it is only not shared.
-        first, second = (decode_payload(encode_payload((ids[-1],))[0])[0]
+        first, second = (decode_payload(encode_payload((ids[-1],)))[0]
                          for _ in range(2))
         assert first == second == ids[-1] and first is not second
 
     def test_a_long_or_malformed_string_is_not_shared(self, string_table):
         long_id = "x" * 200
-        assert decode_payload(encode_payload((long_id,))[0]) == (long_id,)
+        assert decode_payload(encode_payload((long_id,))) == (long_id,)
         for blob in (b"\x0a\x01\x05\x01\xff", b"\x05\x01\xff"):
             with pytest.raises(CodecError, match="malformed string"):
                 decode_payload(blob)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.kernel import Message, estimate_size
-from repro.kernel.codec import CodecError
+from repro.kernel import Message
+from repro.kernel.codec import CodecError, encode_payload
 
 
 @dataclass
@@ -94,29 +94,40 @@ class TestHeaderStack:
         assert message.header_depth == 2
 
 
-class TestSizeEstimation:
+def payload_bytes(payload) -> int:
+    """What ``payload`` adds to a message beyond an empty bytes one."""
+    return Message(payload).size_bytes - Message().size_bytes + 2
+
+
+class TestSizeBytes:
     def test_bytes_payload_counts_length(self):
-        assert estimate_size(b"12345") == 5
+        # message tag, header count, blob tag and length, bytes tag and
+        # length, the bytes
+        assert Message(b"12345").size_bytes == 11
+        assert Message(b"12345").size_bytes == \
+            len(encode_payload(Message(b"12345")))
 
     def test_str_counts_utf8_length(self):
-        assert estimate_size("héllo") == len("héllo".encode("utf-8"))
+        assert payload_bytes("héllo") - payload_bytes("hello") == 1
 
-    def test_explicit_size_attribute_wins(self):
-        assert estimate_size(_SizedHeader()) == 42
-
-    def test_dataclass_has_no_charge(self):
+    def test_a_size_attribute_is_not_a_wire_value(self):
         with pytest.raises(CodecError):
-            estimate_size(_SeqHeader(sender=1, seqno=2))
+            Message(_SizedHeader()).size_bytes
+
+    def test_dataclass_is_not_a_wire_value(self):
+        with pytest.raises(CodecError):
+            Message(_SeqHeader(sender=1, seqno=2)).size_bytes
 
     def test_scalar_sizes(self):
-        assert estimate_size(True) == 1
-        assert estimate_size(3) == 4
-        assert estimate_size(2.5) == 8
-        assert estimate_size(None) == 1
+        assert payload_bytes(True) == 1
+        assert payload_bytes(3) == 1  # inline small int
+        assert payload_bytes(300) == 3
+        assert payload_bytes(2.5) == 9
+        assert payload_bytes(None) == 1
 
     def test_container_sizes_are_positive(self):
-        assert estimate_size([1, 2, 3]) > 0
-        assert estimate_size({"a": 1}) > 0
+        assert payload_bytes([1, 2, 3]) == 5
+        assert payload_bytes({"a": 1}) == 6
 
     def test_message_size_includes_headers(self):
         message = Message(payload=b"xxxx")

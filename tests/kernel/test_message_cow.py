@@ -6,8 +6,8 @@ Two properties the whole stack relies on, exercised over random programs:
   the header chain structurally, yet no sequence of push/pop on one handle
   can change what any other handle observes;
 * **size consistency** — the incrementally-maintained ``size_bytes``
-  always equals the from-scratch recursive estimate the seed computed on
-  every read (payload estimate + per-header charge + framing byte).
+  always equals the length of a from-scratch encoding of the same
+  payload and headers.
 """
 
 from __future__ import annotations
@@ -15,15 +15,14 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernel import Message, estimate_size
+from repro.kernel import Message
+from repro.kernel.codec import encode_payload
 
 
 def reference_size(message: Message) -> int:
-    """The seed-era accounting: recursive walk on every read."""
-    total = estimate_size(message.payload)
-    for header in message.headers:
-        total += max(estimate_size(header), 1) + 1  # +1 framing byte
-    return total
+    """The encoded length of a fresh message with the same contents."""
+    return len(encode_payload(Message(message.payload,
+                                      headers=message.headers)))
 
 
 #: Headers as the protocols build them: immutable-once-pushed values

@@ -2,11 +2,11 @@
 
 Three contracts under test:
 
-* **arithmetic equals encoding** — ``Message.wire_bytes`` (O(1) over the
-  cells' cumulative lengths) is the length ``encode_payload`` produces, and
-  ``size_bytes`` is the legacy per-header estimate, over random header
-  stacks, nested messages and relayed (already frozen) payloads; a header
-  outside the wire format is refused when it is pushed;
+* **arithmetic equals encoding** — ``Message.size_bytes`` (O(1) over the
+  cells' cumulative lengths) is the length ``encode_payload`` produces,
+  over random header stacks, nested messages and relayed (already frozen)
+  payloads, before and after the payload is frozen; a header outside the
+  wire format is refused when it is pushed;
 * **a fan-out encodes once** — a real Mecho group send through
   ``DatagramTransportSession`` runs the codec the same number of times
   for 4 members as for 16, wired sender and wireless-via-relay alike;
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernel import Message, codec, estimate_size
+from repro.kernel import Message, codec
 from repro.kernel.codec import CodecError, decode_payload, encode_payload
 from repro.kernel.message import WirePayload
 from repro.kernel.packet import Packet
@@ -39,15 +39,9 @@ from tests.protocols.helpers import (build_group_stack, build_world,
 
 @dataclass(frozen=True)
 class ExoticHeader:
-    """A header outside the wire format, with an explicit charge."""
+    """A header outside the wire format."""
 
-    size_bytes: int = 11
-
-
-def legacy_size(payload, headers) -> int:
-    """``size_bytes`` as the recursive-walk era computed it."""
-    return estimate_size(payload) + sum(
-        max(estimate_size(header), 1) + 1 for header in headers)
+    tag: int = 11
 
 
 def traversed(message: Message) -> bytes:
@@ -57,8 +51,8 @@ def traversed(message: Message) -> bytes:
     out = bytearray((0x0E,))
     codec._append_varint(out, len(headers))
     for header in headers:
-        out += encode_payload(header)[0]
-    out += encode_payload(message._payload)[0]
+        out += encode_payload(header)
+    out += encode_payload(message._payload)
     return bytes(out)
 
 
@@ -74,22 +68,21 @@ nested_payloads = st.one_of(
 )
 
 
-class TestWireBytesArithmetic:
+class TestSizeBytesArithmetic:
     @given(payload=nested_payloads, headers=header_stacks,
            pops=st.integers(0, 6))
     @settings(max_examples=300, deadline=None)
-    def test_wire_bytes_is_the_encoded_length(self, payload, headers, pops):
+    def test_size_bytes_is_the_encoded_length(self, payload, headers, pops):
         message = Message(payload, headers=headers)
-        assert message.size_bytes == legacy_size(payload, headers)
-        assert message.wire_bytes == message.size_bytes  # not frozen yet
+        unfrozen = message.size_bytes  # freezes through the family cache
         frozen = message.wire_copy()
+        assert frozen.size_bytes == unfrozen
+        assert frozen._payload is message._wire_cache[0]  # one encode
         for _ in range(min(pops, len(headers))):
             frozen.pop_header()
-            headers = headers[:-1]
-        blob, charge = encode_payload(frozen)
-        assert frozen.wire_bytes == len(blob)
+        blob = encode_payload(frozen)
+        assert frozen.size_bytes == len(blob)
         assert blob == traversed(frozen)
-        assert frozen.size_bytes == charge == legacy_size(payload, headers)
 
     @given(payload=wire_values, headers=header_stacks,
            relay_header=st.tuples(st.just("mecho"), st.just("relayed"),
@@ -97,18 +90,17 @@ class TestWireBytesArithmetic:
     @settings(max_examples=200, deadline=None)
     def test_relayed_message_reuses_the_cells_it_arrived_with(
             self, payload, headers, relay_header):
-        blob, _ = encode_payload(Message(payload, headers=headers).wire_copy())
+        blob = encode_payload(Message(payload, headers=headers).wire_copy())
         arrived = decode_payload(blob)
         assert type(arrived._payload) is WirePayload
-        assert arrived.wire_bytes == len(blob)
-        assert arrived.size_bytes == legacy_size(payload, headers)
-        assert encode_payload(arrived)[0] == blob  # forwarded byte for byte
+        assert arrived.size_bytes == len(blob)
+        assert encode_payload(arrived) == blob  # forwarded byte for byte
         if headers:
             arrived.pop_header()
         arrived.push_header(relay_header)
         relayed = arrived.wire_copy()
-        again, _ = encode_payload(relayed)
-        assert relayed.wire_bytes == len(again)
+        again = encode_payload(relayed)
+        assert relayed.size_bytes == len(again)
         assert again == traversed(relayed)
 
     @given(payload=wire_values, headers=header_stacks)
@@ -117,19 +109,17 @@ class TestWireBytesArithmetic:
         message = Message(payload, headers=headers)
         with pytest.raises(CodecError):
             message.push_header(ExoticHeader())
-        # The refused header left no cell: the stack and its charges are
+        # The refused header left no cell: the stack and its size are
         # those of the encodable headers alone.
         assert message.headers == headers
-        assert message.size_bytes == legacy_size(payload, headers)
-        frozen = message.wire_copy()
-        assert frozen.wire_bytes == len(encode_payload(frozen)[0])
+        assert message.size_bytes == len(
+            encode_payload(Message(payload, headers=headers)))
 
     def test_exotic_header_is_refused_by_the_cell_encoder(self):
         with pytest.raises(CodecError):
-            codec.encode_header(ExoticHeader(size_bytes=40))
-        wire, charge = codec.encode_header(("rm", "n0", 7, 3))
-        assert wire == encode_payload(("rm", "n0", 7, 3))[0]
-        assert charge == estimate_size(("rm", "n0", 7, 3))
+            codec.encode_header(ExoticHeader(tag=40))
+        assert codec.encode_header(("rm", "n0", 7, 3)) == \
+            encode_payload(("rm", "n0", 7, 3))
 
 
 class TestOutsideTheWireFormat:
@@ -230,8 +220,6 @@ def reference_frame(packet: Packet) -> bytes:
                        packet.event_cls.__name__, packet.traffic_class))
     encoded = names.encode("utf-8")
     out = bytearray((FRAME_MAGIC, FRAME_VERSION))
-    codec._append_varint(out, packet.size_bytes)
-    codec._append_varint(out, packet.wire_bytes)
     codec._append_varint(out, len(encoded))
     return bytes(out) + encoded + traversed(packet.message)
 
@@ -252,8 +240,7 @@ class TestFrameBytes:
         assert arrived.message == packet.message
         assert arrived.message.headers == headers
         assert arrived.size_bytes == packet.size_bytes
-        assert arrived.wire_bytes == packet.wire_bytes
-        assert arrived.message.wire_bytes == packet.message.wire_bytes
+        assert arrived.message.size_bytes == packet.message.size_bytes
         # Cells that came off the wire: forwarding re-sends their bytes.
         assert encode_frame(arrived) == frame
         assert decode_frame(encode_frame(arrived), "mobile-0").message == \

@@ -1,15 +1,19 @@
-"""The datagram frame: round-trips and the adversarial-input contract.
+"""The datagram frame: round-trips, sizes and the adversarial-input contract.
 
-Two properties carry the live wire:
+Three properties carry the live wire:
 
 * **round-trip** — ``decode_frame(encode_frame(p), receiver)`` rebuilds a
   packet addressed to ``receiver`` (the socket is the address: ``dst`` is
   not on the wire) whose every other field and carried message equal the
   original's, for arbitrary payloads, header stacks, and every
   stack-deployable event class;
+* **the datagram is the charge** — for every event class the spine
+  stacks send, the frame's body is exactly ``p.message.size_bytes``
+  bytes, and the receiver rebuilds the sender's ``size_bytes`` from the
+  message, with no size on the wire;
 * **total safety** — every malformed datagram (truncation, garbage,
   single-byte corruption, oversize, bad magic, an unknown version or a
-  version-1 frame, a bad varint, too few or too many names, trailing
+  version-1 or version-2 frame, a bad varint, too few or too many names, trailing
   bytes, an unknown event class) raises :class:`CodecError` and nothing
   else.  The receive loop counts and drops on that one exception; any
   other escape would crash a live node.  A name holding the separator
@@ -25,10 +29,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernel import codec
-from repro.kernel import message as message_module
 from repro.kernel.codec import (CodecError, decode_payload, encode_payload,
                                 resolve_event_class, wire_key_table)
-from repro.kernel.message import Message, estimate_size
+from repro.kernel.message import Message
 from repro.kernel.packet import CONTROL, DATA, Packet
 from repro.livenet.conformance import CONFORMANCE_CASES
 from repro.livenet.frame import (FRAME_MAGIC, FRAME_VERSION,
@@ -41,6 +44,7 @@ from repro.protocols.reliable import _STABILITY_REPORT_EVERY
 from repro.scenarios.runner import ScenarioRunner
 from repro.simnet import network as sim_network
 from tests.protocols.helpers import build_world, collector_of
+from tests.protocols.test_frag import frag_world
 
 # -- strategies ---------------------------------------------------------------
 
@@ -119,11 +123,11 @@ class TestRoundTrip:
 
     @given(packet=packets())
     @settings(max_examples=100, deadline=None)
-    def test_byte_charges_travel_verbatim(self, packet):
+    def test_the_receiver_recomputes_the_senders_size(self, packet):
         """Counters on the receiver reproduce the sender's accounting."""
         back = decode_frame(encode_frame(packet), receiver_of(packet))
         assert back.size_bytes == packet.size_bytes
-        assert back.wire_bytes == packet.wire_bytes
+        assert back.message.size_bytes == packet.message.size_bytes
 
     def test_every_receiver_of_a_request_gets_the_same_frame(self):
         packet = _reference_packet()
@@ -138,7 +142,7 @@ class TestRoundTrip:
             assert back.message == packet.message
 
 
-# -- byte charges of decoded messages ----------------------------------------
+# -- the datagram is the charge ------------------------------------------------
 
 #: Every message kind the live backend carries: what the five conformance
 #: scenarios send, plus the reliable layer's stability reports, which the
@@ -148,40 +152,42 @@ LIVE_VOCABULARY = frozenset({
     "HeartbeatMessage", "MembershipMessage", "NackMessage", "ParityMessage",
     "RetransmissionMessage", "StabilityMessage", "SyncMessage"})
 
+#: The event class of each sender on the spine stacks, a fragment too.
+SCOREBOARD = {
+    "chat": "ApplicationMessage",
+    "reliable-nack": "NackMessage",
+    "reliable-retransmission": "RetransmissionMessage",
+    "reliable-stability": "StabilityMessage",
+    "heartbeat-beacon": "HeartbeatMessage",
+    "membership": "MembershipMessage",
+    "cocaditem-snapshot": "ContextMessage",
+    "core": "CoreMessage",
+    "fec-parity": "ParityMessage",
+    "fragment": "FragmentEvent",
+}
+
 #: Frames kept per message kind (the first ones sent).
 _PER_KIND = 40
 
 
-def _cell_charges(message: Message) -> list[int]:
-    """``stack_bytes`` of every header cell, top → bottom."""
-    charges = []
-    node = message._top
-    while node is not None:
-        charges.append(node.stack_bytes)
-        node = node.below
-    return charges
-
-
 @pytest.fixture(scope="module")
 def live_vocabulary_frames():
-    """``(kind, size_bytes, cell charges, payload charge, frame, receiver)``
-    of the first frames of each kind, encoded with codec parity on as the
-    simulator sends them."""
-    frames = []
-    counts: dict[str, int] = {}
+    """``kind -> [(size_bytes, message size_bytes, names, body, frame,
+    receiver)]`` of the first packets of each kind as the simulator sends
+    them (with codec parity on), taken before any receiver pops a header
+    off the packet's message."""
+    frames: dict[str, list] = {}
     route = sim_network.Network._route
 
     def capture(network, sender, packet, receivers, now):
         receivers = list(receivers)
-        kind = packet.event_cls.__name__
-        if receivers and counts.get(kind, 0) < _PER_KIND:
-            counts[kind] = counts.get(kind, 0) + 1
+        kept = frames.setdefault(packet.event_cls.__name__, [])
+        if receivers and len(kept) < _PER_KIND:
             # The datagram the live backend would send for it.
-            frame = encode_frame(packet)
-            message = packet.message
-            frames.append((kind, message.size_bytes, _cell_charges(message),
-                           estimate_size(message._payload), frame,
-                           receivers[0]))
+            kept.append((packet.size_bytes, packet.message.size_bytes,
+                         "\0".join(_names(packet)).encode("utf-8"),
+                         encode_payload(packet.message),
+                         encode_frame(packet), receivers[0]))
         route(network, sender, packet, receivers, now)
 
     was_on = codec.PARITY
@@ -198,48 +204,57 @@ def live_vocabulary_frames():
         for k in range(_STABILITY_REPORT_EVERY + 8):
             collector_of(channels["a"]).send_text(f"a:{k}")
         engine.run_until(3.0)
+        # One message past the MTU, in fragments.
+        engine, _, probes = frag_world(mtu=128)
+        probes["a"].send("f" * 600)
+        engine.run_until(1.0)
     finally:
         sim_network.Network._route = route
         codec.set_parity(was_on)
     return frames
 
 
-class TestDecodedCharges:
+class TestTheDatagramIsTheCharge:
     def test_every_live_kind_was_framed(self, live_vocabulary_frames):
-        assert {kind for kind, *_ in live_vocabulary_frames} >= \
-            LIVE_VOCABULARY
+        assert set(live_vocabulary_frames) >= LIVE_VOCABULARY
 
-    def test_receiver_charges_equal_the_senders(self, live_vocabulary_frames):
-        """The decoder's own charges rebuild the sender's accounting: the
-        message, every header cell, and the payload, nested messages
-        (retransmissions) included."""
-        was_on = codec.PARITY
-        codec.set_parity(True)
-        try:
-            for kind, size, cells, payload, frame, receiver in \
-                    live_vocabulary_frames:
-                back = decode_frame(frame, receiver).message
-                assert back.size_bytes == size, kind
-                assert _cell_charges(back) == cells, kind
-                assert estimate_size(back.payload) == payload, kind
-        finally:
-            codec.set_parity(was_on)
+    @pytest.mark.parametrize("kind", SCOREBOARD.values(),
+                             ids=SCOREBOARD.keys())
+    def test_the_body_is_the_message_size(self, live_vocabulary_frames,
+                                          kind):
+        """The frame is its magic, version, names and the message's
+        ``size_bytes`` bytes of body; the receiver gets the sender's size
+        back from the message alone."""
+        assert live_vocabulary_frames.get(kind), kind
+        for size, message_size, names, body, frame, receiver in \
+                live_vocabulary_frames[kind]:
+            assert len(body) == message_size
+            header = bytearray((FRAME_MAGIC, FRAME_VERSION))
+            codec._append_varint(header, len(names))
+            assert frame == bytes(header) + names + body  # no size in it
+            back = decode_frame(frame, receiver)
+            assert back.size_bytes == size
+            assert back.message.size_bytes == message_size
 
-    def test_decoding_walks_no_header_twice(self, live_vocabulary_frames,
-                                            monkeypatch):
-        """Header cells are charged from the decoding pass itself:
-        ``estimate_size`` is not called while a frame is decoded."""
+    def test_decoding_encodes_nothing(self, live_vocabulary_frames,
+                                      monkeypatch):
+        """The receiver's sizes come from the decoding pass itself: no
+        header and no payload is encoded while a frame is decoded."""
         calls = []
-        estimate = message_module.estimate_size
 
-        def counted(obj):
-            calls.append(obj)
-            return estimate(obj)
+        def counted(original):
+            def count(value):
+                calls.append(value)
+                return original(value)
+            return count
 
-        monkeypatch.setattr(message_module, "estimate_size", counted)
-        for kind, size, *_, frame, receiver in live_vocabulary_frames:
-            assert decode_frame(frame, receiver).message.size_bytes == \
-                size, kind
+        monkeypatch.setattr(codec, "encode_payload",
+                            counted(codec.encode_payload))
+        monkeypatch.setattr(codec, "encode_header",
+                            counted(codec.encode_header))
+        for kept in live_vocabulary_frames.values():
+            for size, *_, frame, receiver in kept:
+                assert decode_frame(frame, receiver).size_bytes == size
         assert calls == []
 
 
@@ -247,14 +262,13 @@ class TestDecodedCharges:
 
 class TestClassReferences:
     def test_event_class_round_trips_to_identity(self):
-        blob, charge = encode_payload(RetransmissionMessage)
+        blob = encode_payload(RetransmissionMessage)
         assert decode_payload(blob) is RetransmissionMessage
-        assert charge == estimate_size(RetransmissionMessage)
 
     def test_class_inside_mapping_round_trips(self):
         """The retransmission-store shape that first hit the live wire."""
         snapshot = {"cls": ApplicationMessage, "seqno": 42}
-        blob, _ = encode_payload(snapshot)
+        blob = encode_payload(snapshot)
         back = decode_payload(blob)
         assert back["cls"] is ApplicationMessage
         assert back["seqno"] == 42
@@ -286,14 +300,12 @@ def _raw_frame(names, body: bytes, version: int = FRAME_VERSION) -> bytes:
     """A frame laid out by hand: any names, any body, any version."""
     encoded = "\0".join(names).encode("utf-8")
     out = bytearray((FRAME_MAGIC, version))
-    codec._append_varint(out, 60)
-    codec._append_varint(out, 50)
     codec._append_varint(out, len(encoded))
     return bytes(out + encoded) + body
 
 
 def _body(packet: Packet) -> bytes:
-    return encode_payload(packet.message)[0]
+    return encode_payload(packet.message)
 
 
 def malformed_payload_frame(text: str = "hello") -> bytes:
@@ -345,7 +357,7 @@ class TestMalformedFrames:
         """A body whose payload is not itself a blob (no sender frames one
         so) can still nest one: its only 0x0F byte is that nested tag."""
         inner = Message(payload={"kind": "chat"}).wire_copy()
-        payload = bytearray(encode_payload({"msg": inner})[0])
+        payload = bytearray(encode_payload({"msg": inner}))
         at = bytes(payload).index(inner._payload.blob)
         payload[at] = 0x1F
         body = b"\x0e\x00" + bytes(payload)  # no headers, a bare dict
@@ -384,14 +396,25 @@ class TestMalformedFrames:
         """The layout before the socket became the address: a codec meta
         tuple holding ``dst``, then the body."""
         packet = _reference_packet()
-        meta_blob, _ = encode_payload(
+        meta_blob = encode_payload(
             (packet.src, packet.logical_src, packet.port,
              packet.event_cls.__name__, packet.dst, packet.traffic_class,
-             packet.size_bytes, packet.wire_bytes))
+             packet.size_bytes, packet.size_bytes))
         out = bytearray((FRAME_MAGIC, 1))
         codec._append_varint(out, len(meta_blob))
         with pytest.raises(CodecError, match="version 1"):
             decode_frame(bytes(out) + meta_blob + _body(packet), "fixed-1")
+
+    def test_a_version_2_frame_is_an_unknown_version(self):
+        """The layout that carried two sizes ahead of the names."""
+        packet = _reference_packet()
+        encoded = "\0".join(_names(packet)).encode("utf-8")
+        out = bytearray((FRAME_MAGIC, 2))
+        codec._append_varint(out, packet.size_bytes)
+        codec._append_varint(out, packet.size_bytes)
+        codec._append_varint(out, len(encoded))
+        with pytest.raises(CodecError, match="version 2"):
+            decode_frame(bytes(out) + encoded + _body(packet), "fixed-1")
 
     def test_oversized_datagram_rejected_on_decode(self):
         with pytest.raises(CodecError):
@@ -406,7 +429,7 @@ class TestMalformedFrames:
             encode_frame(packet)
 
     def test_a_bad_varint(self):
-        """A size varint whose continuation bit never ends."""
+        """A names-length varint whose continuation bit never ends."""
         with pytest.raises(CodecError):
             decode_frame(bytes([FRAME_MAGIC, FRAME_VERSION]) + b"\xff" * 40,
                          "fixed-1")
@@ -414,7 +437,7 @@ class TestMalformedFrames:
     def test_truncated_names(self):
         packet = _reference_packet()
         encoded = "\0".join(_names(packet)).encode("utf-8")
-        out = bytearray((FRAME_MAGIC, FRAME_VERSION, 60, 50))
+        out = bytearray((FRAME_MAGIC, FRAME_VERSION))
         codec._append_varint(out, len(encoded) + 40)  # more than present
         with pytest.raises(CodecError, match="truncated frame names"):
             decode_frame(bytes(out + encoded), "fixed-1")
@@ -428,7 +451,7 @@ class TestMalformedFrames:
 
     def test_names_that_are_not_utf8(self):
         packet = _reference_packet()
-        out = bytearray((FRAME_MAGIC, FRAME_VERSION, 60, 50, 6))
+        out = bytearray((FRAME_MAGIC, FRAME_VERSION, 6))
         out += b"\xff\xfe\0\0\0\0"
         with pytest.raises(CodecError):
             decode_frame(bytes(out) + _body(packet), "fixed-1")
@@ -448,7 +471,7 @@ class TestMalformedFrames:
 
     def test_body_must_be_a_message(self):
         packet = _reference_packet()
-        body_blob, _ = encode_payload({"not": "a message"})
+        body_blob = encode_payload({"not": "a message"})
         with pytest.raises(CodecError, match="not a message"):
             decode_frame(_raw_frame(_names(packet), body_blob), "fixed-1")
 
@@ -468,7 +491,7 @@ class TestMalformedFrames:
     @given(data=st.binary(max_size=96))
     @settings(max_examples=300, deadline=None)
     def test_garbage_after_a_valid_header_is_contained(self, data):
-        """Arbitrary bytes behind a well-formed magic, version, sizes and
+        """Arbitrary bytes behind a well-formed magic, version and
         names: only the body decoder sees them."""
         names = _names(_reference_packet())
         _assert_only_codec_error(_raw_frame(names, data))

@@ -41,7 +41,7 @@ class _Crafted:
 def corrupt_nested_message() -> bytes:
     """A message's wire form whose payload blob's dict tag is ``0x1F``."""
     message = Message(payload={"kind": "chat"}).wire_copy()
-    blob = bytearray(encode_payload(message)[0])
+    blob = bytearray(encode_payload(message))
     at = bytes(blob).index(message._payload.blob)
     assert blob[at] == 0x0D
     blob[at] = 0x1F
@@ -51,7 +51,7 @@ def corrupt_nested_message() -> bytes:
 def parity_dict(field: str, value) -> dict:
     """A k=1, m=1 parity of a good message from ``s``, with ``field`` set
     to ``value`` (dropped when ``value`` is ``None``)."""
-    blob = encode_payload(Message("hello").wire_copy())[0]
+    blob = encode_payload(Message("hello").wire_copy())
     parity = {"sender": "s", "block": 0, "parity_index": 0, "k": 1, "m": 1,
               "lengths": [len(blob)], "data": rs_encode([blob], 1)[0]}
     if value is None:
@@ -146,7 +146,7 @@ class TestFec:
 
     @pytest.mark.parametrize("blob", [
         pickle.dumps(_Crafted()),
-        encode_payload({"kind": "chat"})[0],  # a wire value, not a message
+        encode_payload({"kind": "chat"}),  # a wire value, not a message
         corrupt_nested_message(),
         b"\x0e\x00\x05\x01\xff",  # a message whose text is not UTF-8
     ], ids=["pickle", "not-a-message", "corrupt-payload", "not-utf8"])

@@ -41,7 +41,7 @@ def fragment_dict(field: str, value) -> dict:
     """The one fragment of a good message from ``ghost``, with ``field``
     set to ``value`` (dropped when ``value`` is ``None``)."""
     blob = encode_payload((ApplicationMessage, Message("x").wire_copy(),
-                           "ghost"))[0]
+                           "ghost"))
     fragment = {"origin": "ghost", "frag_id": 1, "index": 0, "total": 1,
                 "chunk": blob}
     if value is None:
@@ -65,6 +65,21 @@ def frag_world(mtu=256, members=("a", "b"), above=()):
              BestEffortMulticastLayer(members=members_csv),
              *(layer(members=members_csv) for layer in above)])
     return engine, network, probes
+
+
+def transmitted_fragment_sizes(monkeypatch) -> list[int]:
+    """``size_bytes`` of the message of every fragment the network
+    transmits from here on."""
+    sizes = []
+    transmit = Network.transmit
+
+    def tapped(network, sender, packet):
+        if packet.event_cls is FragmentEvent:
+            sizes.append(packet.message.size_bytes)
+        transmit(network, sender, packet)
+
+    monkeypatch.setattr(Network, "transmit", tapped)
+    return sizes
 
 
 def frag_of(network, node_id):
@@ -92,7 +107,7 @@ class TestFragmentation:
     def test_fragment_count_matches_size(self):
         engine, network, probes = frag_world(mtu=128)
         network.reset_stats()
-        probes["a"].send("y" * 1000)  # chunk = 64 bytes → ~16 fragments
+        probes["a"].send("y" * 1000)  # chunk = 82 bytes → 13 fragments
         engine.run_until(1.0)
         fragments = network.stats_of("a").sent_by_event["FragmentEvent"]
         assert 12 <= fragments <= 20
@@ -110,6 +125,31 @@ class TestFragmentation:
         probes["c"].send("C" * 600)
         engine.run_until(2.0)
         assert sorted(probes["b"].payloads()) == ["A" * 600, "C" * 600]
+
+    @pytest.mark.parametrize("mtu", [64, 100, 256, 1400])
+    def test_every_fragment_fits_its_mtu(self, mtu, monkeypatch):
+        sizes = transmitted_fragment_sizes(monkeypatch)
+        engine, network, probes = frag_world(mtu=mtu)
+        big = "x" * 3000
+        probes["a"].send(big)
+        engine.run_until(5.0)
+        assert probes["b"].payloads() == [big]
+        assert len(sizes) > 3000 // mtu
+        assert max(sizes) <= mtu
+
+    @pytest.mark.parametrize("mtu", [64, 100, 256, 1400])
+    def test_a_message_of_exactly_the_mtu_passes_whole(self, mtu,
+                                                       monkeypatch):
+        sizes = transmitted_fragment_sizes(monkeypatch)
+        fits = next(b"x" * n for n in range(mtu)
+                    if Message(b"x" * n).size_bytes == mtu)
+        engine, network, probes = frag_world(mtu=mtu)
+        probes["a"].send(fits)
+        probes["a"].send(fits + b"x")  # one byte more is fragmented
+        engine.run_until(1.0)
+        assert sorted(probes["b"].payloads()) == [fits, fits + b"x"]
+        assert frag_of(network, "a").fragmented_count == 1
+        assert sizes and max(sizes) <= mtu
 
     def test_mtu_validation(self):
         with pytest.raises(ValueError, match="mtu too small"):
@@ -133,8 +173,8 @@ class TestFragmentation:
 
     @pytest.mark.parametrize("blob", [
         pickle.dumps(_Crafted()),
-        encode_payload((ApplicationMessage, "not a message", "ghost"))[0],
-        encode_payload(("ghost", Message("x").wire_copy(), "ghost"))[0],
+        encode_payload((ApplicationMessage, "not a message", "ghost")),
+        encode_payload(("ghost", Message("x").wire_copy(), "ghost")),
         b"\x0e\x00\x1f",  # a message whose payload has an unknown tag
         b"\x0e\x00\x05\x01\xff",  # a message whose text is not UTF-8
     ], ids=["pickle", "payload-not-a-message", "no-class", "corrupt",
@@ -187,7 +227,7 @@ class TestFragmentation:
             self):
         engine, network, probes = frag_world(mtu=128)
         with pytest.raises(ValueError, match="fragments"):
-            probes["a"].send("x" * 64 * (MAX_FRAGMENTS + 1))
+            probes["a"].send("x" * 128 * (MAX_FRAGMENTS + 1))
         assert frag_of(network, "a").fragmented_count == 0
 
     def test_a_fragment_payload_that_is_not_a_dict_is_dropped(self):

@@ -53,8 +53,7 @@ class TestCorpusReplay:
 
     def test_reproducer_replays_under_codec_parity(self, path):
         """The whole corpus again with every wire encode cross-checked:
-        parity mode asserts each codec charge equals the legacy
-        ``estimate_size`` and each blob decodes back equal (the
+        parity mode asserts each blob decodes back equal (the
         ``REPRO_CODEC_PARITY=1`` contract the live transport's framing
         depends on), and the run must stay bit-identical to normal mode."""
         entry = load_corpus_file(str(path))

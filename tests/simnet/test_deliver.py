@@ -100,7 +100,7 @@ def arrange(network, case: Case, heard: list):
         network.partition({"rx", "other"})
     if case.bound:
         node.bind_port(PORT, lambda packet: heard.append(
-            (packet.src, packet.dst, packet.size_bytes, packet.wire_bytes,
+            (packet.src, packet.dst, packet.size_bytes,
              packet.traffic_class, packet.message.payload)))
     return node
 
@@ -242,9 +242,8 @@ class TestCharge:
             assert charge(sender, packet, now=2.5, times=4) == 4
             assert packet.sent_at == 2.5
             assert sender.stats.sent_total == 4
-            assert sender.stats.sent_bytes_total == 4 * packet.size_bytes
             assert sender.stats.sent_wire_bytes_total == \
-                4 * packet.wire_bytes
+                4 * packet.size_bytes
             assert sender.stats.sent_by_event == {"SendableEvent": 4}
             assert sender.stats.dropped_packets == 0
         assert docked.battery.tx_count == 0

@@ -190,7 +190,7 @@ class TestNodeStats:
         stats = NodeStats("n")
         packet = _packet(size=200)
         stats.record_sent(packet)
-        assert stats.sent_bytes_total == packet.size_bytes
+        assert stats.sent_wire_bytes_total == packet.size_bytes
 
     def test_reset_zeroes_everything(self):
         stats = NodeStats("n")
