@@ -40,7 +40,8 @@ from typing import Any, Callable, Optional, Sequence
 from repro.context.model import ContextSample, topic_for
 from repro.context.pubsub import TopicBus
 from repro.core.local_module import LocalModule
-from repro.core.policy import ContextDirectory, Policy, ReconfigurationPlan
+from repro.core.rules.plan import (ContextDirectory, Policy,
+                                   ReconfigurationPlan)
 from repro.kernel.events import Direction, Event, TimerEvent
 from repro.kernel.layer import Layer
 from repro.kernel.registry import register_layer

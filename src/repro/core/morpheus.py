@@ -25,8 +25,8 @@ from repro.context.pubsub import TopicBus
 from repro.context.retrievers import ContextRetriever
 from repro.core.core_layer import CoreSession
 from repro.core.local_module import LocalModule
-from repro.core.policy import ContextDirectory, Policy
 from repro.core.rules import HybridMechoRule, PolicyEngine
+from repro.core.rules.plan import ContextDirectory, Policy
 from repro.core.templates import (APP_LABEL, TRANSPORT_LABEL,
                                   control_template, plain_data_template)
 from repro.kernel.channel import Channel, ChannelState

@@ -1,8 +1,11 @@
-"""Context directory, reconfiguration plans and relay selectors.
+"""Context directory, reconfiguration plans, policies and relay selectors.
 
-The data model every policy — rule-based or hand-written — works with.
+The control component's job (paper §3.3) is *"to evaluate context
+information in order to select the more adequate configuration"*.  This
+is the data model every policy — rule-based or hand-written — works
+with, and :class:`StaticPolicy`, the one policy that is not a rule list.
 It lives here, below the rules, so the rule engine can use it without a
-circular import; :mod:`repro.core.policy` re-exports it.
+circular import.
 """
 
 from __future__ import annotations
@@ -87,6 +90,21 @@ class Policy(Protocol):
         context of some member is not yet known, or the governor holds a
         change back)."""
         ...  # pragma: no cover - protocol declaration
+
+
+class StaticPolicy:
+    """Always prescribes one fixed plan (tests, manual control)."""
+
+    reads: frozenset[str] = frozenset()
+
+    def __init__(self, plan: ReconfigurationPlan) -> None:
+        self.plan = plan
+
+    def decide(self, directory: ContextDirectory,
+               members: Sequence[str],
+               now: Optional[float] = None,
+               group: Optional[str] = None) -> Optional[ReconfigurationPlan]:
+        return self.plan
 
 
 def lowest_id_relay(directory: ContextDirectory,

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.morpheus import build_morpheus_group
-from repro.core.policy import ReconfigurationPlan, StaticPolicy
 from repro.core.rules import engine_from_spec
+from repro.core.rules.plan import ReconfigurationPlan, StaticPolicy
 from repro.core.templates import mecho_data_template
 from repro.experiments.report import format_table
 from repro.kernel.xml_config import PolicySpec, RuleSpec

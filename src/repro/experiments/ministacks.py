@@ -50,7 +50,6 @@ def arq_stack(members_csv: str, nack_interval: float = 0.2) -> list[Layer]:
 
 
 def fec_stack(members_csv: str, k: int = 8, m: int = 2,
-              giveup_timeout: float = 5.0,
               nack_interval: float = 0.2) -> list[Layer]:
     """Mask-the-errors: Reed–Solomon parity with an ARQ backstop above.
 
@@ -60,8 +59,7 @@ def fec_stack(members_csv: str, k: int = 8, m: int = 2,
     (now rarely exercised) NACK path guarantees delivery of the residue.
     """
     return [BestEffortMulticastLayer(members=members_csv),
-            FecLayer(members=members_csv, k=k, m=m,
-                     giveup_timeout=giveup_timeout),
+            FecLayer(members=members_csv, k=k, m=m),
             ReliableMulticastLayer(members=members_csv,
                                    nack_interval=nack_interval)]
 

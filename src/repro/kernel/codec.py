@@ -2,8 +2,8 @@
 
 A payload frozen at the wire boundary
 (:meth:`~repro.kernel.message.Message.wire_copy`, used by the transport
-on every send), a header cell, a live datagram's body, an FEC block and a
-fragmented event are all one value in this format.
+on every send), a header cell, a live datagram's body and an FEC block
+are all one value in this format.
 
 Wire format — one tagged value, recursively::
 
@@ -49,7 +49,7 @@ every datagram repeats are not held once per received header.
 
 **One byte model.**  A message costs its encoded length
 (:attr:`~repro.kernel.message.Message.size_bytes`), which link delay, loss
-draws, battery drain, fragmentation and the byte counters all read.
+draws, battery drain and the byte counters all read.
 Header cells are encoded once, when a header is pushed
 (:func:`encode_header`); encoding a message then joins the cells' bytes
 and never walks a header again, and its length is arithmetic over the
@@ -262,9 +262,9 @@ def _encode(out: bytearray, obj: Any) -> None:
             payload = obj.wire_copy()._payload
         _encode(out, payload)
     else:
-        # Event-class references: retransmission stores, gossip relays and
-        # fragment reassembly all ship the original event's class so the
-        # receiver can re-instantiate it.  The class's unique ``__name__``
+        # Event-class references: retransmission stores and gossip relays
+        # ship the original event's class so the receiver can
+        # re-instantiate it.  The class's unique ``__name__``
         # is already the wire contract (datagram frames resolve event
         # classes the same way).
         from repro.kernel.events import SendableEvent

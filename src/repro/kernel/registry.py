@@ -2,8 +2,9 @@
 
 The XML configuration sub-system (paper §3.1, AppiaXML) refers to layers by
 name.  Every layer class that should be reachable from an XML description
-registers itself, either with the :func:`register_layer` decorator or
-implicitly when :func:`resolve_layer` walks already-imported subclasses.
+registers itself with the :func:`register_layer` decorator when its module
+is imported, so :func:`resolve_layer` finds a layer only once its module
+has been imported.
 """
 
 from __future__ import annotations

@@ -32,8 +32,6 @@ from repro.protocols.events import (GROUP_DEST, ApplicationMessage,
                                     TriggerViewChangeEvent, UnsuspectEvent,
                                     View, ViewEvent)
 from repro.protocols.fec import FecLayer, FecSession
-from repro.protocols.frag import (FragmentationLayer, FragmentationSession,
-                                  FragmentEvent)
 from repro.protocols.gossip import GossipLayer, GossipSession
 from repro.protocols.heartbeat import HeartbeatLayer, HeartbeatSession
 from repro.protocols.mecho import (MODE_WIRED, MODE_WIRELESS, MechoLayer,
@@ -58,7 +56,6 @@ __all__ = [
     "SuspectEvent", "SyncMessage", "TriggerViewChangeEvent",
     "UnsuspectEvent", "View", "ViewEvent",
     "FecLayer", "FecSession",
-    "FragmentationLayer", "FragmentationSession", "FragmentEvent",
     "GossipLayer", "GossipSession",
     "HeartbeatLayer", "HeartbeatSession",
     "MODE_WIRED", "MODE_WIRELESS", "MechoLayer", "MechoSession",

@@ -89,13 +89,13 @@ class GroupSession(Session):
         """Return a live rearm-on-fire one-shot loop handle.
 
         The shared half of the arm-on-demand timer pattern (reliable's
-        gap scan, frag's reassembly sweep, fec's give-up sweep): hand the
-        current handle back if it is still live, else arm a fresh
-        constant-interval one-shot.  A *cancelled* handle counts as idle
-        — channel teardown cancels every live timer, so a session re-used
-        after a reconfiguration must be able to re-arm on its new
-        channel.  The caller's fire handler decides per fire whether the
-        loop continues (stop with :meth:`stop_timer`).
+        gap scan, fec's give-up sweep): hand the current handle back if it
+        is still live, else arm a fresh constant-interval one-shot.  A
+        *cancelled* handle counts as idle — channel teardown cancels every
+        live timer, so a session re-used after a reconfiguration must be
+        able to re-arm on its new channel.  The caller's fire handler
+        decides per fire whether the loop continues (stop with
+        :meth:`stop_timer`).
         """
         if handle is None or handle.cancelled:
             handle = self.set_backoff_timer(interval, tag=tag, factor=1.0,

@@ -43,6 +43,8 @@ from repro.protocols.rs_code import rs_decode, rs_encode
 
 _HEADER_TAG = "fec"
 _SWEEP_TIMER = "fec-sweep"
+#: Seconds before an incomplete block is abandoned.
+_GIVEUP_TIMEOUT = 5.0
 
 
 def _freeze(message: Message) -> bytes:
@@ -93,8 +95,7 @@ class FecSession(GroupSession):
         super().__init__(layer)
         self.k: int = int(layer.params.get("k", 8))
         self.m: int = int(layer.params.get("m", 2))
-        self.giveup_timeout: float = float(
-            layer.params.get("giveup_timeout", 5.0))
+        self.giveup_timeout: float = _GIVEUP_TIMEOUT
         if self.k < 1 or self.m < 0 or self.k + self.m > 256:
             raise ValueError(f"invalid FEC parameters k={self.k}, m={self.m}")
         self._block_id = 0
@@ -298,7 +299,6 @@ class FecLayer(Layer):
     """Reed–Solomon forward error correction over blocks of ``k`` messages.
 
     Parameters: ``k`` (data messages per block), ``m`` (parity messages per
-    block), ``giveup_timeout`` (seconds before abandoning an incomplete
     block).
     """
 

@@ -20,6 +20,18 @@ from repro.protocols.events import (PathChangedEvent, StrangerEvent,
 
 _EXPIRY_TIMER = "hb-expiry"
 
+#: ``suspect_timeout`` in beacon intervals.  On a lossy wireless link
+#: (p ≈ 0.15-0.3 per hop) a 3-beacon margin yields false suspicion — and
+#: hence wrongful exclusion — with near-certainty over a long run.  Six
+#: consecutive losses at p = 0.3 is ~0.07 % per window.
+_SUSPECT_INTERVALS = 6.0
+#: Path-change resets admitted per ``suspect_timeout``.  A relay
+#: *flapping* under bursty loss causes one per oscillation, and every
+#: reset pushes all observation windows back to zero, so a member that
+#: went silent meanwhile would never be suspected (suspicion starvation).
+#: The ration bounds starvation to roughly (limit + 1) timeouts.
+_PATH_RESET_LIMIT = 3
+
 
 class HeartbeatSession(GroupSession):
     """Suspicion bookkeeping of one channel's view."""
@@ -27,23 +39,10 @@ class HeartbeatSession(GroupSession):
     def __init__(self, layer: Layer) -> None:
         super().__init__(layer)
         self.interval: float = float(layer.params.get("interval", 5.0))
-        # Margin of 6 missed beacons: on a lossy wireless link (p ≈
-        # 0.15-0.3 per hop) a 3-beacon margin yields false suspicion — and
-        # hence wrongful exclusion — with near-certainty over a long run.
-        # Six consecutive losses at p = 0.3 is ~0.07 % per window.
-        self.suspect_timeout: float = float(
-            layer.params.get("suspect_timeout", 6.0 * self.interval))
-        # Path-change resets are rationed: a relay *flapping* under bursty
-        # loss causes one per oscillation, and every reset pushes all
-        # observation windows back to zero, so a member that went silent
-        # meanwhile would never be suspected (suspicion starvation).  The
-        # budget bounds starvation to roughly (limit + 1) timeouts.
+        self.suspect_timeout: float = _SUSPECT_INTERVALS * self.interval
         self.path_reset_budget = WindowBudget(
-            limit=int(layer.params.get("path_reset_limit", 3)),
-            window=float(layer.params.get("path_reset_window",
-                                          self.suspect_timeout)),
-            cooldown=float(layer.params.get("path_reset_cooldown",
-                                            self.suspect_timeout)))
+            limit=_PATH_RESET_LIMIT, window=self.suspect_timeout,
+            cooldown=self.suspect_timeout)
         #: Start of each member's observation window (view installation or
         #: path reset); silence runs from the later of this and the node
         #: service's last evidence of the member.
@@ -151,11 +150,8 @@ class HeartbeatSession(GroupSession):
 class HeartbeatLayer(Layer):
     """Heartbeat-based failure detection.
 
-    Parameters: ``interval`` (beacon period, seconds), ``suspect_timeout``
-    (silence threshold; default ``6 × interval``), ``path_reset_limit`` /
-    ``path_reset_window`` / ``path_reset_cooldown`` (ration on
-    path-change window resets; window and cooldown default to
-    ``suspect_timeout``).
+    Parameters: ``interval`` (beacon period, seconds; a member silent for
+    ``suspect_timeout`` = ``6 × interval`` is suspected).
     """
 
     layer_name = "heartbeat"

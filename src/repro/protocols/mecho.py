@@ -45,6 +45,11 @@ RELAYED = "relayed"
 MODE_WIRED = "wired"
 MODE_WIRELESS = "wireless"
 
+#: Relay trust flips per damping window before PathChanged is damped.
+_PATH_FLAP_LIMIT = 4
+#: The damping window and cooldown, in multiples of ``relay_timeout``.
+_PATH_FLAP_SPAN = 8.0
+
 
 class MechoSession(GroupSession):
     """Mecho state: operating mode and the selected relay."""
@@ -72,12 +77,9 @@ class MechoSession(GroupSession):
         # *signal* when the trust state flips too often — the fall-back
         # itself is never suppressed (a dead relay must always be routed
         # around), only the window-reset notification upward.
-        self._path_damper = FlapDamper(
-            limit=int(layer.params.get("path_flap_limit", 4)),
-            window=float(layer.params.get("path_flap_window",
-                                          8.0 * self.relay_timeout)),
-            cooldown=float(layer.params.get("path_flap_cooldown",
-                                            8.0 * self.relay_timeout)))
+        span = _PATH_FLAP_SPAN * self.relay_timeout
+        self._path_damper = FlapDamper(limit=_PATH_FLAP_LIMIT, window=span,
+                                       cooldown=span)
         self._service: Optional[DatagramTransportSession] = None
         #: Foreign-framed packets dropped (generation skew diagnostics).
         self.foreign_dropped = 0
@@ -229,10 +231,8 @@ class MechoLayer(Layer):
 
     Parameters: ``mode`` (``wired`` | ``wireless``), ``relay`` (node id of
     the selected fixed relay), ``members`` (bootstrap CSV), ``group``,
-    ``relay_timeout`` (relay silence threshold, seconds),
-    ``path_flap_limit`` / ``path_flap_window`` / ``path_flap_cooldown``
-    (damping of relay trust-flap PathChanged signals; window and cooldown
-    default to ``8 × relay_timeout``).
+    ``relay_timeout`` (relay silence threshold, seconds; relay trust-flap
+    PathChanged signals are damped over ``8 × relay_timeout``).
     """
 
     layer_name = "mecho"

@@ -125,6 +125,9 @@ _RETRY_TIMER = "gms-retry"
 #: Per-peer probe one-shots carry ``(_PROBE_TIMER, peer)`` tags.
 _PROBE_TIMER = "gms-probe"
 
+#: Seconds between two retry ticks; the tick counts below are in these.
+_RETRY_INTERVAL = 0.5
+
 #: Liveness backstop of a *hold* flush, in retry ticks.  A member waiting
 #: in AWAIT_INSTALL this long self-installs the (fully known) target view;
 #: a hold-flush coordinator still missing install acks this long releases
@@ -190,8 +193,7 @@ class MembershipSession(GroupSession):
 
     def __init__(self, layer: Layer) -> None:
         super().__init__(layer)
-        self.retry_interval: float = float(
-            layer.params.get("retry_interval", 0.5))
+        self.retry_interval: float = _RETRY_INTERVAL
         self._bootstrap_view_id = int(layer.params.get("view_id", 0))
         #: Joiner mode: solicit admission instead of self-installing.
         self.joining: bool = bool(layer.params.get("join", False))
@@ -1398,8 +1400,8 @@ class MembershipLayer(Layer):
 
     Parameters: ``members`` (bootstrap CSV), ``group``, ``view_id``
     (bootstrap view identifier, used by reconfiguration to continue the
-    view sequence), ``retry_interval``, ``join`` (joiner mode: solicit
-    admission from the bootstrap peers instead of self-installing).
+    view sequence), ``join`` (joiner mode: solicit admission from the
+    bootstrap peers instead of self-installing).
     """
 
     layer_name = "membership"

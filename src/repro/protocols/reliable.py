@@ -60,6 +60,8 @@ _SYNC_MAX_REPEATS = 8
 #: (one report from each member plus one stable fan-out) costs well under
 #: 1 % of the data packets it covers.
 _STABILITY_REPORT_EVERY = 512
+#: Most sequence numbers one NACK asks for.
+_MAX_NACK_BATCH = 64
 
 
 @dataclass(slots=True)
@@ -81,7 +83,6 @@ class ReliableMulticastSession(GroupSession):
     def __init__(self, layer: Layer) -> None:
         super().__init__(layer)
         self.nack_interval: float = float(layer.params.get("nack_interval", 0.25))
-        self.max_nack_batch: int = int(layer.params.get("max_nack_batch", 64))
         self.next_seqno = 1
         self.delivered: dict[str, int] = {}
         self.pending: dict[str, dict[int, _StoredMessage]] = {}
@@ -378,7 +379,7 @@ class ReliableMulticastSession(GroupSession):
                 if missing:
                     wanted.setdefault(sender, []).extend(missing)
         for sender, seqs in wanted.items():
-            unique = sorted(set(seqs))[:self.max_nack_batch]
+            unique = sorted(set(seqs))[:_MAX_NACK_BATCH]
             rounds = self._nack_rounds.get(sender, 0)
             target = self._nack_target(sender, rounds)
             if target is None or target == self.local:
@@ -495,9 +496,8 @@ class ReliableMulticastSession(GroupSession):
 class ReliableMulticastLayer(Layer):
     """Reliable FIFO multicast with NACK recovery and flush support.
 
-    Parameters: ``nack_interval`` (gap-scan period, seconds),
-    ``max_nack_batch`` (max sequence numbers per NACK), plus the common
-    ``group``/``members``.
+    Parameters: ``nack_interval`` (gap-scan period, seconds), plus the
+    common ``group``/``members``.
     """
 
     layer_name = "reliable"

@@ -13,8 +13,8 @@ Contracts under test:
   Mecho group send run ``DatagramTransportSession.handle`` and
   ``Message.wire_copy`` once (twice via the relay) for 4 members and for
   16, and receivers cannot tell: ``dest`` is their own id;
-* **``dest`` is opaque below the fan-out layer** — ``frag`` under ``beb``
-  fragments the one event and every member reassembles it;
+* **``dest`` is opaque below the fan-out layer** — a layer under ``beb``
+  sees the one ``EachOf`` event once, and every member receives it;
 * **one request is one live frame** — every datagram of one ``EachOf``
   request is the same bytes, ``encode_frame(packet)``, encoded once, and
   the live network leaves the same datagrams, losses and sender counters
@@ -32,18 +32,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernel import EachOf, Message, SendableEvent
+from repro.experiments.ministacks import build_ministack
+from repro.kernel import (Direction, EachOf, Event, Layer, Message,
+                          SendableEvent, Session)
 from repro.kernel.packet import CONTROL, DATA, Packet
 from repro.kernel.transport import DatagramTransportSession
 from repro.livenet import network as live_network
 from repro.livenet.frame import decode_frame, encode_frame
+from repro.protocols import BestEffortMulticastLayer
 from repro.simnet import BernoulliLoss, LinkParams, Network, SimEngine
 from repro.simnet.energy import Battery
 from repro.simnet.node import NodeKind
 from tests.kernel.test_wire_cells import mecho_world
 from tests.livenet.helpers import offline_live_network
 from tests.protocols.helpers import build_world, collector_of
-from tests.protocols.test_frag import frag_of, frag_world
 from tests.simnet.test_batching import FAN_OUT_CASES, run_fan_out_case
 from tests.simnet.test_transport import build_node_stack
 from tests.simnet.unbatched import unbatched
@@ -334,25 +336,50 @@ class TestGroupSendCrossesTheTransportOnce:
 
 # -- dest is opaque below the fan-out layer ------------------------------------
 
-class TestFragUnderBeb:
-    def test_group_send_is_fragmented_once_and_reassembled_everywhere(self):
+class PassThroughSession(Session):
+    """Records the ``dest`` of every event going down, and passes it on."""
+
+    def __init__(self, layer: Layer) -> None:
+        super().__init__(layer)
+        self.dests: list = []
+
+    def handle(self, event: Event) -> None:
+        if event.direction is Direction.DOWN:
+            self.dests.append(event.dest)
+        event.go()
+
+
+class PassThroughLayer(Layer):
+    accepted_events = (SendableEvent,)
+    session_class = PassThroughSession
+
+
+class TestPassThroughUnderBeb:
+    def test_group_send_passes_once_and_reaches_everyone(self):
         members = ("a", "b", "c", "d")
-        engine, network, probes = frag_world(mtu=128, members=members)
+        engine = SimEngine()
+        network = Network(engine)
+        for node_id in members:
+            network.add_fixed_node(node_id)
+        probes = {node_id: build_ministack(
+            network, node_id, members,
+            [PassThroughLayer(),
+             BestEffortMulticastLayer(members=",".join(members))])
+            for node_id in members}
         network.reset_stats()
         big = "y" * 1000
         probes["a"].send(big)
         engine.run_until(1.0)
         for node_id in members:
             assert probes[node_id].payloads() == [big], node_id
-        # One event reached frag, so one fragmentation ...
-        assert frag_of(network, "a").fragmented_count == 1
         for node_id in members[1:]:
-            assert frag_of(network, node_id).reassembled_count == 1
             assert probes[node_id].deliveries[0].source == "a"
-        # ... whose every fragment went to each of the three others.
-        fragments = network.stats_of("a").sent_by_event["FragmentEvent"]
-        assert fragments % 3 == 0 and 12 <= fragments // 3 <= 20
-        assert network.stats_of("a").sent_total == fragments
+        # One event reached the layer under beb, addressed to the others ...
+        below = network.node("a").kernel.find_channel("data") \
+            .session_named("pass_through")
+        assert below.dests == [EachOf(members[1:])]
+        # ... and the network sent one packet to each of them.
+        assert network.stats_of("a").sent_total == 3
 
 
 # -- one request is one live frame ------------------------------------------

@@ -44,7 +44,6 @@ from repro.protocols.reliable import _STABILITY_REPORT_EVERY
 from repro.scenarios.runner import ScenarioRunner
 from repro.simnet import network as sim_network
 from tests.protocols.helpers import build_world, collector_of
-from tests.protocols.test_frag import frag_world
 
 # -- strategies ---------------------------------------------------------------
 
@@ -152,7 +151,7 @@ LIVE_VOCABULARY = frozenset({
     "HeartbeatMessage", "MembershipMessage", "NackMessage", "ParityMessage",
     "RetransmissionMessage", "StabilityMessage", "SyncMessage"})
 
-#: The event class of each sender on the spine stacks, a fragment too.
+#: The event class of each sender on the spine stacks.
 SCOREBOARD = {
     "chat": "ApplicationMessage",
     "reliable-nack": "NackMessage",
@@ -163,7 +162,6 @@ SCOREBOARD = {
     "cocaditem-snapshot": "ContextMessage",
     "core": "CoreMessage",
     "fec-parity": "ParityMessage",
-    "fragment": "FragmentEvent",
 }
 
 #: Frames kept per message kind (the first ones sent).
@@ -204,10 +202,6 @@ def live_vocabulary_frames():
         for k in range(_STABILITY_REPORT_EVERY + 8):
             collector_of(channels["a"]).send_text(f"a:{k}")
         engine.run_until(3.0)
-        # One message past the MTU, in fragments.
-        engine, _, probes = frag_world(mtu=128)
-        probes["a"].send("f" * 600)
-        engine.run_until(1.0)
     finally:
         sim_network.Network._route = route
         codec.set_parity(was_on)

@@ -105,7 +105,7 @@ def build_group_stack(network: Network, node_id: str,
         ReliableMulticastLayer(members=members_csv,
                                nack_interval=nack_interval),
         HeartbeatLayer(members=members_csv, interval=heartbeat_interval),
-        MembershipLayer(members=members_csv, retry_interval=0.3, join=join),
+        MembershipLayer(members=members_csv, join=join),
         ViewSyncLayer(),
     ]
     if "causal" in ordering:
@@ -116,6 +116,7 @@ def build_group_stack(network: Network, node_id: str,
     qos = QoS(f"suite-{node_id}", layers)
     channel = qos.create_channel(channel_name, node.kernel,
                                  preset_sessions={0: transport_session})
+    channel.session_named("membership").retry_interval = 0.3
     channel.start()
     return channel
 

@@ -127,13 +127,12 @@ class TestFec:
     def test_incomplete_block_given_up_after_timeout(self):
         members = ["s", "r0"]
         engine, network = loss_world(members)
-        fec_layers = fec_stack(",".join(members), k=8, m=1,
-                               giveup_timeout=1.0)
         probes = {node_id: build_ministack(
-            network, node_id, members,
-            fec_stack(",".join(members), k=8, m=1, giveup_timeout=1.0)
-            if node_id == "r0" else fec_layers)
+            network, node_id, members, fec_stack(",".join(members), k=8, m=1))
             for node_id in members}
+        for node_id in members:
+            network.node(node_id).kernel.find_channel("data") \
+                .session_named("fec").giveup_timeout = 1.0
         # Send only 3 of a k=8 block: the block never completes.
         for index in range(3):
             probes["s"].send(index)

@@ -115,8 +115,8 @@ class TestChurnStorm:
         # channels), the node's supervision beat, the context publish and
         # evaluate beats and the Mecho relay probe: about 4.35 kernel
         # timer dispatches per live node-second here.  The gap scan and
-        # the frag/fec sweeps are armed on demand and stop on an empty
-        # table; one that stays armed adds up to four per channel.
+        # the fec sweep are armed on demand and stop on an empty table;
+        # one that stays armed adds up to four per channel.
         per_node_s = _quiet_timer_load(departed_too=False)
         assert per_node_s <= 4.5, (
             f"{per_node_s:.2f} timer dispatches per node-second in a quiet "
