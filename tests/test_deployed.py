@@ -138,20 +138,40 @@ def unset_keys(sources: dict[Path, ast.AST]) -> list[str]:
     return sorted(read - written)
 
 
+# Gathered at collection, so that each layer and each key is a case of
+# its own and a failure names it.
+import_every_module()
+_SOURCES = deploying_sources()
+_LAYERS = package_layers()
+_KEYS_READ = sorted(set().union(*map(keys_read, _SOURCES.values())))
+
+
 @pytest.fixture(scope="module")
 def sources() -> dict[Path, ast.AST]:
-    import_every_module()
-    return deploying_sources()
+    return _SOURCES
+
+
+@pytest.fixture(scope="module")
+def keys_written(sources) -> set[str]:
+    return set().union(*map(keys_set, sources.values()))
 
 
 class TestDeployed:
-    def test_every_registered_layer_is_deployed(self, sources):
-        missing = undeployed_layers(package_layers(), sources)
-        assert missing == [], f"deployed by nothing: {missing}"
+    @pytest.mark.parametrize("name, cls", _LAYERS,
+                             ids=[name for name, _ in _LAYERS])
+    def test_the_layer_is_deployed(self, sources, name, cls):
+        assert undeployed_layers([(name, cls)], sources) == [], \
+            f"{name} is deployed by nothing"
 
-    def test_every_parameter_a_layer_reads_is_set(self, sources):
-        missing = unset_keys(sources)
-        assert missing == [], f"read, but set by nothing: {missing}"
+    @pytest.mark.parametrize("key", _KEYS_READ)
+    def test_the_parameter_is_set(self, keys_written, key):
+        assert key in keys_written, f"{key} is read, but set by nothing"
+
+    def test_the_gate_sees_the_layers_and_keys_it_checks(self):
+        # An empty scan would pass every case above by having none.
+        assert {"beb", "heartbeat", "membership"} <= \
+            {name for name, _ in _LAYERS}
+        assert {"interval", "members", "nack_interval"} <= set(_KEYS_READ)
 
 
 # -- the gate fails when it should --------------------------------------------
