@@ -88,10 +88,9 @@ class CocaditemSession(GroupSession):
 
         Called by the Morpheus facade when the network topology mutates
         under this node — the paper's periodic dissemination remains the
-        baseline, this is the scenario subsystem's fast path.  A shut-down
-        control channel (federation cell re-formation) is skipped: the
-        trigger may fire one virtual instant after the node's stack was
-        replaced.
+        baseline, this is the scenario subsystem's fast path.  A control
+        channel that is no longer started is skipped: the trigger fires
+        one virtual instant after the change that scheduled it.
         """
         if self._channel is not None and \
                 self._channel.state is ChannelState.STARTED:

@@ -76,24 +76,6 @@ class LocalModule:
         self._hook_membership()
         return channel
 
-    def shutdown(self) -> None:
-        """Tear the data stack down for good (cell re-formation).
-
-        Cancels the trigger retry, forgets any in-flight reconfiguration
-        (a pending swap scheduled for the next virtual instant finds
-        ``_busy`` false and no-ops), and closes the live channel.  The
-        module is not reusable afterwards; re-formation builds a fresh
-        node facade.
-        """
-        self._cancel_retry()
-        self._busy = False
-        self._active = None
-        self._pending = None
-        self._held_view = None
-        channel = self.data_channel
-        if channel is not None and channel.state is ChannelState.STARTED:
-            channel.close()
-
     def apply(self, config_id: int, template: ChannelTemplate,
               done: DoneCallback,
               lineage: Optional[tuple] = None) -> None:

@@ -29,9 +29,8 @@ from repro.core.rules import HybridMechoRule, PolicyEngine
 from repro.core.rules.plan import ContextDirectory, Policy
 from repro.core.templates import (APP_LABEL, TRANSPORT_LABEL,
                                   control_template, plain_data_template)
-from repro.kernel.channel import Channel, ChannelState
+from repro.kernel.channel import Channel
 from repro.kernel.events import Direction
-from repro.kernel.group import scoped_name
 from repro.kernel.transport import DatagramTransportSession
 from repro.kernel.xml_config import ChannelTemplate
 from repro.protocols.events import LeaveRequestEvent
@@ -62,14 +61,6 @@ class MorpheusNode:
             running group plus this node) and its data channel boots as a
             singleton until the Core coordinator folds it into the group's
             next configuration.
-        group: named group (federation cell) this node instance belongs
-            to.  Empty (the default) is the flat single-group deployment,
-            byte-identical to the pre-federation stack; a non-empty name
-            scopes the channel names (``ctrl@g`` / ``data@g``) and keys
-            every suite layer's epoch by the scoped group id, so one
-            device can host several cells side by side.
-        app_params: extra chat-layer parameters merged over ``room``
-            (federation: ``fed_seq``, ``backlog_n``, ``reconcile``).
     """
 
     def __init__(self, network: NetworkBase, node_id: str,
@@ -83,14 +74,11 @@ class MorpheusNode:
                  heartbeat_interval: float = 5.0,
                  nack_interval: float = 0.25,
                  retrievers: Optional[list[ContextRetriever]] = None,
-                 joining: bool = False,
-                 group: str = "",
-                 app_params: Optional[dict] = None) -> None:
+                 joining: bool = False) -> None:
         self.network = network
         self.node = network.node(node_id)
         self.members = tuple(sorted(group_members))
         self.joining = joining
-        self.group = group
         self.bus = TopicBus()
         self.directory = ContextDirectory(self.bus)
 
@@ -99,18 +87,16 @@ class MorpheusNode:
             "heartbeat_interval": heartbeat_interval,
             "nack_interval": nack_interval,
             "app_layer": "chat_app",
-            "app_params": {"room": room, **(app_params or {})},
+            "app_params": {"room": room},
         }
-        if group:
-            stack_options["group"] = scoped_name("data", group)
         self._stack_options = stack_options
 
         transport_layer = SimTransportLayer()
         transport_session = DatagramTransportSession(transport_layer,
                                                      node=self.node)
         self.bindings = {TRANSPORT_LABEL: transport_session}
-        self.local_module = LocalModule(self.node, scoped_name("data", group),
-                                        self.bindings)
+        self.local_module = LocalModule(self.node,
+                                        session_bindings=self.bindings)
 
         # Control channel: Cocaditem + Core over their own group suite.
         ctrl = control_template(self.members,
@@ -118,11 +104,9 @@ class MorpheusNode:
                                 evaluate_interval=evaluate_interval,
                                 heartbeat_interval=heartbeat_interval,
                                 nack_interval=nack_interval,
-                                joining=joining,
-                                group=scoped_name("ctrl", group)
-                                if group else "")
+                                joining=joining)
         self.control_channel: Channel = ctrl.instantiate(
-            self.node.kernel, channel_name=scoped_name("ctrl", group),
+            self.node.kernel, channel_name="ctrl",
             session_bindings=self.bindings, start=False)
         cocaditem = self.control_channel.session_named("cocaditem")
         assert isinstance(cocaditem, CocaditemSession)
@@ -198,20 +182,6 @@ class MorpheusNode:
                                                   Direction.DOWN)
         self.control_channel.insert(LeaveRequestEvent(), Direction.DOWN)
         self._unsubscribe()
-
-    def shutdown(self) -> None:
-        """Tear this node instance down without a group-leave flush.
-
-        Used by cell re-formation (split/merge): the federation runner
-        captures the chat state, shuts every member's old instance down
-        and boots fresh instances under new group names.  Both channels
-        close immediately — their timers are cancelled and their ports
-        unbound, so stale packets of the old cell die at the transport.
-        """
-        self._unsubscribe()
-        self.local_module.shutdown()
-        if self.control_channel.state is ChannelState.STARTED:
-            self.control_channel.close()
 
     def _unsubscribe(self) -> None:
         if self._subscribed:

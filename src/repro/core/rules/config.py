@@ -12,7 +12,7 @@ remains the safety net that always produces a deployable stack.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from repro.core.rules.base import Rule, build_rule
 from repro.core.rules.engine import PolicyEngine
@@ -87,9 +87,3 @@ def load_policy(text: str, name: str,
         raise ConfigurationError(
             f"document defines no policy {name!r} (found: {known})")
     return engine_from_spec(policies[name], stack_options)
-
-
-def spec_for_rules(name: str, rules: Sequence[RuleSpec],
-                   governor: Optional[dict] = None) -> PolicySpec:
-    """Convenience: assemble a :class:`PolicySpec` from parts."""
-    return PolicySpec(name, tuple(rules), dict(governor or {}))

@@ -60,14 +60,6 @@ class PolicyEngine:
             state = self._groups[group] = _GroupState(governor)
         return state
 
-    def state_of(self, group: str, rule_index: int) -> dict:
-        """The per-(group, rule) decision dict (introspection, tests)."""
-        return self._group_state(group).rule_state.setdefault(rule_index, {})
-
-    def reset_group(self, group: str) -> None:
-        """Forget everything about ``group`` (it dissolved or restarted)."""
-        self._groups.pop(group, None)
-
     # -- decision -----------------------------------------------------------
 
     def decide(self, directory: ContextDirectory, members: Sequence[str],

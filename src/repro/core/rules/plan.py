@@ -68,9 +68,6 @@ class ReconfigurationPlan:
     name: str
     templates: dict[str, ChannelTemplate] = field(default_factory=dict)
 
-    def template_for(self, node_id: str) -> ChannelTemplate:
-        return self.templates[node_id]
-
 
 class Policy(Protocol):
     """Decides the adequate configuration for the current context.

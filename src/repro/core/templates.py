@@ -36,31 +36,26 @@ def _members_csv(members: Sequence[str]) -> str:
 def _suite_specs(members: Sequence[str], heartbeat_interval: float,
                  nack_interval: float, view_id: int,
                  label_viewsync: bool = True,
-                 joining: bool = False,
-                 group: str = "") -> list[LayerSpec]:
+                 joining: bool = False) -> list[LayerSpec]:
     """The common middle of every stack: viewsync/membership/hb/reliable.
 
     The view-synchrony session is labelled (preserved across swaps) only on
     data channels; the control channel keeps its own private instance.
     ``joining`` puts the membership layer in joiner mode (solicit admission
-    instead of self-installing the bootstrap view).  A non-empty ``group``
-    keys every suite layer's epoch by that group id (a federation cell);
-    the flat deployment omits the parameter entirely so its XML and wire
-    bytes are unchanged.
+    instead of self-installing the bootstrap view).
     """
     csv = _members_csv(members)
-    scope: dict = {"group": group} if group else {}
-    membership_params: dict = {"members": csv, "view_id": view_id, **scope}
+    membership_params: dict = {"members": csv, "view_id": view_id}
     if joining:
         membership_params["join"] = True
     return [
-        LayerSpec("view_sync", dict(scope),
+        LayerSpec("view_sync", {},
                   session_label=VIEWSYNC_LABEL if label_viewsync else None),
         LayerSpec("membership", membership_params),
         LayerSpec("heartbeat", {"members": csv,
-                                "interval": heartbeat_interval, **scope}),
+                                "interval": heartbeat_interval}),
         LayerSpec("reliable", {"members": csv,
-                               "nack_interval": nack_interval, **scope}),
+                               "nack_interval": nack_interval}),
     ]
 
 
@@ -80,15 +75,13 @@ def plain_data_template(members: Sequence[str], *, name: str = "data",
                         heartbeat_interval: float = 5.0,
                         nack_interval: float = 0.25,
                         view_id: int = 0,
-                        native: bool = False,
-                        group: str = "") -> ChannelTemplate:
+                        native: bool = False) -> ChannelTemplate:
     """Figure 2(a): homogeneous stack over plain best-effort multicast."""
     csv = _members_csv(members)
     specs = [LayerSpec(app_layer, dict(app_params or {}),
                        session_label=APP_LABEL)]
     specs += _ordering_specs(ordering)
-    specs += _suite_specs(members, heartbeat_interval, nack_interval, view_id,
-                          group=group)
+    specs += _suite_specs(members, heartbeat_interval, nack_interval, view_id)
     specs.append(LayerSpec("beb", {"members": csv, "native": native}))
     specs.append(LayerSpec("sim_transport", session_label=TRANSPORT_LABEL))
     return ChannelTemplate(name, tuple(specs))
@@ -101,8 +94,7 @@ def mecho_data_template(members: Sequence[str], *, mode: str, relay: str,
                         ordering: Sequence[str] = (),
                         heartbeat_interval: float = 5.0,
                         nack_interval: float = 0.25,
-                        view_id: int = 0,
-                        group: str = "") -> ChannelTemplate:
+                        view_id: int = 0) -> ChannelTemplate:
     """Figure 2(b): hybrid stack with Mecho at the base.
 
     ``mode`` is the Mecho operating mode for the node this template is
@@ -113,8 +105,7 @@ def mecho_data_template(members: Sequence[str], *, mode: str, relay: str,
     specs = [LayerSpec(app_layer, dict(app_params or {}),
                        session_label=APP_LABEL)]
     specs += _ordering_specs(ordering)
-    specs += _suite_specs(members, heartbeat_interval, nack_interval, view_id,
-                          group=group)
+    specs += _suite_specs(members, heartbeat_interval, nack_interval, view_id)
     # Relay probe shorter than the failure detector's suspicion timeout
     # (6 × heartbeat interval): a mobile stops sending through a silent
     # relay well before the detector decides whether the relay is dead,
@@ -133,8 +124,7 @@ def fec_data_template(members: Sequence[str], *, name: str = "data",
                       heartbeat_interval: float = 5.0,
                       nack_interval: float = 0.25,
                       view_id: int = 0,
-                      k: int = 8, m: int = 2,
-                      group: str = "") -> ChannelTemplate:
+                      k: int = 8, m: int = 2) -> ChannelTemplate:
     """Error-masking stack (§2): Reed–Solomon FEC below the reliable layer.
 
     At high loss rates the FEC layer reconstructs most missing messages
@@ -145,8 +135,7 @@ def fec_data_template(members: Sequence[str], *, name: str = "data",
     specs = [LayerSpec(app_layer, dict(app_params or {}),
                        session_label=APP_LABEL)]
     specs += _ordering_specs(ordering)
-    specs += _suite_specs(members, heartbeat_interval, nack_interval, view_id,
-                          group=group)
+    specs += _suite_specs(members, heartbeat_interval, nack_interval, view_id)
     specs.append(LayerSpec("fec", {"members": csv, "k": k, "m": m}))
     specs.append(LayerSpec("beb", {"members": csv}))
     specs.append(LayerSpec("sim_transport", session_label=TRANSPORT_LABEL))
@@ -158,8 +147,7 @@ def control_template(members: Sequence[str], *, name: str = "ctrl",
                      evaluate_interval: float = 5.0,
                      heartbeat_interval: float = 5.0,
                      nack_interval: float = 0.25,
-                     joining: bool = False,
-                     group: str = "") -> ChannelTemplate:
+                     joining: bool = False) -> ChannelTemplate:
     """The shared Cocaditem + Core control channel (paper §3.2–3.3).
 
     ``joining`` builds the control stack of a node that enters a running
@@ -174,8 +162,7 @@ def control_template(members: Sequence[str], *, name: str = "ctrl",
                   session_label=COCADITEM_LABEL),
     ]
     specs += _suite_specs(members, heartbeat_interval, nack_interval,
-                          view_id=0, label_viewsync=False, joining=joining,
-                          group=group)
+                          view_id=0, label_viewsync=False, joining=joining)
     specs.append(LayerSpec("beb", {"members": csv}))
     specs.append(LayerSpec("sim_transport", session_label=TRANSPORT_LABEL))
     return ChannelTemplate(name, tuple(specs))

@@ -42,6 +42,11 @@ class ScaleResult:
     delivery_ratio: float
 
 
+def default_rounds(num_nodes: int) -> int:
+    """``⌈log₂ n⌉ + 2`` rounds: delivery near 1.0 at every group size."""
+    return int(math.ceil(math.log2(max(num_nodes, 2)))) + 2
+
+
 def run_scale(num_nodes: int, strategy: str, *, messages: int = 30,
               rate: float = 10.0, fanout: int = 3,
               rounds: Optional[int] = None, seed: int = 13) -> ScaleResult:
@@ -52,14 +57,13 @@ def run_scale(num_nodes: int, strategy: str, *, messages: int = 30,
     for node_id in member_ids:
         network.add_fixed_node(node_id)
     members_csv = ",".join(member_ids)
-    if rounds is None:
-        rounds = int(math.ceil(math.log2(max(num_nodes, 2)))) + 2
 
     probes = {}
     for node_id in member_ids:
         middle = flood_stack(members_csv) if strategy == "flood" \
-            else gossip_stack(members_csv, fanout=fanout, rounds=rounds,
-                              seed=seed)
+            else gossip_stack(members_csv, fanout=fanout, seed=seed,
+                              rounds=default_rounds(num_nodes)
+                              if rounds is None else rounds)
         probes[node_id] = build_ministack(network, node_id, member_ids,
                                           middle)
 

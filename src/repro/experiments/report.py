@@ -35,8 +35,3 @@ def format_table(headers: Sequence[str],
 def _numeric(cell: str) -> bool:
     stripped = cell.replace(",", "").replace(".", "").replace("-", "")
     return stripped.isdigit() and bool(stripped)
-
-
-def shape_ratio(a: float, b: float) -> float:
-    """Safe ratio for shape checks (``a / b`` with zero protection)."""
-    return a / b if b else float("inf")

@@ -40,10 +40,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="every scenario draws a random declarative "
                              "rule set (and often a governor) instead of "
                              "the fixed hybrid policy")
-    parser.add_argument("--federation", action="store_true",
-                        help="every scenario runs federated: multiple "
-                             "cells, size thresholds, split/merge events, "
-                             "backlog and reconciliation draws")
     parser.add_argument("--shrink", action="store_true",
                         help="minimize failures to a reproducer")
     parser.add_argument("--corpus-dir", type=str, default=None,
@@ -60,13 +56,9 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     log = (lambda line: None) if args.quiet else \
         (lambda line: print(line, file=sys.stderr))
-    config = MIXES[args.mix]
+    config = None
     if args.policy_fuzz:
-        config = dataclasses.replace(config, rules_p=1.0)
-    if args.federation:
-        config = dataclasses.replace(config, federation_p=1.0)
-    if not args.policy_fuzz and not args.federation:
-        config = None
+        config = dataclasses.replace(MIXES[args.mix], rules_p=1.0)
     start = time.perf_counter()
     outcomes = run_fuzz(
         seed=args.seed, runs=args.runs, mix=args.mix, config=config,
@@ -79,8 +71,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     failures = [outcome for outcome in outcomes if outcome.failed]
     parity_checked = sum(1 for outcome in outcomes if outcome.parity_checked)
     print(f"scenario_fuzz: seed={args.seed} mix={args.mix}"
-          f"{' policy-fuzz' if args.policy_fuzz else ''}"
-          f"{' federation' if args.federation else ''} "
+          f"{' policy-fuzz' if args.policy_fuzz else ''} "
           f"runs={len(outcomes)} failures={len(failures)} "
           f"parity_checked={parity_checked} wall={wall:.1f}s")
     for outcome in failures:

@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.kernel.clock import Clock, ManualClock
 from repro.kernel.events import Event, TimerEvent
-from repro.kernel.group import GroupRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.channel import Channel
@@ -40,9 +39,6 @@ class Kernel:
         self._queue: deque[Event] = deque()
         self._dispatching = False
         self._channels: list["Channel"] = []
-        #: Named groups this kernel hosts, keyed by the group scope of
-        #: each registered channel's name (flat channels live under "").
-        self.groups = GroupRegistry()
         #: Total events dispatched; exposed for the kernel micro-benchmarks.
         self.dispatched_count = 0
         #: Timer events among them.  Benchmarks use the split to attribute
@@ -61,12 +57,10 @@ class Kernel:
     def _register_channel(self, channel: "Channel") -> None:
         if channel not in self._channels:
             self._channels.append(channel)
-            self.groups.add(channel)
 
     def _unregister_channel(self, channel: "Channel") -> None:
         if channel in self._channels:
             self._channels.remove(channel)
-            self.groups.remove(channel)
 
     @property
     def channels(self) -> tuple["Channel", ...]:

@@ -31,14 +31,15 @@ class GroupSession(Session):
 
     Layer parameters understood here:
 
-    * ``group`` — group identifier (default: the channel name);
     * ``members`` — bootstrap membership as CSV (e.g. ``"a,b,c"``).
+
+    The group identifier is the channel name.
     """
 
     def __init__(self, layer: Layer) -> None:
         super().__init__(layer)
         self.local: Optional[str] = None
-        self.group: str = layer.params.get("group", "")
+        self.group: str = ""
         self.members: tuple[str, ...] = parse_member_list(
             layer.params.get("members"))
         self.view: Optional[View] = None

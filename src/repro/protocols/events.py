@@ -171,31 +171,6 @@ class CoreMessage(GroupSendableEvent):
     traffic_class = "control"
 
 
-class ChatSyncMessage(GroupSendableEvent):
-    """Chat history synchronisation: backlog replay and anti-entropy.
-
-    Carries a ``kind`` field in the payload — ``backlog`` (gateway-served
-    last-N replay during cell admission), ``ae_digest`` / ``ae_want`` /
-    ``ae_push`` (the post-merge reconciliation round-trip).  Travels on
-    the data channel but is control traffic: it repairs history, it is
-    not new room content.
-    """
-
-    traffic_class = "control"
-
-
-class FederationMessage(GroupSendableEvent):
-    """Inter-cell room traffic relayed gateway-to-gateway.
-
-    The payload is a federation *entry*: ``{"cell", "sender", "n",
-    "room", "text"}`` — the origin cell, the original sender, that
-    sender's per-stream sequence number, and the room payload.  Routers
-    dedup by ``(cell, sender, n)`` and re-inject in per-stream order.
-    """
-
-    traffic_class = "control"
-
-
 # ---------------------------------------------------------------------------
 # Local events (never serialized)
 # ---------------------------------------------------------------------------

@@ -11,30 +11,18 @@ spreading the per-send load evenly across the group.
 Best-effort, probabilistic: the gossip-scale benchmark measures both the
 per-node message load (≈ ``fanout × rounds`` regardless of ``n``) and the
 delivery ratio.
-
-**Bridge mode** (``mode="bridge"``) turns the layer into the federation's
-inter-cell backbone: the peer set is the current gateway ring (settable at
-run time via :meth:`GossipSession.set_peers`, no view-synchronous
-membership above), rumors are kept in a bounded store, and a periodic
-anti-entropy digest lets a peer that missed a push — or a gateway that was
-just elected with an empty store — pull the backlog from its neighbours.
-The default ``"group"`` mode is byte-identical to the pre-federation
-layer: rumor payloads are unchanged and no digest traffic exists.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Iterable
 
-from repro.kernel.events import Direction, Event, SendableEvent, TimerEvent
+from repro.kernel.events import Direction, Event, SendableEvent
 from repro.kernel.layer import Layer
 from repro.kernel.registry import register_layer
 from repro.protocols.base import GroupSession
 from repro.protocols.events import (GossipMessage, GroupSendableEvent,
                                     ViewEvent)
-
-_DIGEST_TIMER = "gossip-digest"
 
 
 class GossipSession(GroupSession):
@@ -44,58 +32,25 @@ class GossipSession(GroupSession):
         super().__init__(layer)
         self.fanout: int = int(layer.params.get("fanout", 3))
         self.rounds: int = int(layer.params.get("rounds", 4))
-        self.mode: str = str(layer.params.get("mode", "group"))
-        #: Bridge anti-entropy period (virtual seconds); 0 disables.
-        self.digest_interval: float = float(
-            layer.params.get("digest_interval", 0.0))
-        #: Bridge rumor store bound (oldest evicted beyond it).
-        self.store_max: int = int(layer.params.get("store_max", 256))
         self._base_seed: int = int(layer.params.get("seed", 0))
         self._rng: random.Random = random.Random(self._base_seed)
         self._counter = 0
         self._seen: set[tuple[str, int]] = set()
-        #: Bridge mode: rumors kept for digest-driven recovery, keyed by
-        #: mid, insertion-ordered (python dict) for deterministic digests.
-        self._store: dict[tuple[str, int], tuple[type, Any, str]] = {}
-        self._digest_handle = None
         #: Forwarded infections (diagnostics).
         self.forwarded = 0
-        #: Digest rounds sent / rumors recovered through digests.
-        self.digests_sent = 0
-        self.recovered = 0
-
-    def set_peers(self, peers: Iterable[str]) -> None:
-        """Replace the bridge peer set (the elected gateway ring)."""
-        self.members = tuple(sorted(peers))
 
     def on_channel_init(self, event: Event) -> None:
         # Derive a distinct, deterministic stream per node.
         if self.local is not None:
             self._rng = random.Random(f"{self._base_seed}:{self.local}")
-        if self.mode == "bridge" and self.digest_interval > 0:
-            self._digest_handle = self.arm_on_demand(
-                self._digest_handle, self.digest_interval,
-                tag=_DIGEST_TIMER, channel=event.channel)
 
     def on_view(self, event: ViewEvent) -> None:
-        if self.mode != "bridge":
-            self._seen.clear()
+        self._seen.clear()
 
     def on_event(self, event: Event) -> None:
-        if isinstance(event, TimerEvent):
-            if event.tag == _DIGEST_TIMER:
-                self._send_digest(event.channel)
-                self._digest_handle = self.arm_on_demand(
-                    self._digest_handle, self.digest_interval,
-                    tag=_DIGEST_TIMER, channel=event.channel)
-            return
         if isinstance(event, GossipMessage) and \
                 event.direction is Direction.UP:
-            payload = self.payload_of(event)
-            if payload.get("kind") == "digest":
-                self._on_digest(event, payload)
-            else:
-                self._infected(event)
+            self._infected(event)
             return
         if isinstance(event, GroupSendableEvent) and \
                 event.direction is Direction.DOWN:
@@ -116,7 +71,6 @@ class GossipSession(GroupSession):
         self._counter += 1
         mid = (self.local, self._counter)
         self._seen.add(mid)
-        self._remember(mid, type(event), event.message.copy(), self.local)
         self._push_rumor(event, mid, ttl=self.rounds, origin=self.local,
                          channel=event.channel)
         loopback = event.clone()
@@ -154,56 +108,11 @@ class GossipSession(GroupSession):
             return
         self._seen.add(mid)
         inner_cls = payload["cls"]
-        self._remember(mid, inner_cls, payload["msg"].copy(),
-                       payload["origin"])
         inner = inner_cls(message=payload["msg"].copy(),
                           source=payload["origin"], dest=self.local)
         self.send_up(inner, channel=event.channel)
         self._push_rumor(inner, mid, ttl=payload["ttl"] - 1,
                          origin=payload["origin"], channel=event.channel)
-
-    # -- bridge anti-entropy ----------------------------------------------------
-
-    def _remember(self, mid: tuple[str, int], cls: type, message: Any,
-                  origin: str) -> None:
-        if self.mode != "bridge":
-            return
-        self._store[mid] = (cls, message, origin)
-        while len(self._store) > self.store_max:
-            self._store.pop(next(iter(self._store)))
-
-    def _send_digest(self, channel) -> None:
-        """Advertise the store to one random peer; it pushes what we lack.
-
-        A freshly elected gateway starts with an empty store — its first
-        digest is empty and the chosen peer pushes its whole store back,
-        which is exactly the catch-up a gateway handover needs.
-        """
-        peers = [member for member in self.members if member != self.local]
-        if not peers:
-            return
-        peer = self._rng.choice(peers)
-        mids = [list(mid) for mid in self._store]
-        digest = self.control_message(
-            GossipMessage, {"kind": "digest", "mids": mids},
-            dest=peer, source=self.local)
-        self.digests_sent += 1
-        self.send_down(digest, channel=channel)
-
-    def _on_digest(self, event: GossipMessage, payload: dict) -> None:
-        theirs = {tuple(mid) for mid in payload.get("mids", ())}
-        for mid, (cls, message, origin) in self._store.items():
-            if mid in theirs:
-                continue
-            # Direct repair push: ttl 1, so the receiver infects itself
-            # and relays no further (its own next digest spreads it on).
-            rumor = self.control_message(
-                GossipMessage,
-                {"mid": list(mid), "ttl": 1, "origin": origin,
-                 "cls": cls, "msg": message.copy()},
-                dest=event.source, source=self.local)
-            self.recovered += 1
-            self.send_down(rumor, channel=event.channel)
 
 
 @register_layer
@@ -211,9 +120,7 @@ class GossipLayer(Layer):
     """Epidemic dissemination (push gossip with bounded rounds).
 
     Parameters: ``fanout`` (peers infected per round), ``rounds`` (TTL),
-    ``seed`` (deterministic peer sampling), ``members``/``group``,
-    ``mode`` (``group`` | ``bridge``), ``digest_interval`` and
-    ``store_max`` (bridge anti-entropy).
+    ``seed`` (deterministic peer sampling), ``members``.
     """
 
     layer_name = "gossip"

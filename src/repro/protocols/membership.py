@@ -289,11 +289,6 @@ class MembershipSession(GroupSession):
 
     # -- role helpers ------------------------------------------------------------
 
-    @property
-    def is_coordinator(self) -> bool:
-        return self.view is not None and \
-            self._flush_coordinator() == self.local
-
     def _flush_coordinator(self) -> str:
         """The member driving changes: lowest unsuspected current member."""
         assert self.view is not None

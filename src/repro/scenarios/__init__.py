@@ -20,8 +20,7 @@ from repro.scenarios.scenario import (ChatBurst, Crash, Handoff, Heal,
                                       SetLoss, bernoulli, gilbert_elliott)
 
 #: Names exported from a submodule that is imported on first use (PEP 562):
-#: a run needs neither the fuzzer nor the shrinker, and the fuzzer imports
-#: all of :mod:`repro.federation`.
+#: a run needs neither the fuzzer nor the shrinker.
 _LAZY = {
     **dict.fromkeys(
         ("CANNED", "canned", "churn_storm", "commuter_handoff",

@@ -45,21 +45,18 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
-from repro.federation.runner import FED_ALWAYS_ON
 from repro.kernel.channel import ChannelState
 from repro.scenarios.runner import (InvariantViolation, ScenarioResult,
                                     ScenarioRunner, run_scenario)
 from repro.scenarios.scenario import (ChatBurst, Crash, Handoff, Heal, Leave,
-                                      LinkSpec, MergeCell, NodeSpec,
-                                      Partition, Recover, Scenario,
-                                      ScenarioEvent, SetLoss, SplitCell,
+                                      LinkSpec, NodeSpec, Partition, Recover,
+                                      Scenario, ScenarioEvent, SetLoss,
                                       bernoulli, gilbert_elliott)
 from repro.simnet.engine import HeapSimEngine
 
 #: Concrete event types of the grammar, by class name (serialization).
 EVENT_TYPES = {cls.__name__: cls for cls in
-               (Handoff, Crash, Recover, Leave, SetLoss, Partition, Heal,
-                SplitCell, MergeCell)}
+               (Handoff, Crash, Recover, Leave, SetLoss, Partition, Heal)}
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +97,6 @@ class FuzzConfig:
     #: stream byte-identical to pre-rules campaigns, so existing corpus
     #: entries regenerate unchanged.
     rules_p: float = 0.0
-    #: Probability that a generated scenario runs federated (multiple
-    #: cells, thresholds, SplitCell/MergeCell events, backlog and
-    #: reconciliation draws).  Zero keeps the draw stream byte-identical
-    #: to pre-federation campaigns, so existing corpus entries
-    #: regenerate unchanged.
-    federation_p: float = 0.0
     weights: tuple[tuple[str, float], ...] = (
         ("handoff", 2.0), ("crash", 2.0), ("recover", 2.0), ("leave", 1.0),
         ("setloss", 1.5), ("partition", 1.0), ("heal", 2.0))
@@ -123,10 +114,6 @@ MIXES: dict[str, FuzzConfig] = {
     "loss": FuzzConfig(max_loss=0.3, weights=(
         ("handoff", 1.5), ("crash", 0.75), ("recover", 1.0), ("leave", 0.5),
         ("setloss", 5.0), ("partition", 0.5), ("heal", 1.0))),
-    "federation": FuzzConfig(federation_p=1.0, min_nodes=4, max_nodes=9,
-                             weights=(
-        ("handoff", 1.5), ("crash", 2.0), ("recover", 2.0), ("leave", 1.5),
-        ("setloss", 1.0), ("partition", 0.75), ("heal", 1.5))),
 }
 
 
@@ -316,30 +303,6 @@ def generate_scenario(seed: int, index: int, mix: str = "uniform",
             nodes = [replace(spec,
                              battery_mj=float(rng.randint(150, 400)))
                      for spec in nodes]
-    # Same short-circuit pattern for federation: pre-federation corpus
-    # entries regenerate byte-identically under federation_p == 0.
-    cells = 0
-    cell_size_max = 0
-    cell_size_min = 0
-    backlog_n = 0
-    reconcile = False
-    if config.federation_p > 0 and rng.random() < config.federation_p:
-        cells = rng.randint(1, min(3, len(initial)))
-        if rng.random() < 0.4:
-            cell_size_max = rng.randint(3, 6)
-        if rng.random() < 0.4:
-            cell_size_min = 2
-        backlog_n = rng.choice((0, 5, 10))
-        reconcile = rng.random() < 0.5
-        for _ in range(rng.randint(0, 2)):
-            at = round(rng.uniform(event_lo, event_hi), 1)
-            # Unnamed: the runner resolves the largest/smallest cell in
-            # force at fire time (and skip-traces when not applicable).
-            if rng.random() < 0.5:
-                events.append(SplitCell(at))
-            else:
-                events.append(MergeCell(at))
-        events.sort(key=lambda e: e.at)
     horizon = max([event_hi] + [b.start + b.count * b.interval
                                 for b in bursts])
     # A battery that runs out is an unscheduled topology change, and one
@@ -360,11 +323,6 @@ def generate_scenario(seed: int, index: int, mix: str = "uniform",
         ordering=ordering,
         rules=rules,
         governor=governor,
-        cells=cells,
-        cell_size_max=cell_size_max,
-        cell_size_min=cell_size_min,
-        backlog_n=backlog_n,
-        reconcile=reconcile,
         wireless=bernoulli(0.02),
         heartbeat_interval=1.0,
     )
@@ -416,55 +374,25 @@ def check_view_agreement(runner: ScenarioRunner,
                  if node.alive}
     never_joined = set()
     for node_id, node in runner.morpheus.items():
-        # A shut-down instance (a member of a retired cell that was
-        # crashed at the reshape) has released its stack: it had joined,
-        # and it is no survivor.
         membership = node.control_channel.session_named("membership")
         if membership is not None and membership.view is None:
             never_joined.add(node_id)
-    # Federated runs scope views per cell: a node's control group is its
-    # cell, so the expectation intersects the component's established
-    # survivors with the node's cellmates.  Flat runs (no cell
-    # directory, or everyone in the single cell) reduce to the full set.
-    directory = getattr(runner, "cells", None)
     for component in final_components(runner.scenario):
         members = sorted(survivors & component)
-        established = [m for m in members if m not in never_joined]
-        expected = tuple(established)
+        established = tuple(m for m in members if m not in never_joined)
         for node_id in established:
-            expected_here = expected
-            if directory is not None:
-                cell = directory.cell_of(node_id)
-                if cell is not None:
-                    cellmates = set(directory.members_of(cell))
-                    expected_here = tuple(
-                        m for m in established
-                        if m in cellmates or m == node_id)
             view = result.control_views.get(node_id)
-            if view != expected_here:
+            if view != established:
                 violations.append(
                     f"view-agreement: {node_id} ended with control view "
-                    f"{view}, expected {expected_here}")
+                    f"{view}, expected {established}")
         if established:
             for node_id in members:
-                if node_id not in never_joined:
-                    continue
-                admitters = established
-                if directory is not None:
-                    cell = directory.cell_of(node_id)
-                    if cell is not None:
-                        # A joining node solicits only its own cell; if
-                        # no cellmate shares its component, nobody can
-                        # admit it and the run legitimately ends with it
-                        # still soliciting.
-                        cellmates = set(directory.members_of(cell))
-                        admitters = [m for m in established
-                                     if m in cellmates]
-                if admitters:
+                if node_id in never_joined:
                     violations.append(
                         f"join-liveness: {node_id} was never admitted "
-                        f"although its cell has established members "
-                        f"{tuple(admitters)}")
+                        f"although its component has established members "
+                        f"{established}")
     return violations
 
 
@@ -494,13 +422,6 @@ def check_delivery(runner: ScenarioRunner,
                     f"from {delivery.source} twice")
                 continue
             seen.add(key)
-            if getattr(delivery, "marker", ""):
-                # Repair/federation deliveries (backlog, anti-entropy,
-                # cross-cell injections) arrive outside the cell's total
-                # order by design; the duplicate check above still
-                # covers them, and cross-cell FIFO has its own
-                # federation invariant keyed by sequence number.
-                continue
             sequence.append(key)
             parsed = _burst_index(delivery.text)
             if parsed is None:
@@ -570,11 +491,9 @@ def check_flush_liveness(runner: ScenarioRunner,
     return violations
 
 
-#: The always-on invariant set the fuzzer installs on every run.  The
-#: federation checks (cross-cell no-dup, per-stream FIFO) hold vacuously
-#: on flat histories, so they ride along unconditionally.
+#: The always-on invariant set the fuzzer installs on every run.
 ALWAYS_ON = (check_view_agreement, check_delivery, check_counters,
-             check_flush_liveness) + FED_ALWAYS_ON
+             check_flush_liveness)
 
 
 # ---------------------------------------------------------------------------
@@ -590,22 +509,13 @@ def fuzz_oracle(scenario: Scenario, run_seed: int,
     The shrinker uses this as its test function.
     """
     try:
-        # run_scenario dispatches federated scenarios (cells > 0) to the
-        # FederationRunner; flat scenarios run exactly as before.
         result = run_scenario(scenario, seed=run_seed,
                               invariants=ALWAYS_ON)
     except InvariantViolation as exc:
         return list(exc.violations)
     if parity:
-        try:
-            heap = run_scenario(scenario, seed=run_seed,
-                                engine_factory=HeapSimEngine)
-        except InvariantViolation:
-            # The federation runner enforces its always-on checks even
-            # without installed invariants; a replay that trips them
-            # where the primary run did not is itself a divergence.
-            return ["engine-parity: wheel and heap engines diverged on "
-                    "the same scenario"]
+        heap = run_scenario(scenario, seed=run_seed,
+                            engine_factory=HeapSimEngine)
         if heap != result:
             return ["engine-parity: wheel and heap engines diverged on "
                     "the same scenario"]
@@ -711,10 +621,6 @@ def _event_to_dict(event: ScenarioEvent) -> dict:
         data["link"] = _link_to_dict(event.link)
     if isinstance(event, Partition):
         data["groups"] = [list(group) for group in event.groups]
-    if isinstance(event, (SplitCell, MergeCell)):
-        data["cell"] = event.cell
-    if isinstance(event, MergeCell):
-        data["into"] = event.into
     return data
 
 
@@ -746,11 +652,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "rules": [[name, [list(p) for p in params]]
                   for name, params in scenario.rules],
         "governor": [list(p) for p in scenario.governor],
-        "cells": scenario.cells,
-        "cell_size_max": scenario.cell_size_max,
-        "cell_size_min": scenario.cell_size_min,
-        "backlog_n": scenario.backlog_n,
-        "reconcile": scenario.reconcile,
         "ordering": list(scenario.ordering),
         "wired": _link_to_dict(scenario.wired),
         "wireless": _link_to_dict(scenario.wireless),
@@ -761,8 +662,26 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+#: The keys :func:`scenario_to_dict` writes; the optional ones may be
+#: absent from older files.
+SCENARIO_KEYS = frozenset((
+    "name", "duration_s", "nodes", "events", "workload", "policy",
+    "policy_options", "rules", "governor", "ordering", "wired", "wireless",
+    "publish_interval", "evaluate_interval", "heartbeat_interval",
+    "nack_interval"))
+
+
 def scenario_from_dict(data: dict) -> Scenario:
-    """Rebuild (and validate) a scenario from its JSON shape."""
+    """Rebuild (and validate) a scenario from its JSON shape.
+
+    A key this shape does not know raises ``ValueError`` naming it: a
+    file written for a scenario shape this code cannot run must not load
+    as a different scenario and pass in silence.
+    """
+    unknown = sorted(set(data) - SCENARIO_KEYS)
+    if unknown:
+        raise ValueError(f"scenario {data.get('name')!r} has unknown "
+                         f"keys {unknown}")
     scenario = Scenario(
         name=data["name"],
         duration_s=data["duration_s"],
@@ -774,11 +693,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         rules=tuple((name, tuple(tuple(p) for p in params))
                     for name, params in data.get("rules", [])),
         governor=tuple(tuple(p) for p in data.get("governor", [])),
-        cells=data.get("cells", 0),
-        cell_size_max=data.get("cell_size_max", 0),
-        cell_size_min=data.get("cell_size_min", 0),
-        backlog_n=data.get("backlog_n", 0),
-        reconcile=data.get("reconcile", False),
         ordering=tuple(data.get("ordering", [])),
         wired=_link_from_dict(data["wired"]),
         wireless=_link_from_dict(data["wireless"]),

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.core.morpheus import MorpheusNode
-from repro.kernel.group import scoped_name
 from repro.simnet.energy import Battery
 from repro.core.rules import (PolicyEngine, build_rule, governor_from_params)
 from repro.simnet.engine import SimEngine
@@ -108,10 +107,6 @@ class ScenarioResult:
     control_views: dict[str, tuple[str, ...]] = field(default_factory=dict)
     #: Final deployed configuration name per surviving node.
     deployed: dict[str, str] = field(default_factory=dict)
-    #: Federation: final cell rosters (empty for flat single-group runs).
-    cells: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    #: Federation: final gateway per cell.
-    gateways: dict[str, str] = field(default_factory=dict)
     delivered_packets: int = 0
     lost_packets: int = 0
     engine_events: int = 0
@@ -199,22 +194,16 @@ class ScenarioRunner:
                               loss=loss)
         return LinkParams(latency_s=0.002, bandwidth_bps=11e6, loss=loss)
 
-    def _make_policy(self, group: str = "") -> PolicyEngine:
+    def _make_policy(self) -> PolicyEngine:
         stack_options = {
             "heartbeat_interval": self.scenario.heartbeat_interval,
             "nack_interval": self.scenario.nack_interval,
             "ordering": tuple(self.scenario.ordering),
         }
-        if group:
-            # Federation: every template a policy builds for this node
-            # keys the suite epoch by the cell's scoped data-group id.
-            stack_options["group"] = scoped_name("data", group)
-            stack_options["app_params"] = self._app_params()
         # A declarative rule set (the policy-fuzz path) runs as drawn,
         # governed by the scenario's governor parameters; otherwise the
         # named policy is one rule, tuned by the policy options, and
-        # ungoverned (a federated scenario spends its governor parameters
-        # on cell reshapes).  Either way every rule resolves against the
+        # ungoverned.  Either way every rule resolves against the
         # registry.
         scenario = self.scenario
         rules = scenario.rules or (
@@ -246,39 +235,24 @@ class ScenarioRunner:
         kind = NodeKind.MOBILE if spec.kind == "mobile" else NodeKind.FIXED
         self.network.add_node(spec.node_id, kind, battery=battery)
 
-    def _app_params(self) -> dict:
-        """Extra chat-layer parameters; the federation runner overrides."""
-        return {}
-
-    def _boot_morpheus(self, node_id: str, members, joining: bool,
-                       group: str = "",
-                       adopt: Optional[dict] = None) -> MorpheusNode:
+    def _boot_morpheus(self, node_id: str, members,
+                       joining: bool) -> MorpheusNode:
         scenario = self.scenario
         node = MorpheusNode(
             self.network, node_id, members,
-            policy=self._make_policy(group=group),
+            policy=self._make_policy(),
             ordering=tuple(scenario.ordering),
             publish_interval=scenario.publish_interval,
             evaluate_interval=scenario.evaluate_interval,
             heartbeat_interval=scenario.heartbeat_interval,
             nack_interval=scenario.nack_interval,
-            joining=joining,
-            group=group,
-            app_params=self._app_params() if group else None)
-        if adopt is not None:
-            # Cell re-formation: the node keeps its delivered history and
-            # federation sequence numbering across the group change.
-            node.chat.adopt(adopt)
+            joining=joining)
         self.morpheus[node_id] = node
         history = self._stack_history.setdefault(node_id, [])
         history.append((self.engine.now(), tuple(node.current_stack())))
         node.core.on_reconfigured = \
             lambda name, n=node_id: self._on_reconfigured(n, name)
-        self._after_boot(node)
         return node
-
-    def _after_boot(self, node: MorpheusNode) -> None:
-        """Subclass hook after a node instance boots (federation glue)."""
 
     # -- live hooks ----------------------------------------------------------
 
@@ -441,13 +415,8 @@ def run_scenario(scenario: Scenario, seed: int = 0,
                  engine_factory=SimEngine,
                  invariants: Sequence[InvariantCheck] = ()) -> ScenarioResult:
     """One-call convenience: build a simulated runner and execute the
-    scenario (federated scenarios get the federation runner).  Live runs
-    build :class:`repro.livenet.runner.LiveScenarioRunner` directly.
+    scenario.  Live runs build
+    :class:`repro.livenet.runner.LiveScenarioRunner` directly.
     """
-    if scenario.cells > 0:
-        from repro.federation.runner import FederationRunner
-        return FederationRunner(scenario, seed=seed,
-                                engine_factory=engine_factory,
-                                invariants=invariants).run()
     return ScenarioRunner(scenario, seed=seed, engine_factory=engine_factory,
                           invariants=invariants).run()

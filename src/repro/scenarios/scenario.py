@@ -138,26 +138,6 @@ class Heal(ScenarioEvent):
 
 
 @dataclass(frozen=True)
-class SplitCell(ScenarioEvent):
-    """Federation: split a cell in two (``cell`` empty = the largest).
-
-    Only valid in federated scenarios (``cells > 0``).  An explicit split
-    bypasses the size thresholds but still runs through the cell
-    governor's flap damping.
-    """
-
-    cell: str = ""
-
-
-@dataclass(frozen=True)
-class MergeCell(ScenarioEvent):
-    """Federation: merge a cell into another (empty = smallest two)."""
-
-    cell: str = ""
-    into: str = ""
-
-
-@dataclass(frozen=True)
 class ChatBurst:
     """One workload phase: ``count`` paced messages from ``sender``."""
 
@@ -196,19 +176,6 @@ class Scenario:
     evaluate_interval: float = 2.0
     heartbeat_interval: float = 5.0
     nack_interval: float = 0.25
-    #: Federation: number of initial cells.  0 (the default) runs the flat
-    #: single-group stack; ≥ 1 runs the federation runner — ``cells=1``
-    #: with the thresholds below at 0 is the 1-cell special case whose
-    #: behaviour is asserted identical to the flat stack.
-    cells: int = 0
-    #: Split a cell when live membership exceeds this (0 = never).
-    cell_size_max: int = 0
-    #: Merge a cell away when live membership falls below this (0 = never).
-    cell_size_min: int = 0
-    #: Gateway-served admission backlog depth (0 = no state transfer).
-    backlog_n: int = 0
-    #: Run the chat anti-entropy pass when a view gains joiners.
-    reconcile: bool = False
 
     # -- structure queries --------------------------------------------------
 
@@ -259,17 +226,6 @@ class Scenario:
                     f"malformed governor parameter {param!r}")
         if not self.initial_members():
             raise ValueError("scenario needs at least one t=0 node")
-        if self.cells < 0:
-            raise ValueError(f"negative cell count: {self.cells}")
-        if self.cells == 0 and (self.cell_size_max or self.cell_size_min or
-                                self.backlog_n or self.reconcile):
-            raise ValueError(
-                "cell thresholds / backlog / reconcile require a federated "
-                "scenario (cells >= 1)")
-        if self.cells > len(self.initial_members()):
-            raise ValueError(
-                f"{self.cells} cells but only "
-                f"{len(self.initial_members())} t=0 nodes")
         seen: set[str] = set()
         for spec in self.nodes:
             if spec.node_id in seen:
@@ -301,16 +257,12 @@ class Scenario:
     def _validate_event(self, event: ScenarioEvent, known: set[str]) -> None:
         where = f"event at {event.at}s"
         executable = (Handoff, Crash, Recover, Leave, SetLoss, Partition,
-                      Heal, SplitCell, MergeCell)
+                      Heal)
         if not isinstance(event, executable):
             # Fail fast: the runner only knows these concrete event types.
             raise ValueError(
                 f"{where}: {type(event).__name__} is not an executable "
                 "scenario event")
-        if isinstance(event, (SplitCell, MergeCell)) and self.cells <= 0:
-            raise ValueError(
-                f"{where}: {type(event).__name__} requires a federated "
-                "scenario (cells >= 1)")
         if not 0.0 <= event.at <= self.duration_s:
             raise ValueError(f"{where}: outside [0, {self.duration_s}]")
         node = getattr(event, "node", None)

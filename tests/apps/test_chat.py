@@ -92,20 +92,7 @@ class TestHistory:
         engine.run_until(2.0)
         chat = nodes["b"].chat
         assert chat.texts() == ["hello"]
-        assert chat._keys is None  # no dedup set beside the history
         assert not hasattr(chat.history[0], "__dict__")
-
-    def test_repair_dedups_against_history(self, plain_pair):
-        engine, network, nodes = plain_pair
-        engine.run_until(0.5)
-        nodes["a"].send("hello")
-        engine.run_until(2.0)
-        chat = nodes["b"].chat
-        fresh = chat._absorb_entries([["a", "hello", "lobby"],
-                                      ["c", "missed", "lobby"]], "backlog")
-        assert fresh == [["c", "missed", "lobby"]]
-        assert chat.texts() == ["hello", "missed"]
-        assert chat._keys == {("a", "hello"), ("c", "missed")}
 
     def test_history_pickles(self, plain_pair):
         # The history is plain data: it survives a process boundary.
@@ -118,30 +105,22 @@ class TestHistory:
 
 
 #: Deliveries the reference list and the columns are both built from:
-#: flat rows, and rows setting each rare field.
+#: rows in the history's own room, and rows in another (the rare field).
 DELIVERIES = [
     ChatDelivery("a", "one", "lobby", 1.0),
-    ChatDelivery("b", "two", "lobby", 1.5, n=3),
-    ChatDelivery("c", "three", "ops", 2.0, marker="fed", n=9,
-                 fed_cell="cell-1"),
-    ChatDelivery("a", "four", "lobby", 2.5, marker="backlog"),
+    ChatDelivery("b", "two", "lobby", 1.5),
+    ChatDelivery("c", "three", "ops", 2.0),
+    ChatDelivery("a", "four", "lobby", 2.5),
     ChatDelivery("b", "five", "lobby", 3.0),
-    ChatDelivery("d", "six", "ops", 3.5, marker="recovered"),
+    ChatDelivery("d", "six", "ops", 3.5),
 ]
 
 
 def columns_of(deliveries) -> ChatHistory:
     history = ChatHistory("lobby")
     for d in deliveries:
-        history.append(d.source, d.text, d.room, d.time, d.marker, d.n,
-                       d.fed_cell)
+        history.append(d.source, d.text, d.room, d.time)
     return history
-
-
-def deliver(chat, source: str, payload: dict) -> None:
-    """Hand ``chat`` one delivery through its delivery path."""
-    chat._deliver(ApplicationMessage(message=Message(payload=payload),
-                                     source=source))
 
 
 class TestChatHistory:
@@ -170,36 +149,6 @@ class TestChatHistory:
         assert type(back) is ChatHistory
         assert back == DELIVERIES
 
-    def test_federated_delivery_round_trips(self, plain_pair):
-        engine, network, nodes = plain_pair
-        engine.run_until(0.5)
-        chat = nodes["b"].chat
-        deliver(chat, "gw", {"room": "ops", "text": "far",
-                             "fed": ["cell-2", "zed", 7], "src": "zed"})
-        deliver(chat, "a", {"room": "lobby", "text": "near", "n": 4})
-        now = engine.now()
-        assert chat.history[-2:] == [
-            ChatDelivery("zed", "far", "ops", now, marker="fed", n=7,
-                         fed_cell="cell-2"),
-            ChatDelivery("a", "near", "lobby", now, n=4)]
-
-    def test_export_and_adopt_keep_the_history(self, plain_pair):
-        engine, network, nodes = plain_pair
-        engine.run_until(0.5)
-        nodes["a"].send("hello")
-        engine.run_until(2.0)
-        source = nodes["b"].chat
-        deliver(source, "gw", {"room": "ops", "text": "far",
-                               "fed": ["cell-2", "zed", 7], "src": "zed"})
-        before = list(source.history)
-        state = source.export_state()
-        deliver(source, "a", {"room": "lobby", "text": "later"})
-        target = nodes["a"].chat
-        target.adopt(state)
-        assert target.history == before
-        assert target.texts() == ["hello", "far"]
-        assert target._known() == {("a", "hello"), ("zed", "far")}
-
     def test_a_flat_delivery_costs_under_40_bytes(self, plain_pair):
         """Rows, not objects: 50,000 flat deliveries through the session's
         delivery path hold at most 40 B each beyond the strings they
@@ -220,7 +169,6 @@ class TestChatHistory:
         finally:
             tracemalloc.stop()
         assert len(chat.history) == count
-        assert chat._keys is None
         assert held / count <= 40, f"{held / count:.1f} B per delivery"
 
 

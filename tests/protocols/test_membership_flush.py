@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.kernel import Direction
-from repro.protocols import (LeaveRequestEvent, SuspectEvent,
-                             TriggerViewChangeEvent, UnsuspectEvent)
+from repro.protocols import (LeaveRequestEvent, MembershipMessage,
+                             SuspectEvent, TriggerViewChangeEvent,
+                             UnsuspectEvent)
 from tests.protocols.helpers import build_world, collector_of, membership_of
 
 
@@ -154,6 +155,51 @@ class TestWithdrawnExclusion:
         assert any(members == ("a", "b") for _, _, members, _ in log), log
         for channel in channels.values():
             assert collector_of(channel).view.members == ("a", "b", "c")
+
+
+class TestIsolatedAnnouncer:
+    """A member that suspected everyone it could not hear flushes alone.
+
+    Its flush request or installation, once the link is back, names a
+    target that keeps nobody of the view but itself.  The members that
+    receive it must not take it up: they would abandon their own view
+    for one that excludes them.  They exclude the announcer instead, and
+    it merges back through its probes.
+    """
+
+    @staticmethod
+    def announce_alone(kind):
+        engine, network, channels = build_world(
+            {"a": "fixed", "b": "fixed", "c": "fixed"})
+        engine.run_until(1.0)
+        announcer = membership_of(channels["c"])
+        payload = {"kind": kind, "new_view_id": announcer.view.view_id + 1,
+                   "members": ["c"], "hold": False, "from": "c"}
+        if kind == "flush_req":
+            payload.update(incarnation=announcer.incarnation, attempt=1)
+        else:
+            payload.update(joiners=[], departed=["a", "b"],
+                           stamp=["c", announcer.incarnation])
+        for dest in ("a", "b"):
+            announcer.send_down(
+                announcer.control_message(MembershipMessage, dict(payload),
+                                          dest=dest, source="c"),
+                channel=channels["c"])
+        engine.run_until(1.5)
+        collector_of(channels["a"]).send_text("after")
+        engine.run_until(40.0)
+        return channels
+
+    @pytest.mark.parametrize("kind", ["flush_req", "view_install"])
+    def test_the_view_survives_and_the_announcer_merges_back(self, kind):
+        channels = self.announce_alone(kind)
+        for node_id in ("a", "b"):
+            views = collector_of(channels[node_id]).views
+            assert all(node_id in view.members for view in views), views
+        for channel in channels.values():
+            collector = collector_of(channel)
+            assert collector.view.members == ("a", "b", "c")
+            assert collector.payloads() == ["after"]
 
 
 class TestAcknowledgedRelease:

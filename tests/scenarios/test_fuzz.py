@@ -49,6 +49,14 @@ class TestGenerator:
             scenario = generate_scenario(4, index, mix="partition")
             assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
 
+    def test_a_key_the_shape_does_not_know_fails_loudly(self):
+        # A multi-cell scenario file must not load as a flat scenario
+        # and then pass in silence.
+        data = scenario_to_dict(generate_scenario(4, 0))
+        data.update(cells=2, reconcile=True)
+        with pytest.raises(ValueError, match=r"\['cells', 'reconcile'\]"):
+            scenario_from_dict(data)
+
     def test_policy_fuzz_draws_valid_rule_sets(self):
         config = dataclasses.replace(MIXES["uniform"], rules_p=1.0)
         drew_governor = False

@@ -2,10 +2,9 @@
 
 A scenario or live run starts a fresh interpreter (the benchmark's
 children, every CLI), and each module it imports costs start-up time and
-resident memory whether or not any of its code runs.  The fuzzer, the
-shrinker and the federation layer are not part of a run, and neither is
-the HTTP/e-mail half of the standard library that ``xml.sax.saxutils``
-brings along.
+resident memory whether or not any of its code runs.  The fuzzer and the
+shrinker are not part of a run, and neither is the HTTP/e-mail half of
+the standard library that ``xml.sax.saxutils`` brings along.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import repro
 
 #: Modules a scenario or live run must not load.
 NOT_RUN = ("repro.scenarios.fuzz", "repro.scenarios.shrink",
-           "repro.federation", "urllib.request", "email")
+           "urllib.request", "email")
 
 
 def test_a_run_imports_neither_the_fuzzer_nor_the_http_stack():
