@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Sequence
 
 from repro.kernel.channel import ChannelState
@@ -603,7 +603,17 @@ def _link_to_dict(link: LinkSpec) -> dict:
     return {"model": link.model, "params": [list(p) for p in link.params]}
 
 
+def _known(cls: type, data: dict, what: str, extra: tuple = ()) -> dict:
+    """``data`` when every key is a field of ``cls`` (or in ``extra``);
+    otherwise ``ValueError`` naming ``what`` and each unknown key."""
+    unknown = sorted(set(data) - {f.name for f in fields(cls)} - set(extra))
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}")
+    return data
+
+
 def _link_from_dict(data: dict) -> LinkSpec:
+    _known(LinkSpec, data, "link")
     return LinkSpec(data["model"],
                     tuple((name, value) for name, value in data["params"]))
 
@@ -625,7 +635,10 @@ def _event_to_dict(event: ScenarioEvent) -> dict:
 
 
 def _event_from_dict(data: dict) -> ScenarioEvent:
-    cls = EVENT_TYPES[data["type"]]
+    cls = EVENT_TYPES.get(data["type"])
+    if cls is None:
+        raise ValueError(f"unknown event type {data['type']!r}")
+    _known(cls, data, f"{data['type']} event", extra=("type",))
     kwargs = {key: value for key, value in data.items() if key != "type"}
     if "link" in kwargs:
         kwargs["link"] = _link_from_dict(kwargs["link"])
@@ -674,9 +687,11 @@ SCENARIO_KEYS = frozenset((
 def scenario_from_dict(data: dict) -> Scenario:
     """Rebuild (and validate) a scenario from its JSON shape.
 
-    A key this shape does not know raises ``ValueError`` naming it: a
-    file written for a scenario shape this code cannot run must not load
-    as a different scenario and pass in silence.
+    A key this shape does not know, at the top or in a node, event,
+    burst or link, and an event type it does not know, raise
+    ``ValueError`` naming them: a file written for a scenario shape this
+    code cannot run must not load as a different scenario and pass in
+    silence.
     """
     unknown = sorted(set(data) - SCENARIO_KEYS)
     if unknown:
@@ -685,9 +700,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     scenario = Scenario(
         name=data["name"],
         duration_s=data["duration_s"],
-        nodes=tuple(NodeSpec(**spec) for spec in data["nodes"]),
+        nodes=tuple(NodeSpec(**_known(NodeSpec, spec, "node"))
+                    for spec in data["nodes"]),
         events=tuple(_event_from_dict(event) for event in data["events"]),
-        workload=tuple(ChatBurst(**burst) for burst in data["workload"]),
+        workload=tuple(ChatBurst(**_known(ChatBurst, burst, "burst"))
+                       for burst in data["workload"]),
         policy=data.get("policy", "hybrid"),
         policy_options=tuple(tuple(p) for p in data.get("policy_options", [])),
         rules=tuple((name, tuple(tuple(p) for p in params))

@@ -9,8 +9,10 @@ import pytest
 
 from repro.apps.chat import ChatDelivery, ChatHistory
 from repro.core import build_plain_group
+from repro.kernel import Direction
 from repro.kernel.message import Message
-from repro.protocols.events import ApplicationMessage
+from repro.protocols import TriggerViewChangeEvent
+from repro.protocols.events import ApplicationMessage, BlockEvent
 from repro.simnet import Network, SimEngine
 
 
@@ -38,6 +40,23 @@ class TestSendQueueing:
             nodes["a"].send(f"q-{index}")
         engine.run_until(2.0)
         assert nodes["b"].chat.texts() == [f"q-{i}" for i in range(5)]
+
+
+    def test_sends_while_blocked_wait_for_the_next_view(self, plain_pair):
+        engine, network, nodes = plain_pair
+        engine.run_until(0.5)
+        chat = nodes["a"].chat
+        chat.handle(BlockEvent(1))  # a flush began: stop sending
+        assert chat.ready is False
+        chat.send("held")
+        assert chat.sent_count == 0
+        engine.run_until(2.0)
+        assert nodes["b"].chat.texts() == []
+        nodes["a"].data_channel.insert(TriggerViewChangeEvent(),
+                                       Direction.DOWN)
+        engine.run_until(10.0)
+        assert chat.ready is True
+        assert nodes["b"].chat.texts() == ["held"]
 
 
 class TestCallbacks:
@@ -73,6 +92,16 @@ class TestRooms:
         nodes["a"].send("alert")
         engine.run_until(2.0)
         assert nodes["b"].chat.history[0].room == "ops"
+
+    def test_a_delivery_naming_no_room_is_filed_under_the_session_room(
+            self, plain_pair):
+        engine, network, nodes = plain_pair
+        engine.run_until(0.5)
+        chat = nodes["b"].chat
+        chat._deliver(ApplicationMessage(
+            message=Message(payload={"text": "bare"}), source="a"))
+        assert chat.history[-1] == ChatDelivery("a", "bare", "lobby",
+                                                engine.now())
 
     def test_history_timestamps_monotone(self, plain_pair):
         engine, network, nodes = plain_pair

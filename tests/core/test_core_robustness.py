@@ -220,6 +220,53 @@ class TestStrandedHold:
                    for morpheus in nodes.values())
 
 
+class TestSameIdAnotherLineage:
+    """Config ids are monotonic per coordinator lineage only: after a
+    merge the coordinator can issue the id a member last applied, under
+    another lineage.  That is a new configuration, taken only from the
+    member's own coordinator; a lower id, or the same id under the same
+    lineage, is a duplicate and is acked unapplied."""
+
+    @pytest.mark.parametrize("offset, new_lineage, sender, applied", [
+        (0, True, "fixed-0", True),
+        (0, True, "mobile-0", False),
+        (0, False, "fixed-0", False),
+        (-1, True, "fixed-0", False)],
+        ids=["new-lineage", "not-from-the-coordinator", "same-lineage",
+             "lower-id"])
+    def test_only_a_new_lineage_from_the_coordinator_is_applied(
+            self, offset, new_lineage, sender, applied):
+        from repro.core import plain_data_template
+        engine, nodes = TestStrandedHold()._group()
+        engine.run_until(20.0)
+        member = nodes["fixed-1"]
+        core = member.core
+        assert core.view.coordinator == "fixed-0"
+        assert core._last_applied_id == 1
+        config_id = core._last_applied_id + offset
+        lineage = [99, "fixed-0", 9] if new_lineage \
+            else list(core._applied_lineage)
+        deploys, acks = [], []
+        member.local_module.apply = \
+            lambda cid, template, done, lineage=None: \
+            deploys.append((cid, lineage))
+        core._send_done = lambda cid, lineage, issuer, channel: \
+            acks.append((cid, issuer))
+        template = plain_data_template(tuple(sorted(nodes)))
+        core._on_reconfig(
+            {"kind": "reconfig", "config_id": config_id,
+             "lineage": lineage, "name": "plain",
+             "xml": template.to_xml(), "from": sender},
+            member.control_channel)
+        if applied:
+            assert deploys == [(config_id, tuple(lineage))]
+            assert acks == []  # acked once deployed, never unapplied
+        else:
+            assert deploys == []
+            duplicate = sender == "fixed-0"
+            assert acks == ([(config_id, sender)] if duplicate else [])
+
+
 class TestAckBeforeTheFirstControlView:
     def test_a_joiner_acks_a_configuration_it_deploys_before_its_view(self):
         """A coordinator that decides on the joiner's admission view can

@@ -94,6 +94,40 @@ class TestReconfiguration:
             assert "beb" in module.data_channel.layer_names()
             assert module.deploy_count == 3
 
+    def test_the_running_generation_is_not_redeployed(self, world):
+        # Redeploying it would boot a fresh stack on the port the old one
+        # used and re-deliver what the old one had delivered.
+        engine, network, modules = world
+        engine.run_until(0.5)
+        template = mecho_data_template(MEMBERS, mode="wired", relay="n0")
+        for module in modules.values():
+            module.apply(1, template, lambda cid: None)
+        engine.run_until(10.0)
+        module = modules["n0"]
+        running = module.data_channel
+        done = []
+        module.apply(1, template, done.append)
+        assert done == [1]  # acknowledged at once
+        engine.run_until(20.0)
+        assert module.data_channel is running
+        assert module.deploy_count == 2
+
+    def test_the_same_id_under_another_lineage_is_deployed(self, world):
+        engine, network, modules = world
+        engine.run_until(0.5)
+        template = mecho_data_template(MEMBERS, mode="wired", relay="n0")
+        for module in modules.values():
+            module.apply(1, template, lambda cid: None)
+        engine.run_until(10.0)
+        done = []
+        for module in modules.values():
+            module.apply(1, template, done.append, lineage=(4, "n1", 2))
+        engine.run_until(20.0)
+        assert done == [1, 1]
+        for module in modules.values():
+            assert module.data_channel.name == "data#c1@4.n1.2"
+            assert module.deploy_count == 3
+
     def test_mismatched_label_gets_fresh_session(self, world):
         """A label whose layer class changed must not reuse the session."""
         engine, network, modules = world

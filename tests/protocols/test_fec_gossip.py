@@ -15,7 +15,8 @@ from repro.kernel.codec import encode_payload
 from repro.kernel.packet import Packet
 from repro.livenet.frame import encode_frame
 from repro.protocols import fec as fec_module
-from repro.protocols.events import ApplicationMessage, ParityMessage
+from repro.protocols.events import (ApplicationMessage, ParityMessage,
+                                    View, ViewEvent)
 from repro.protocols.fec import FecLayer
 from repro.protocols.rs_code import rs_encode
 from repro.simnet import BernoulliLoss, LinkParams, Network, SimEngine
@@ -117,6 +118,31 @@ class TestFec:
         fec = network.node("r0").kernel.find_channel("data") \
             .session_named("fec")
         assert fec.recovered_count > 0
+
+    def test_a_view_change_abandons_a_partial_block_under_a_fresh_id(self):
+        # FEC sits below view synchrony: a receiver can still hold pieces
+        # of the old view's block when the new view's arrive, and two
+        # blocks under one id would decode into garbage.
+        members = ["s", "r0"]
+        engine, network = loss_world(members)
+        probes = {node_id: build_ministack(
+            network, node_id, members, fec_stack(",".join(members), k=4, m=1))
+            for node_id in members}
+
+        def fec_of(node_id):
+            return network.node(node_id).kernel.find_channel("data") \
+                .session_named("fec")
+
+        for index in range(3):
+            probes["s"].send(index)
+        engine.run_until(1.0)
+        assert set(fec_of("r0")._blocks) == {("s", 0)}
+        fec_of("s").handle(ViewEvent(View("data", 1, ("r0", "s"))))
+        for index in range(3, 5):
+            probes["s"].send(index)
+        engine.run_until(2.0)
+        assert set(fec_of("r0")._blocks) == {("s", 0), ("s", 1)}
+        assert probes["r0"].payloads() == [0, 1, 2, 3, 4]
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError, match="invalid FEC parameters"):
@@ -346,3 +372,56 @@ class TestGossip:
         for node_id in members:
             for delivery in probes[node_id].deliveries:
                 assert delivery.source == "n3"
+
+    def test_one_round_infects_exactly_fanout_peers(self):
+        engine, network, probes, members = self.build(16, fanout=3, rounds=1)
+        probes["n0"].send("short")
+        engine.run_until(5.0)
+        infected = [node_id for node_id in members[1:]
+                    if "short" in probes[node_id].payloads()]
+        assert len(infected) == 3  # nobody relays a rumor at its last round
+        assert sum(network.stats_of(node_id).sent_total
+                   for node_id in members) == 3
+
+    @pytest.mark.parametrize("rounds", [2, 3])
+    def test_rounds_bound_the_sends(self, rounds):
+        engine, network, probes, members = self.build(32, fanout=2,
+                                                      rounds=rounds)
+        probes["n0"].send("bounded")
+        engine.run_until(5.0)
+        # Hop h pushes to ``fanout`` peers only while h < rounds.
+        bound = sum(2 ** hop for hop in range(1, rounds + 1))
+        sent = sum(network.stats_of(node_id).sent_total
+                   for node_id in members)
+        assert 2 <= sent <= bound
+
+    def test_zero_rounds_keeps_the_rumor_home(self):
+        engine, network, probes, members = self.build(6, rounds=0)
+        probes["n0"].send("home")
+        engine.run_until(5.0)
+        assert probes["n0"].payloads() == ["home"]
+        assert all(probes[node_id].payloads() == []
+                   for node_id in members[1:])
+        assert network.stats_of("n0").sent_total == 0
+
+    def test_the_origin_is_never_sent_its_own_rumor(self):
+        engine, network, probes, members = self.build(12)
+        probes["n0"].send("outbound")
+        engine.run_until(5.0)
+        assert probes["n0"].payloads() == ["outbound"]
+        assert network.stats_of("n0").recv_total == 0
+
+    def test_every_node_pushes_a_rumor_at_most_once(self):
+        engine, network, probes, members = self.build(16, fanout=3, rounds=6)
+        probes["n0"].send("once")
+        engine.run_until(5.0)
+        for node_id in members:
+            assert network.stats_of(node_id).sent_total <= 3, node_id
+
+    def test_a_fanout_above_the_group_reaches_every_peer_once(self):
+        engine, network, probes, members = self.build(4, fanout=10, rounds=1)
+        probes["n0"].send("all")
+        engine.run_until(5.0)
+        for node_id in members:
+            assert probes[node_id].payloads() == ["all"]
+        assert network.stats_of("n0").sent_total == 3

@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.kernel import QoS
 from repro.protocols import (BestEffortMulticastLayer, HeartbeatLayer,
                              MechoLayer)
-from repro.protocols.events import PathChangedEvent
+from repro.protocols.events import PathChangedEvent, View, ViewEvent
 from repro.simnet import (DatagramTransportSession, Network, SimEngine,
                           SimTransportLayer)
 from tests.protocols.helpers import CollectorLayer
@@ -90,6 +90,35 @@ class TestSuspicion:
         assert "b" not in heartbeat_of(channels["a"]).suspected
         engine.run_until(10.0)
         assert "b" in heartbeat_of(channels["a"]).suspected
+
+
+class TestViewChanges:
+    def _suspecting_c(self):
+        engine, network, channels = build_fd_world()
+        engine.run_until(1.0)
+        network.crash_node("c")
+        engine.run_until(6.0)
+        heartbeat = heartbeat_of(channels["a"])
+        assert heartbeat.suspected == {"c"}
+        return engine, heartbeat
+
+    def test_readmission_drops_every_suspicion(self):
+        # Membership forgets what a node suspected while outside the
+        # view, so a kept suspicion would never be raised again.
+        engine, heartbeat = self._suspecting_c()
+        heartbeat.handle(ViewEvent(View("data", 2, ("a", "b", "c")),
+                                   joiners=("a",)))
+        assert heartbeat.suspected == set()
+        engine.run_until(12.0)
+        assert heartbeat.suspected == {"c"}  # still silent: raised again
+
+    def test_an_ordinary_view_keeps_suspicions_of_its_members(self):
+        engine, heartbeat = self._suspecting_c()
+        heartbeat.handle(ViewEvent(View("data", 2, ("a", "b", "c")),
+                                   joiners=("b",)))
+        assert heartbeat.suspected == {"c"}
+        heartbeat.handle(ViewEvent(View("data", 3, ("a", "b"))))
+        assert heartbeat.suspected == set()
 
 
 class TestMechoFallback:

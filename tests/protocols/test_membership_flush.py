@@ -157,6 +157,102 @@ class TestWithdrawnExclusion:
             assert collector_of(channel).view.members == ("a", "b", "c")
 
 
+class TestOneSidedSuspicion:
+    def test_a_member_suspecting_the_coordinator_alone_completes(self):
+        """b suspects a, which suspects nobody.  The flush b announces
+        excludes a, so every ack goes to b: sent to the lowest member
+        each side still trusts (a), a would join the flush that excludes
+        it, absorb every ack and the flush would wedge."""
+        engine, network, channels = build_world(
+            {"a": "fixed", "b": "fixed", "c": "fixed"})
+        engine.run_until(1.0)
+        heartbeat = channels["b"].session_named("heartbeat")
+        heartbeat.send_up(SuspectEvent("a"), channel=channels["b"])
+        engine.run_until(5.0)
+        log = membership_of(channels["b"]).install_log
+        assert [members for _, _, members, _ in log[1:]] == \
+            [("b", "c"), ("a", "b", "c")]
+        for channel in channels.values():
+            assert membership_of(channel).phase.value == "stable"
+            assert collector_of(channel).view.members == ("a", "b", "c")
+
+
+class TestLaggingMember:
+    def test_a_member_that_missed_an_installation_is_pulled_forward(self):
+        """c acks a's flush to view 1, and its installation and every
+        re-send of c's cut ack are lost: a and b install view 1, c waits
+        in view 0.  a's next flush names view 2, two past c's view; c
+        asks a for what it missed instead of ignoring the flush, which
+        would wedge it with every member heartbeating contentedly."""
+        engine, network, channels = build_world(
+            {"a": "fixed", "b": "fixed", "c": "fixed"})
+        straggler = membership_of(channels["c"])
+        deliver = straggler._member_view_install
+        send_cut_ack = straggler._send_cut_ack
+        acks = []
+
+        def lose_until_the_next_flush(payload, channel):
+            if engine.now() >= 3.0:
+                deliver(payload, channel)
+
+        def lose_every_resend(channel):
+            acks.append(straggler._target_view.view_id)
+            if acks.count(1) == 1 or acks[-1] != 1:
+                send_cut_ack(channel)
+
+        straggler._member_view_install = lose_until_the_next_flush
+        straggler._send_cut_ack = lose_every_resend
+        engine.run_until(0.5)
+        channels["a"].insert(TriggerViewChangeEvent(), Direction.DOWN)
+        engine.run_until(3.0)
+        assert [collector_of(channels[n]).view.view_id
+                for n in ("a", "b", "c")] == [1, 1, 0]
+        channels["a"].insert(TriggerViewChangeEvent(), Direction.DOWN)
+        engine.run_until(5.0)
+        assert [view_id for _, view_id, _, _ in straggler.install_log] == \
+            [0, 1, 2]
+        for channel in channels.values():
+            assert membership_of(channel).phase.value == "stable"
+            assert collector_of(channel).view.view_id == 2
+
+
+class TestAdmissionOnTopOfTheOwnView:
+    """An installation that admits this node as a joiner with the id after
+    its own view, from a member of that view, and that this node never
+    installed is cross-lineage: a view of its own lineage would have had
+    it flush, not join.  It is taken only under an incarnation newer than
+    this node has recorded for the stamp's coordinator (a recovered
+    node's late re-announcement of its private view replays an old one)."""
+
+    @pytest.mark.parametrize("newer, taken", [(0, False), (1, True)],
+                             ids=["recorded-incarnation", "newer-incarnation"])
+    def test_the_stamp_must_be_newer(self, newer, taken):
+        engine, network, channels = build_world(
+            {"a": "fixed", "b": "fixed", "c": "fixed"})
+        engine.run_until(0.5)
+        channels["a"].insert(TriggerViewChangeEvent(), Direction.DOWN)
+        engine.run_until(2.0)
+        member = membership_of(channels["c"])
+        announcer = membership_of(channels["a"])
+        assert member.view.view_id == 1 and announcer.incarnation == 1
+        before = list(member.install_log)
+        payload = {"kind": "view_install", "new_view_id": 2,
+                   "members": ["a", "c"], "hold": False, "from": "a",
+                   "joiners": ["c"], "departed": ["b"],
+                   "stamp": ["a", announcer.incarnation + newer]}
+        announcer.send_down(
+            announcer.control_message(MembershipMessage, payload,
+                                      dest="c", source="a"),
+            channel=channels["a"])
+        engine.run_until(2.1)
+        if taken:
+            assert member.view.view_id == 2
+            assert member.view.members == ("a", "c")
+        else:
+            assert member.install_log == before
+            assert member.view.members == ("a", "b", "c")
+
+
 class TestIsolatedAnnouncer:
     """A member that suspected everyone it could not hear flushes alone.
 

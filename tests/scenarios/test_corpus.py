@@ -14,13 +14,18 @@ from pathlib import Path
 import pytest
 
 from repro.kernel import codec
-from repro.scenarios.fuzz import ALWAYS_ON, fuzz_oracle
+from repro.scenarios.fuzz import ALWAYS_ON, fuzz_oracle, scenario_to_dict
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.shrink import load_corpus_file
 from repro.simnet.engine import HeapSimEngine, SimEngine
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.json"))
+
+
+#: Keys the loader defaults when a file predates them.
+OPTIONAL_KEYS = frozenset(("policy", "policy_options", "rules", "governor",
+                           "ordering"))
 
 
 def corpus_ids() -> list[str]:
@@ -39,6 +44,16 @@ class TestCorpusReplay:
         assert violations == [], (
             f"{path.name} regressed: this scenario used to reproduce "
             f"{entry['violations']} and was fixed — it fails again")
+
+    def test_the_file_is_in_the_shape_the_fuzzer_writes(self, path):
+        """Loading and writing back changes nothing the file holds, and
+        the file leaves out only keys the loader defaults: the replay
+        runs the scenario the file shows."""
+        entry = load_corpus_file(str(path))
+        held = entry["scenario"]
+        written = scenario_to_dict(entry["scenario_obj"])
+        assert set(written) - set(held) <= OPTIONAL_KEYS
+        assert {key: written[key] for key in held} == held
 
     def test_engines_agree_on_reproducer(self, path):
         entry = load_corpus_file(str(path))

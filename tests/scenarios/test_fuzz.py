@@ -9,8 +9,9 @@ import pytest
 
 from repro.core.rules import rule_names
 from repro.kernel.channel import ChannelState
-from repro.scenarios.fuzz import (MIXES, check_delivery,
-                                  check_flush_liveness, final_components,
+from repro.scenarios.fuzz import (MIXES, check_counters, check_delivery,
+                                  check_flush_liveness,
+                                  check_view_agreement, final_components,
                                   fuzz_oracle, generate_scenario,
                                   run_seed_for, scenario_from_dict,
                                   scenario_to_dict)
@@ -44,18 +45,11 @@ class TestGenerator:
                 if getattr(event, "node", None) == anchor:
                     assert isinstance(event, (Handoff, Recover)), event
 
-    def test_roundtrip_through_corpus_shape(self):
+    @pytest.mark.parametrize("mix", sorted(MIXES))
+    def test_roundtrip_through_corpus_shape(self, mix):
         for index in range(6):
-            scenario = generate_scenario(4, index, mix="partition")
+            scenario = generate_scenario(4, index, mix=mix)
             assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
-
-    def test_a_key_the_shape_does_not_know_fails_loudly(self):
-        # A multi-cell scenario file must not load as a flat scenario
-        # and then pass in silence.
-        data = scenario_to_dict(generate_scenario(4, 0))
-        data.update(cells=2, reconcile=True)
-        with pytest.raises(ValueError, match=r"\['cells', 'reconcile'\]"):
-            scenario_from_dict(data)
 
     def test_policy_fuzz_draws_valid_rule_sets(self):
         config = dataclasses.replace(MIXES["uniform"], rules_p=1.0)
@@ -103,6 +97,49 @@ class TestGenerator:
         scenario = generate_scenario(21, 0, config=config)
         assert scenario.rules
         assert fuzz_oracle(scenario, run_seed_for(21, 0)) == []
+
+
+class TestLoadingFailsLoudly:
+    """Every part of a scenario file is checked against the shape this
+    code runs; the multi-cell files written before the shape lost its
+    cells are the case in point."""
+
+    def test_every_unknown_key_is_named(self):
+        data = scenario_to_dict(generate_scenario(4, 0))
+        data.update(cells=2, reconcile=True)
+        with pytest.raises(ValueError, match=r"\['cells', 'reconcile'\]"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("key, value", [
+        ("cells", 1), ("cell_size_max", 0), ("cell_size_min", 2),
+        ("backlog_n", 5), ("reconcile", False)])
+    def test_a_cell_key_fails_loudly(self, key, value):
+        data = scenario_to_dict(generate_scenario(4, 0))
+        data[key] = value
+        with pytest.raises(ValueError, match=rf"unknown keys \['{key}'\]"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("kind", ["SplitCell", "MergeCell"])
+    def test_a_cell_event_fails_loudly(self, kind):
+        data = scenario_to_dict(generate_scenario(4, 0))
+        data["events"].append({"type": kind, "at": 5.0, "cell": "",
+                               "into": ""})
+        with pytest.raises(ValueError, match=f"unknown event type '{kind}'"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("where", ["node", "event", "burst", "link"])
+    def test_an_unknown_nested_key_fails_loudly(self, where):
+        data = scenario_to_dict(Scenario(
+            name="nested", duration_s=30.0,
+            nodes=(NodeSpec("a"), NodeSpec("b")),
+            events=(Crash(10.0, node="b"),),
+            workload=(ChatBurst(start=1.0, sender="a", count=1),)))
+        assert scenario_from_dict(data).name == "nested"
+        part = {"node": data["nodes"][0], "event": data["events"][0],
+                "burst": data["workload"][0], "link": data["wired"]}[where]
+        part["cell"] = "cell-1"
+        with pytest.raises(ValueError, match=r"unknown keys \['cell'\]"):
+            scenario_from_dict(data)
 
 
 class TestFinalComponents:
@@ -171,6 +208,123 @@ class TestDeliveryInvariant:
         runner = _runner_with_histories({
             "a": [("b", "b0-0"), ("b", "b0-7"), ("b", "b0-9")]})
         assert check_delivery(runner, None) == []
+
+
+    def test_total_order_agreement_passes(self):
+        runner = _runner_with_histories({
+            "a": [("a", "x-0"), ("b", "y-0"), ("a", "x-1")],
+            "b": [("a", "x-0"), ("b", "y-0")]})
+        runner.scenario.ordering = ("total",)
+        assert check_delivery(runner, None) == []
+
+    def test_total_order_disagreement_is_flagged(self):
+        runner = _runner_with_histories({
+            "a": [("a", "x-0"), ("b", "y-0")],
+            "b": [("b", "y-0"), ("a", "x-0")]})
+        assert check_delivery(runner, None) == []  # no total order asked
+        runner.scenario.ordering = ("total",)
+        assert check_delivery(runner, None) == [
+            "total-order: a and b disagree on the relative order of "
+            "commonly delivered messages"]
+
+
+def _runner_with_views(scenario: Scenario, views: dict,
+                       dead: tuple = ()) -> tuple:
+    """A runner and result whose nodes end in the given control views
+    (``None``: the node never entered a view)."""
+    morpheus = {
+        node_id: SimpleNamespace(control_channel=SimpleNamespace(
+            session_named=lambda _, view=view: SimpleNamespace(view=view)))
+        for node_id, view in views.items()}
+    nodes = {node_id: SimpleNamespace(alive=node_id not in dead)
+             for node_id in views}
+    runner = SimpleNamespace(morpheus=morpheus, scenario=scenario,
+                             network=SimpleNamespace(nodes=nodes))
+    result = SimpleNamespace(control_views={
+        node_id: tuple(view) for node_id, view in views.items()
+        if view is not None})
+    return runner, result
+
+
+class TestViewAgreementInvariant:
+    def _scenario(self, events=()) -> Scenario:
+        return Scenario(
+            name="views", duration_s=60.0,
+            nodes=(NodeSpec("a"), NodeSpec("b"), NodeSpec("c"),
+                   NodeSpec("d", join_at=5.0)),
+            events=events,
+            workload=(ChatBurst(start=1.0, sender="a", count=1),))
+
+    def test_agreeing_survivors_pass(self):
+        everyone = ("a", "b", "c", "d")
+        runner, result = _runner_with_views(
+            self._scenario(), {node: everyone for node in everyone})
+        assert check_view_agreement(runner, result) == []
+
+    def test_a_stale_view_is_flagged(self):
+        everyone = ("a", "b", "c", "d")
+        views = {node: everyone for node in everyone}
+        views["c"] = ("a", "b", "c")
+        runner, result = _runner_with_views(self._scenario(), views)
+        assert check_view_agreement(runner, result) == [
+            "view-agreement: c ended with control view ('a', 'b', 'c'), "
+            "expected ('a', 'b', 'c', 'd')"]
+
+    def test_a_dead_node_is_neither_judged_nor_expected(self):
+        views = {"a": ("a", "b", "d"), "b": ("a", "b", "d"),
+                 "c": ("a", "b", "c", "d"), "d": ("a", "b", "d")}
+        runner, result = _runner_with_views(self._scenario(), views,
+                                            dead=("c",))
+        assert check_view_agreement(runner, result) == []
+
+    def test_each_component_agrees_on_its_own_survivors(self):
+        scenario = self._scenario((
+            Partition(20.0, groups=(("a", "b"), ("c", "d"))),))
+        views = {"a": ("a", "b"), "b": ("a", "b"),
+                 "c": ("c", "d"), "d": ("a", "b", "c", "d")}
+        runner, result = _runner_with_views(scenario, views)
+        assert check_view_agreement(runner, result) == [
+            "view-agreement: d ended with control view "
+            "('a', 'b', 'c', 'd'), expected ('c', 'd')"]
+
+    def test_an_unadmitted_joiner_beside_members_is_flagged(self):
+        views = {"a": ("a", "b", "c"), "b": ("a", "b", "c"),
+                 "c": ("a", "b", "c"), "d": None}
+        runner, result = _runner_with_views(self._scenario(), views)
+        assert check_view_agreement(runner, result) == [
+            "join-liveness: d was never admitted although its component "
+            "has established members ('a', 'b', 'c')"]
+
+    def test_a_joiner_alone_in_its_component_is_not_judged(self):
+        scenario = self._scenario((
+            Partition(2.0, groups=(("a", "b", "c"), ("d",))),))
+        views = {"a": ("a", "b", "c"), "b": ("a", "b", "c"),
+                 "c": ("a", "b", "c"), "d": None}
+        runner, result = _runner_with_views(scenario, views)
+        assert check_view_agreement(runner, result) == []
+
+
+class TestCountersInvariant:
+    def _result(self, delivered, lost, stats) -> SimpleNamespace:
+        return SimpleNamespace(
+            delivered_packets=delivered, lost_packets=lost,
+            stats={node: {"sent_total": sent, "recv_total": recv}
+                   for node, (sent, recv) in stats.items()})
+
+    def test_balanced_accounting_passes(self):
+        result = self._result(5, 1, {"a": (4, 2), "b": (2, 3)})
+        assert check_counters(None, result) == []
+
+    def test_a_receive_the_network_never_delivered_is_flagged(self):
+        result = self._result(5, 1, {"a": (4, 3), "b": (2, 3)})
+        assert check_counters(None, result) == [
+            "counter: per-NIC receive total 6 != network "
+            "delivered_packets 5"]
+
+    def test_more_outcomes_than_sends_are_flagged(self):
+        result = self._result(5, 2, {"a": (4, 2), "b": (2, 3)})
+        assert check_counters(None, result) == [
+            "counter: 7 packets delivered+lost but only 6 ever sent"]
 
 
 def _runner_with_phases(phases: dict, dead: tuple = ()) -> SimpleNamespace:

@@ -13,6 +13,8 @@ import pytest
 from repro.scenarios import (CANNED, ScenarioRunner, canned, churn_storm,
                              commuter_handoff, degrading_channel_fec,
                              flash_crowd_join, partition_heal, run_scenario)
+from repro.scenarios.fuzz import ALWAYS_ON
+from repro.simnet.engine import HeapSimEngine
 
 
 CRASHED_KERNELS_TICK = (
@@ -181,6 +183,23 @@ class TestFullSweep:
         second = run_scenario(canned(name), seed=seed)
         assert first == second
         assert first.reconfiguration_count() >= 1
+
+
+@pytest.mark.parametrize("name", sorted(CANNED))
+class TestCannedUnderTheFuzzOracle:
+    """Each canned scenario keeps the invariants every fuzzed run is held
+    to, and replays bit-identically on the reference heap engine."""
+
+    def test_the_always_on_invariants_hold(self, name):
+        # A violated invariant raises InvariantViolation naming it.
+        result = run_scenario(canned(name), seed=1, invariants=ALWAYS_ON)
+        assert result.delivered_packets > 0
+
+    def test_the_heap_engine_agrees(self, name):
+        wheel = run_scenario(canned(name), seed=1)
+        heap = run_scenario(canned(name), seed=1,
+                            engine_factory=HeapSimEngine)
+        assert wheel == heap
 
 
 class TestEventsOnDepartedNodes:
